@@ -59,7 +59,7 @@ void RunScenario(uint64_t checkpoint_every, int replication, size_t num_queries,
   // Durable footprint across the overlay at crash time.
   uint64_t wal_bytes = 0, snap_bytes = 0;
   size_t counted = 0;
-  for (const chord::NodeInfo& info : sys->ring().AliveNodesSorted()) {
+  for (const overlay::PeerInfo& info : sys->overlay().AlivePeersOrdered()) {
     const Peer* p = sys->peer(info.addr);
     if (p == nullptr) continue;
     wal_bytes += p->durable().wal().image().size();

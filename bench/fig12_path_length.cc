@@ -33,10 +33,10 @@ Summary MeasureHops(size_t num_peers, size_t num_queries, uint64_t seed,
   Summary hops;
   for (size_t i = 0; i < num_queries; ++i) {
     const Range q = gen.Next();
-    const auto origin = sys->ring().RandomAliveAddress();
+    const auto origin = sys->overlay().RandomAliveAddress();
     CHECK(origin.ok());
     for (uint32_t id : sys->lsh().Identifiers(q)) {
-      auto route = sys->ring().Lookup(*origin, id);
+      auto route = sys->overlay().RouteToOwner(*origin, id);
       CHECK(route.ok()) << route.status();
       hops.AddCount(static_cast<uint64_t>(route->hops));
       if (raw_out != nullptr) raw_out->push_back(route->hops);

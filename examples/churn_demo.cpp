@@ -41,13 +41,13 @@ int main() {
       hits += outcome->match.has_value();
       hops += outcome->hops;
     }
-    std::cout << "round " << round << ": " << system->ring().num_alive()
+    std::cout << "round " << round << ": " << system->overlay().num_alive()
               << " peers alive, " << hits << "/20 lookups matched, "
               << hops / 20 << " hops/lookup avg\n";
 
     // Churn: two peers leave (one gracefully, one by crashing), three
     // join.
-    const auto nodes = system->ring().AliveNodesSorted();
+    const auto nodes = system->overlay().AlivePeersOrdered();
     int removed = 0;
     for (size_t attempt = 0; attempt < nodes.size() && removed < 2; ++attempt) {
       const auto& addr = nodes[churn.NextBounded(nodes.size())].addr;
@@ -61,11 +61,11 @@ int main() {
         return 1;
       }
     }
-    system->ring().StabilizeAll(2);
-    system->ring().FixAllFingers();
+    system->overlay().Stabilize(2);
+    system->overlay().RepairRouting();
   }
 
-  std::cout << "\nfinal ring size: " << system->ring().num_alive()
+  std::cout << "\nfinal ring size: " << system->overlay().num_alive()
             << " peers\nmetrics: " << system->metrics().ToString() << "\n";
   return 0;
 }

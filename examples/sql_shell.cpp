@@ -114,7 +114,7 @@ int main() {
         total += c;
         loaded += (c > 0);
       }
-      std::cout << system->ring().num_alive() << " peers alive, " << total
+      std::cout << system->overlay().num_alive() << " peers alive, " << total
                 << " cached descriptors across " << loaded << " peers\n";
     } else if (line == "\\schema") {
       for (const std::string& rel : system->catalog().RelationNames()) {

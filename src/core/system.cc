@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "core/coverage.h"
 #include "hash/sha1.h"
-#include "overlay/chord_overlay.h"
 #include "overlay/factory.h"
 #include "wire/serde.h"
 
@@ -99,12 +98,6 @@ Result<RangeCacheSystem> RangeCacheSystem::Make(const SystemConfig& config,
   }
   sys.source_ = nodes.front().addr;
   return sys;
-}
-
-chord::ChordRing& RangeCacheSystem::ring() {
-  CHECK(overlay_->kind() == overlay::Kind::kChord)
-      << "ring() requires a Chord-backed system, got " << overlay_->name();
-  return static_cast<overlay::ChordOverlay*>(overlay_.get())->ring();
 }
 
 Peer* RangeCacheSystem::peer(const NetAddress& addr) {
@@ -347,19 +340,8 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   out.degraded = out.probes_failed > 0 || budget.exhausted;
   if (out.degraded) ++metrics_.degraded_lookups;
 
-  // Rank the collected candidates best-first: higher similarity wins,
-  // exactness breaks ties (matches the single-best rule the protocol
-  // used before it kept a ranked list).
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
-  const std::optional<MatchCandidate> best =
-      candidates.empty() ? std::nullopt
-                         : std::optional<MatchCandidate>(candidates.front());
+  // Rank the collected candidates best-first (the shared §4 rule).
+  RankCandidates(&candidates);
   out.ranked.reserve(candidates.size());
   for (const MatchCandidate& c : candidates) {
     RangeMatch m;
@@ -383,7 +365,7 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   if (config_.adaptive_padding) {
     padding_controller_.Observe(
         query.relation + "." + query.attribute,
-        best ? query.range.RecallFrom(best->descriptor.key.range) : 0.0);
+        out.ranked.empty() ? 0.0 : out.ranked.front().recall);
   }
 
   if (!out.ranked.empty()) {

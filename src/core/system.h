@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "chord/ring.h"
 #include "core/config.h"
 #include "core/metrics.h"
 #include "core/peer.h"
@@ -190,11 +189,6 @@ class RangeCacheSystem {
   /// Tapestry via SystemConfig::overlay).
   overlay::Overlay& overlay() { return *overlay_; }
   const overlay::Overlay& overlay() const { return *overlay_; }
-
-  /// Chord-specific escape hatch for callers that poke ring internals
-  /// (benches, the live-ring daemon). CHECK-fails unless the system was
-  /// built with Kind::kChord.
-  chord::ChordRing& ring();
 
   const Catalog& catalog() const { return catalog_; }
   const LshScheme& lsh() const { return *lsh_; }

@@ -389,15 +389,8 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
     out.latency_ms += ElapsedMs(probe_started);
   }
 
-  // Same ranking rule as the simulator: higher similarity first,
-  // exactness breaks ties, stable within.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
+  // The simulator's ranking rule, from the same function.
+  RankCandidates(&candidates);
   out.ranked = std::move(candidates);
   return out;
 }

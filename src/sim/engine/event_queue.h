@@ -19,7 +19,6 @@ enum class EventType : uint8_t {
   kQuery = 0,    ///< run one range query; subject = query index
   kCrash = 1,    ///< abrupt failure; subject = peer slot
   kRecover = 2,  ///< crashed peer rejoins; subject = peer slot
-  kRepair = 3,   ///< post-wave maintenance sweep; subject unused
 };
 
 /// \brief One scheduled simulation event. Kept POD and small (24

@@ -1,10 +1,11 @@
 #include "sim/engine/scenario_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/logging.h"
+#include "store/bucket_store.h"
+#include "workload/range_workload.h"
 
 namespace p2prange {
 namespace sim {
@@ -17,6 +18,13 @@ constexpr uint64_t kControlBytes = 64;
 constexpr uint64_t kDescriptorBytes = 20;
 /// Rolling window width for the recovery clock.
 constexpr size_t kRecallWindow = 200;
+/// Separates the query stream's seed from rng_'s (origins, victims).
+constexpr uint64_t kQuerySeedSalt = 0x9E3779B97F4A7C15ULL;
+/// The engine ranks copies by containment |Q∩R|/|Q|: the Fig. 9
+/// criterion, and what `mean_recall` reports (the recall of the best
+/// overlapping copy). Under Jaccard only the exact range scores 1, so
+/// the best copy's recall would no longer be the best recall on offer.
+constexpr MatchCriterion kRankBy = MatchCriterion::kContainment;
 
 std::string JsonDouble(double v) {
   char buf[64];
@@ -70,7 +78,32 @@ Status ScenarioConfig::Validate() const {
   if (hot_fraction < 0.0 || hot_fraction > 1.0) {
     return Status::InvalidArgument("hot_fraction must be in [0, 1]");
   }
+  if (zipf_mean_width < 1.0) {
+    return Status::InvalidArgument("zipf_mean_width must be >= 1");
+  }
   return Status::OK();
+}
+
+std::function<Range()> MakeQueryStream(const ScenarioConfig& config) {
+  const uint64_t seed = config.seed ^ kQuerySeedSalt;
+  switch (config.shape) {
+    case WorkloadShape::kZipf:
+      return [gen = ZipfRangeGenerator(0, config.domain, config.zipf_theta,
+                                       config.zipf_mean_width, seed)]() mutable {
+        return gen.Next();
+      };
+    case WorkloadShape::kHotspot:
+      // The hot window is the lowest 5% of the domain.
+      return [gen = HotspotRangeGenerator(0, config.domain, 0, config.domain / 20,
+                                          config.hot_fraction, seed)]() mutable {
+        return gen.Next();
+      };
+    case WorkloadShape::kUniform:
+      break;
+  }
+  return [gen = UniformRangeGenerator(0, config.domain, seed)]() mutable {
+    return gen.Next();
+  };
 }
 
 double ScenarioReport::mean_hops() const {
@@ -148,10 +181,7 @@ Result<ScenarioEngine> ScenarioEngine::Make(const ScenarioConfig& config) {
   lsh_params.seed = config.seed ^ 0x5bd1e995u;
   ASSIGN_OR_RETURN(LshScheme scheme, LshScheme::Make(lsh_params));
   engine.lsh_ = std::make_unique<LshScheme>(std::move(scheme));
-  if (config.shape == WorkloadShape::kZipf) {
-    engine.zipf_ = std::make_unique<ZipfGenerator>(
-        static_cast<uint64_t>(config.domain) + 1, config.zipf_theta);
-  }
+  engine.next_query_ = MakeQueryStream(config);
   engine.crash_epoch_.assign(config.num_peers, 0);
   engine.recent_recall_.reserve(kRecallWindow);
   // Moving the engine must not re-pin it to a stale thread id.
@@ -186,45 +216,6 @@ void ScenarioEngine::ScheduleWorkload() {
   }
 }
 
-Range ScenarioEngine::NextQueryRange() {
-  const uint32_t domain = config_.domain;
-  switch (config_.shape) {
-    case WorkloadShape::kZipf: {
-      const uint32_t center = static_cast<uint32_t>(zipf_->Next(rng_));
-      const double u = rng_.NextDouble();
-      const uint64_t width =
-          1 + static_cast<uint64_t>(-std::log(1.0 - u) *
-                                        (config_.zipf_mean_width - 1.0) +
-                                    0.5);
-      const uint64_t half = width / 2;
-      const uint32_t lo =
-          center >= half ? static_cast<uint32_t>(center - half) : 0;
-      const uint64_t hi64 = static_cast<uint64_t>(lo) + width - 1;
-      const uint32_t hi =
-          hi64 > domain ? domain : static_cast<uint32_t>(hi64);
-      return Range(std::min(lo, hi), std::max(lo, hi));
-    }
-    case WorkloadShape::kHotspot: {
-      const bool hot = rng_.NextDouble() < config_.hot_fraction;
-      const uint32_t window_hi = hot ? domain / 20 : domain;
-      uint32_t a = static_cast<uint32_t>(rng_.NextBounded(
-          static_cast<uint64_t>(window_hi) + 1));
-      uint32_t b = static_cast<uint32_t>(rng_.NextBounded(
-          static_cast<uint64_t>(window_hi) + 1));
-      if (a > b) std::swap(a, b);
-      return Range(a, b);
-    }
-    case WorkloadShape::kUniform:
-      break;
-  }
-  uint32_t a =
-      static_cast<uint32_t>(rng_.NextBounded(static_cast<uint64_t>(domain) + 1));
-  uint32_t b =
-      static_cast<uint32_t>(rng_.NextBounded(static_cast<uint64_t>(domain) + 1));
-  if (a > b) std::swap(a, b);
-  return Range(a, b);
-}
-
 bool ScenarioEngine::CopyValid(const StoredDesc& d, uint32_t at_slot) const {
   return d.home == at_slot && net_->IsAlive(d.home) &&
          d.home_epoch == crash_epoch_[d.home];
@@ -233,14 +224,12 @@ bool ScenarioEngine::CopyValid(const StoredDesc& d, uint32_t at_slot) const {
 void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
                                   ScenarioReport* report) {
   ++report->publishes;
-  lsh_->IdentifiersInto(r, &identifier_scratch_);
-  for (const uint32_t id : identifier_scratch_) {
-    int hops = 0;
-    const uint32_t owner = net_->Route(holder, id, &hops);
-    report->hops += static_cast<uint64_t>(hops);
-    report->messages += static_cast<uint64_t>(hops);
-    report->bytes += static_cast<uint64_t>(hops) * kControlBytes;
-    std::vector<StoredDesc>& bucket = buckets_[id];
+  // The probe just routed to every identifier's owner: store there,
+  // one message per copy and no routing hops (RangeCacheSystem charges
+  // its cache-on-miss publish the same way).
+  for (size_t g = 0; g < identifier_scratch_.size(); ++g) {
+    const uint32_t owner = owner_scratch_[g];
+    std::vector<StoredDesc>& bucket = buckets_[identifier_scratch_[g]];
     uint32_t target = owner;
     for (int copy = 0; copy < config_.replication; ++copy) {
       if (copy > 0) {
@@ -274,15 +263,18 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
 }
 
 void ScenarioEngine::RunQuery(ScenarioReport* report) {
-  const Range q = NextQueryRange();
+  const Range q = next_query_();
   const uint32_t origin = net_->RandomAliveSlot(rng_);
   lsh_->IdentifiersInto(q, &identifier_scratch_);
+  owner_scratch_.clear();
 
-  double best_recall = 0.0;
-  bool exact = false;
+  // The best valid copy under the shared §4 rule; a miss scores 0.
+  double best_score = 0.0;
+  bool best_exact = false;
   for (const uint32_t id : identifier_scratch_) {
     int hops = 0;
     const uint32_t owner = net_->Route(origin, id, &hops);
+    owner_scratch_.push_back(owner);
     report->hops += static_cast<uint64_t>(hops);
     report->messages += static_cast<uint64_t>(hops) + 1;  // hops + reply
     report->bytes += (static_cast<uint64_t>(hops) + 1) * kControlBytes;
@@ -305,38 +297,36 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
         continue;
       }
       const Range stored(d.lo, d.hi);
-      if (stored.Overlaps(q)) {
-        const double recall =
-            static_cast<double>(stored.IntersectionSize(q)) /
-            static_cast<double>(q.size());
-        if (recall > best_recall) best_recall = recall;
-        if (d.lo == q.lo() && d.hi == q.hi()) exact = true;
+      const double score = ScoreMatch(q, stored, kRankBy);
+      const bool exact = stored == q;
+      if (Outranks(score, exact, best_score, best_exact)) {
+        best_score = score;
+        best_exact = exact;
       }
       ++i;
     }
   }
 
   ++report->queries;
-  if (exact) {
+  if (best_exact) {
     ++report->exact_hits;
-    best_recall = 1.0;
-  } else if (best_recall > 0.0) {
+  } else if (best_score > 0.0) {
     ++report->approx_hits;
   } else {
     ++report->misses;
   }
-  report->recall_sum += best_recall;
+  report->recall_sum += best_score;
 
   if (recent_recall_.size() < kRecallWindow) {
-    recent_recall_.push_back(best_recall);
+    recent_recall_.push_back(best_score);
   } else {
-    recent_recall_[recent_pos_] = best_recall;
+    recent_recall_[recent_pos_] = best_score;
     recent_pos_ = (recent_pos_ + 1) % kRecallWindow;
   }
 
   // The paper's cache-on-miss rule: a non-exact answer publishes the
   // queried range at its l identifier owners, holder = origin.
-  if (!exact) PublishRange(q, origin, report);
+  if (!best_exact) PublishRange(q, origin, report);
 }
 
 void ScenarioEngine::Crash(uint32_t slot, ScenarioReport* report) {
@@ -449,8 +439,6 @@ Result<ScenarioReport> ScenarioEngine::Run() {
         Recover(slot, &report);
         break;
       }
-      case EventType::kRepair:
-        break;
     }
   }
 

@@ -4,11 +4,13 @@
 // WALs, finger tables) — faithful, but ~kilobytes per peer. The
 // scenario engine strips the §4 protocol to its struct-of-arrays
 // skeleton: peers are ranks in a sorted identifier array, descriptors
-// are 16-byte packed rows in bucket-indexed tables, and time advances
-// through an indexed event queue of query / churn / repair events.
-// What it keeps exact: the real LSH identifier scheme, the
-// cache-on-miss publish rule, descriptor replication, lazy stale
-// eviction, and substrate-shaped routing costs (CompactOverlay).
+// are 20-byte packed rows in bucket-indexed tables, and time advances
+// through an indexed event queue of query / crash / recover events.
+// What it keeps exact: the real LSH identifier scheme, the §4 match
+// rule of store/bucket_store.h (copies ranked by containment), the
+// cache-on-miss publish at the owners the probe found, descriptor
+// replication, lazy stale eviction, the src/workload query shapes, and
+// substrate-shaped routing costs (CompactOverlay).
 // What it drops: SQL, payload bytes, per-message latency sampling.
 //
 // The engine is single-threaded BY DESIGN — determinism comes from a
@@ -18,6 +20,7 @@
 #define P2PRANGE_SIM_ENGINE_SCENARIO_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -28,6 +31,7 @@
 #include "common/sync.h"
 #include "core/metrics.h"
 #include "hash/lsh.h"
+#include "hash/range.h"
 #include "overlay/overlay.h"
 #include "sim/engine/compact_overlay.h"
 #include "sim/engine/event_queue.h"
@@ -86,6 +90,12 @@ struct ScenarioConfig {
   Status Validate() const;
 };
 
+/// \brief The query ranges a scenario draws, in order: the
+/// `src/workload` generator for `config.shape` over [0, config.domain],
+/// seeded from `config.seed`. The engine draws from one such stream;
+/// a second one built from the same config replays it exactly.
+std::function<Range()> MakeQueryStream(const ScenarioConfig& config);
+
 /// \brief What one scenario run measured.
 struct ScenarioReport {
   uint64_t queries = 0;
@@ -94,7 +104,7 @@ struct ScenarioReport {
   uint64_t misses = 0;
   double recall_sum = 0.0;  ///< Σ |Q ∩ best| / |Q| over all queries
 
-  uint64_t hops = 0;       ///< routing hops across all probes
+  uint64_t hops = 0;       ///< routing hops across all probes (publish: 0)
   uint64_t messages = 0;   ///< hops + store/reply messages
   uint64_t bytes = 0;      ///< control + descriptor wire bytes
 
@@ -168,26 +178,29 @@ class ScenarioEngine {
   explicit ScenarioEngine(const ScenarioConfig& config);
 
   void ScheduleWorkload();
-  Range NextQueryRange();
   void RunQuery(ScenarioReport* report);
   void Crash(uint32_t slot, ScenarioReport* report);
   void Recover(uint32_t slot, ScenarioReport* report);
   bool CopyValid(const StoredDesc& d, uint32_t at_slot) const;
+  /// Cache-on-miss: stores `r` (held by `holder`) at the owners the
+  /// query's probe found, identifier_scratch_[g] at owner_scratch_[g].
   void PublishRange(const Range& r, uint32_t holder, ScenarioReport* report);
 
   ScenarioConfig config_;
   std::unique_ptr<CompactOverlay> net_;
   std::unique_ptr<LshScheme> lsh_;
   EventQueue queue_;
-  Rng rng_;
-  std::unique_ptr<ZipfGenerator> zipf_;
+  Rng rng_;  ///< query origins and crash victims
+  std::function<Range()> next_query_;
 
   /// bucket identifier -> replicated descriptor copies.
   std::unordered_map<uint32_t, std::vector<StoredDesc>> buckets_;
   /// Per-peer crash epoch; bumping it orphans every resident copy.
   std::vector<uint16_t> crash_epoch_;
 
+  /// The current query's l identifiers and the owner each routed to.
   std::vector<uint32_t> identifier_scratch_;
+  std::vector<uint32_t> owner_scratch_;
   double now_ms_ = 0.0;
   double wave_time_ms_ = -1.0;
   bool ran_ = false;

@@ -16,8 +16,8 @@ const char* MatchCriterionName(MatchCriterion c) {
   return "unknown";
 }
 
-double BucketStore::Score(const Range& query, const Range& stored,
-                          MatchCriterion criterion) {
+double ScoreMatch(const Range& query, const Range& stored,
+                  MatchCriterion criterion) {
   switch (criterion) {
     case MatchCriterion::kJaccard:
       return query.Jaccard(stored);
@@ -25,6 +25,19 @@ double BucketStore::Score(const Range& query, const Range& stored,
       return query.ContainmentIn(stored);
   }
   return 0.0;
+}
+
+bool Outranks(double score_a, bool exact_a, double score_b, bool exact_b) {
+  if (score_a != score_b) return score_a > score_b;
+  return exact_a && !exact_b;
+}
+
+void RankCandidates(std::vector<MatchCandidate>* candidates) {
+  std::stable_sort(candidates->begin(), candidates->end(),
+                   [](const MatchCandidate& a, const MatchCandidate& b) {
+                     return Outranks(a.similarity, a.exact, b.similarity,
+                                     b.exact);
+                   });
 }
 
 bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descriptor) {
@@ -103,9 +116,10 @@ std::optional<MatchCandidate> BucketStore::BestMatch(chord::ChordId id,
   for (const auto& entry_it : it->second) {
     const PartitionDescriptor& d = entry_it->descriptor;
     if (!d.key.SameColumn(query)) continue;
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
+    const double score = ScoreMatch(query.range, d.key.range, criterion);
+    const bool exact = d.key.range == query.range;
+    if (!best || Outranks(score, exact, best->similarity, best->exact)) {
+      best = MatchCandidate{d, score, exact};
     }
   }
   return best;
@@ -118,9 +132,10 @@ std::optional<MatchCandidate> BucketStore::BestMatchAnywhere(
   // that matter in O(log n + k).
   std::optional<MatchCandidate> best;
   index_.ForEachOverlapping(query, [&](const PartitionDescriptor& d) {
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
+    const double score = ScoreMatch(query.range, d.key.range, criterion);
+    const bool exact = d.key.range == query.range;
+    if (!best || Outranks(score, exact, best->similarity, best->exact)) {
+      best = MatchCandidate{d, score, exact};
     }
   });
   if (!best) {
@@ -141,7 +156,7 @@ std::vector<MatchCandidate> BucketStore::OverlappingCandidates(
     const PartitionDescriptor& d = entry_it->descriptor;
     if (!d.key.SameColumn(query)) continue;
     if (!query.range.Overlaps(d.key.range)) continue;
-    out.push_back(MatchCandidate{d, Score(query.range, d.key.range, criterion),
+    out.push_back(MatchCandidate{d, ScoreMatch(query.range, d.key.range, criterion),
                                  d.key.range == query.range});
   }
   return out;

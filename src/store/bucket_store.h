@@ -40,6 +40,21 @@ struct MatchCandidate {
   bool exact = false;       ///< stored range equals the query range
 };
 
+// The §4 match rule. The bucket scan, the simulator, the live client and
+// the scenario engine all rank candidates through these three functions.
+
+/// \brief Score of `stored` as an answer to `query` under `criterion`.
+double ScoreMatch(const Range& query, const Range& stored,
+                  MatchCriterion criterion);
+
+/// \brief True when (score_a, exact_a) is the better answer: the higher
+/// score wins, and an exact copy wins a tie (under containment a
+/// superset scores 1 too, and must not hide the exact copy).
+bool Outranks(double score_a, bool exact_a, double score_b, bool exact_b);
+
+/// \brief Stable sort of `candidates`, best first by Outranks.
+void RankCandidates(std::vector<MatchCandidate>* candidates);
+
 /// \brief Capacity-bounded descriptor store of one peer.
 class BucketStore {
  public:
@@ -115,9 +130,6 @@ class BucketStore {
     PartitionDescriptor descriptor;
   };
   using RecencyList = std::list<Entry>;
-
-  static double Score(const Range& query, const Range& stored,
-                      MatchCriterion criterion);
 
   void EvictIfNeeded();
 

@@ -140,13 +140,13 @@ TEST(ReplicationTest, CachedMatchesSurviveOwnerDepartureWithReplication) {
       cfg.descriptor_replication = replicate ? 3 : 1;
       auto sys = MakeMedicalSystem(cfg);
       const PartitionKey key{"Patient", "age", Range(30, 50)};
-      const auto origin = sys.ring().RandomAliveAddress();
+      const auto origin = sys.overlay().RandomAliveAddress();
       ASSERT_TRUE(origin.ok());
       ASSERT_TRUE(sys.LookupRangeFrom(*origin, key).ok());  // publishes
 
       // Fail every identifier owner (except the querying origin).
       for (uint32_t id : sys.lsh().Identifiers(key.range)) {
-        auto owner = sys.ring().FindSuccessorOracle(id);
+        auto owner = sys.overlay().OwnerOracle(id);
         ASSERT_TRUE(owner.ok());
         if (owner->addr == *origin || owner->addr == sys.source_address()) {
           continue;
@@ -154,8 +154,8 @@ TEST(ReplicationTest, CachedMatchesSurviveOwnerDepartureWithReplication) {
         // Already-removed owners (duplicate identifiers) are fine.
         sys.RemovePeer(owner->addr, /*graceful=*/false).IgnoreError();
       }
-      sys.ring().StabilizeAll(2);
-      sys.ring().FixAllFingers();
+      sys.overlay().Stabilize(2);
+      sys.overlay().RepairRouting();
 
       auto again = sys.LookupRangeFrom(*origin, key);
       ASSERT_TRUE(again.ok()) << again.status();

@@ -193,7 +193,7 @@ TEST_F(QueryE2eTest, InvalidSqlSurfacesParseError) {
 
 TEST_F(QueryE2eTest, QueryFromSpecificClientMaterializesThere) {
   auto sys = MakeSystem(MedConfig());
-  const auto client = sys.ring().RandomAliveAddress();
+  const auto client = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(client.ok());
   const std::string sql = "SELECT * FROM Patient WHERE age >= 20 AND age <= 40";
   ASSERT_TRUE(sys.ExecuteQueryFrom(*client, sql).ok());

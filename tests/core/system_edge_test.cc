@@ -71,7 +71,7 @@ TEST(SystemEdgeTest, PublishToUnknownHolderRejected) {
 
 TEST(SystemEdgeTest, MaterializeUnknownRelationIsNotFound) {
   auto sys = MakeSys(Cfg(9));
-  auto holder = sys.ring().RandomAliveAddress();
+  auto holder = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(holder.ok());
   EXPECT_TRUE(
       sys.MaterializePartition(PartitionKey{"Ghost", "key", Range(0, 5)}, *holder)

@@ -90,7 +90,7 @@ TEST_F(SystemTest, DissimilarRangeDoesNotMatch) {
 
 TEST_F(SystemTest, LookupFromSpecificOriginChargesHops) {
   auto sys = MakeSystem(SmallConfig());
-  const auto origin = sys.ring().RandomAliveAddress();
+  const auto origin = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
   auto outcome = sys.LookupRangeFrom(*origin, NumbersKey(10, 50));
   ASSERT_TRUE(outcome.ok());
@@ -151,7 +151,7 @@ TEST_F(SystemTest, ContainmentCriterionPrefersCoveringPartition) {
   SystemConfig cfg = SmallConfig(77);
   cfg.criterion = MatchCriterion::kContainment;
   auto sys = MakeSystem(cfg);
-  const auto origin = sys.ring().RandomAliveAddress();
+  const auto origin = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
   // Publish a broad partition, then query a strict subrange. With the
   // peer-index disabled the query still has to land in the right
@@ -161,7 +161,7 @@ TEST_F(SystemTest, ContainmentCriterionPrefersCoveringPartition) {
   ASSERT_TRUE(sys.PublishPartition(NumbersKey(0, 1000), *origin).ok());
   const auto ids = sys.lsh().Identifiers(Range(100, 110));
   for (uint32_t id : ids) {
-    auto owner = sys.ring().FindSuccessorOracle(id);
+    auto owner = sys.overlay().OwnerOracle(id);
     ASSERT_TRUE(owner.ok());
     sys.peer(owner->addr)->store().Insert(
         id, PartitionDescriptor{NumbersKey(0, 1000), *origin});
@@ -179,10 +179,10 @@ TEST_F(SystemTest, PeerIndexFindsMatchesAcrossBuckets) {
   SystemConfig cfg = SmallConfig(88);
   cfg.use_peer_index = true;
   auto sys = MakeSystem(cfg);
-  const auto origin = sys.ring().RandomAliveAddress();
+  const auto origin = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
   // Store a broad partition into an arbitrary bucket of every peer.
-  for (const auto& info : sys.ring().AliveNodesSorted()) {
+  for (const auto& info : sys.overlay().AlivePeersOrdered()) {
     sys.peer(info.addr)->store().Insert(
         info.id, PartitionDescriptor{NumbersKey(0, 1000), *origin});
   }
@@ -194,7 +194,7 @@ TEST_F(SystemTest, PeerIndexFindsMatchesAcrossBuckets) {
 
 TEST_F(SystemTest, PublishThenMaterializeServesData) {
   auto sys = MakeSystem(SmallConfig());
-  const auto holder = sys.ring().RandomAliveAddress();
+  const auto holder = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(holder.ok());
   const PartitionKey key = NumbersKey(200, 300);
   ASSERT_TRUE(sys.PublishPartition(key, *holder).ok());

@@ -64,7 +64,7 @@ std::vector<NetAddress> LoadedPeers(RangeCacheSystem& sys, size_t want) {
   std::vector<NetAddress> out;
   std::set<NetAddress> seen;
   for (int i = 0; i < 400 && out.size() < want; ++i) {
-    auto addr = sys.ring().RandomAliveAddress();
+    auto addr = sys.overlay().RandomAliveAddress();
     if (!addr.ok() || *addr == sys.source_address()) continue;
     if (!seen.insert(*addr).second) continue;
     const Peer* p = sys.peer(*addr);

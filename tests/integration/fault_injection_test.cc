@@ -123,10 +123,10 @@ TEST(StaleRepairTest, PeerEraseEqDescriptor) {
 TEST(CrashRecoverTest, SourceCannotCrashAndDoubleCrashRejected) {
   auto sys = MakeNumbersSystem(FaultyConfig(9));
   EXPECT_TRUE(sys.CrashPeer(sys.source_address()).IsInvalidArgument());
-  auto victim = sys.ring().RandomAliveAddress();
+  auto victim = sys.overlay().RandomAliveAddress();
   ASSERT_TRUE(victim.ok());
   while (*victim == sys.source_address()) {
-    victim = sys.ring().RandomAliveAddress();
+    victim = sys.overlay().RandomAliveAddress();
     ASSERT_TRUE(victim.ok());
   }
   ASSERT_TRUE(sys.CrashPeer(*victim).ok());
@@ -148,7 +148,7 @@ TEST(CrashRecoverTest, RecoveredPeerKeepsItsDescriptors) {
   NetAddress loaded{};
   size_t before = 0;
   for (int i = 0; i < 200 && before == 0; ++i) {
-    auto addr = sys.ring().RandomAliveAddress();
+    auto addr = sys.overlay().RandomAliveAddress();
     ASSERT_TRUE(addr.ok());
     if (*addr == sys.source_address()) continue;
     const Peer* p = sys.peer(*addr);
@@ -160,9 +160,9 @@ TEST(CrashRecoverTest, RecoveredPeerKeepsItsDescriptors) {
   }
   ASSERT_GT(before, 0u) << "no peer accumulated descriptors";
   ASSERT_TRUE(sys.CrashPeer(loaded).ok());
-  EXPECT_FALSE(sys.ring().network().IsAlive(loaded));
+  EXPECT_FALSE(sys.overlay().IsAlive(loaded));
   ASSERT_TRUE(sys.RecoverPeer(loaded).ok());
-  EXPECT_TRUE(sys.ring().network().IsAlive(loaded));
+  EXPECT_TRUE(sys.overlay().IsAlive(loaded));
   EXPECT_EQ(sys.peer(loaded)->store().num_descriptors(), before)
       << "crash/recover must not lose state";
   // The recovered node routes again.
@@ -241,7 +241,7 @@ TEST(CrashRecoverTest, StaleDescriptorsRepairedAndQueryFallsToSource) {
   NetAddress client = sys.source_address();
   for (int i = 0; i < 100 && (client == sys.source_address() || client == holder);
        ++i) {
-    auto addr = sys.ring().RandomAliveAddress();
+    auto addr = sys.overlay().RandomAliveAddress();
     ASSERT_TRUE(addr.ok());
     client = *addr;
   }
@@ -286,15 +286,15 @@ TEST(FaultInjectorTest, ScriptedCrashAndRecoverCycle) {
   FaultInjectorConfig fcfg;
   fcfg.seed = 81;
   FaultInjector injector(&sys, fcfg);
-  const size_t alive_before = sys.ring().num_alive();
+  const size_t alive_before = sys.overlay().num_alive();
   ASSERT_TRUE(injector.CrashRandomPeer().ok());
   ASSERT_TRUE(injector.CrashRandomPeer().ok());
   EXPECT_EQ(injector.num_crashed(), 2u);
-  EXPECT_EQ(sys.ring().num_alive(), alive_before - 2);
+  EXPECT_EQ(sys.overlay().num_alive(), alive_before - 2);
   ASSERT_TRUE(injector.RecoverOneCrashedPeer().ok());
   ASSERT_TRUE(injector.RecoverOneCrashedPeer().ok());
   EXPECT_TRUE(injector.RecoverOneCrashedPeer().IsNotFound());
-  EXPECT_EQ(sys.ring().num_alive(), alive_before);
+  EXPECT_EQ(sys.overlay().num_alive(), alive_before);
 }
 
 TEST(FaultInjectorTest, MinAliveFloorHolds) {
@@ -309,7 +309,7 @@ TEST(FaultInjectorTest, MinAliveFloorHolds) {
   ASSERT_TRUE(injector.CrashRandomPeer().ok());
   EXPECT_TRUE(injector.CrashRandomPeer().IsInvalidArgument());
   EXPECT_TRUE(injector.KillRandomPeer().IsInvalidArgument());
-  EXPECT_EQ(sys.ring().num_alive(), 6u);
+  EXPECT_EQ(sys.overlay().num_alive(), 6u);
 }
 
 TEST(FaultInjectorTest, MidQueryCrashesNeverFailLookups) {

@@ -116,7 +116,7 @@ TEST(MessageLossTest, EndToEndQueriesRemainExactUnderLoss) {
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_EQ(outcome->result.num_rows(), expected);
   }
-  EXPECT_GT(sys->ring().network().stats().lost_messages, 0u);
+  EXPECT_GT(sys->overlay().net_stats().lost_messages, 0u);
 }
 
 // System-level robustness: abrupt departures *between* queries while
@@ -141,14 +141,14 @@ TEST(MessageLossTest, QueriesStayExactUnderAbruptChurnAndLoss) {
       // One abrupt departure between queries: no leave protocol, no
       // handoff, descriptors pointing at it go stale.
       for (int tries = 0; tries < 20; ++tries) {
-        auto victim = sys->ring().RandomAliveAddress();
+        auto victim = sys->overlay().RandomAliveAddress();
         ASSERT_TRUE(victim.ok());
         if (*victim == sys->source_address()) continue;
         ASSERT_TRUE(sys->RemovePeer(*victim, /*graceful=*/false).ok());
         ++removed;
         break;
       }
-      sys->ring().StabilizeAll(1);
+      sys->overlay().Stabilize(1);
     }
     const Range r = gen.Next();
     size_t expected = 0;
@@ -163,7 +163,7 @@ TEST(MessageLossTest, QueriesStayExactUnderAbruptChurnAndLoss) {
     EXPECT_EQ(outcome->result.num_rows(), expected) << "query " << i;
   }
   EXPECT_EQ(removed, 8);
-  EXPECT_GT(sys->ring().network().stats().lost_messages, 0u);
+  EXPECT_GT(sys->overlay().net_stats().lost_messages, 0u);
   EXPECT_GT(sys->metrics().retransmissions, 0u);
 }
 

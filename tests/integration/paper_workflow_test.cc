@@ -179,22 +179,22 @@ TEST(PaperWorkflowTest, ChurnDoesNotBreakTheProtocol) {
       ASSERT_TRUE(outcome.ok()) << outcome.status();
     }
     // Churn: one leave (graceful or abrupt) and one join per round.
-    const auto nodes = sys->ring().AliveNodesSorted();
+    const auto nodes = sys->overlay().AlivePeersOrdered();
     const auto victim = nodes[churn_rng.NextBounded(nodes.size())].addr;
     if (victim != sys->source_address()) {
       ASSERT_TRUE(sys->RemovePeer(victim, /*graceful=*/round % 2 == 0).ok());
     }
     auto joined = sys->AddPeer();
     ASSERT_TRUE(joined.ok()) << joined.status();
-    sys->ring().StabilizeAll(2);
-    sys->ring().FixAllFingers();
+    sys->overlay().Stabilize(2);
+    sys->overlay().RepairRouting();
   }
   // The overlay is still fully routable after ten churn rounds.
   for (int q = 0; q < 30; ++q) {
     auto outcome = sys->LookupRange(PartitionKey{"Numbers", "key", gen.Next()});
     ASSERT_TRUE(outcome.ok()) << outcome.status();
   }
-  EXPECT_GE(sys->ring().num_alive(), 47u);
+  EXPECT_GE(sys->overlay().num_alive(), 47u);
 }
 
 }  // namespace

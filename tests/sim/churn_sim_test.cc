@@ -101,7 +101,7 @@ TEST(ChurnSimTest, MinPeersFloorIsRespected) {
   auto report = sim.Run(3);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->protocol_errors, 0u);
-  EXPECT_GE(sys.ring().num_alive(), 25u);
+  EXPECT_GE(sys.overlay().num_alive(), 25u);
 }
 
 TEST(ChurnSimTest, DeterministicForSeeds) {
@@ -158,7 +158,7 @@ TEST(ChurnSimTest, RecoveryRateTurnsCrashesIntoTransients) {
   EXPECT_EQ(sys.metrics().peer_recoveries, recoveries);
   EXPECT_EQ(sys.metrics().recovery_descriptors_repaired, repaired);
   // Crashed-but-not-yet-recovered peers stay out of the alive count.
-  EXPECT_EQ(sys.ring().num_alive(), 40u - (crashes - recoveries));
+  EXPECT_EQ(sys.overlay().num_alive(), 40u - (crashes - recoveries));
 }
 
 TEST(ChurnSimTest, ReplicationHelpsUnderChurn) {

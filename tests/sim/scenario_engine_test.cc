@@ -22,15 +22,17 @@ TEST(EventQueueTest, PopsInTimeThenInsertionOrder) {
   q.Push(5.0, EventType::kCrash, 1);
   q.Push(1.0, EventType::kQuery, 2);
   q.Push(5.0, EventType::kRecover, 3);  // same time: after the crash
-  q.Push(3.0, EventType::kRepair, 4);
+  q.Push(3.0, EventType::kQuery, 4);
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.max_depth(), 4u);
 
   Event e;
   ASSERT_TRUE(q.Pop(&e));
   EXPECT_EQ(e.type, EventType::kQuery);
+  EXPECT_EQ(e.subject, 2u);
   ASSERT_TRUE(q.Pop(&e));
-  EXPECT_EQ(e.type, EventType::kRepair);
+  EXPECT_EQ(e.type, EventType::kQuery);
+  EXPECT_EQ(e.subject, 4u);
   ASSERT_TRUE(q.Pop(&e));
   EXPECT_EQ(e.type, EventType::kCrash);
   ASSERT_TRUE(q.Pop(&e));
@@ -133,6 +135,27 @@ TEST(ScenarioEngineTest, ValidatesConfig) {
   bad = SmallConfig(overlay::Kind::kChord, ChurnMode::kNone);
   bad.crash_wave_fraction = 0.9;
   EXPECT_FALSE(ScenarioEngine::Make(bad).ok());
+  // ZipfRangeGenerator would CHECK-abort on this one.
+  bad = SmallConfig(overlay::Kind::kChord, ChurnMode::kNone,
+                    WorkloadShape::kZipf);
+  bad.zipf_mean_width = 0.5;
+  EXPECT_TRUE(ScenarioEngine::Make(bad).status().IsInvalidArgument());
+}
+
+TEST(ScenarioEngineTest, QueryStreamReplaysWithinTheDomain) {
+  for (const WorkloadShape shape :
+       {WorkloadShape::kUniform, WorkloadShape::kZipf,
+        WorkloadShape::kHotspot}) {
+    const ScenarioConfig config =
+        SmallConfig(overlay::Kind::kChord, ChurnMode::kNone, shape);
+    auto a = MakeQueryStream(config);
+    auto b = MakeQueryStream(config);
+    for (int i = 0; i < 500; ++i) {
+      const Range r = a();
+      ASSERT_EQ(r, b()) << WorkloadShapeName(shape);
+      ASSERT_LE(r.hi(), config.domain) << WorkloadShapeName(shape);
+    }
+  }
 }
 
 TEST(ScenarioEngineTest, DeterministicUnderSeed) {

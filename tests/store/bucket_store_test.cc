@@ -78,6 +78,24 @@ TEST(BucketStoreTest, CriterionChangesTheWinner) {
   EXPECT_FALSE(containment->exact);
 }
 
+TEST(BucketStoreTest, ExactCopyWinsContainmentTieWithSuperset) {
+  // Under containment a superset of the query scores 1 as well; the
+  // exact copy must still win even though the superset came first.
+  BucketStore store;
+  store.Insert(7, Desc(0, 100));
+  store.Insert(7, Desc(40, 60));
+  const auto in_bucket =
+      store.BestMatch(7, Key(40, 60), MatchCriterion::kContainment);
+  const auto anywhere =
+      store.BestMatchAnywhere(Key(40, 60), MatchCriterion::kContainment);
+  for (const auto& m : {in_bucket, anywhere}) {
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->descriptor.key.range, Range(40, 60));
+    EXPECT_TRUE(m->exact);
+    EXPECT_DOUBLE_EQ(m->similarity, 1.0);
+  }
+}
+
 TEST(BucketStoreTest, MatchIgnoresOtherColumns) {
   BucketStore store;
   store.Insert(7, PartitionDescriptor{Key(40, 60, "Other"), NetAddress{1, 1}});
@@ -161,6 +179,23 @@ TEST(BucketStoreTest, UnboundedStoreNeverEvicts) {
   }
   EXPECT_EQ(store.num_descriptors(), 500u);
   EXPECT_EQ(store.evictions(), 0u);
+}
+
+TEST(MatchRuleTest, RankCandidatesIsBestFirstAndStable) {
+  auto candidate = [](uint32_t lo, uint32_t hi, double score, bool exact) {
+    return MatchCandidate{Desc(lo, hi), score, exact};
+  };
+  std::vector<MatchCandidate> ranked = {
+      candidate(0, 9, 0.5, false), candidate(0, 100, 1.0, false),
+      candidate(1, 9, 0.5, false), candidate(40, 60, 1.0, true)};
+  RankCandidates(&ranked);
+  ASSERT_EQ(ranked.size(), 4u);
+  EXPECT_EQ(ranked[0].descriptor.key.range, Range(40, 60));  // exact wins a tie
+  EXPECT_EQ(ranked[1].descriptor.key.range, Range(0, 100));
+  EXPECT_EQ(ranked[2].descriptor.key.range, Range(0, 9));  // arrival order kept
+  EXPECT_EQ(ranked[3].descriptor.key.range, Range(1, 9));
+  EXPECT_FALSE(Outranks(1.0, true, 1.0, true));
+  EXPECT_TRUE(Outranks(0.6, false, 0.5, true));
 }
 
 TEST(MatchCriterionTest, Names) {

@@ -13,7 +13,10 @@
 #                return is a build break here, not a warning
 #   bench smoke  every bench binary in its tiny --smoke configuration,
 #                so signature-affecting regressions in the figure
-#                harnesses are caught before a full regeneration run
+#                harnesses are caught before a full regeneration run;
+#                then one 1 s perfbench/run.py run per benchmark
+#                workload, which builds perfbench/ (nothing else does)
+#                and runs its output checks
 #   crash fuzz   the durability fuzzer at an elevated crash-point budget
 #   live smoke   a 3-node loopback ring of real daemons + client workload
 #   live churn   the dynamic-membership acceptance test: a ring grown by
@@ -191,6 +194,10 @@ run_suite build
 if [[ $do_bench_smoke -eq 1 ]]; then
   echo "=== bench smoke runs (--smoke) ==="
   run_bench_smoke build/bench
+  echo "=== benchmark smoke (perfbench/run.py, 1 s per workload) ==="
+  for workload in engine_uniform live_mixed; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0
+  done
 fi
 
 echo "=== crash-consistency fuzz smoke (3000 crash points) ==="
