@@ -18,14 +18,9 @@
 // number is tracked across changes. stderr carries progress lines.
 //
 //   ablation_live_churn [duration_s] [--smoke]
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +30,8 @@
 #include "common/random.h"
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
 #include "sim/churn_sim.h"
+#include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -44,6 +39,7 @@ namespace bench {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::chrono_literals;
 
 constexpr uint64_t kSeed = 7;
 constexpr int64_t kDomainLo = 0;
@@ -51,96 +47,37 @@ constexpr int64_t kDomainHi = 1000;
 constexpr size_t kPublishes = 24;
 constexpr size_t kRecallQueries = 16;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;
-  a.port = port;
-  return a;
-}
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  CHECK(sock.ok()) << sock.status();
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One daemon process; destroyed = SIGKILLed and reaped.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& join) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        "--probe_ms=100",
-        "--gossip_ms=100",
-        "--stabilize_ms=100",
-        "--probe_timeout_ms=300",
-        "--quiet",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Daemon() { Kill(); }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-
-  void Kill() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and reap; true iff the daemon exited 0 within ~10s.
-  bool Terminate() {
-    if (pid_ <= 0) return false;
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    Kill();
-    return false;
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
+/// One daemon of the churn ring. Its address and WAL directory
+/// outlive a restart of its process.
+struct Daemon {
+  NetAddress address;
+  std::string wal_dir;
+  harness::ChildProcess process;
 };
+
+/// Spawns the churn ring's daemon on `addr`, joined through `join`
+/// (empty: a ring of its own).
+Daemon SpawnDaemon(const std::string& binary, const NetAddress& addr,
+                   const std::string& wal_dir, const std::string& join) {
+  std::vector<std::string> argv = {
+      binary,
+      "--listen=" + addr.ToString(),
+      "--wal_dir=" + wal_dir,
+      "--replication=2",
+      "--probe_ms=100",
+      "--gossip_ms=100",
+      "--stabilize_ms=100",
+      "--probe_timeout_ms=300",
+      "--quiet",
+  };
+  if (!join.empty()) argv.push_back("--join=" + join);
+  return Daemon{addr, wal_dir,
+                harness::ChildProcess::Spawn(std::move(argv)).ValueOrDie()};
+}
+
+NetAddress FreshPort() {
+  return harness::ReservePort(harness::Loopback(0)).ValueOrDie();
+}
 
 rpc::RingClientOptions ClientOptions() {
   rpc::RingClientOptions options;
@@ -151,24 +88,6 @@ rpc::RingClientOptions ClientOptions() {
   options.transport.default_deadline_ms = 2000.0;
   options.fault.max_retries = 1;
   return options;
-}
-
-bool AwaitPing(rpc::RingClient& client, const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
-bool AwaitViewSize(rpc::RingClient& client, size_t expected) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    if (client.RefreshView().ok() && client.view().size() == expected) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
 }
 
 /// The fixed recall batch: the same draws every call, comparable
@@ -210,27 +129,28 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
   };
 
   // Boot a 3-member ring grown by joins, then seed it.
-  std::vector<std::unique_ptr<Daemon>> daemons;
-  daemons.push_back(
-      std::make_unique<Daemon>(binary, ReservePort(), wal("n0"), ""));
-  const std::string bootstrap = daemons[0]->address().ToString();
+  std::vector<Daemon> daemons;
+  daemons.push_back(SpawnDaemon(binary, FreshPort(), wal("n0"), ""));
+  const std::string bootstrap = daemons[0].address.ToString();
   auto client_result =
-      rpc::RingClient::Make({daemons[0]->address()}, ClientOptions());
+      rpc::RingClient::Make({daemons[0].address}, ClientOptions());
   CHECK(client_result.ok()) << client_result.status();
   rpc::RingClient& client = **client_result;
-  CHECK(AwaitPing(client, daemons[0]->address())) << "bootstrap never came up";
+  CHECK(harness::AwaitPing(client, {daemons[0].address}, 10s).ok())
+      << "bootstrap never came up";
   for (int i = 1; i < 3; ++i) {
-    daemons.push_back(std::make_unique<Daemon>(
-        binary, ReservePort(), wal("n" + std::to_string(i)), bootstrap));
-    CHECK(AwaitPing(client, daemons.back()->address()));
+    daemons.push_back(SpawnDaemon(binary, FreshPort(),
+                                  wal("n" + std::to_string(i)), bootstrap));
+    CHECK(harness::AwaitPing(client, {daemons.back().address}, 10s).ok());
   }
-  CHECK(AwaitViewSize(client, 3)) << "initial ring never converged";
+  CHECK(harness::AwaitViewSize(client, 3, 15s).ok())
+      << "initial ring never converged";
 
   UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
   for (size_t i = 0; i < kPublishes; ++i) {
     const Status published =
         client.Publish(PartitionKey{"T", "a", gen.Next()},
-                       daemons[i % daemons.size()]->address());
+                       daemons[i % daemons.size()].address);
     CHECK(published.ok()) << published;
   }
   run.recall_baseline = RecallBatch(client);
@@ -263,9 +183,9 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
           daemons.size() > 1 ? 1 + victims.NextBounded(daemons.size() - 1) : 0;
       switch (ev.kind) {
         case LiveChurnEventKind::kJoin: {
-          daemons.push_back(std::make_unique<Daemon>(
-              binary, ReservePort(), wal("j" + std::to_string(spawned++)),
-              bootstrap));
+          daemons.push_back(SpawnDaemon(binary, FreshPort(),
+                                        wal("j" + std::to_string(spawned++)),
+                                        bootstrap));
           ++run.joins;
           break;
         }
@@ -274,8 +194,8 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
             ++run.skipped;  // never shrink below a ring of two
             break;
           }
-          client.transport().Disconnect(daemons[victim]->address());
-          daemons[victim]->Kill();
+          client.transport().Disconnect(daemons[victim].address);
+          CHECK(daemons[victim].process.Kill().ok());
           daemons.erase(daemons.begin() + static_cast<long>(victim));
           ++run.kills;
           break;
@@ -285,12 +205,10 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
             ++run.skipped;
             break;
           }
-          const NetAddress addr = daemons[victim]->address();
-          const std::string dir = daemons[victim]->wal_dir();
-          if (!daemons[victim]->Terminate()) run.shutdown_clean = false;
-          client.transport().Disconnect(addr);
-          daemons[victim] =
-              std::make_unique<Daemon>(binary, addr, dir, bootstrap);
+          Daemon& d = daemons[victim];
+          if (!d.process.Terminate(10s).ok()) run.shutdown_clean = false;
+          client.transport().Disconnect(d.address);
+          d = SpawnDaemon(binary, d.address, d.wal_dir, bootstrap);
           ++run.restarts;
           break;
         }
@@ -321,15 +239,16 @@ RunResult RunOne(const std::string& binary, const std::string& scratch,
       answered == 0 ? 0.0 : run.recall_during / static_cast<double>(answered);
 
   // Let the ring re-converge, then take the final recall.
-  CHECK(AwaitViewSize(client, daemons.size())) << "ring never re-converged";
+  CHECK(harness::AwaitViewSize(client, daemons.size(), 15s).ok())
+      << "ring never re-converged";
   for (int attempt = 0; attempt < 100; ++attempt) {
     run.recall_final = RecallBatch(client);
     if (run.recall_final >= run.recall_baseline - 0.02) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
-  for (auto& daemon : daemons) {
-    if (!daemon->Terminate()) run.shutdown_clean = false;
+  for (Daemon& daemon : daemons) {
+    if (!daemon.process.Terminate(10s).ok()) run.shutdown_clean = false;
   }
   return run;
 }
@@ -367,16 +286,10 @@ int main(int argc, char** argv) {
   using namespace p2prange;
   using namespace p2prange::bench;
 
-  const std::string binary = NodeBinary();
-  if (binary.empty()) {
-    std::fprintf(stderr, "p2prange_node not found next to this bench\n");
-    return 1;
-  }
-  std::string scratch = fs::temp_directory_path() / "live_churn_bench_XXXXXX";
-  if (::mkdtemp(scratch.data()) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
+  const std::string binary =
+      harness::ToolBinary("p2prange_node").ValueOrDie();
+  const std::string scratch =
+      harness::MakeScratchDir("live_churn_bench_").ValueOrDie();
 
   const double duration_s = ScaleFromArgs(argc, argv, /*full=*/20.0,
                                           /*smoke=*/3.0);

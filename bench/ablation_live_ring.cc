@@ -33,16 +33,11 @@
 // across changes. stderr carries progress lines.
 //
 //   ablation_live_ring [duration_s] [--smoke]
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +47,7 @@
 #include "rel/generator.h"
 #include "rpc/multi_op.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -60,6 +55,7 @@ namespace bench {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::chrono_literals;
 
 constexpr uint64_t kSeed = 11;
 // A narrow, heavily overlapping range domain: published ranges share
@@ -69,96 +65,33 @@ constexpr int64_t kDomainLo = 0;
 constexpr int64_t kDomainHi = 240;
 constexpr size_t kRingSize = 5;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;
-  a.port = port;
-  return a;
-}
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  CHECK(sock.ok()) << sock.status();
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One daemon process; destroyed = SIGKILLed and reaped.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& join, int workers,
-         size_t queue_depth) {
-    addr_ = addr;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        "--workers=" + std::to_string(workers),
-        "--queue_depth=" + std::to_string(queue_depth),
-        "--probe_ms=200",
-        "--gossip_ms=200",
-        "--stabilize_ms=200",
-        "--probe_timeout_ms=500",
-        "--quiet",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Daemon() { Kill(); }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-
-  void Kill() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and reap; true iff the daemon exited 0 within ~10s.
-  bool Terminate() {
-    if (pid_ <= 0) return false;
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    Kill();
-    return false;
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
+/// One daemon of the bench ring and where it listens.
+struct Daemon {
+  NetAddress address;
+  harness::ChildProcess process;
 };
+
+Daemon SpawnDaemon(const std::string& binary, const std::string& wal_dir,
+                   const std::string& join, int workers, size_t queue_depth) {
+  Daemon d;
+  d.address = harness::ReservePort(harness::Loopback(0)).ValueOrDie();
+  std::vector<std::string> argv = {
+      binary,
+      "--listen=" + d.address.ToString(),
+      "--wal_dir=" + wal_dir,
+      "--replication=2",
+      "--workers=" + std::to_string(workers),
+      "--queue_depth=" + std::to_string(queue_depth),
+      "--probe_ms=200",
+      "--gossip_ms=200",
+      "--stabilize_ms=200",
+      "--probe_timeout_ms=500",
+      "--quiet",
+  };
+  if (!join.empty()) argv.push_back("--join=" + join);
+  d.process = harness::ChildProcess::Spawn(std::move(argv)).ValueOrDie();
+  return d;
+}
 
 rpc::RingClientOptions ClientOptions(bool batch) {
   rpc::RingClientOptions options;
@@ -170,24 +103,6 @@ rpc::RingClientOptions ClientOptions(bool batch) {
   options.fault.max_retries = 1;
   options.batch_probes = batch;
   return options;
-}
-
-bool AwaitPing(rpc::RingClient& client, const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
-}
-
-bool AwaitViewSize(rpc::RingClient& client, size_t expected) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    if (client.RefreshView().ok() && client.view().size() == expected) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return false;
 }
 
 double Percentile(std::vector<double>* sorted_in_place, double p) {
@@ -239,30 +154,30 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
   };
 
   // Boot the 5-member ring grown by joins.
-  std::vector<std::unique_ptr<Daemon>> daemons;
-  daemons.push_back(std::make_unique<Daemon>(binary, ReservePort(), wal("n0"),
-                                             "", config.workers,
-                                             config.queue_depth));
-  const std::string bootstrap = daemons[0]->address().ToString();
-  auto control = rpc::RingClient::Make({daemons[0]->address()},
+  std::vector<Daemon> daemons;
+  daemons.push_back(SpawnDaemon(binary, wal("n0"), "", config.workers,
+                                config.queue_depth));
+  const std::string bootstrap = daemons[0].address.ToString();
+  auto control = rpc::RingClient::Make({daemons[0].address},
                                        ClientOptions(config.batch));
   CHECK(control.ok()) << control.status();
-  CHECK(AwaitPing(**control, daemons[0]->address()))
+  CHECK(harness::AwaitPing(**control, {daemons[0].address}, 10s).ok())
       << "bootstrap never came up";
   for (size_t i = 1; i < kRingSize; ++i) {
-    daemons.push_back(std::make_unique<Daemon>(
-        binary, ReservePort(), wal("n" + std::to_string(i)), bootstrap,
-        config.workers, config.queue_depth));
-    CHECK(AwaitPing(**control, daemons.back()->address()));
+    daemons.push_back(SpawnDaemon(binary, wal("n" + std::to_string(i)),
+                                  bootstrap, config.workers,
+                                  config.queue_depth));
+    CHECK(harness::AwaitPing(**control, {daemons.back().address}, 10s).ok());
   }
-  CHECK(AwaitViewSize(**control, kRingSize)) << "ring never converged";
+  CHECK(harness::AwaitViewSize(**control, kRingSize, 15s).ok())
+      << "ring never converged";
 
   // Seed the corpus.
   UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
   for (size_t i = 0; i < publishes; ++i) {
     const Status published =
         (*control)->Publish(PartitionKey{"T", "a", gen.Next()},
-                            daemons[i % daemons.size()]->address());
+                            daemons[i % daemons.size()].address);
     CHECK(published.ok()) << published;
   }
 
@@ -283,12 +198,12 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
         "B", "v",
         Range(static_cast<uint32_t>(i), static_cast<uint32_t>(i + 1))});
     const Status stored = (*control)->StorePartition(
-        bulk_keys.back(), bulk_tuples, daemons[i]->address());
+        bulk_keys.back(), bulk_tuples, daemons[i].address);
     CHECK(stored.ok()) << stored;
   }
 
   std::vector<NetAddress> members;
-  for (const auto& d : daemons) members.push_back(d->address());
+  for (const Daemon& d : daemons) members.push_back(d.address);
 
   // Closed loop: every thread is one client with its own transport,
   // issuing the next lookup the moment the previous one answers.
@@ -368,8 +283,8 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
   result.p50_ms = Percentile(&all, 0.50);
   result.p99_ms = Percentile(&all, 0.99);
 
-  for (auto& daemon : daemons) {
-    if (!daemon->Terminate()) result.shutdown_clean = false;
+  for (Daemon& daemon : daemons) {
+    if (!daemon.process.Terminate(10s).ok()) result.shutdown_clean = false;
   }
   return result;
 }
@@ -395,12 +310,13 @@ OverloadResult RunOverload(const std::string& binary,
 
   // One daemon with a deliberately tiny queue: two workers, four
   // slots. The burst below outruns them by construction.
-  Daemon daemon(binary, ReservePort(), dir, "", /*workers=*/2,
-                /*queue_depth=*/4);
-  auto control = rpc::RingClient::Make({daemon.address()},
+  Daemon daemon = SpawnDaemon(binary, dir, "", /*workers=*/2,
+                              /*queue_depth=*/4);
+  auto control = rpc::RingClient::Make({daemon.address},
                                        ClientOptions(/*batch=*/false));
   CHECK(control.ok()) << control.status();
-  CHECK(AwaitPing(**control, daemon.address())) << "daemon never came up";
+  CHECK(harness::AwaitPing(**control, {daemon.address}, 10s).ok())
+      << "daemon never came up";
 
   // One fat bucket: every probe scans `descriptors` candidates, so a
   // probe costs real worker time and the queue actually fills.
@@ -410,9 +326,9 @@ OverloadResult RunOverload(const std::string& binary,
   for (size_t i = 0; i < descriptors; ++i) {
     store.descriptor =
         PartitionDescriptor{PartitionKey{"T", "a", gen.Next()},
-                            daemon.address()};
+                            daemon.address};
     auto stored = (*control)->transport().Call(
-        NetAddress{}, daemon.address(), rpc::MsgType::kStoreDescriptor,
+        NetAddress{}, daemon.address, rpc::MsgType::kStoreDescriptor,
         rpc::EncodeStoreDescriptorRequest(store));
     CHECK(stored.ok()) << stored.status();
   }
@@ -428,7 +344,7 @@ OverloadResult RunOverload(const std::string& binary,
   // answer (shed or served), promptly.
   std::vector<std::thread> threads;
   std::vector<OverloadResult> per_thread(threads_n);
-  const NetAddress target = daemon.address();
+  const NetAddress target = daemon.address;
   for (size_t t = 0; t < threads_n; ++t) {
     threads.emplace_back([&, t] {
       rpc::TcpTransport transport;
@@ -466,8 +382,8 @@ OverloadResult RunOverload(const std::string& binary,
     result.hung += r.hung;
   }
 
-  result.daemon_alive_after = (*control)->Ping(daemon.address()).ok();
-  result.shutdown_clean = daemon.Terminate();
+  result.daemon_alive_after = (*control)->Ping(daemon.address).ok();
+  result.shutdown_clean = daemon.process.Terminate(10s).ok();
   return result;
 }
 
@@ -513,16 +429,10 @@ int main(int argc, char** argv) {
   using namespace p2prange;
   using namespace p2prange::bench;
 
-  const std::string binary = NodeBinary();
-  if (binary.empty()) {
-    std::fprintf(stderr, "p2prange_node not found next to this bench\n");
-    return 1;
-  }
-  std::string scratch = fs::temp_directory_path() / "live_ring_bench_XXXXXX";
-  if (::mkdtemp(scratch.data()) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return 1;
-  }
+  const std::string binary =
+      harness::ToolBinary("p2prange_node").ValueOrDie();
+  const std::string scratch =
+      harness::MakeScratchDir("live_ring_bench_").ValueOrDie();
 
   const double duration_s = ScaleFromArgs(argc, argv, /*full=*/12.0,
                                           /*smoke=*/1.5);

@@ -3,9 +3,6 @@
 // computation, SHA-1, Chord lookups, and bucket matching.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <thread>
-
 #include <cstring>
 #include <vector>
 
@@ -19,6 +16,7 @@
 #include "rpc/message.h"
 #include "rpc/tcp_transport.h"
 #include "store/bucket_store.h"
+#include "tests/support/live_harness.h"
 
 namespace p2prange {
 namespace {
@@ -225,35 +223,21 @@ BENCHMARK(BM_EnvelopeEncodeDecode);
 void BM_TcpLoopbackCall(benchmark::State& state) {
   // Full request/response over a real socket pair: the per-probe cost
   // a live ring pays that the simulator only models.
-  NetAddress bind;
-  bind.host = 0x7F000001;
-  bind.port = 0;
-  auto server = rpc::TcpServer::Listen(
-      bind, [](rpc::MsgType, std::string_view body) {
+  auto server =
+      harness::ServerThread::Start([](rpc::MsgType, std::string_view body) {
         return Result<std::string>(std::string(body));
       });
-  CHECK(server.ok());
-  std::atomic<bool> stop{false};
-  std::thread loop([&] {
-    while (!stop) {
-      // Bench loop: poll errors surface as latency in the measured
-      // path; the server thread itself just keeps pumping.
-      server->PollOnce(/*timeout_ms=*/1).IgnoreError();
-    }
-  });
+  CHECK(server.ok()) << server.status();
   rpc::TcpTransport transport;
   const std::string body(static_cast<size_t>(state.range(0)), 'q');
   for (auto _ : state) {
-    auto result =
-        transport.Call(NetAddress{}, server->address(), rpc::MsgType::kPing,
-                       body);
+    auto result = transport.Call(NetAddress{}, (*server)->address(),
+                                 rpc::MsgType::kPing, body);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       break;
     }
   }
-  stop = true;
-  loop.join();
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TcpLoopbackCall)->Arg(64)->Arg(4096);

@@ -1,91 +1,83 @@
 #include "core/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "common/json.h"
 
 namespace p2prange {
 
 namespace {
 
 /// Every counter with its export name, in one place, so the text and
-/// JSON renderings can never disagree on coverage.
+/// JSON renderings can never disagree on coverage. The renderers walk
+/// this list, so a new counter is exported by adding one row here.
 struct Field {
   const char* name;
-  uint64_t value;
+  uint64_t SystemMetrics::*value;
 };
 
-void CollectCounters(const SystemMetrics& m, Field (&out)[37]) {
-  size_t i = 0;
-  out[i++] = {"range_lookups", m.range_lookups};
-  out[i++] = {"exact_hits", m.exact_hits};
-  out[i++] = {"approx_hits", m.approx_hits};
-  out[i++] = {"misses", m.misses};
-  out[i++] = {"published", m.partitions_published};
-  out[i++] = {"descriptors", m.descriptors_stored};
-  out[i++] = {"eq_lookups", m.eq_lookups};
-  out[i++] = {"eq_hits", m.eq_hits};
-  out[i++] = {"result_cache_lookups", m.result_cache_lookups};
-  out[i++] = {"result_cache_hits", m.result_cache_hits};
-  out[i++] = {"lookups_skipped", m.lookups_skipped};
-  out[i++] = {"source_fetches", m.source_fetches};
-  out[i++] = {"cache_fetches", m.cache_fetches};
-  out[i++] = {"bytes_from_source", m.bytes_from_source};
-  out[i++] = {"bytes_from_cache", m.bytes_from_cache};
-  out[i++] = {"chord_hops", m.chord_hops};
-  out[i++] = {"retransmissions", m.retransmissions};
-  out[i++] = {"probes_failed", m.probes_failed};
-  out[i++] = {"probe_failovers", m.probe_failovers};
-  out[i++] = {"degraded_lookups", m.degraded_lookups};
-  out[i++] = {"stale_evictions", m.stale_evictions};
-  out[i++] = {"source_fallbacks", m.source_fallbacks};
-  out[i++] = {"budget_exhausted", m.budget_exhausted};
-  out[i++] = {"peer_crashes", m.peer_crashes};
-  out[i++] = {"peer_recoveries", m.peer_recoveries};
-  out[i++] = {"wal_records_replayed", m.wal_records_replayed};
-  out[i++] = {"recoveries_torn_tail", m.recoveries_torn_tail};
-  out[i++] = {"recoveries_wal_corrupted", m.recoveries_wal_corrupted};
-  out[i++] = {"recovery_descriptors_restored", m.recovery_descriptors_restored};
-  out[i++] = {"recovery_descriptors_repaired", m.recovery_descriptors_repaired};
-  out[i++] = {"connections_accepted", m.connections_accepted};
-  out[i++] = {"connections_shed", m.connections_shed};
-  out[i++] = {"slow_readers_evicted", m.slow_readers_evicted};
-  out[i++] = {"idle_connections_closed", m.idle_connections_closed};
-  out[i++] = {"corrupt_frames_dropped", m.corrupt_frames_dropped};
-  out[i++] = {"bytes_per_peer", m.bytes_per_peer};
-  out[i++] = {"event_queue_depth", m.event_queue_depth};
-}
-
-std::string JsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+constexpr Field kCounters[] = {
+    {"range_lookups", &SystemMetrics::range_lookups},
+    {"exact_hits", &SystemMetrics::exact_hits},
+    {"approx_hits", &SystemMetrics::approx_hits},
+    {"misses", &SystemMetrics::misses},
+    {"published", &SystemMetrics::partitions_published},
+    {"descriptors", &SystemMetrics::descriptors_stored},
+    {"eq_lookups", &SystemMetrics::eq_lookups},
+    {"eq_hits", &SystemMetrics::eq_hits},
+    {"result_cache_lookups", &SystemMetrics::result_cache_lookups},
+    {"result_cache_hits", &SystemMetrics::result_cache_hits},
+    {"lookups_skipped", &SystemMetrics::lookups_skipped},
+    {"coverage_assemblies", &SystemMetrics::coverage_assemblies},
+    {"source_fetches", &SystemMetrics::source_fetches},
+    {"cache_fetches", &SystemMetrics::cache_fetches},
+    {"bytes_from_source", &SystemMetrics::bytes_from_source},
+    {"bytes_from_cache", &SystemMetrics::bytes_from_cache},
+    {"chord_hops", &SystemMetrics::chord_hops},
+    {"retransmissions", &SystemMetrics::retransmissions},
+    {"probes_failed", &SystemMetrics::probes_failed},
+    {"probe_failovers", &SystemMetrics::probe_failovers},
+    {"degraded_lookups", &SystemMetrics::degraded_lookups},
+    {"stale_evictions", &SystemMetrics::stale_evictions},
+    {"source_fallbacks", &SystemMetrics::source_fallbacks},
+    {"budget_exhausted", &SystemMetrics::budget_exhausted},
+    {"peer_crashes", &SystemMetrics::peer_crashes},
+    {"peer_recoveries", &SystemMetrics::peer_recoveries},
+    {"wal_records_replayed", &SystemMetrics::wal_records_replayed},
+    {"recoveries_torn_tail", &SystemMetrics::recoveries_torn_tail},
+    {"recoveries_wal_corrupted", &SystemMetrics::recoveries_wal_corrupted},
+    {"recovery_descriptors_restored",
+     &SystemMetrics::recovery_descriptors_restored},
+    {"recovery_descriptors_repaired",
+     &SystemMetrics::recovery_descriptors_repaired},
+    {"connections_accepted", &SystemMetrics::connections_accepted},
+    {"connections_shed", &SystemMetrics::connections_shed},
+    {"slow_readers_evicted", &SystemMetrics::slow_readers_evicted},
+    {"idle_connections_closed", &SystemMetrics::idle_connections_closed},
+    {"corrupt_frames_dropped", &SystemMetrics::corrupt_frames_dropped},
+    {"bytes_per_peer", &SystemMetrics::bytes_per_peer},
+    {"event_queue_depth", &SystemMetrics::event_queue_depth},
+};
 
 }  // namespace
 
 std::string SystemMetrics::ToString() const {
-  Field fields[37];
-  CollectCounters(*this, fields);
   std::string out;
-  for (size_t i = 0; i < 37; ++i) {
-    if (i > 0) out += ' ';
-    out += fields[i].name;
+  for (const Field& f : kCounters) {
+    if (!out.empty()) out += ' ';
+    out += f.name;
     out += '=';
-    out += std::to_string(fields[i].value);
+    out += std::to_string(this->*f.value);
   }
   return out;
 }
 
 std::string SystemMetrics::ToJson() const {
-  Field fields[37];
-  CollectCounters(*this, fields);
   std::string out = "{";
-  for (size_t i = 0; i < 37; ++i) {
-    if (i > 0) out += ',';
+  for (const Field& f : kCounters) {
+    if (out.size() > 1) out += ',';
     out += '"';
-    out += fields[i].name;
+    out += f.name;
     out += "\":";
-    out += std::to_string(fields[i].value);
+    out += std::to_string(this->*f.value);
   }
   out += ",\"latency_ms\":" + JsonDouble(latency_ms);
   out += ",\"backoff_latency_ms\":" + JsonDouble(backoff_latency_ms);

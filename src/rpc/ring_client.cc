@@ -14,6 +14,10 @@ namespace rpc {
 
 namespace {
 
+/// Seed of the retry-jitter stream: fixed, so a client's backoff
+/// schedule is reproducible run to run.
+constexpr uint64_t kRetryJitterSeed = 0x5e41c1ed5eedULL;
+
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
@@ -27,7 +31,7 @@ RingClient::RingClient(RingView view, LshScheme lsh, RingClientOptions options)
       lsh_(std::make_unique<LshScheme>(std::move(lsh))),
       options_(std::move(options)),
       transport_(options_.transport),
-      retry_rng_(options_.retry_jitter_seed) {
+      retry_rng_(kRetryJitterSeed) {
   for (const auto& [id, addr] : view_.members()) {
     transport_.Register(addr);
   }
@@ -373,7 +377,7 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
     // Every replica of this bucket failed: our view may predate a
     // wave of churn. Refresh it from the ring's gossip (once per
     // lookup) and give the probe one more round at the new owners.
-    if (!answered && options_.refresh_on_failure && !refreshed) {
+    if (!answered && !refreshed) {
       refreshed = true;
       if (RefreshView().ok()) {
         ++out.view_refreshes;

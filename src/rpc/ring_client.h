@@ -56,17 +56,12 @@ struct RingClientOptions {
   double deadline_ms = 1000.0;
   /// Replicas per descriptor (owner + successors), as in the sim.
   int descriptor_replication = 1;
-  /// When every replica of a bucket fails, pull a fresh membership
-  /// view from the ring (kGossip) and retry once at the new owners.
-  bool refresh_on_failure = true;
   /// Coalesce first-wave probes that share an owner into one kMultiOp
   /// round trip instead of one frame each. Off forces the one-frame-
   /// per-probe wire behavior (ablation baselines, old-server rings);
   /// on, a batch the server rejects wholesale degrades to the per-
   /// replica fallback path, so correctness never depends on it.
   bool batch_probes = true;
-  /// Seed of the retry-jitter stream (deterministic tests).
-  uint64_t retry_jitter_seed = 0x5e41c1ed5eedULL;
   TcpTransport::Options transport;
 };
 

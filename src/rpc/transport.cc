@@ -1,19 +1,9 @@
 #include "rpc/transport.h"
 
-#include <cstdio>
+#include "common/json.h"
 
 namespace p2prange {
 namespace rpc {
-
-namespace {
-
-std::string JsonDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string RpcStats::ToJson() const {
   std::string out = "{";

@@ -1,8 +1,8 @@
 #include "sim/engine/scenario_engine.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "store/bucket_store.h"
 #include "workload/range_workload.h"
@@ -25,12 +25,6 @@ constexpr uint64_t kQuerySeedSalt = 0x9E3779B97F4A7C15ULL;
 /// overlapping copy). Under Jaccard only the exact range scores 1, so
 /// the best copy's recall would no longer be the best recall on offer.
 constexpr MatchCriterion kRankBy = MatchCriterion::kContainment;
-
-std::string JsonDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 }  // namespace
 

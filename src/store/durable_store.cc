@@ -15,9 +15,7 @@ void DurableDescriptorStore::AttachEvictionListener() {
         // An insert overflowed capacity; the eviction is part of that
         // insert's effect and must replay in the same place. Suppressed
         // during replay: the re-applied insert re-triggers it there.
-        if (config_.enabled && !replaying_) {
-          LogRecord(WalRecord::Op::kEvict, bucket, victim);
-        }
+        if (!replaying_) LogRecord(WalRecord::Op::kEvict, bucket, victim);
       });
 }
 
@@ -37,7 +35,7 @@ bool DurableDescriptorStore::Insert(chord::ChordId id,
   // Write-ahead: the record hits the log before the store mutates, so
   // a crash after this line replays to the post-insert state and a
   // crash before it (a torn append) replays to the pre-insert state.
-  if (config_.enabled) LogRecord(WalRecord::Op::kInsert, id, descriptor);
+  LogRecord(WalRecord::Op::kInsert, id, descriptor);
   const bool fresh = store_.Insert(id, descriptor);
   MaybeCheckpoint();
   return fresh;
@@ -45,24 +43,21 @@ bool DurableDescriptorStore::Insert(chord::ChordId id,
 
 size_t DurableDescriptorStore::EraseStale(const PartitionKey& key,
                                           const NetAddress& holder) {
-  if (config_.enabled) {
-    PartitionDescriptor d;
-    d.key = key;
-    d.holder = holder;
-    LogRecord(WalRecord::Op::kErase, /*bucket=*/0, d);
-  }
+  PartitionDescriptor d;
+  d.key = key;
+  d.holder = holder;
+  LogRecord(WalRecord::Op::kErase, /*bucket=*/0, d);
   const size_t removed = store_.EraseStale(key, holder);
   MaybeCheckpoint();
   return removed;
 }
 
 void DurableDescriptorStore::MaybeCheckpoint() {
-  if (!config_.enabled || config_.checkpoint_every == 0) return;
+  if (config_.checkpoint_every == 0) return;
   if (records_since_checkpoint_ >= config_.checkpoint_every) ForceCheckpoint();
 }
 
 void DurableDescriptorStore::ForceCheckpoint() {
-  if (!config_.enabled) return;
   SnapshotData snap;
   snap.wal_seq = wal_seq_;
   snap.entries = store_.EntriesOldestFirst();
@@ -86,12 +81,6 @@ RecoveryReport DurableDescriptorStore::Recover() {
   store_ = BucketStore(capacity_);
   AttachEvictionListener();
   records_since_checkpoint_ = 0;
-  if (!config_.enabled) {
-    // Nothing was ever persisted; an empty store is the honest result.
-    wal_.Clear();
-    return report;
-  }
-
   replaying_ = true;
   const SnapshotStore::LoadResult snap = snaps_.LoadLatestValid();
   report.snapshot_fallback = snap.slot_corrupt;

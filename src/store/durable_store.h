@@ -30,9 +30,6 @@ namespace store {
 
 /// \brief Knobs for per-peer descriptor durability.
 struct DurabilityConfig {
-  /// When false, Crash() loses everything and Recover() restores an
-  /// empty store (the honest pre-WAL behaviour, kept for ablations).
-  bool enabled = true;
   /// Checkpoint after this many WAL records; 0 disables checkpoints
   /// (the log grows without bound and replays from the beginning).
   uint64_t checkpoint_every = 64;

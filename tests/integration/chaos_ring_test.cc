@@ -24,22 +24,19 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
 #include "rpc/tcp.h"
+#include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
@@ -47,195 +44,74 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using harness::SumJsonCounter;
+using namespace std::chrono_literals;
+
+/// How long the ring may take to converge, and a child to exit.
+constexpr auto kConverge = 30s;
+constexpr auto kExit = 10s;
+
 /// 127.0.1.<index+1>: one loopback host per daemon, all local, all
 /// distinguishable by getpeername on the proxy side.
-NetAddress NodeHost(size_t index, uint16_t port) {
+NetAddress NodeHost(size_t index) {
   NetAddress a;
   a.host = 0x7F000100u + static_cast<uint32_t>(index + 1);
-  a.port = port;
   return a;
-}
-
-NetAddress ClientHost(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1 — what the proxy binds
-  a.port = port;
-  return a;
-}
-
-std::string BinaryNextToTests(const char* name) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / name;
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-/// Reserves an ephemeral port on `host`: bind port 0, record, close.
-NetAddress ReservePortOn(const NetAddress& host) {
-  auto sock = rpc::Listen(host);
-  EXPECT_TRUE(sock.ok()) << sock.status().ToString();
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One forked child (daemon or proxy); the destructor guarantees it
-/// dies.
-class Child {
- public:
-  Child(const std::string& binary, std::vector<std::string> args) {
-    args.insert(args.begin(), binary);
-    std::vector<char*> argv;
-    for (std::string& s : args) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~Child() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  Child(const Child&) = delete;
-  Child& operator=(const Child&) = delete;
-
-  pid_t pid() const { return pid_; }
-
-  void Signal(int signo) const { ::kill(pid_, signo); }
-
-  /// SIGTERM and require a clean exit within ~10s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "child exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "child ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "chaos_ring_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
-}
-
-std::string JoinComma(const std::vector<NetAddress>& addrs) {
-  std::string out;
-  for (const NetAddress& a : addrs) {
-    if (!out.empty()) out += ",";
-    out += a.ToString();
-  }
-  return out;
-}
-
-void WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << content;
-  }
-  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
-}
-
-/// Sums every `"key":<integer>` occurrence in a (possibly absent)
-/// JSON metrics file. Good enough for the flat snapshots the daemon
-/// and proxy write.
-uint64_t SumJsonCounter(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return 0;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string needle = "\"" + key + "\":";
-  uint64_t sum = 0;
-  for (size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    sum += std::strtoull(text.c_str() + pos + needle.size(), nullptr, 10);
-  }
-  return sum;
 }
 
 // --- Topology under the proxy -----------------------------------------
 
 struct ChaosRing {
-  std::string scratch;
   std::string plan_path;
   std::string proxy_metrics;
   std::vector<NetAddress> real;       ///< daemon listen addresses
   std::vector<NetAddress> advertised; ///< proxy-side (client-facing)
   std::vector<std::string> metrics;   ///< per-daemon metrics files
-  std::unique_ptr<Child> proxy;
-  std::vector<std::unique_ptr<Child>> daemons;
+  harness::ChildProcess proxy;
+  std::vector<harness::ChildProcess> daemons;
 
-  ::testing::AssertionResult Replan(const std::string& rules) {
-    WriteFileAtomic(plan_path, rules);
-    if (::testing::Test::HasFatalFailure()) {
-      return ::testing::AssertionFailure() << "plan rewrite failed";
-    }
-    proxy->Signal(SIGHUP);  // reload + restart the schedule clock
-    return ::testing::AssertionSuccess();
+  Status Replan(const std::string& rules) {
+    RETURN_NOT_OK(harness::WriteFileAtomic(plan_path, rules));
+    return proxy.Signal(SIGHUP);  // reload + restart the schedule clock
   }
 };
 
 /// Spawns the proxy and `n` daemons joined into one ring, every
 /// address the daemons advertise pointing through the proxy.
-ChaosRing SpawnChaosRing(size_t n, const std::string& initial_plan) {
+Result<ChaosRing> SpawnChaosRing(size_t n, const std::string& initial_plan) {
   ChaosRing ring;
-  ring.scratch = MakeScratchDir();
-  ring.plan_path = ring.scratch + "/plan.chaos";
-  ring.proxy_metrics = ring.scratch + "/proxy_metrics.json";
-  WriteFileAtomic(ring.plan_path, initial_plan);
-
-  const std::string proxy_binary = BinaryNextToTests("p2prange_chaosproxy");
-  const std::string node_binary = BinaryNextToTests("p2prange_node");
-  EXPECT_FALSE(proxy_binary.empty()) << "p2prange_chaosproxy not built";
-  EXPECT_FALSE(node_binary.empty()) << "p2prange_node not built";
-  if (proxy_binary.empty() || node_binary.empty()) return ring;
+  ASSIGN_OR_RETURN(const std::string scratch,
+                   harness::MakeScratchDir("chaos_ring_"));
+  ring.plan_path = scratch + "/plan.chaos";
+  ring.proxy_metrics = scratch + "/proxy_metrics.json";
+  RETURN_NOT_OK(harness::WriteFileAtomic(ring.plan_path, initial_plan));
+  ASSIGN_OR_RETURN(const std::string proxy_binary,
+                   harness::ToolBinary("p2prange_chaosproxy"));
+  ASSIGN_OR_RETURN(const std::string node_binary,
+                   harness::ToolBinary("p2prange_node"));
 
   for (size_t i = 0; i < n; ++i) {
-    ring.real.push_back(ReservePortOn(NodeHost(i, 0)));
-    ring.advertised.push_back(ReservePortOn(ClientHost(0)));
+    ASSIGN_OR_RETURN(ring.real.emplace_back(),
+                     harness::ReservePort(NodeHost(i)));
+    ASSIGN_OR_RETURN(ring.advertised.emplace_back(),
+                     harness::ReservePort(harness::Loopback(0)));
   }
-  ring.proxy = std::make_unique<Child>(
-      proxy_binary,
-      std::vector<std::string>{
-          "--listen=" + JoinComma(ring.advertised),
-          "--upstream=" + JoinComma(ring.real),
-          "--plan=" + ring.plan_path,
-          "--metrics_json=" + ring.proxy_metrics,
-          "--seed=42",
-      });
+  ASSIGN_OR_RETURN(ring.proxy,
+                   harness::ChildProcess::Spawn({
+                       proxy_binary,
+                       "--listen=" + harness::JoinAddresses(ring.advertised),
+                       "--upstream=" + harness::JoinAddresses(ring.real),
+                       "--plan=" + ring.plan_path,
+                       "--metrics_json=" + ring.proxy_metrics,
+                       "--seed=42",
+                   }));
 
   for (size_t i = 0; i < n; ++i) {
-    const std::string dir = ring.scratch + "/n" + std::to_string(i);
+    const std::string dir = scratch + "/n" + std::to_string(i);
     fs::create_directories(dir);
     ring.metrics.push_back(dir + "/metrics.json");
-    std::vector<std::string> args = {
+    std::vector<std::string> argv = {
+        node_binary,
         "--listen=" + ring.real[i].ToString(),
         "--advertise=" + ring.advertised[i].ToString(),
         "--wal_dir=" + dir,
@@ -254,8 +130,9 @@ ChaosRing SpawnChaosRing(size_t n, const std::string& initial_plan) {
         "--backoff_max_ms=400",
         "--handoff_deadline_ms=3000",
     };
-    if (i > 0) args.push_back("--join=" + ring.advertised[0].ToString());
-    ring.daemons.push_back(std::make_unique<Child>(node_binary, args));
+    if (i > 0) argv.push_back("--join=" + ring.advertised[0].ToString());
+    ASSIGN_OR_RETURN(ring.daemons.emplace_back(),
+                     harness::ChildProcess::Spawn(std::move(argv)));
     // Joins are sequential: each daemon must be reachable before the
     // next one bootstraps through the advertised address of daemon 0.
   }
@@ -281,42 +158,15 @@ rpc::RingClientOptions ClientOptions() {
   return options;
 }
 
-::testing::AssertionResult AwaitPing(rpc::RingClient& client,
-                                     const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
-         << "no pong from " << member.ToString() << " after 10s";
-}
-
-::testing::AssertionResult AwaitViewSize(rpc::RingClient& client,
-                                         size_t expected) {
-  Status last;
-  for (int attempt = 0; attempt < 600; ++attempt) {
-    last = client.RefreshView();
-    if (last.ok() && client.view().size() == expected) {
-      return ::testing::AssertionSuccess();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
-         << "view stuck at " << client.view().size() << " members, wanted "
-         << expected << " (last refresh: " << last.ToString() << ")";
-}
-
-/// Awaits the failure detector: the view shrinks below `below` on
-/// whichever side of the cut the refresh lands.
-::testing::AssertionResult AwaitViewBelow(rpc::RingClient& client,
-                                          size_t below) {
-  for (int attempt = 0; attempt < 600; ++attempt) {
-    client.RefreshView().IgnoreError();
-    if (client.view().size() < below) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
-         << "view still holds " << client.view().size() << " members";
+/// The client every ring test drives, once each member answers and
+/// the views agree on all of them.
+Result<std::unique_ptr<rpc::RingClient>> ConnectClient(const ChaosRing& ring) {
+  ASSIGN_OR_RETURN(std::unique_ptr<rpc::RingClient> client,
+                   rpc::RingClient::Make(ring.advertised, ClientOptions()));
+  RETURN_NOT_OK(harness::AwaitPing(*client, ring.advertised, kConverge));
+  RETURN_NOT_OK(harness::AwaitViewSize(*client, ring.advertised.size(),
+                                       kConverge));
+  return client;
 }
 
 /// Awaits a *total* split of the `0 | 1,2` partition: daemon 0 sees
@@ -332,19 +182,17 @@ rpc::RingClientOptions ClientOptions() {
 /// the majority side mostly *learns* the minority's tombstone from a
 /// neighbor's gossip rather than striking it out itself.
 ::testing::AssertionResult AwaitTotalSplit(const ChaosRing& ring) {
-  for (int attempt = 0; attempt < 600; ++attempt) {
-    if (SumJsonCounter(ring.metrics[0], "membership_alive") == 1 &&
-        SumJsonCounter(ring.metrics[1], "membership_alive") == 2 &&
-        SumJsonCounter(ring.metrics[2], "membership_alive") == 2) {
-      return ::testing::AssertionSuccess();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto alive = [&](size_t i) {
+    return SumJsonCounter(ring.metrics[i], "membership_alive");
+  };
+  if (harness::PollUntil(kConverge, [&] {
+        return alive(0) == 1 && alive(1) == 2 && alive(2) == 2;
+      })) {
+    return ::testing::AssertionSuccess();
   }
-  return ::testing::AssertionFailure()
-         << "split never became total: alive = "
-         << SumJsonCounter(ring.metrics[0], "membership_alive") << "/"
-         << SumJsonCounter(ring.metrics[1], "membership_alive") << "/"
-         << SumJsonCounter(ring.metrics[2], "membership_alive");
+  return ::testing::AssertionFailure() << "split never became total: alive = "
+                                       << alive(0) << "/" << alive(1) << "/"
+                                       << alive(2);
 }
 
 struct BatchResult {
@@ -378,16 +226,11 @@ BatchResult QueryBatch(rpc::RingClient& client) {
 /// while converging.
 BatchResult AwaitRecall(rpc::RingClient& client, double baseline) {
   BatchResult batch;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  do {
+  harness::PollUntil(60s, [&] {
     batch = QueryBatch(client);
     EXPECT_EQ(batch.failed_lookups, 0);
-    if (batch.probes_failed == 0 && batch.recall >= baseline - 0.02) {
-      return batch;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  } while (std::chrono::steady_clock::now() < deadline);
+    return batch.probes_failed == 0 && batch.recall >= baseline - 0.02;
+  });
   return batch;
 }
 
@@ -403,20 +246,13 @@ void SeedRing(rpc::RingClient& client, const std::vector<NetAddress>& holders) {
 }
 
 TEST(ChaosRingTest, AsymmetricPartitionHealsThroughReconnectSweep) {
-  ChaosRing ring = SpawnChaosRing(3, "# clean network\n");
-  ASSERT_NE(ring.proxy, nullptr);
-  ASSERT_EQ(ring.daemons.size(), 3u);
-
-  auto client_result =
-      rpc::RingClient::Make(ring.advertised, ClientOptions());
+  auto ring = SpawnChaosRing(3, "# clean network\n");
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  auto client_result = ConnectClient(*ring);
   ASSERT_TRUE(client_result.ok()) << client_result.status().ToString();
   rpc::RingClient& client = **client_result;
-  for (const NetAddress& a : ring.advertised) {
-    ASSERT_TRUE(AwaitPing(client, a));
-  }
-  ASSERT_TRUE(AwaitViewSize(client, 3));
 
-  SeedRing(client, ring.advertised);
+  SeedRing(client, ring->advertised);
   const BatchResult baseline = QueryBatch(client);
   ASSERT_EQ(baseline.failed_lookups, 0);
   ASSERT_EQ(baseline.probes_failed, 0);
@@ -425,12 +261,18 @@ TEST(ChaosRingTest, AsymmetricPartitionHealsThroughReconnectSweep) {
   // Cut daemon 0 off from 1 and 2 — node links only; the client still
   // reaches everyone, so queries must keep being answered while the
   // failure detectors on both sides strike the other side out.
-  ASSERT_TRUE(ring.Replan("0..inf link=* partition groups=0|1,2\n"));
-  ASSERT_TRUE(AwaitViewBelow(client, 3)) << "failure detector never fired";
+  Status st = ring->Replan("0..inf link=* partition groups=0|1,2\n");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // The failure detector fires: the view shrinks on whichever side of
+  // the cut the refresh lands.
+  ASSERT_TRUE(harness::PollUntil(kConverge, [&] {
+    client.RefreshView().IgnoreError();
+    return client.view().size() < 3;
+  })) << "failure detector never fired";
   // Hold the cut until *every* cross-group edge is a dead tombstone on
   // both sides; a shorter partition can heal through a surviving alive
   // edge without ever needing the reconnect sweep.
-  ASSERT_TRUE(AwaitTotalSplit(ring));
+  ASSERT_TRUE(AwaitTotalSplit(*ring));
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0)
       << "a query failed outright during the partition";
 
@@ -438,8 +280,10 @@ TEST(ChaosRingTest, AsymmetricPartitionHealsThroughReconnectSweep) {
   // probes nor gossips to dead members — only the reconnect sweep can
   // reconcile the split, and the view change it emits re-replicates
   // whatever the minority missed.
-  ASSERT_TRUE(ring.Replan("# healed\n"));
-  ASSERT_TRUE(AwaitViewSize(client, 3)) << "ring never re-converged";
+  st = ring->Replan("# healed\n");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  st = harness::AwaitViewSize(client, 3, kConverge);
+  ASSERT_TRUE(st.ok()) << "ring never re-converged: " << st.ToString();
   const BatchResult healed = AwaitRecall(client, baseline.recall);
   EXPECT_EQ(healed.probes_failed, 0);
   EXPECT_GE(healed.recall, baseline.recall - 0.02)
@@ -448,35 +292,30 @@ TEST(ChaosRingTest, AsymmetricPartitionHealsThroughReconnectSweep) {
 
   // The daemons say how they healed: somebody's reconnect sweep ran
   // and resurrected a tombstoned member.
-  uint64_t resurrected = 0;
-  for (int attempt = 0; attempt < 100 && resurrected == 0; ++attempt) {
-    resurrected = 0;
-    for (const std::string& m : ring.metrics) {
+  EXPECT_TRUE(harness::PollUntil(5s, [&] {
+    uint64_t resurrected = 0;
+    for (const std::string& m : ring->metrics) {
       resurrected += SumJsonCounter(m, "members_resurrected");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_GE(resurrected, 1u) << "nobody reports a reconnect resurrection";
+    return resurrected >= 1;
+  })) << "nobody reports a reconnect resurrection";
 
-  for (auto& daemon : ring.daemons) EXPECT_TRUE(daemon->Terminate());
-  EXPECT_TRUE(ring.proxy->Terminate());
+  for (harness::ChildProcess& child : ring->daemons) {
+    const Status exited = child.Terminate(kExit);
+    EXPECT_TRUE(exited.ok()) << exited.ToString();
+  }
+  const Status exited = ring->proxy.Terminate(kExit);
+  EXPECT_TRUE(exited.ok()) << exited.ToString();
 }
 
 TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
-  ChaosRing ring = SpawnChaosRing(3, "# clean network\n");
-  ASSERT_NE(ring.proxy, nullptr);
-  ASSERT_EQ(ring.daemons.size(), 3u);
-
-  auto client_result =
-      rpc::RingClient::Make(ring.advertised, ClientOptions());
+  auto ring = SpawnChaosRing(3, "# clean network\n");
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  auto client_result = ConnectClient(*ring);
   ASSERT_TRUE(client_result.ok()) << client_result.status().ToString();
   rpc::RingClient& client = **client_result;
-  for (const NetAddress& a : ring.advertised) {
-    ASSERT_TRUE(AwaitPing(client, a));
-  }
-  ASSERT_TRUE(AwaitViewSize(client, 3));
 
-  SeedRing(client, ring.advertised);
+  SeedRing(client, ring->advertised);
   const BatchResult baseline = QueryBatch(client);
   ASSERT_EQ(baseline.failed_lookups, 0);
   ASSERT_GT(baseline.recall, 0.0);
@@ -495,7 +334,8 @@ TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
                " delay ms=2 jitter=2\n";
     }
   }
-  ASSERT_TRUE(ring.Replan(rules));
+  Status st = ring->Replan(rules);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
   // Keep the load running until the proxy has demonstrably corrupted
   // traffic; the queries must never fail while it does.
@@ -504,13 +344,14 @@ TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (corrupted == 0 && std::chrono::steady_clock::now() < deadline) {
     EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-    corrupted = SumJsonCounter(ring.proxy_metrics, "segments_corrupted");
+    corrupted = SumJsonCounter(ring->proxy_metrics, "segments_corrupted");
   }
   EXPECT_GE(corrupted, 1u) << "the proxy never corrupted a segment";
 
   // The view held: flap damping and strike decay keep 1% corruption
   // from walking members to their deaths.
-  ASSERT_TRUE(AwaitViewSize(client, 3));
+  st = harness::AwaitViewSize(client, 3, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
   const BatchResult noisy = AwaitRecall(client, baseline.recall);
   EXPECT_EQ(noisy.failed_lookups, 0);
   EXPECT_GE(noisy.recall, baseline.recall - 0.02)
@@ -518,32 +359,42 @@ TEST(ChaosRingTest, CorruptInterNodeLinksCostFramesNotTheRing) {
       << baseline.recall;
 
   // Heal before the graceful drain so handoffs run on clean links.
-  ASSERT_TRUE(ring.Replan("# healed\n"));
-  for (auto& daemon : ring.daemons) EXPECT_TRUE(daemon->Terminate());
-  EXPECT_TRUE(ring.proxy->Terminate());
+  st = ring->Replan("# healed\n");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (harness::ChildProcess& child : ring->daemons) {
+    const Status exited = child.Terminate(kExit);
+    EXPECT_TRUE(exited.ok()) << exited.ToString();
+  }
+  const Status exited = ring->proxy.Terminate(kExit);
+  EXPECT_TRUE(exited.ok()) << exited.ToString();
 }
 
 TEST(ChaosRingTest, SlowLorisIsCutWhileHonestClientsAreServed) {
-  const std::string node_binary = BinaryNextToTests("p2prange_node");
-  ASSERT_FALSE(node_binary.empty());
-  const std::string scratch = MakeScratchDir();
-  ASSERT_FALSE(scratch.empty());
-  const NetAddress addr = ReservePortOn(ClientHost(0));
-  const std::string metrics = scratch + "/metrics.json";
-  Child daemon(node_binary, {
-                                "--listen=" + addr.ToString(),
-                                "--wal_dir=" + scratch,
-                                "--metrics_json=" + metrics,
-                                "--first_frame_timeout_ms=200",
-                                "--idle_timeout_ms=2000",
-                            });
+  auto node_binary = harness::ToolBinary("p2prange_node");
+  ASSERT_TRUE(node_binary.ok()) << node_binary.status().ToString();
+  auto scratch = harness::MakeScratchDir("chaos_ring_");
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  auto reserved = harness::ReservePort(harness::Loopback(0));
+  ASSERT_TRUE(reserved.ok()) << reserved.status().ToString();
+  const NetAddress addr = *reserved;
+  const std::string metrics = *scratch + "/metrics.json";
+  auto daemon = harness::ChildProcess::Spawn({
+      *node_binary,
+      "--listen=" + addr.ToString(),
+      "--wal_dir=" + *scratch,
+      "--metrics_json=" + metrics,
+      "--first_frame_timeout_ms=200",
+      "--idle_timeout_ms=2000",
+  });
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
 
   rpc::RingClientOptions options = ClientOptions();
   options.descriptor_replication = 1;  // a ring of one
   auto client_result = rpc::RingClient::Make({addr}, options);
   ASSERT_TRUE(client_result.ok());
   rpc::RingClient& client = **client_result;
-  ASSERT_TRUE(AwaitPing(client, addr));
+  const Status up = harness::AwaitPing(client, {addr}, 10s);
+  ASSERT_TRUE(up.ok()) << up.ToString();
 
   // The attack: connect, send a single byte, then hold the socket.
   auto fd_result = rpc::StartConnect(addr);
@@ -574,14 +425,11 @@ TEST(ChaosRingTest, SlowLorisIsCutWhileHonestClientsAreServed) {
   EXPECT_TRUE(closed) << "slow-loris socket was never cut";
 
   // The daemon accounted for the kill.
-  uint64_t idle_closed = 0;
-  for (int attempt = 0; attempt < 100 && idle_closed == 0; ++attempt) {
-    idle_closed = SumJsonCounter(metrics, "idle_closed");
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_GE(idle_closed, 1u);
+  EXPECT_TRUE(harness::PollUntil(
+      5s, [&] { return SumJsonCounter(metrics, "idle_closed") >= 1; }));
 
-  EXPECT_TRUE(daemon.Terminate());
+  const Status exited = daemon->Terminate(kExit);
+  EXPECT_TRUE(exited.ok()) << exited.ToString();
 }
 
 }  // namespace

@@ -118,33 +118,6 @@ TEST(CrashRecoveryIntegrationTest, TwentyPercentCrashRecoversRecall) {
       << m.ToString();
 }
 
-// With durability disabled a crash is honest total loss: recovery
-// replays nothing and (with replication 1) nothing is repaired either.
-TEST(CrashRecoveryIntegrationTest, DisabledDurabilityLosesStateHonestly) {
-  SystemConfig cfg = RecoveryConfig(57);
-  cfg.descriptor_replication = 1;
-  cfg.durability.enabled = false;
-  auto sys = MakeNumbersSystem(cfg);
-  Warm(sys, 57, 30);
-
-  const std::vector<NetAddress> loaded = LoadedPeers(sys, 1);
-  ASSERT_FALSE(loaded.empty()) << "no peer accumulated descriptors";
-  const NetAddress victim = loaded[0];
-  const size_t before = sys.peer(victim)->store().num_descriptors();
-  ASSERT_GT(before, 0u);
-
-  ASSERT_TRUE(sys.CrashPeer(victim).ok());
-  ASSERT_TRUE(sys.RecoverPeer(victim).ok());
-  EXPECT_EQ(sys.peer(victim)->store().num_descriptors(), 0u)
-      << "disabled durability must not resurrect descriptors";
-  EXPECT_EQ(sys.metrics().recovery_descriptors_restored, 0u);
-  EXPECT_EQ(sys.metrics().wal_records_replayed, 0u);
-
-  // The overlay still answers — the source covers what the caches lost.
-  auto outcome = sys.LookupRangeFrom(victim, NumbersKey(100, 200));
-  EXPECT_TRUE(outcome.ok()) << outcome.status();
-}
-
 // Torn WAL tails surface in the recovery metrics, and what replay
 // cannot restore, post-recovery repair re-pulls from live replicas.
 TEST(CrashRecoveryIntegrationTest, TornWalRepairsFromLiveReplicas) {

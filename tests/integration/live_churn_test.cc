@@ -16,136 +16,55 @@
 // loaded CI boxes. Every child is reaped by RAII.
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::chrono_literals;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
-
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  EXPECT_TRUE(sock.ok());
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One spawned daemon with fast membership timers; the destructor
-/// guarantees it dies.
-class ChurnDaemon {
- public:
-  ChurnDaemon(const std::string& binary, const NetAddress& addr,
-              const std::string& wal_dir, const std::string& join) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--replication=2",
-        // Fast convergence so the acceptance run is quick: probes every
-        // 100ms, three strikes at a 300ms timeout ≈ sub-2s detection.
-        "--probe_ms=100",
-        "--gossip_ms=100",
-        "--stabilize_ms=100",
-        "--probe_timeout_ms=300",
-    };
-    if (!join.empty()) argv_store.push_back("--join=" + join);
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~ChurnDaemon() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  ChurnDaemon(const ChurnDaemon&) = delete;
-  ChurnDaemon& operator=(const ChurnDaemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-
-  void Kill() {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM (graceful handoff + leave) and require exit 0 within ~10s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 200; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "daemon exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "daemon ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
+/// One churn daemon. Its address and WAL directory outlive a restart
+/// of its process.
+struct ChurnDaemon {
+  NetAddress address;
+  std::string wal_dir;
+  harness::ChildProcess process;
 };
 
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "live_churn_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
+/// (Re)starts `d`, joined through `join` (empty: a ring of its own),
+/// and waits until it answers `client`. A daemon without an address
+/// gets a port reserved right before its spawn, which keeps the window
+/// for another process to take that port short.
+Status Start(const std::string& binary, const std::string& join,
+             rpc::RingClient& client, ChurnDaemon* d) {
+  if (d->address.port == 0) {
+    ASSIGN_OR_RETURN(d->address, harness::ReservePort(harness::Loopback(0)));
+  }
+  std::vector<std::string> argv = {
+      binary,
+      "--listen=" + d->address.ToString(),
+      "--wal_dir=" + d->wal_dir,
+      "--replication=2",
+      // Fast convergence so the acceptance run is quick: probes every
+      // 100ms, three strikes at a 300ms timeout ≈ sub-2s detection.
+      "--probe_ms=100",
+      "--gossip_ms=100",
+      "--stabilize_ms=100",
+      "--probe_timeout_ms=300",
+  };
+  if (!join.empty()) argv.push_back("--join=" + join);
+  ASSIGN_OR_RETURN(d->process, harness::ChildProcess::Spawn(std::move(argv)));
+  return harness::AwaitPing(client, {d->address}, 10s);
 }
 
 constexpr uint32_t kDomainLo = 0;
@@ -153,6 +72,10 @@ constexpr uint32_t kDomainHi = 1000;
 constexpr uint64_t kSeed = 7;
 constexpr size_t kPublishes = 30;
 constexpr size_t kQueries = 20;
+/// How long the ring may take to agree on a membership change, and a
+/// SIGTERMed daemon to hand off and exit.
+constexpr auto kConverge = 15s;
+constexpr auto kDrain = 10s;
 
 rpc::RingClientOptions ClientOptions() {
   rpc::RingClientOptions options;
@@ -165,34 +88,6 @@ rpc::RingClientOptions ClientOptions() {
   options.transport.default_deadline_ms = 2000.0;
   options.fault.max_retries = 1;
   return options;
-}
-
-::testing::AssertionResult AwaitPing(rpc::RingClient& client,
-                                     const NetAddress& member) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (client.Ping(member).ok()) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
-         << "no pong from " << member.ToString() << " after 10s";
-}
-
-/// Polls RefreshView until the client's view holds exactly `expected`
-/// alive members — i.e. the ring's own views converged on that count,
-/// since the client only relays what the members gossip.
-::testing::AssertionResult AwaitViewSize(rpc::RingClient& client,
-                                         size_t expected) {
-  Status last;
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    last = client.RefreshView();
-    if (last.ok() && client.view().size() == expected) {
-      return ::testing::AssertionSuccess();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return ::testing::AssertionFailure()
-         << "view stuck at " << client.view().size() << " members, wanted "
-         << expected << " (last refresh: " << last.ToString() << ")";
 }
 
 struct BatchResult {
@@ -233,56 +128,52 @@ BatchResult QueryBatch(rpc::RingClient& client) {
 /// never fail even while converging.
 BatchResult AwaitRecall(rpc::RingClient& client, double baseline) {
   BatchResult batch;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  do {
+  harness::PollUntil(60s, [&] {
     batch = QueryBatch(client);
     EXPECT_EQ(batch.failed_lookups, 0);
-    if (batch.probes_failed == 0 && batch.recall >= baseline - 0.02) {
-      return batch;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  } while (std::chrono::steady_clock::now() < deadline);
+    return batch.probes_failed == 0 && batch.recall >= baseline - 0.02;
+  });
   return batch;
 }
 
 TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
-  const std::string binary = NodeBinary();
-  ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
-  const std::string scratch = MakeScratchDir();
-  ASSERT_FALSE(scratch.empty());
-  auto wal = [&](const char* name) {
-    const std::string dir = scratch + "/" + name;
-    fs::create_directories(dir);
-    return dir;
-  };
+  auto binary = harness::ToolBinary("p2prange_node");
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  auto scratch = harness::MakeScratchDir("live_churn_");
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  ChurnDaemon a, b, c, d;
+  const std::pair<ChurnDaemon*, const char*> named[] = {
+      {&a, "a"}, {&b, "b"}, {&c, "c"}, {&d, "d"}};
+  for (const auto& [daemon, name] : named) {
+    daemon->wal_dir = *scratch + "/" + name;
+    fs::create_directories(daemon->wal_dir);
+  }
+  auto a_addr = harness::ReservePort(harness::Loopback(0));
+  ASSERT_TRUE(a_addr.ok()) << a_addr.status().ToString();
+  a.address = *a_addr;  // the client's first contact
 
   // Grow the ring one join at a time: a starts alone, b and c enter
   // through it.
-  auto a = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("a"), "");
-  auto client_result =
-      rpc::RingClient::Make({a->address()}, ClientOptions());
+  auto client_result = rpc::RingClient::Make({a.address}, ClientOptions());
   ASSERT_TRUE(client_result.ok()) << client_result.status().ToString();
   rpc::RingClient& client = **client_result;
-  ASSERT_TRUE(AwaitPing(client, a->address()));
-  ASSERT_TRUE(AwaitViewSize(client, 1));
+  Status st = Start(*binary, "", client, &a);
+  if (st.ok()) st = harness::AwaitViewSize(client, 1, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
-  const std::string bootstrap = a->address().ToString();
-  auto b = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("b"),
-                                         bootstrap);
-  ASSERT_TRUE(AwaitPing(client, b->address()));
-  ASSERT_TRUE(AwaitViewSize(client, 2));
-  auto c = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("c"),
-                                         bootstrap);
-  ASSERT_TRUE(AwaitPing(client, c->address()));
-  ASSERT_TRUE(AwaitViewSize(client, 3));
+  const std::string bootstrap = a.address.ToString();
+  st = Start(*binary, bootstrap, client, &b);
+  if (st.ok()) st = harness::AwaitViewSize(client, 2, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  st = Start(*binary, bootstrap, client, &c);
+  if (st.ok()) st = harness::AwaitViewSize(client, 3, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
   // Seed the ring (holders round-robin over the members) and take the
   // static baseline.
   {
     UniformRangeGenerator gen(kDomainLo, kDomainHi, kSeed);
-    const std::vector<NetAddress> holders = {a->address(), b->address(),
-                                             c->address()};
+    const std::vector<NetAddress> holders = {a.address, b.address, c.address};
     for (size_t i = 0; i < kPublishes; ++i) {
       ASSERT_TRUE(client
                       .Publish(PartitionKey{"T", "a", gen.Next()},
@@ -297,12 +188,12 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
   ASSERT_GT(baseline.recall, 0.0) << "the workload found nothing at all";
 
   // --- Event 1: a fourth member joins under load -----------------------
-  auto d = std::make_unique<ChurnDaemon>(binary, ReservePort(), wal("d"),
-                                         bootstrap);
-  ASSERT_TRUE(AwaitPing(client, d->address()));
+  st = Start(*binary, bootstrap, client, &d);
+  ASSERT_TRUE(st.ok()) << st.ToString();
   // Queries keep being answered while the join propagates.
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-  ASSERT_TRUE(AwaitViewSize(client, 4));
+  st = harness::AwaitViewSize(client, 4, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
   const BatchResult after_join = AwaitRecall(client, baseline.recall);
   EXPECT_EQ(after_join.probes_failed, 0);
   EXPECT_GE(after_join.recall, baseline.recall - 0.02)
@@ -310,12 +201,13 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
       << baseline.recall;
 
   // --- Event 2: one member dies abruptly (no handoff) ------------------
-  b->Kill();
-  client.transport().Disconnect(b->address());
+  ASSERT_TRUE(b.process.Kill().ok());
+  client.transport().Disconnect(b.address);
   // Queries during the detection window must still all be answered:
   // the dead peer's buckets fail over to their surviving replicas.
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-  ASSERT_TRUE(AwaitViewSize(client, 3)) << "failure detector never fired";
+  st = harness::AwaitViewSize(client, 3, kConverge);
+  ASSERT_TRUE(st.ok()) << "failure detector never fired: " << st.ToString();
   const BatchResult after_kill = AwaitRecall(client, baseline.recall);
   EXPECT_EQ(after_kill.probes_failed, 0);
   EXPECT_GE(after_kill.recall, baseline.recall - 0.02)
@@ -326,14 +218,13 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
   // SIGTERM hands its descriptors to the successor and announces the
   // leave; the replacement process rejoins on the same address and WAL
   // directory and pulls its arc back.
-  const NetAddress c_addr = c->address();
-  const std::string c_wal = c->wal_dir();
-  ASSERT_TRUE(c->Terminate());
-  client.transport().Disconnect(c_addr);
+  st = c.process.Terminate(kDrain);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  client.transport().Disconnect(c.address);
   EXPECT_EQ(QueryBatch(client).failed_lookups, 0);
-  c = std::make_unique<ChurnDaemon>(binary, c_addr, c_wal, bootstrap);
-  ASSERT_TRUE(AwaitPing(client, c_addr));
-  ASSERT_TRUE(AwaitViewSize(client, 3));
+  st = Start(*binary, bootstrap, client, &c);
+  if (st.ok()) st = harness::AwaitViewSize(client, 3, kConverge);
+  ASSERT_TRUE(st.ok()) << st.ToString();
   const BatchResult after_restart = AwaitRecall(client, baseline.recall);
   EXPECT_EQ(after_restart.probes_failed, 0);
   EXPECT_GE(after_restart.recall, baseline.recall - 0.02)
@@ -342,9 +233,10 @@ TEST(LiveChurnTest, RingGrownByJoinsSurvivesKillAndRollingRestart) {
 
   // Survivors drain gracefully (exit 0) — the ring shrinks member by
   // member without a failure.
-  EXPECT_TRUE(d->Terminate());
-  EXPECT_TRUE(c->Terminate());
-  EXPECT_TRUE(a->Terminate());
+  for (ChurnDaemon* survivor : {&d, &c, &a}) {
+    st = survivor->process.Terminate(kDrain);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 }  // namespace

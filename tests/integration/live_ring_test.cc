@@ -15,180 +15,62 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/system.h"
 #include "rel/generator.h"
 #include "rpc/ring_client.h"
-#include "rpc/tcp.h"
+#include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
 namespace p2prange {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::chrono_literals;
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
-
-/// The p2prange_node binary, found relative to this test binary
-/// (build/tests/p2prange_tests -> build/tools/p2prange_node).
-std::string NodeBinary() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const fs::path candidate =
-      fs::path(buf).parent_path().parent_path() / "tools" / "p2prange_node";
-  return fs::exists(candidate) ? candidate.string() : "";
-}
-
-/// Reserves an ephemeral loopback port: bind port 0, record, close.
-/// The daemon re-binds it moments later (SO_REUSEADDR on both sides).
-NetAddress ReservePort() {
-  auto sock = rpc::Listen(Loopback(0));
-  EXPECT_TRUE(sock.ok());
-  if (!sock.ok()) return NetAddress{};
-  const NetAddress bound = sock->bound;
-  ::close(sock->fd);
-  return bound;
-}
-
-/// One spawned daemon process; the destructor guarantees it dies.
-class Daemon {
- public:
-  Daemon(const std::string& binary, const NetAddress& addr,
-         const std::string& wal_dir, const std::string& metrics_json) {
-    addr_ = addr;
-    wal_dir_ = wal_dir;
-    metrics_json_ = metrics_json;
-    std::vector<std::string> argv_store = {
-        binary,
-        "--listen=" + addr.ToString(),
-        "--wal_dir=" + wal_dir,
-        "--metrics_json=" + metrics_json,
-    };
-    std::vector<char*> argv;
-    for (std::string& s : argv_store) argv.push_back(s.data());
-    argv.push_back(nullptr);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);  // exec failed
-    }
-  }
-
-  ~Daemon() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const NetAddress& address() const { return addr_; }
-  const std::string& wal_dir() const { return wal_dir_; }
-  const std::string& metrics_json() const { return metrics_json_; }
-  pid_t pid() const { return pid_; }
-
-  void Stop() const { ::kill(pid_, SIGSTOP); }
-  void Resume() const { ::kill(pid_, SIGCONT); }
-  void Kill() {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
-  /// SIGTERM and require a clean exit within ~5 s.
-  ::testing::AssertionResult Terminate() {
-    if (pid_ <= 0) return ::testing::AssertionFailure() << "not running";
-    ::kill(pid_, SIGTERM);
-    for (int i = 0; i < 100; ++i) {
-      int status = 0;
-      const pid_t got = ::waitpid(pid_, &status, WNOHANG);
-      if (got == pid_) {
-        pid_ = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          return ::testing::AssertionSuccess();
-        }
-        return ::testing::AssertionFailure()
-               << "daemon exited with status " << status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return ::testing::AssertionFailure() << "daemon ignored SIGTERM";
-  }
-
- private:
-  pid_t pid_ = -1;
-  NetAddress addr_;
-  std::string wal_dir_;
-  std::string metrics_json_;
-};
-
-/// A temp directory tree for one test's daemons.
-std::string MakeScratchDir() {
-  std::string tmpl = ::testing::TempDir() + "live_ring_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return made ? std::string(made) : std::string();
-}
-
+/// The daemons of one test ring. Daemon i keeps its address and
+/// directory (WAL plus metrics.json) across restarts.
 struct Ring {
-  std::vector<std::unique_ptr<Daemon>> daemons;
+  std::string binary;
   std::vector<NetAddress> members;
-  std::string scratch;
+  std::vector<std::string> dirs;
+  std::vector<harness::ChildProcess> daemons;
+
+  std::string metrics_json(size_t i) const { return dirs[i] + "/metrics.json"; }
+
+  /// (Re)starts daemon i on its address and directory.
+  Status Start(size_t i) {
+    ASSIGN_OR_RETURN(daemons[i], harness::ChildProcess::Spawn({
+                                     binary,
+                                     "--listen=" + members[i].ToString(),
+                                     "--wal_dir=" + dirs[i],
+                                     "--metrics_json=" + metrics_json(i),
+                                 }));
+    return Status::OK();
+  }
 };
 
-Ring SpawnRing(const std::string& binary, size_t n) {
+Result<Ring> SpawnRing(size_t n) {
   Ring ring;
-  ring.scratch = MakeScratchDir();
+  ASSIGN_OR_RETURN(ring.binary, harness::ToolBinary("p2prange_node"));
+  ASSIGN_OR_RETURN(const std::string scratch,
+                   harness::MakeScratchDir("live_ring_"));
+  ring.daemons.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const NetAddress addr = ReservePort();
-    const std::string dir = ring.scratch + "/n" + std::to_string(i);
-    fs::create_directories(dir);
-    ring.daemons.push_back(std::make_unique<Daemon>(
-        binary, addr, dir, dir + "/metrics.json"));
-    ring.members.push_back(addr);
+    ASSIGN_OR_RETURN(ring.members.emplace_back(),
+                     harness::ReservePort(harness::Loopback(0)));
+    ring.dirs.push_back(scratch + "/n" + std::to_string(i));
+    fs::create_directories(ring.dirs.back());
+    RETURN_NOT_OK(ring.Start(i));
   }
   return ring;
-}
-
-/// Waits until every member answers a ping (daemons bind fast, but
-/// fork+exec is not instantaneous).
-::testing::AssertionResult AwaitReady(rpc::RingClient& client,
-                                      const std::vector<NetAddress>& members) {
-  for (const NetAddress& m : members) {
-    bool up = false;
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      if (client.Ping(m).ok()) {
-        up = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!up) {
-      return ::testing::AssertionFailure()
-             << "no pong from " << m.ToString() << " after 5s";
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 constexpr uint32_t kDomainLo = 0;
@@ -275,17 +157,16 @@ double RunSimWorkload(size_t publishes, size_t queries) {
 }
 
 TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
-  const std::string binary = NodeBinary();
-  ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
-  Ring ring = SpawnRing(binary, 3);
-  ASSERT_EQ(ring.members.size(), 3u);
+  auto ring = SpawnRing(3);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
 
-  auto client = rpc::RingClient::Make(ring.members, ClientOptions());
+  auto client = rpc::RingClient::Make(ring->members, ClientOptions());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(AwaitReady(**client, ring.members));
+  const Status ready = harness::AwaitPing(**client, ring->members, 10s);
+  ASSERT_TRUE(ready.ok()) << ready.ToString();
 
   const size_t kPublishes = 60, kQueries = 40;
-  const double live = RunLiveWorkload(**client, ring.members, kPublishes,
+  const double live = RunLiveWorkload(**client, ring->members, kPublishes,
                                       kQueries);
   const double sim = RunSimWorkload(kPublishes, kQueries);
   ASSERT_GE(sim, 0.0);
@@ -301,31 +182,34 @@ TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
 
   // The exported metrics are live: every node served requests and says
   // so in its single-line JSON file.
-  for (const auto& daemon : ring.daemons) {
-    std::ifstream in(daemon->metrics_json());
+  for (size_t i = 0; i < ring->daemons.size(); ++i) {
+    std::ifstream in(ring->metrics_json(i));
     std::string json;
     std::getline(in, json);
     EXPECT_NE(json.find("\"requests_served\":"), std::string::npos)
-        << daemon->metrics_json();
+        << ring->metrics_json(i);
     EXPECT_NE(json.find("\"descriptors_stored\":"), std::string::npos);
   }
 
-  for (auto& daemon : ring.daemons) EXPECT_TRUE(daemon->Terminate());
+  for (auto& daemon : ring->daemons) {
+    const Status exited = daemon.Terminate(5s);
+    EXPECT_TRUE(exited.ok()) << exited.ToString();
+  }
 }
 
 TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
-  const std::string binary = NodeBinary();
-  ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
-  Ring ring = SpawnRing(binary, 3);
+  auto ring = SpawnRing(3);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
 
   rpc::RingClientOptions options = ClientOptions();
   options.descriptor_replication = 2;  // failover has somewhere to go
   options.deadline_ms = 100.0;
   options.transport.default_deadline_ms = 100.0;
   options.fault.max_retries = 1;
-  auto client = rpc::RingClient::Make(ring.members, options);
+  auto client = rpc::RingClient::Make(ring->members, options);
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(AwaitReady(**client, ring.members));
+  const Status ready = harness::AwaitPing(**client, ring->members, 10s);
+  ASSERT_TRUE(ready.ok()) << ready.ToString();
 
   // Seed the ring while everyone is healthy.
   UniformRangeGenerator gen(kDomainLo, kDomainHi, 99);
@@ -335,7 +219,7 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
     published.push_back(r);
     ASSERT_TRUE((*client)
                     ->Publish(PartitionKey{"T", "a", r},
-                              ring.members[i % ring.members.size()])
+                              ring->members[i % ring->members.size()])
                     .ok());
   }
 
@@ -344,12 +228,12 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
   // buckets the queries below will probe. Stop the peer that owns the
   // most of them, so the fault is guaranteed to land in the probe path.
   const size_t kStopQueries = 10;
-  std::vector<int> owned(ring.members.size(), 0);
+  std::vector<int> owned(ring->members.size(), 0);
   for (size_t i = 0; i < kStopQueries; ++i) {
     for (const chord::ChordId id : (*client)->lsh().Identifiers(published[i])) {
       const NetAddress& owner = (*client)->view().Owner(id);
-      for (size_t m = 0; m < ring.members.size(); ++m) {
-        if (ring.members[m] == owner) ++owned[m];
+      for (size_t m = 0; m < ring->members.size(); ++m) {
+        if (ring->members[m] == owner) ++owned[m];
       }
     }
   }
@@ -360,7 +244,7 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
   // A stopped (SIGSTOP) peer still owns a socket the kernel accepts
   // on, so probes to it die by deadline: timeouts and FaultPolicy
   // retransmissions must show up in the client's counters.
-  ring.daemons[victim]->Stop();
+  ASSERT_TRUE(ring->daemons[victim].Signal(SIGSTOP).ok());
   const rpc::RpcStats& stats = (*client)->transport().rpc_stats();
   int answered = 0;
   for (size_t i = 0; i < kStopQueries && stats.timeouts == 0; ++i) {
@@ -376,8 +260,8 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
 
   // Killed outright, the peer refuses connections: probes fail over to
   // the replica without eating a deadline, and answers keep coming.
-  ring.daemons[victim]->Resume();
-  ring.daemons[victim]->Kill();
+  ASSERT_TRUE(ring->daemons[victim].Signal(SIGCONT).ok());
+  ASSERT_TRUE(ring->daemons[victim].Kill().ok());
   bool saw_failover = false;
   for (size_t i = 0; i < published.size(); ++i) {
     auto outcome = (*client)->Lookup(PartitionKey{"T", "a", published[i]});
@@ -390,35 +274,36 @@ TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {
   EXPECT_TRUE(saw_failover)
       << "no lookup was answered by a replica of the dead peer";
 
-  for (size_t m = 0; m < ring.daemons.size(); ++m) {
+  for (size_t m = 0; m < ring->daemons.size(); ++m) {
     if (m != victim) {
-      EXPECT_TRUE(ring.daemons[m]->Terminate());
+      const Status exited = ring->daemons[m].Terminate(5s);
+      EXPECT_TRUE(exited.ok()) << exited.ToString();
     }
   }
 }
 
 TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
-  const std::string binary = NodeBinary();
-  ASSERT_FALSE(binary.empty()) << "p2prange_node not built next to tests";
-  Ring ring = SpawnRing(binary, 1);
+  auto ring = SpawnRing(1);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
 
-  auto client = rpc::RingClient::Make(ring.members, ClientOptions());
+  auto client = rpc::RingClient::Make(ring->members, ClientOptions());
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(AwaitReady(**client, ring.members));
+  Status st = harness::AwaitPing(**client, ring->members, 10s);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
   const PartitionKey key{"T", "a", Range(250, 750)};
-  ASSERT_TRUE((*client)->Publish(key, ring.members[0]).ok());
+  ASSERT_TRUE((*client)->Publish(key, ring->members[0]).ok());
   auto before = (*client)->Lookup(key);
   ASSERT_TRUE(before.ok());
   ASSERT_FALSE(before->ranked.empty());
 
   // Clean shutdown, then a new process on the same port and WAL dir.
-  ASSERT_TRUE(ring.daemons[0]->Terminate());
-  (*client)->transport().Disconnect(ring.members[0]);
-  ring.daemons[0] = std::make_unique<Daemon>(
-      binary, ring.members[0], ring.daemons[0]->wal_dir(),
-      ring.daemons[0]->metrics_json());
-  ASSERT_TRUE(AwaitReady(**client, ring.members));
+  st = ring->daemons[0].Terminate(5s);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  (*client)->transport().Disconnect(ring->members[0]);
+  st = ring->Start(0);
+  if (st.ok()) st = harness::AwaitPing(**client, ring->members, 10s);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 
   auto after = (*client)->Lookup(key);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -426,7 +311,8 @@ TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
       << "descriptors did not survive the restart";
   EXPECT_EQ(after->ranked.front().descriptor.key, key);
 
-  EXPECT_TRUE(ring.daemons[0]->Terminate());
+  st = ring->daemons[0].Terminate(5s);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 }  // namespace

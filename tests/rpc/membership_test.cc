@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -18,17 +17,13 @@
 #include "rpc/node_service.h"
 #include "rpc/tcp.h"
 #include "rpc/tcp_transport.h"
+#include "tests/support/live_harness.h"
 
 namespace p2prange {
 namespace rpc {
 namespace {
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
+using harness::Loopback;
 
 MemberEntry Entry(uint16_t port, uint64_t incarnation, MemberStatus status) {
   MemberEntry e;
@@ -385,16 +380,9 @@ TEST(MembershipTest, TwoNodesJoinConvergeAndDetectDeath) {
   // runs a's membership — nothing else does until the join below
   // completes and the thread is joined).
   {
-    std::atomic<bool> done{false};
-    std::thread poll_a([&] {
-      while (!done) {
-        if (!a->server->PollOnce(1).ok()) break;
-      }
-    });
+    harness::PollThread poll_a(a->server.get());
     const Status joined = b->membership->Join(a->server->address(),
                                               /*deadline_ms=*/2000.0);
-    done = true;
-    poll_a.join();
     ASSERT_TRUE(joined.ok()) << joined.ToString();
   }
 
@@ -442,16 +430,9 @@ TEST(MembershipTest, GracefulLeaveSpreadsWithoutStrikes) {
   ASSERT_NE(b, nullptr);
 
   {
-    std::atomic<bool> done{false};
-    std::thread poll_a([&] {
-      while (!done) {
-        if (!a->server->PollOnce(1).ok()) break;
-      }
-    });
+    harness::PollThread poll_a(a->server.get());
     const Status joined = b->membership->Join(a->server->address(),
                                               /*deadline_ms=*/2000.0);
-    done = true;
-    poll_a.join();
     ASSERT_TRUE(joined.ok()) << joined.ToString();
   }
   for (int i = 0; i < 5000; ++i) {
@@ -467,15 +448,8 @@ TEST(MembershipTest, GracefulLeaveSpreadsWithoutStrikes) {
   // probe strikes needed. AnnounceLeave is synchronous, so poll a's
   // server from a helper again.
   {
-    std::atomic<bool> done{false};
-    std::thread poll_a([&] {
-      while (!done) {
-        if (!a->server->PollOnce(1).ok()) break;
-      }
-    });
+    harness::PollThread poll_a(a->server.get());
     b->membership->AnnounceLeave(/*deadline_ms=*/1000.0);
-    done = true;
-    poll_a.join();
   }
   b.reset();
   for (int i = 0; i < 1000 && a->membership->num_alive() != 1; ++i) {
@@ -501,16 +475,9 @@ TEST(MembershipTest, StabilizeFollowUpDuringPollNeitherDanglesNorDrops) {
   ASSERT_NE(b, nullptr);
 
   {
-    std::atomic<bool> done{false};
-    std::thread poll_a([&] {
-      while (!done) {
-        if (!a->server->PollOnce(1).ok()) break;
-      }
-    });
+    harness::PollThread poll_a(a->server.get());
     const Status joined = b->membership->Join(a->server->address(),
                                               /*deadline_ms=*/2000.0);
-    done = true;
-    poll_a.join();
     ASSERT_TRUE(joined.ok()) << joined.ToString();
   }
 
@@ -561,16 +528,9 @@ TEST(MembershipTest, ReconnectSweepHealsAMutualDeathPartition) {
   ASSERT_NE(b, nullptr);
 
   {
-    std::atomic<bool> done{false};
-    std::thread poll_a([&] {
-      while (!done) {
-        if (!a->server->PollOnce(1).ok()) break;
-      }
-    });
+    harness::PollThread poll_a(a->server.get());
     const Status joined = b->membership->Join(a->server->address(),
                                               /*deadline_ms=*/2000.0);
-    done = true;
-    poll_a.join();
     ASSERT_TRUE(joined.ok()) << joined.ToString();
   }
   for (int i = 0; i < 5000; ++i) {

@@ -10,89 +10,22 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/memory.h"
 #include "rpc/membership.h"
-#include "rpc/node_service.h"
 #include "rpc/tcp.h"
 #include "rpc/tcp_transport.h"
+#include "tests/support/live_harness.h"
 
 namespace p2prange {
 namespace rpc {
 namespace {
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
-
-/// A TcpServer polled on a background thread until stopped (same
-/// harness as tcp_transport_test.cc).
-class ServerThread {
- public:
-  static std::unique_ptr<ServerThread> Start(TcpServer::Handler handler) {
-    auto server = TcpServer::Listen(Loopback(0), std::move(handler));
-    EXPECT_TRUE(server.ok()) << server.status().ToString();
-    if (!server.ok()) return nullptr;
-    return WrapUnique(new ServerThread(std::move(*server)));
-  }
-
-  ~ServerThread() {
-    stop_ = true;
-    thread_.join();
-  }
-
-  const NetAddress& address() const { return server_.address(); }
-
- private:
-  explicit ServerThread(TcpServer server) : server_(std::move(server)) {
-    thread_ = std::thread([this] {
-      while (!stop_) {
-        const Status st = server_.PollOnce(/*timeout_ms=*/20);
-        if (!st.ok()) break;
-      }
-    });
-  }
-
-  TcpServer server_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
-
-/// n real NodeServices behind ServerThreads.
-class MiniRing {
- public:
-  explicit MiniRing(size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      auto service = NodeService::Make(Loopback(0), NodeServiceOptions{});
-      EXPECT_TRUE(service.ok());
-      services_.push_back(std::move(*service));
-      NodeService* raw = services_.back().get();
-      auto server = ServerThread::Start(
-          [raw](MsgType type, std::string_view body) {
-            return raw->Handle(type, body);
-          });
-      EXPECT_NE(server, nullptr);
-      members_.push_back(server->address());
-      servers_.push_back(std::move(server));
-    }
-  }
-
-  const std::vector<NetAddress>& members() const { return members_; }
-
- private:
-  std::vector<std::unique_ptr<NodeService>> services_;
-  std::vector<std::unique_ptr<ServerThread>> servers_;
-  std::vector<NetAddress> members_;
-};
+using harness::Loopback;
+using harness::MiniRing;
+using harness::ServerThread;
 
 RingClientOptions SmallLshOptions() {
   RingClientOptions options;
@@ -105,10 +38,10 @@ TEST(TcpTransportTest, PumpForDrainsResponsesIntoTheParkingLot) {
   auto server = ServerThread::Start([](MsgType, std::string_view body) {
     return Result<std::string>(std::string(body));
   });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   TcpTransport transport;
-  auto call = transport.StartCall(server->address(), MsgType::kPing, "hi");
+  auto call = transport.StartCall((*server)->address(), MsgType::kPing, "hi");
   ASSERT_TRUE(call.ok());
 
   // The pump itself must receive (and park) the response: afterwards
@@ -117,7 +50,7 @@ TEST(TcpTransportTest, PumpForDrainsResponsesIntoTheParkingLot) {
   transport.PumpFor(200.0);
   EXPECT_EQ(transport.rpc_stats().responses_received, 1u);
 
-  auto result = transport.WaitCall(server->address(), *call,
+  auto result = transport.WaitCall((*server)->address(), *call,
                                    /*deadline_ms=*/5.0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->body, "hi");
@@ -136,14 +69,14 @@ TEST(RingClientTest, RefreshViewWithNoAliveEntriesLeavesViewUntouched) {
     entries.push_back({Loopback(41003), 5, MemberStatus::kLeft});
     return Result<std::string>(EncodeViewMessage(entries));
   });
-  ASSERT_NE(gossiper, nullptr);
+  ASSERT_TRUE(gossiper.ok()) << gossiper.status().ToString();
 
-  auto client = RingClient::Make({gossiper->address()}, SmallLshOptions());
+  auto client = RingClient::Make({(*gossiper)->address()}, SmallLshOptions());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   EXPECT_FALSE((*client)->RefreshView().ok());
   ASSERT_EQ((*client)->view().members().size(), 1u);
-  EXPECT_TRUE((*client)->view().Contains(gossiper->address()));
+  EXPECT_TRUE((*client)->view().Contains((*gossiper)->address()));
 }
 
 TEST(RingClientTest, RefreshViewDropsMembersMissingFromTheFreshView) {
@@ -156,40 +89,38 @@ TEST(RingClientTest, RefreshViewDropsMembersMissingFromTheFreshView) {
         return Result<std::string>(
             EncodeViewMessage({{survivor, 9, MemberStatus::kAlive}}));
       });
-  ASSERT_NE(gossiper, nullptr);
+  ASSERT_TRUE(gossiper.ok()) << gossiper.status().ToString();
 
   // A second "member" that is a reserved port with no listener: if the
   // refresh contacts it first, the failure must move on to the
   // gossiper instead of giving up.
-  auto probe = Listen(Loopback(0));
-  ASSERT_TRUE(probe.ok());
-  const NetAddress dead = probe->bound;
-  ::close(probe->fd);
+  auto dead = harness::ReservePort(Loopback(0));
+  ASSERT_TRUE(dead.ok()) << dead.status().ToString();
 
   auto client =
-      RingClient::Make({gossiper->address(), dead}, SmallLshOptions());
+      RingClient::Make({(*gossiper)->address(), *dead}, SmallLshOptions());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE((*client)->view().Contains(dead));
+  ASSERT_TRUE((*client)->view().Contains(*dead));
 
   ASSERT_TRUE((*client)->RefreshView().ok());
   ASSERT_EQ((*client)->view().members().size(), 1u);
   EXPECT_TRUE((*client)->view().Contains(survivor));
-  EXPECT_FALSE((*client)->view().Contains(dead));
-  EXPECT_FALSE((*client)->view().Contains(gossiper->address()));
+  EXPECT_FALSE((*client)->view().Contains(*dead));
+  EXPECT_FALSE((*client)->view().Contains((*gossiper)->address()));
 }
 
 TEST(RingClientTest, LookupChargesWallClockOnTimeoutAndRetryPaths) {
   // A listener that accepts into its backlog and never answers: every
   // probe burns its first-wave deadline, then one more on the
-  // per-replica fallback. The reported latency must cover all of that
-  // wall clock, not just the (absent) successful round trips.
+  // per-replica fallback, and the first also waits out a view refresh
+  // the silent peer never answers. The reported latency must cover all
+  // of that wall clock, not just the (absent) successful round trips.
   auto silent = Listen(Loopback(0));
   ASSERT_TRUE(silent.ok());
 
   RingClientOptions options = SmallLshOptions();
   options.deadline_ms = 80.0;
   options.fault.max_retries = 0;
-  options.refresh_on_failure = false;
   auto client = RingClient::Make({silent->bound}, options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
@@ -218,20 +149,21 @@ TEST(RingClientTest, PublishCountsARedirectedStoreOncePerAddress) {
   // the redirected store lands where the direct one already did, so a
   // bucket ends up with exactly one distinct copy — counting stores
   // instead of addresses would report two.
-  MiniRing honest(1);
-  const NetAddress holder = honest.members()[0];
+  auto honest = MiniRing::Start(1);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  const NetAddress holder = honest->members()[0];
   auto redirector = ServerThread::Start(
       [holder](MsgType type, std::string_view) {
         EXPECT_EQ(type, MsgType::kStoreDescriptor);
         return Result<std::string>(
             Status::OutOfRange(WrongOwnerMessage(holder)));
       });
-  ASSERT_NE(redirector, nullptr);
+  ASSERT_TRUE(redirector.ok()) << redirector.status().ToString();
 
   RingClientOptions options = SmallLshOptions();
   options.descriptor_replication = 2;
   auto client =
-      RingClient::Make({redirector->address(), holder}, options);
+      RingClient::Make({(*redirector)->address(), holder}, options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   RingClient::PublishStats stats;
@@ -245,19 +177,20 @@ TEST(RingClientTest, PublishCountsARedirectedStoreOncePerAddress) {
 }
 
 TEST(RingClientTest, BatchedAndUnbatchedLookupsAgree) {
-  MiniRing ring(2);
+  auto ring = MiniRing::Start(2);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
   RingClientOptions batched_options = SmallLshOptions();
   ASSERT_TRUE(batched_options.batch_probes);  // the default
   RingClientOptions solo_options = SmallLshOptions();
   solo_options.batch_probes = false;
 
-  auto batched = RingClient::Make(ring.members(), batched_options);
-  auto solo = RingClient::Make(ring.members(), solo_options);
+  auto batched = RingClient::Make(ring->members(), batched_options);
+  auto solo = RingClient::Make(ring->members(), solo_options);
   ASSERT_TRUE(batched.ok());
   ASSERT_TRUE(solo.ok());
 
   const PartitionKey published{"T", "a", Range(100, 200)};
-  ASSERT_TRUE((*batched)->Publish(published, ring.members()[0]).ok());
+  ASSERT_TRUE((*batched)->Publish(published, ring->members()[0]).ok());
 
   auto with_batches = (*batched)->Lookup(published);
   auto without = (*solo)->Lookup(published);
@@ -282,20 +215,21 @@ TEST(RingClientTest, ShedReplicaFailsOverWithoutRetries) {
   // shed is not transient loss: the client must fail over to the next
   // replica immediately — zero retransmissions — and the lookup still
   // answers from the healthy peer.
-  MiniRing honest(1);
+  auto honest = MiniRing::Start(1);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
   auto shedding = ServerThread::Start([](MsgType, std::string_view) {
     return Result<std::string>(Status::ResourceExhausted("work queue full"));
   });
-  ASSERT_NE(shedding, nullptr);
+  ASSERT_TRUE(shedding.ok()) << shedding.status().ToString();
 
   RingClientOptions options = SmallLshOptions();
   options.descriptor_replication = 2;
-  auto client = RingClient::Make({shedding->address(), honest.members()[0]},
+  auto client = RingClient::Make({(*shedding)->address(), honest->members()[0]},
                                  options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   const PartitionKey published{"T", "a", Range(100, 200)};
-  ASSERT_TRUE((*client)->Publish(published, honest.members()[0]).ok());
+  ASSERT_TRUE((*client)->Publish(published, honest->members()[0]).ok());
 
   auto outcome = (*client)->Lookup(published);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();

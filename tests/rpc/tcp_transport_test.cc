@@ -12,70 +12,20 @@
 #include <atomic>
 #include <thread>
 
-#include "common/memory.h"
 #include "rpc/frame.h"
 #include "rpc/message.h"
-#include "rpc/node_service.h"
 #include "rpc/ring_client.h"
 #include "rpc/tcp.h"
 #include "rpc/tcp_transport.h"
+#include "tests/support/live_harness.h"
 
 namespace p2prange {
 namespace rpc {
 namespace {
 
-NetAddress Loopback(uint16_t port) {
-  NetAddress a;
-  a.host = 0x7F000001;  // 127.0.0.1
-  a.port = port;
-  return a;
-}
-
-/// A TcpServer polled on a background thread until stopped.
-class ServerThread {
- public:
-  static std::unique_ptr<ServerThread> Start(TcpServer::Handler handler) {
-    return Start(std::move(handler), TcpServer::Options{});
-  }
-
-  static std::unique_ptr<ServerThread> Start(TcpServer::Handler handler,
-                                             TcpServer::Options options) {
-    auto server =
-        TcpServer::Listen(Loopback(0), std::move(handler), options);
-    EXPECT_TRUE(server.ok()) << server.status().ToString();
-    if (!server.ok()) return nullptr;
-    return WrapUnique(new ServerThread(std::move(*server)));
-  }
-
-  ~ServerThread() { Stop(); }
-
-  /// Joins the poll loop. Call before asserting on stats(): the loop
-  /// thread mutates the counters, so reads race until it has stopped.
-  void Stop() {
-    if (thread_.joinable()) {
-      stop_ = true;
-      thread_.join();
-    }
-  }
-
-  const NetAddress& address() const { return server_.address(); }
-  /// Safe to read after the loop stopped; racy-but-monotonic before.
-  const RpcStats& stats() const { return server_.stats(); }
-
- private:
-  explicit ServerThread(TcpServer server) : server_(std::move(server)) {
-    thread_ = std::thread([this] {
-      while (!stop_) {
-        const Status st = server_.PollOnce(/*timeout_ms=*/20);
-        if (!st.ok()) break;
-      }
-    });
-  }
-
-  TcpServer server_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
+using harness::Loopback;
+using harness::MiniRing;
+using harness::ServerThread;
 
 TEST(TcpTransportTest, EchoRoundTripOverLoopback) {
   auto server = ServerThread::Start(
@@ -83,11 +33,11 @@ TEST(TcpTransportTest, EchoRoundTripOverLoopback) {
         EXPECT_EQ(type, MsgType::kPing);
         return Result<std::string>(std::string(body));
       });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   TcpTransport transport;
-  transport.Register(server->address());
-  auto result = transport.Call(NetAddress{}, server->address(),
+  transport.Register((*server)->address());
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kPing, "echo me");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->body, "echo me");
@@ -97,7 +47,7 @@ TEST(TcpTransportTest, EchoRoundTripOverLoopback) {
   EXPECT_EQ(transport.rpc_stats().connections_opened, 1u);
   EXPECT_GT(transport.rpc_stats().bytes_out, 0u);
   EXPECT_GT(transport.stats().bytes, 0u);
-  EXPECT_TRUE(transport.IsAlive(server->address()));
+  EXPECT_TRUE(transport.IsAlive((*server)->address()));
 }
 
 TEST(TcpTransportTest, DeliverBytesActuallyCrossesTheWire) {
@@ -107,10 +57,10 @@ TEST(TcpTransportTest, DeliverBytesActuallyCrossesTheWire) {
         seen = body.size();
         return Result<std::string>(std::string(body));
       });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
   TcpTransport transport;
   auto latency =
-      transport.DeliverBytes(NetAddress{}, server->address(), 4096);
+      transport.DeliverBytes(NetAddress{}, (*server)->address(), 4096);
   ASSERT_TRUE(latency.ok());
   EXPECT_EQ(seen, 4096u);
   EXPECT_GE(*latency, 0.0);
@@ -121,21 +71,22 @@ TEST(TcpTransportTest, PipelinedCallsMatchResponsesByCallId) {
       [](MsgType, std::string_view body) {
         return Result<std::string>("re:" + std::string(body));
       });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   TcpTransport transport;
-  auto first = transport.StartCall(server->address(), MsgType::kPing, "one");
-  auto second = transport.StartCall(server->address(), MsgType::kPing, "two");
+  const NetAddress to = (*server)->address();
+  auto first = transport.StartCall(to, MsgType::kPing, "one");
+  auto second = transport.StartCall(to, MsgType::kPing, "two");
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_NE(*first, *second);
 
   // Await them out of order: the second's response forces the first's
   // to be parked, then retrieved without touching the socket again.
-  auto r2 = transport.WaitCall(server->address(), *second, 2000.0);
+  auto r2 = transport.WaitCall(to, *second, 2000.0);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r2->body, "re:two");
-  auto r1 = transport.WaitCall(server->address(), *first, 2000.0);
+  auto r1 = transport.WaitCall(to, *first, 2000.0);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(r1->body, "re:one");
   // One connection carried both calls.
@@ -146,9 +97,9 @@ TEST(TcpTransportTest, ServerHandlerErrorArrivesAsThatStatus) {
   auto server = ServerThread::Start([](MsgType, std::string_view) {
     return Result<std::string>(Status::NotFound("no partition here"));
   });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
   TcpTransport transport;
-  auto result = transport.Call(NetAddress{}, server->address(),
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kFetchPartition, "");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound());
@@ -157,19 +108,17 @@ TEST(TcpTransportTest, ServerHandlerErrorArrivesAsThatStatus) {
 }
 
 TEST(TcpTransportTest, ConnectRefusedIsUnavailableAndCounted) {
-  // Bind-then-close reserves a port with no listener behind it.
-  auto probe = Listen(Loopback(0));
-  ASSERT_TRUE(probe.ok());
-  const NetAddress dead = probe->bound;
-  ::close(probe->fd);
+  // A reserved port has no listener behind it.
+  auto dead = harness::ReservePort(Loopback(0));
+  ASSERT_TRUE(dead.ok()) << dead.status().ToString();
 
   TcpTransport transport;
-  transport.Register(dead);
-  auto result = transport.Call(NetAddress{}, dead, MsgType::kPing, "");
+  transport.Register(*dead);
+  auto result = transport.Call(NetAddress{}, *dead, MsgType::kPing, "");
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnavailable());
   EXPECT_EQ(transport.rpc_stats().connect_failures, 1u);
-  EXPECT_FALSE(transport.IsAlive(dead));
+  EXPECT_FALSE(transport.IsAlive(*dead));
 }
 
 TEST(TcpTransportTest, SilentServerMissesDeadlineAsIOError) {
@@ -262,11 +211,11 @@ TEST(TcpHardeningTest, FirstFrameDeadlineKillsSlowLoris) {
         return Result<std::string>(std::string(body));
       },
       options);
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   // The loris: connect, then trickle one header byte and go quiet —
   // without the guard this parks a connection slot forever.
-  const int loris = RawConnect(server->address());
+  const int loris = RawConnect((*server)->address());
   ASSERT_GE(loris, 0);
   const char byte = '\x01';
   ASSERT_EQ(::send(loris, &byte, 1, MSG_NOSIGNAL), 1);
@@ -275,12 +224,12 @@ TEST(TcpHardeningTest, FirstFrameDeadlineKillsSlowLoris) {
 
   // An honest client is entirely unaffected before, during, and after.
   TcpTransport transport;
-  auto result = transport.Call(NetAddress{}, server->address(),
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kPing, "still here");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->body, "still here");
-  server->Stop();
-  EXPECT_GE(server->stats().idle_closed, 1u);
+  (*server)->Stop();
+  EXPECT_GE((*server)->stats().idle_closed, 1u);
 }
 
 TEST(TcpHardeningTest, ReadIdleDeadlineReapsSilentConnections) {
@@ -291,24 +240,24 @@ TEST(TcpHardeningTest, ReadIdleDeadlineReapsSilentConnections) {
         return Result<std::string>(std::string(body));
       },
       options);
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   TcpTransport transport;
-  auto first = transport.Call(NetAddress{}, server->address(), MsgType::kPing,
-                              "one");
+  auto first = transport.Call(NetAddress{}, (*server)->address(),
+                              MsgType::kPing, "one");
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
   // Idle past the deadline: the server reaps the connection. The
   // transport's next call must notice the stale cached socket and
   // transparently reconnect rather than fail.
   ::usleep(300 * 1000);
-  auto second = transport.Call(NetAddress{}, server->address(), MsgType::kPing,
-                               "two");
+  auto second = transport.Call(NetAddress{}, (*server)->address(),
+                               MsgType::kPing, "two");
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->body, "two");
   EXPECT_EQ(transport.rpc_stats().connections_opened, 2u);
-  server->Stop();
-  EXPECT_GE(server->stats().idle_closed, 1u);
+  (*server)->Stop();
+  EXPECT_GE((*server)->stats().idle_closed, 1u);
 }
 
 TEST(TcpHardeningTest, MidFrameResetLeavesServerServing) {
@@ -316,10 +265,10 @@ TEST(TcpHardeningTest, MidFrameResetLeavesServerServing) {
       [](MsgType, std::string_view body) {
         return Result<std::string>(std::string(body));
       });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   // Send half a frame header, then RST the connection mid-parse.
-  const int attacker = RawConnect(server->address());
+  const int attacker = RawConnect((*server)->address());
   ASSERT_GE(attacker, 0);
   const char half_header[] = "\x40\x00\x00";  // 3 of 8 header bytes
   ASSERT_EQ(::send(attacker, half_header, 3, MSG_NOSIGNAL), 3);
@@ -330,7 +279,7 @@ TEST(TcpHardeningTest, MidFrameResetLeavesServerServing) {
 
   // The server shrugs: the next honest request round-trips.
   TcpTransport transport;
-  auto result = transport.Call(NetAddress{}, server->address(),
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kPing, "after the reset");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->body, "after the reset");
@@ -344,7 +293,7 @@ TEST(TcpHardeningTest, TrickledFrameStillParsesWhenUnderDeadline) {
       [](MsgType, std::string_view body) {
         return Result<std::string>("re:" + std::string(body));
       });
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   RpcHeader header;
   header.call_id = 7;
@@ -352,7 +301,7 @@ TEST(TcpHardeningTest, TrickledFrameStillParsesWhenUnderDeadline) {
   std::string frame;
   AppendFrame(EncodeEnvelope(header, "drip"), &frame);
 
-  const int fd = RawConnect(server->address());
+  const int fd = RawConnect((*server)->address());
   ASSERT_GE(fd, 0);
   for (char c : frame) {
     ASSERT_EQ(::send(fd, &c, 1, MSG_NOSIGNAL), 1);
@@ -387,12 +336,12 @@ TEST(TcpHardeningTest, WriteBufferCapEvictsSlowReader) {
   auto server = ServerThread::Start(
       [&big](MsgType, std::string_view) { return Result<std::string>(big); },
       options);
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   // The slow reader: fire requests for large responses, never read.
   // The kernel buffers fill, the server-side backlog crosses the cap,
   // and the server evicts the connection instead of buffering forever.
-  const int fd = RawConnect(server->address());
+  const int fd = RawConnect((*server)->address());
   ASSERT_GE(fd, 0);
   std::string frames;
   for (uint64_t id = 1; id <= 64; ++id) {
@@ -413,11 +362,11 @@ TEST(TcpHardeningTest, WriteBufferCapEvictsSlowReader) {
 
   // Eviction is per-offender: a fresh well-behaved client still works.
   TcpTransport transport;
-  auto result = transport.Call(NetAddress{}, server->address(),
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kPing, "read my reply");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  server->Stop();
-  EXPECT_GE(server->stats().slow_readers_evicted, 1u);
+  (*server)->Stop();
+  EXPECT_GE((*server)->stats().slow_readers_evicted, 1u);
 }
 
 TEST(TcpHardeningTest, MaxConnectionsShedsAtAcceptAndRecovers) {
@@ -428,10 +377,10 @@ TEST(TcpHardeningTest, MaxConnectionsShedsAtAcceptAndRecovers) {
         return Result<std::string>(std::string(body));
       },
       options);
-  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  const int a = RawConnect(server->address());
-  const int b = RawConnect(server->address());
+  const int a = RawConnect((*server)->address());
+  const int b = RawConnect((*server)->address());
   ASSERT_GE(a, 0);
   ASSERT_GE(b, 0);
   // Give the poll loop a beat to accept both into its table.
@@ -439,7 +388,7 @@ TEST(TcpHardeningTest, MaxConnectionsShedsAtAcceptAndRecovers) {
 
   // Over the limit: the third connect is accepted by the kernel and
   // immediately shed by the server.
-  const int c = RawConnect(server->address());
+  const int c = RawConnect((*server)->address());
   ASSERT_GE(c, 0);
   AwaitPeerClose(c);
   ::close(c);
@@ -448,54 +397,29 @@ TEST(TcpHardeningTest, MaxConnectionsShedsAtAcceptAndRecovers) {
   ::close(a);
   ::usleep(100 * 1000);
   TcpTransport transport;
-  auto result = transport.Call(NetAddress{}, server->address(),
+  auto result = transport.Call(NetAddress{}, (*server)->address(),
                                MsgType::kPing, "slot freed");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ::close(b);
-  server->Stop();
-  EXPECT_GE(server->stats().accepts_shed, 1u);
+  (*server)->Stop();
+  EXPECT_GE((*server)->stats().accepts_shed, 1u);
 }
 
 // --- An in-process live ring: NodeServices behind TcpServers, driven
 // --- by a RingClient. The miniature of tools/p2prange_node.
 // ----------------------------------------------------------------------
 
-class MiniRing {
- public:
-  explicit MiniRing(size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      auto service = NodeService::Make(Loopback(0), NodeServiceOptions{});
-      EXPECT_TRUE(service.ok());
-      services_.push_back(std::move(*service));
-      NodeService* raw = services_.back().get();
-      auto server = ServerThread::Start(
-          [raw](MsgType type, std::string_view body) {
-            return raw->Handle(type, body);
-          });
-      EXPECT_NE(server, nullptr);
-      members_.push_back(server->address());
-      servers_.push_back(std::move(server));
-    }
-  }
-
-  const std::vector<NetAddress>& members() const { return members_; }
-
- private:
-  std::vector<std::unique_ptr<NodeService>> services_;
-  std::vector<std::unique_ptr<ServerThread>> servers_;
-  std::vector<NetAddress> members_;
-};
-
 TEST(RingClientTest, PublishThenLookupFindsTheDescriptor) {
-  MiniRing ring(3);
+  auto ring = MiniRing::Start(3);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
   RingClientOptions options;
   options.lsh.k = 10;
   options.lsh.l = 5;
-  auto client = RingClient::Make(ring.members(), options);
+  auto client = RingClient::Make(ring->members(), options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   const PartitionKey published{"T", "a", Range(100, 200)};
-  const NetAddress holder = ring.members()[0];
+  const NetAddress holder = ring->members()[0];
   ASSERT_TRUE((*client)->Publish(published, holder).ok());
 
   // The identical range collides on every bucket: a guaranteed hit.
@@ -515,9 +439,10 @@ TEST(RingClientTest, PublishThenLookupFindsTheDescriptor) {
 }
 
 TEST(RingClientTest, PartitionBytesRoundTripThroughHolder) {
-  MiniRing ring(2);
+  auto ring = MiniRing::Start(2);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
   RingClientOptions options;
-  auto client = RingClient::Make(ring.members(), options);
+  auto client = RingClient::Make(ring->members(), options);
   ASSERT_TRUE(client.ok());
 
   Schema schema({Field{"a", ValueType::kInt64, AttributeDomain{0, 1000}}});
@@ -525,13 +450,13 @@ TEST(RingClientTest, PartitionBytesRoundTripThroughHolder) {
   ASSERT_TRUE(tuples.Append({Value(int64_t{150})}).ok());
   const PartitionKey key{"T", "a", Range(100, 200)};
   ASSERT_TRUE(
-      (*client)->StorePartition(key, tuples, ring.members()[1]).ok());
-  auto fetched = (*client)->FetchPartition(key, ring.members()[1]);
+      (*client)->StorePartition(key, tuples, ring->members()[1]).ok());
+  auto fetched = (*client)->FetchPartition(key, ring->members()[1]);
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched->num_rows(), 1u);
   // Fetching from the wrong holder is a clean NotFound.
   EXPECT_TRUE(
-      (*client)->FetchPartition(key, ring.members()[0]).status().IsNotFound());
+      (*client)->FetchPartition(key, ring->members()[0]).status().IsNotFound());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // envelopes, handlers, deadlines, the node service, the ring view —
 // must behave identically no matter which transport carries it.
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <atomic>
 #include <set>
@@ -16,6 +15,7 @@
 #include "rpc/multi_op.h"
 #include "rpc/node_service.h"
 #include "rpc/sim_transport.h"
+#include "tests/support/live_harness.h"
 
 namespace p2prange {
 namespace rpc {
@@ -447,13 +447,11 @@ TEST(NodeServiceTest, HandleIsSafeUnderConcurrentWorkers) {
 // first worker — the kind of implicit argument the gate exists to
 // retire. Recovery must still work end-to-end under the lock.
 TEST(NodeServiceTest, DurableRecoveryRestoresDescriptors) {
-  std::string tmpl = ::testing::TempDir() + "node_service_wal_XXXXXX";
-  char* made = ::mkdtemp(tmpl.data());
-  ASSERT_NE(made, nullptr);
-  const std::string wal_dir = made;
+  auto wal_dir = harness::MakeScratchDir("node_service_wal_");
+  ASSERT_TRUE(wal_dir.ok()) << wal_dir.status().ToString();
 
   NodeServiceOptions options;
-  options.wal_dir = wal_dir;
+  options.wal_dir = *wal_dir;
   const NetAddress self = Addr(9, 90);
   {
     auto service = NodeService::Make(self, options);

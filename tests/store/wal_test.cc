@@ -371,18 +371,6 @@ TEST(DurableStoreTest, MidCheckpointCrashDoesNotDoubleApply) {
   EXPECT_EQ(durable.store().EntriesOldestFirst(), state);
 }
 
-TEST(DurableStoreTest, DisabledDurabilityLosesEverythingHonestly) {
-  DurabilityConfig cfg;
-  cfg.enabled = false;
-  DurableDescriptorStore durable(/*store_capacity=*/0, cfg);
-  for (uint32_t i = 0; i < 10; ++i) durable.Insert(i, Desc(i, i + 1, 1));
-  EXPECT_TRUE(durable.wal().image().empty());
-  durable.Crash();
-  const RecoveryReport report = durable.Recover();
-  EXPECT_EQ(report.descriptors_restored, 0u);
-  EXPECT_EQ(durable.store().num_descriptors(), 0u);
-}
-
 }  // namespace
 }  // namespace store
 }  // namespace p2prange

@@ -267,12 +267,13 @@ if [[ $do_tsan -eq 1 ]]; then
   # worker-pool executor and kMultiOp suites, the live-churn
   # acceptance test (client thread + forked daemons), and the
   # transport-hardening + chaos-ring suites (deadline sweeps and the
-  # fault-injection proxy against TSan-built daemons).
+  # fault-injection proxy against TSan-built daemons), and the live
+  # harness's own self-test (its ServerThread poll thread).
   echo "=== tsan build + threaded suites (thread) ==="
   cmake -B build-tsan -S . -DP2PRANGE_WERROR=ON -DP2PRANGE_SANITIZE=thread
   cmake --build build-tsan -j
   ./build-tsan/tests/p2prange_tests \
-    --gtest_filter='SyncTest.*:TcpTransportTest.*:LoggingTest.*:NodeServiceTest.*:RingClientTest.*:MembershipTest.*:LiveChurnTest.*:RpcExecutorTest.*:MultiOpTest.*:TcpHardeningTest.*:ChaosRingTest.*'
+    --gtest_filter='SyncTest.*:TcpTransportTest.*:LoggingTest.*:NodeServiceTest.*:RingClientTest.*:MembershipTest.*:LiveChurnTest.*:RpcExecutorTest.*:MultiOpTest.*:TcpHardeningTest.*:ChaosRingTest.*:LiveHarnessTest.*'
   # The load harness under TSan exercises the poll-loop/worker/doorbell
   # handoff in forked TSan-built daemons under real concurrent load.
   echo "=== tsan live-load smoke ==="
