@@ -260,7 +260,7 @@ LoopResult RunClosedLoop(const std::string& binary, const std::string& scratch,
                                            t0)
                  .count() < duration_s) {
         auto fetched = transport.Call(
-            NetAddress{}, members[d], rpc::MsgType::kFetchPartition,
+            members[d], rpc::MsgType::kFetchPartition,
             rpc::EncodeFetchPartitionRequest(bulk_keys[d]));
         if (fetched.ok()) ++bulk_done;
       }
@@ -328,7 +328,7 @@ OverloadResult RunOverload(const std::string& binary,
         PartitionDescriptor{PartitionKey{"T", "a", gen.Next()},
                             daemon.address};
     auto stored = (*control)->transport().Call(
-        NetAddress{}, daemon.address, rpc::MsgType::kStoreDescriptor,
+        daemon.address, rpc::MsgType::kStoreDescriptor,
         rpc::EncodeStoreDescriptorRequest(store));
     CHECK(stored.ok()) << stored.status();
   }

@@ -231,8 +231,8 @@ void BM_TcpLoopbackCall(benchmark::State& state) {
   rpc::TcpTransport transport;
   const std::string body(static_cast<size_t>(state.range(0)), 'q');
   for (auto _ : state) {
-    auto result = transport.Call(NetAddress{}, (*server)->address(),
-                                 rpc::MsgType::kPing, body);
+    auto result =
+        transport.Call((*server)->address(), rpc::MsgType::kPing, body);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       break;

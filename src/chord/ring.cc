@@ -4,25 +4,16 @@
 
 #include "common/logging.h"
 #include "hash/sha1.h"
-#include "rpc/sim_transport.h"
 
 namespace p2prange {
 namespace chord {
 
-ChordRing::ChordRing(ChordConfig config, uint64_t seed,
-                     std::unique_ptr<rpc::Transport> transport)
+ChordRing::ChordRing(ChordConfig config, uint64_t seed)
     : config_(config),
       rng_(seed),
-      net_(transport ? std::move(transport)
-                     : std::make_unique<rpc::SimTransport>(config.latency,
-                                                           seed ^ 0xABCDEF)) {}
+      net_(std::make_unique<SimNetwork>(config.latency, seed ^ 0xABCDEF)) {}
 
 Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed, ChordConfig config) {
-  return Make(num_nodes, seed, config, nullptr);
-}
-
-Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed, ChordConfig config,
-                                  std::unique_ptr<rpc::Transport> transport) {
   if (num_nodes == 0) {
     return Status::InvalidArgument("a ring needs at least one node");
   }
@@ -33,7 +24,7 @@ Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed, ChordConfig c
     return Status::InvalidArgument("max_message_retries must be >= 0");
   }
   RETURN_NOT_OK(config.latency.Validate());
-  ChordRing ring(config, seed, std::move(transport));
+  ChordRing ring(config, seed);
   for (size_t i = 0; i < num_nodes; ++i) {
     RETURN_NOT_OK(ring.CreateNode().status());
   }

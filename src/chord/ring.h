@@ -16,7 +16,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "net/sim_network.h"
-#include "rpc/transport.h"
 
 namespace p2prange {
 namespace chord {
@@ -52,13 +51,6 @@ class ChordRing {
   /// stabilized ring converges to).
   static Result<ChordRing> Make(size_t num_nodes, uint64_t seed,
                                 ChordConfig config = ChordConfig{});
-
-  /// Same, over a caller-supplied transport (e.g. a pre-configured
-  /// SimTransport, or a future real one). When `transport` is null the
-  /// default SimTransport is built from `config.latency` and `seed`.
-  static Result<ChordRing> Make(size_t num_nodes, uint64_t seed,
-                                ChordConfig config,
-                                std::unique_ptr<rpc::Transport> transport);
 
   ChordRing(ChordRing&&) noexcept = default;
   ChordRing& operator=(ChordRing&&) noexcept = default;
@@ -119,15 +111,12 @@ class ChordRing {
   ChordNode* node(const NetAddress& addr);
   const ChordNode* node(const NetAddress& addr) const;
 
-  /// The message layer every remote interaction is charged through.
-  /// Default rings use a SimTransport wrapping the simulator the paper
-  /// evaluation always ran on.
-  rpc::Transport& network() { return *net_; }
+  /// The simulated network every remote interaction is charged through.
+  SimNetwork& network() { return *net_; }
   const ChordConfig& config() const { return config_; }
 
  private:
-  ChordRing(ChordConfig config, uint64_t seed,
-            std::unique_ptr<rpc::Transport> transport);
+  ChordRing(ChordConfig config, uint64_t seed);
 
   /// Registers a fresh node with a unique generated address/id.
   Result<NodeInfo> CreateNode();
@@ -150,7 +139,7 @@ class ChordRing {
 
   ChordConfig config_;
   Rng rng_;
-  std::unique_ptr<rpc::Transport> net_;
+  std::unique_ptr<SimNetwork> net_;
   std::unordered_map<NetAddress, std::unique_ptr<ChordNode>, NetAddressHash> nodes_;
   std::vector<NetAddress> addresses_;  // insertion order, includes dead peers
 

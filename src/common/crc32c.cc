@@ -29,4 +29,25 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
   return ~crc;
 }
 
+size_t AppendCrc32cFrame(std::string_view payload, std::string* out) {
+  const uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
+                              Crc32cMask(Crc32c(payload))};
+  for (const uint32_t word : header) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out->push_back(static_cast<char>((word >> shift) & 0xFF));
+    }
+  }
+  out->append(payload.data(), payload.size());
+  return kCrc32cFrameHeaderBytes + payload.size();
+}
+
+Crc32cFrameHeader ReadCrc32cFrameHeader(const char* p) {
+  uint32_t words[2] = {0, 0};
+  for (size_t i = 0; i < kCrc32cFrameHeaderBytes; ++i) {
+    words[i / 4] |= static_cast<uint32_t>(static_cast<unsigned char>(p[i]))
+                    << (8 * (i % 4));
+  }
+  return Crc32cFrameHeader{words[0], Crc32cUnmask(words[1])};
+}
+
 }  // namespace p2prange

@@ -53,9 +53,5 @@ std::vector<PeerInfo> ChordOverlay::AlivePeersOrdered() const {
   return out;
 }
 
-const NetworkStats& ChordOverlay::net_stats() const {
-  return ring_.network().stats();
-}
-
 }  // namespace overlay
 }  // namespace p2prange

@@ -53,7 +53,9 @@ class ChordOverlay final : public Overlay {
                               uint64_t payload_bytes) override {
     return ring_.network().DeliverBytes(from, to, payload_bytes);
   }
-  const NetworkStats& net_stats() const override;
+  const NetworkStats& net_stats() const override {
+    return ring_.network().stats();
+  }
   void ResetNetStats() override { ring_.network().ResetStats(); }
 
   /// The underlying ring, for callers that measure Chord-only state

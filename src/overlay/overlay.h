@@ -4,12 +4,12 @@
 // descriptor replication, churn and fault injection — asks one
 // abstract question ("who owns identifier x, and what did routing
 // there cost?") plus a membership/maintenance surface; everything
-// below decides what the overlay physically is. This is the same
-// seam rpc::Transport gave the network layer (PR 4), one level up:
-// three implementations route the identical workload so the paper's
-// protocol can be measured over Chord (the evaluation substrate),
-// CAN (the substrate Harren et al. used), and Tapestry (the third
-// family the introduction surveys) without touching core::System.
+// below decides what the overlay physically is. Three implementations,
+// each charging its messages to its own SimNetwork, route the
+// identical workload so the paper's protocol can be measured over
+// Chord (the evaluation substrate), CAN (the substrate Harren et al.
+// used), and Tapestry (the third family the introduction surveys)
+// without touching core::System.
 #ifndef P2PRANGE_OVERLAY_OVERLAY_H_
 #define P2PRANGE_OVERLAY_OVERLAY_H_
 

@@ -1,42 +1,16 @@
 #include "rpc/frame.h"
 
-#include <cstring>
-
 #include "common/crc32c.h"
 #include "common/logging.h"
 
 namespace p2prange {
 namespace rpc {
 
-namespace {
-
-void PutU32Le(uint32_t v, std::string* out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xFF);
-  b[1] = static_cast<char>((v >> 8) & 0xFF);
-  b[2] = static_cast<char>((v >> 16) & 0xFF);
-  b[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(b, 4);
-}
-
-uint32_t GetU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24);
-}
-
-}  // namespace
-
 size_t AppendFrame(std::string_view payload, std::string* out) {
   CHECK(payload.size() <= kMaxFramePayload)  // p2plint: allow(P2P004): encode-side cap on a locally produced payload, not wire input
       << "frame payload of " << payload.size() << " bytes exceeds the "
       << kMaxFramePayload << "-byte cap";
-  const size_t before = out->size();
-  PutU32Le(static_cast<uint32_t>(payload.size()), out);
-  PutU32Le(Crc32cMask(Crc32c(payload)), out);
-  out->append(payload.data(), payload.size());
-  return out->size() - before;
+  return AppendCrc32cFrame(payload, out);
 }
 
 void FrameParser::Feed(std::string_view bytes) {
@@ -54,11 +28,11 @@ Result<std::optional<std::string>> FrameParser::Next() {
   if (poisoned_) {
     return Status::IOError("frame stream is poisoned by an earlier error");
   }
-  if (buf_.size() - pos_ < kFrameHeaderBytes) {
+  if (buf_.size() - pos_ < kCrc32cFrameHeaderBytes) {
     return std::optional<std::string>(std::nullopt);
   }
-  const uint32_t payload_len = GetU32Le(buf_.data() + pos_);
-  const uint32_t stored_crc = GetU32Le(buf_.data() + pos_ + 4);
+  const Crc32cFrameHeader header = ReadCrc32cFrameHeader(buf_.data() + pos_);
+  const uint32_t payload_len = header.payload_len;
   if (payload_len > kMaxFramePayload) {
     // Reject on the declared length alone — never allocate for it.
     poisoned_ = true;
@@ -66,16 +40,16 @@ Result<std::optional<std::string>> FrameParser::Next() {
                            " payload bytes, above the " +
                            std::to_string(kMaxFramePayload) + " cap");
   }
-  if (buf_.size() - pos_ - kFrameHeaderBytes < payload_len) {
+  if (buf_.size() - pos_ - kCrc32cFrameHeaderBytes < payload_len) {
     return std::optional<std::string>(std::nullopt);
   }
-  const std::string_view payload(buf_.data() + pos_ + kFrameHeaderBytes,
+  const std::string_view payload(buf_.data() + pos_ + kCrc32cFrameHeaderBytes,
                                  payload_len);
-  if (Crc32cMask(Crc32c(payload)) != stored_crc) {
+  if (!header.Matches(payload)) {
     poisoned_ = true;
     return Status::IOError("frame payload failed its CRC32C check");
   }
-  pos_ += kFrameHeaderBytes + payload_len;
+  pos_ += kCrc32cFrameHeaderBytes + payload_len;
   return std::optional<std::string>(std::string(payload));
 }
 

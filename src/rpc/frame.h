@@ -1,17 +1,18 @@
 // Length-prefixed CRC32C frames: the unit of transmission on a TCP
 // connection.
 //
-// Same frame layout the durable store already uses on "disk"
-// (store/wal.h), reused on the wire so one checksum discipline covers
-// both:
+// The durable store's frame layout (common/crc32c.h), written and read
+// by the same codec on the wire so one checksum discipline covers disk
+// and network:
 //
 //   [payload_len u32 LE][masked crc32c(payload) u32 LE][payload bytes]
 //
-// The parser is incremental — TCP hands over arbitrary byte chunks —
-// and hostile-input safe: a declared length beyond kMaxFramePayload is
-// rejected *before* any allocation, a short buffer simply waits for
-// more bytes, and a CRC mismatch poisons the parser (the connection
-// must be dropped; nothing after a corrupt frame can be trusted).
+// The policy is wire-only. The parser is incremental — TCP hands over
+// arbitrary byte chunks — and hostile-input safe: a declared length
+// beyond kMaxFramePayload is rejected *before* any allocation, a short
+// buffer simply waits for more bytes, and a CRC mismatch poisons the
+// parser (the connection must be dropped; nothing after a corrupt
+// frame can be trusted).
 #ifndef P2PRANGE_RPC_FRAME_H_
 #define P2PRANGE_RPC_FRAME_H_
 
@@ -24,9 +25,6 @@
 
 namespace p2prange {
 namespace rpc {
-
-/// Fixed bytes preceding every payload.
-inline constexpr size_t kFrameHeaderBytes = 8;
 
 /// Upper bound on one frame's payload (16 MiB). Caps what a hostile
 /// or corrupt length prefix can make the receiver allocate.

@@ -306,7 +306,6 @@ bool LiveMembership::Merge(const MemberEntry& e) {
     m.penalty_at = now;
     auto [pos, inserted] = others_.emplace(e.addr, std::move(m));
     (void)inserted;
-    transport_->Register(e.addr);
     EmitIfVisibleChanged(e.addr, pos->second, /*was_visible=*/false);
     ++counters_.entries_merged;
     return true;
@@ -461,13 +460,12 @@ Status LiveMembership::Join(const NetAddress& bootstrap, double deadline_ms) {
   if (bootstrap == self_) {
     return Status::InvalidArgument("cannot bootstrap from self");
   }
-  transport_->Register(bootstrap);
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = deadline_ms;
   const std::string body = EncodeViewMessage({SelfEntry()});
-  ASSIGN_OR_RETURN(Transport::CallResult result,
-                   transport_->Call(NetAddress{}, bootstrap, MsgType::kJoin,
-                                    body, call_options));
+  ASSIGN_OR_RETURN(TcpTransport::CallResult result,
+                   transport_->Call(bootstrap, MsgType::kJoin, body,
+                                    call_options));
   ASSIGN_OR_RETURN(std::vector<MemberEntry> view,
                    DecodeViewMessage(result.body));
   MergeAll(view);
@@ -484,7 +482,7 @@ void LiveMembership::AnnounceLeave(double deadline_ms) {
   ++incarnation_;
   const std::string body =
       EncodeViewMessage({MemberEntry{self_, incarnation_, MemberStatus::kLeft}});
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = deadline_ms;
   std::vector<NetAddress> targets;
   if (const auto succ = Successor()) targets.push_back(*succ);
@@ -494,7 +492,7 @@ void LiveMembership::AnnounceLeave(double deadline_ms) {
   for (const NetAddress& to : targets) {
     // Best effort — the process is exiting either way; an unreachable
     // neighbor will learn of the departure from the failure detector.
-    transport_->Call(NetAddress{}, to, MsgType::kLeave, body, call_options)
+    transport_->Call(to, MsgType::kLeave, body, call_options)
         .status()
         .IgnoreError();
   }
@@ -517,8 +515,8 @@ void LiveMembership::StartExchange(ExchangeKind kind, const NetAddress& to,
   pending_.push_back(ex);
 }
 
-void LiveMembership::HandleExchangeReply(const PendingExchange& ex,
-                                         const Transport::CallResult& result) {
+void LiveMembership::HandleExchangeReply(
+    const PendingExchange& ex, const TcpTransport::CallResult& result) {
   RecordContact(ex.to);
   switch (ex.kind) {
     case ExchangeKind::kProbe:

@@ -285,7 +285,7 @@ class LiveMembership {
 
   void PollPending();
   void HandleExchangeReply(const PendingExchange& ex,
-                           const Transport::CallResult& result);
+                           const TcpTransport::CallResult& result);
   void StartExchange(ExchangeKind kind, const NetAddress& to, MsgType type,
                      const std::string& body);
   void MaybeProbe(Clock::time_point now);

@@ -5,10 +5,12 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/json.h"
 #include "common/memory.h"
 
 #include "rpc/membership.h"
 #include "rpc/multi_op.h"
+#include "rpc/tcp_transport.h"
 #include "wire/serde.h"
 
 namespace p2prange {
@@ -50,6 +52,17 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
     return Status::IOError("rename " + tmp + " -> " + path + " failed");
   }
   return Status::OK();
+}
+
+std::string NetworkStatsToJson(const NetworkStats& s) {
+  std::string out = "{";
+  out += "\"messages\":" + std::to_string(s.messages);
+  out += ",\"bytes\":" + std::to_string(s.bytes);
+  out += ",\"total_latency_ms\":" + JsonDouble(s.total_latency_ms);
+  out += ",\"failed_deliveries\":" + std::to_string(s.failed_deliveries);
+  out += ",\"lost_messages\":" + std::to_string(s.lost_messages);
+  out += "}";
+  return out;
 }
 
 }  // namespace

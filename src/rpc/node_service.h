@@ -1,8 +1,8 @@
 // The server half of a deployable peer: one NodeService owns the
 // peer's durable descriptor store and materialized partitions, and
-// serves every message of the peer protocol (rpc/message.h) from a
-// TcpServer's handler seam — or from a SimTransport's, the service
-// does not know which.
+// serves every message of the peer protocol (rpc/message.h) through
+// one Handle() call, which the daemon plugs into a TcpServer and tests
+// call directly.
 //
 // Ring membership is a static full view (RingView): every process is
 // started with the same member list, each member's Chord identifier is
@@ -25,10 +25,10 @@
 #include "common/result.h"
 #include "common/sync.h"
 #include "net/address.h"
+#include "net/sim_network.h"
 #include "rel/relation.h"
 #include "rpc/message.h"
 #include "rpc/ring_view.h"
-#include "rpc/transport.h"
 #include "store/bucket_store.h"
 #include "store/durable_store.h"
 
@@ -36,6 +36,7 @@ namespace p2prange {
 namespace rpc {
 
 class LiveMembership;  // rpc/membership.h
+struct RpcStats;       // rpc/tcp_transport.h
 
 // --------------------------------------------------------------------------
 // Protocol bodies
@@ -145,7 +146,7 @@ class NodeService {
   NodeService(const NodeService&) = delete;
   NodeService& operator=(const NodeService&) = delete;
 
-  /// The protocol handler: plug into TcpServer or SimTransport.
+  /// The protocol handler: plug into a TcpServer.
   Result<std::string> Handle(MsgType type, std::string_view body)
       EXCLUDES(data_mu_, ring_mu_);
 

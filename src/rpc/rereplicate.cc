@@ -87,10 +87,10 @@ void Rereplicator::PlanSweep(const ViewChange& change) {
 }
 
 Status Rereplicator::SendJob(Job& job, double deadline_ms) {
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = deadline_ms;
-  ASSIGN_OR_RETURN(Transport::CallResult result,
-                   transport_->Call(NetAddress{}, job.to, MsgType::kHandoff,
+  ASSIGN_OR_RETURN(TcpTransport::CallResult result,
+                   transport_->Call(job.to, MsgType::kHandoff,
                                     EncodeHandoffBatch(job.batch),
                                     call_options));
   (void)result;
@@ -133,10 +133,10 @@ Status Rereplicator::PullPartition() {
   // (predecessor, self]: the arc this node now owns. Replica copies of
   // preceding arcs arrive via the existing members' push sweeps.
   req.lo = pred.has_value() ? RingView::IdOf(*pred) : req.hi;
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = config_.call_deadline_ms;
-  ASSIGN_OR_RETURN(Transport::CallResult result,
-                   transport_->Call(NetAddress{}, *succ, MsgType::kPullBuckets,
+  ASSIGN_OR_RETURN(TcpTransport::CallResult result,
+                   transport_->Call(*succ, MsgType::kPullBuckets,
                                     EncodePullBucketsRequest(req),
                                     call_options));
   ASSIGN_OR_RETURN(HandoffBatch batch, DecodeHandoffBatch(result.body));

@@ -31,11 +31,7 @@ RingClient::RingClient(RingView view, LshScheme lsh, RingClientOptions options)
       lsh_(std::make_unique<LshScheme>(std::move(lsh))),
       options_(std::move(options)),
       transport_(options_.transport),
-      retry_rng_(kRetryJitterSeed) {
-  for (const auto& [id, addr] : view_.members()) {
-    transport_.Register(addr);
-  }
-}
+      retry_rng_(kRetryJitterSeed) {}
 
 Result<std::unique_ptr<RingClient>> RingClient::Make(
     const std::vector<NetAddress>& members, RingClientOptions options) {
@@ -54,7 +50,7 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
                                                const std::string& body) {
   const FaultPolicy& policy = options_.fault;
   const auto started = std::chrono::steady_clock::now();
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = options_.deadline_ms;
   double wait_ms = policy.backoff_base_ms;
   Status last;
@@ -91,7 +87,7 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
         return last.ok() ? Status::IOError("op budget exhausted") : last;
       }
     }
-    auto result = transport_.Call(NetAddress{}, to, type, body, call_options);
+    auto result = transport_.Call(to, type, body, call_options);
     if (result.ok()) return std::move(result->body);
     last = result.status();
     // Only transient losses are worth retrying; an Unavailable peer
@@ -105,13 +101,13 @@ Status RingClient::RefreshView() {
   // A gossip exchange with an empty entry list is a pure read of the
   // peer's membership table. Any reachable member will do; a static
   // ring answers NotImplemented and the view is left untouched.
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = options_.deadline_ms;
   std::vector<NetAddress> contacts;
   for (const auto& [id, addr] : view_.members()) contacts.push_back(addr);
   Status last = Status::Unavailable("no members to refresh the view from");
   for (const NetAddress& contact : contacts) {
-    auto result = transport_.Call(NetAddress{}, contact, MsgType::kGossip,
+    auto result = transport_.Call(contact, MsgType::kGossip,
                                   EncodeViewMessage({}), call_options);
     if (!result.ok()) {
       last = result.status();
@@ -131,7 +127,6 @@ Status RingClient::RefreshView() {
       last = fresh.status();
       continue;
     }
-    for (const NetAddress& a : alive) transport_.Register(a);
     view_ = std::move(*fresh);
     return Status::OK();
   }
@@ -146,7 +141,6 @@ void RingClient::LearnMember(const NetAddress& addr) {
   // An identifier collision keeps the old view: routing to the wrong
   // half of a collision is worse than one more redirect.
   if (!fresh.ok()) return;
-  transport_.Register(addr);
   view_ = std::move(*fresh);
 }
 
@@ -400,11 +394,10 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
 }
 
 Result<double> RingClient::Ping(const NetAddress& node) {
-  Transport::CallOptions call_options;
+  TcpTransport::CallOptions call_options;
   call_options.deadline_ms = options_.deadline_ms;
-  ASSIGN_OR_RETURN(Transport::CallResult result,
-                   transport_.Call(NetAddress{}, node, MsgType::kPing, "",
-                                   call_options));
+  ASSIGN_OR_RETURN(TcpTransport::CallResult result,
+                   transport_.Call(node, MsgType::kPing, "", call_options));
   return result.latency_ms;
 }
 

@@ -37,6 +37,27 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 }  // namespace
 
+std::string RpcStats::ToJson() const {
+  std::string out = "{";
+  out += "\"requests_sent\":" + std::to_string(requests_sent);
+  out += ",\"responses_received\":" + std::to_string(responses_received);
+  out += ",\"requests_served\":" + std::to_string(requests_served);
+  out += ",\"timeouts\":" + std::to_string(timeouts);
+  out += ",\"retransmits\":" + std::to_string(retransmits);
+  out += ",\"connect_failures\":" + std::to_string(connect_failures);
+  out += ",\"frame_errors\":" + std::to_string(frame_errors);
+  out += ",\"connections_opened\":" + std::to_string(connections_opened);
+  out += ",\"connections_closed\":" + std::to_string(connections_closed);
+  out += ",\"open_connections\":" + std::to_string(open_connections);
+  out += ",\"accepts_shed\":" + std::to_string(accepts_shed);
+  out += ",\"slow_readers_evicted\":" + std::to_string(slow_readers_evicted);
+  out += ",\"idle_closed\":" + std::to_string(idle_closed);
+  out += ",\"bytes_in\":" + std::to_string(bytes_in);
+  out += ",\"bytes_out\":" + std::to_string(bytes_out);
+  out += "}";
+  return out;
+}
+
 // --------------------------------------------------------------------------
 // TcpServer
 // --------------------------------------------------------------------------
@@ -393,7 +414,6 @@ Result<TcpTransport::Conn*> TcpTransport::GetConn(const NetAddress& to) {
   }
   if (!fd.ok()) {
     ++rpc_.connect_failures;
-    MarkAlive(to, false);
     return fd.status();
   }
 
@@ -468,7 +488,6 @@ Status TcpTransport::SendAll(Conn& c, std::string_view bytes,
     const ssize_t sent =
         ::send(c.fd, bytes.data() + pos, bytes.size() - pos, MSG_NOSIGNAL);
     if (sent > 0) {
-      stats_.bytes += static_cast<uint64_t>(sent);
       rpc_.bytes_out += static_cast<uint64_t>(sent);
       pos += static_cast<size_t>(sent);
       continue;
@@ -512,13 +531,10 @@ Result<uint64_t> TcpTransport::StartCall(const NetAddress& to, MsgType type,
 
   conn->sent_at[call_id] = Clock::now();
   ++rpc_.requests_sent;
-  ++stats_.messages;
   const Status sent = SendAll(*conn, frame, options_.default_deadline_ms);
   if (!sent.ok()) {
-    ++stats_.failed_deliveries;
     if (sent.IsUnavailable()) {
       CloseConn(to);
-      MarkAlive(to, false);
     } else {
       conn->sent_at.erase(call_id);
     }
@@ -551,7 +567,6 @@ Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
       const uint64_t id = envelope->header.call_id;
       ++rpc_.responses_received;
       rpc_.bytes_in += envelope->body.size();
-      ++stats_.messages;
       if (id == call_id) {
         *out = std::move(*envelope);
         return Status::OK();
@@ -580,7 +595,6 @@ Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
 
     const ssize_t got = ::read(c.fd, buf, sizeof(buf));
     if (got > 0) {
-      stats_.bytes += static_cast<uint64_t>(got);
       c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
       continue;
     }
@@ -589,24 +603,19 @@ Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
     // 0 = orderly close; <0 = reset. Either way the peer is gone with
     // our call unanswered.
     CloseConn(to);
-    MarkAlive(to, false);
     return Status::Unavailable("connection to " + to.ToString() +
                                " closed mid-call");
   }
 }
 
-Result<Transport::CallResult> TcpTransport::FinishCall(const NetAddress& to,
-                                                       Conn& c,
-                                                       uint64_t call_id,
-                                                       RpcEnvelope envelope) {
+Result<TcpTransport::CallResult> TcpTransport::FinishCall(
+    Conn& c, uint64_t call_id, RpcEnvelope envelope) {
   CallResult result;
   auto sent = c.sent_at.find(call_id);
   if (sent != c.sent_at.end()) {
     result.latency_ms = MsSince(sent->second);
     c.sent_at.erase(sent);
   }
-  stats_.total_latency_ms += result.latency_ms;
-  MarkAlive(to, true);
 
   if (envelope.header.status != StatusCode::kOk) {
     // The server's handler failed; surface its error as our own.
@@ -616,9 +625,9 @@ Result<Transport::CallResult> TcpTransport::FinishCall(const NetAddress& to,
   return result;
 }
 
-Result<Transport::CallResult> TcpTransport::WaitCall(const NetAddress& to,
-                                                     uint64_t call_id,
-                                                     double deadline_ms) {
+Result<TcpTransport::CallResult> TcpTransport::WaitCall(const NetAddress& to,
+                                                        uint64_t call_id,
+                                                        double deadline_ms) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::WaitCall");
   auto it = conns_.find(to);
   if (it == conns_.end()) {
@@ -633,13 +642,9 @@ Result<Transport::CallResult> TcpTransport::WaitCall(const NetAddress& to,
     envelope = std::move(parked->second);
     conn.parked.erase(parked);
   } else {
-    const Status st = ReadUntil(to, conn, call_id, deadline_ms, &envelope);
-    if (!st.ok()) {
-      ++stats_.failed_deliveries;
-      return st;
-    }
+    RETURN_NOT_OK(ReadUntil(to, conn, call_id, deadline_ms, &envelope));
   }
-  return FinishCall(to, conn, call_id, std::move(envelope));
+  return FinishCall(conn, call_id, std::move(envelope));
 }
 
 Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
@@ -663,7 +668,6 @@ Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
     if (n == 0) break;  // nothing more buffered
     const ssize_t got = ::read(c.fd, buf, sizeof(buf));
     if (got > 0) {
-      stats_.bytes += static_cast<uint64_t>(got);
       c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
       continue;
     }
@@ -689,13 +693,12 @@ Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
     }
     ++rpc_.responses_received;
     rpc_.bytes_in += envelope->body.size();
-    ++stats_.messages;
     c.parked[envelope->header.call_id] = std::move(*envelope);
   }
   return death;
 }
 
-Result<std::optional<Transport::CallResult>> TcpTransport::PollCall(
+Result<std::optional<TcpTransport::CallResult>> TcpTransport::PollCall(
     const NetAddress& to, uint64_t call_id) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::PollCall");
   auto it = conns_.find(to);
@@ -715,13 +718,11 @@ Result<std::optional<Transport::CallResult>> TcpTransport::PollCall(
     RpcEnvelope envelope = std::move(parked->second);
     conn.parked.erase(parked);
     ASSIGN_OR_RETURN(CallResult result,
-                     FinishCall(to, conn, call_id, std::move(envelope)));
+                     FinishCall(conn, call_id, std::move(envelope)));
     return std::optional<CallResult>(std::move(result));
   }
   if (!drained.ok()) {
-    ++stats_.failed_deliveries;
     CloseConn(to);
-    if (drained.IsUnavailable()) MarkAlive(to, false);
     return drained;
   }
   // Still in flight: nothing charged, the deadline is the caller's to
@@ -729,30 +730,15 @@ Result<std::optional<Transport::CallResult>> TcpTransport::PollCall(
   return std::optional<CallResult>();
 }
 
-Result<Transport::CallResult> TcpTransport::Call(const NetAddress& from,
-                                                 const NetAddress& to,
-                                                 MsgType type,
-                                                 std::string_view request,
-                                                 const CallOptions& options) {
+Result<TcpTransport::CallResult> TcpTransport::Call(
+    const NetAddress& to, MsgType type, std::string_view request,
+    const CallOptions& options) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::Call");
-  (void)from;  // the socket's source address identifies the caller
   const double deadline = options.deadline_ms > 0.0
                               ? options.deadline_ms
                               : options_.default_deadline_ms;
   ASSIGN_OR_RETURN(uint64_t call_id, StartCall(to, type, request));
   return WaitCall(to, call_id, deadline);
-}
-
-Result<double> TcpTransport::DeliverBytes(const NetAddress& from,
-                                          const NetAddress& to,
-                                          uint64_t payload_bytes) {
-  ExclusiveUse::Scope use(&exclusive_, "TcpTransport::DeliverBytes");
-  // A real message: a ping padded to the requested size, so the bytes
-  // actually cross the wire and the round trip is actually measured.
-  const std::string padding(static_cast<size_t>(payload_bytes), '\0');
-  ASSIGN_OR_RETURN(CallResult result, Call(from, to, MsgType::kPing, padding,
-                                           CallOptions{}));
-  return result.latency_ms;
 }
 
 }  // namespace rpc

@@ -6,13 +6,13 @@
 // to one handler function, and the response is framed back on the same
 // connection under the request's call id.
 //
-// TcpTransport is the caller side and the second implementation of the
-// Transport interface: per-destination connections opened with
-// non-blocking connect, requests multiplexed by call id (several calls
-// may be in flight on one connection; responses match back in any
-// order), wall-clock deadlines enforced with poll timeouts, and real
-// byte/latency accounting in the same NetworkStats/RpcStats counters
-// the simulator fills.
+// TcpTransport is the caller side: per-destination connections opened
+// with non-blocking connect, requests multiplexed by call id (several
+// calls may be in flight on one connection; responses match back in
+// any order), wall-clock deadlines enforced with poll timeouts, and
+// call/byte accounting in RpcStats. It shares no interface with the
+// simulator's SimNetwork: the simulations charge messages to that, the
+// live ring calls this.
 //
 // Error discipline mirrors the simulator's, so FaultPolicy semantics
 // carry over unchanged: Unavailable = the peer is unreachable (connect
@@ -31,20 +31,47 @@
 #define P2PRANGE_RPC_TCP_TRANSPORT_H_
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/result.h"
+#include "common/status.h"
 #include "common/sync.h"
+#include "net/address.h"
 #include "rpc/frame.h"
 #include "rpc/message.h"
-#include "rpc/transport.h"
 
 namespace p2prange {
 namespace rpc {
+
+/// \brief Counters of the RPC layer: how calls fared and what moved.
+/// TcpServer fills the serving half, TcpTransport the calling half.
+struct RpcStats {
+  uint64_t requests_sent = 0;
+  uint64_t responses_received = 0;
+  uint64_t requests_served = 0;  ///< handler invocations (server side)
+  uint64_t timeouts = 0;         ///< calls that missed their deadline
+  uint64_t retransmits = 0;      ///< calls re-sent under a FaultPolicy
+  uint64_t connect_failures = 0; ///< TCP connects refused or timed out
+  uint64_t frame_errors = 0;     ///< CRC/length/envelope rejections
+  uint64_t connections_opened = 0;
+  uint64_t connections_closed = 0;
+  uint64_t open_connections = 0;
+  uint64_t accepts_shed = 0;           ///< refused at accept (conn limit)
+  uint64_t slow_readers_evicted = 0;   ///< write backlog over the cap
+  uint64_t idle_closed = 0;            ///< read-idle / first-frame deadline
+  uint64_t bytes_in = 0;   ///< framed bytes received
+  uint64_t bytes_out = 0;  ///< framed bytes sent
+
+  /// Single-line JSON object (no trailing newline).
+  std::string ToJson() const;
+};
 
 /// \brief Poll-loop RPC server over one listening socket.
 class TcpServer {
@@ -179,8 +206,8 @@ class TcpServer {
   ExclusiveUse exclusive_;
 };
 
-/// \brief The caller-side TCP implementation of Transport.
-class TcpTransport final : public Transport {
+/// \brief The caller side: request/response calls over TCP.
+class TcpTransport {
  public:
   struct Options {
     /// Default per-call deadline when CallOptions leaves it at <= 0.
@@ -193,49 +220,40 @@ class TcpTransport final : public Transport {
     uint32_t bind_host = 0;
   };
 
+  struct CallOptions {
+    /// Wall-clock budget for one call, request through response. <= 0
+    /// falls back to Options::default_deadline_ms.
+    double deadline_ms = 1000.0;
+  };
+
+  struct CallResult {
+    std::string body;        ///< the handler's response payload
+    double latency_ms = 0.0; ///< request→response round trip
+  };
+
   TcpTransport() : TcpTransport(Options()) {}
   explicit TcpTransport(Options options) : options_(options) {}
-  ~TcpTransport() override;
+  ~TcpTransport();
 
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  // --- Transport ------------------------------------------------------
+  /// \brief One request/response exchange with `to`'s handler for
+  /// `type`. A missed deadline returns IOError (and counts in
+  /// rpc_stats().timeouts); an unreachable peer returns Unavailable; a
+  /// handler error is returned as that error.
+  Result<CallResult> Call(const NetAddress& to, MsgType type,
+                          std::string_view request,
+                          const CallOptions& options);
 
-  void Register(const NetAddress& addr) override { endpoints_[addr] = true; }
-  /// Liveness is observed on a real network, not assigned.
-  Status SetAlive(const NetAddress&, bool) override {
-    return Status::NotImplemented(
-        "TcpTransport discovers liveness; it cannot be assigned");
+  /// Same, with the default deadline.
+  Result<CallResult> Call(const NetAddress& to, MsgType type,
+                          std::string_view request) {
+    return Call(to, type, request, CallOptions());
   }
-  bool IsRegistered(const NetAddress& addr) const override {
-    return endpoints_.contains(addr);
-  }
-  /// Last observed liveness: true until a connect refusal / stream
-  /// failure marks the peer down, and again after a successful call.
-  bool IsAlive(const NetAddress& addr) const override {
-    auto it = endpoints_.find(addr);
-    return it != endpoints_.end() && it->second;
-  }
-  size_t num_registered() const override { return endpoints_.size(); }
 
-  /// A real message to `to`: a ping carrying `payload_bytes` of
-  /// padding, so the bytes genuinely cross the wire.
-  Result<double> DeliverBytes(const NetAddress& from, const NetAddress& to,
-                              uint64_t payload_bytes) override;
-
-  Result<CallResult> Call(const NetAddress& from, const NetAddress& to,
-                          MsgType type, std::string_view request,
-                          const CallOptions& options) override;
-  using Transport::Call;
-  using Transport::Deliver;
-
-  const NetworkStats& stats() const override { return stats_; }
-  void ResetStats() override {
-    stats_ = NetworkStats{};
-    rpc_ = RpcStats{};
-  }
-  const RpcStats& rpc_stats() const override { return rpc_; }
+  void ResetStats() { rpc_ = RpcStats{}; }
+  const RpcStats& rpc_stats() const { return rpc_; }
 
   // --- Multiplexing ----------------------------------------------------
 
@@ -296,20 +314,17 @@ class TcpTransport final : public Transport {
   /// (reading whatever the kernel holds, without blocking).
   Status DrainReady(const NetAddress& to, Conn& c);
   /// Builds a CallResult from a parked envelope (latency accounting,
-  /// liveness mark, error-status unwrapping).
-  Result<CallResult> FinishCall(const NetAddress& to, Conn& c,
-                                uint64_t call_id, RpcEnvelope envelope);
+  /// error-status unwrapping).
+  Result<CallResult> FinishCall(Conn& c, uint64_t call_id,
+                                RpcEnvelope envelope);
   /// Reads until `call_id`'s response is available or the deadline
   /// passes; fills `*out` on success.
   Status ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
                    double deadline_ms, RpcEnvelope* out);
   void CloseConn(const NetAddress& to);
-  void MarkAlive(const NetAddress& to, bool alive) { endpoints_[to] = alive; }
 
   Options options_;
-  std::unordered_map<NetAddress, bool, NetAddressHash> endpoints_;
   std::unordered_map<NetAddress, Conn, NetAddressHash> conns_;
-  NetworkStats stats_;
   RpcStats rpc_;
   /// One-thread-at-a-time sentinel (see the file comment).
   ExclusiveUse exclusive_;

@@ -6,24 +6,6 @@
 namespace p2prange {
 namespace store {
 
-namespace {
-
-void PutFixed32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-uint32_t GetFixed32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-}  // namespace
-
 void SnapshotStore::Write(const SnapshotData& snap) {
   wire::Encoder enc;
   enc.PutVarint(snap.wal_seq);
@@ -32,12 +14,8 @@ void SnapshotStore::Write(const SnapshotData& snap) {
     enc.PutVarint(bucket);
     wire::EncodePartitionDescriptor(descriptor, &enc);
   }
-  const std::string payload = enc.Take();
   std::string image;
-  image.reserve(8 + payload.size());
-  PutFixed32(&image, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&image, Crc32cMask(Crc32c(payload)));
-  image.append(payload);
+  AppendCrc32cFrame(enc.Take(), &image);
 
   // Overwrite the slot that does NOT hold the newest valid snapshot.
   // Chosen by inspecting the slots rather than a volatile cursor, so
@@ -59,16 +37,16 @@ void SnapshotStore::Write(const SnapshotData& snap) {
 Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
   const std::string& image = slots_[i];
   if (image.empty()) return Status::NotFound("empty snapshot slot");
-  if (image.size() < 8) {
+  if (image.size() < kCrc32cFrameHeaderBytes) {
     return Status::InvalidArgument("snapshot slot truncated in the header");
   }
-  const uint32_t len = GetFixed32(image.data());
-  const uint32_t stored_crc = Crc32cUnmask(GetFixed32(image.data() + 4));
-  if (len != image.size() - 8) {
+  const Crc32cFrameHeader header = ReadCrc32cFrameHeader(image.data());
+  if (header.payload_len != image.size() - kCrc32cFrameHeaderBytes) {
     return Status::InvalidArgument("snapshot slot length mismatch");
   }
-  const std::string_view payload = std::string_view(image).substr(8, len);
-  if (Crc32c(payload) != stored_crc) {
+  const std::string_view payload =
+      std::string_view(image).substr(kCrc32cFrameHeaderBytes);
+  if (!header.Matches(payload)) {
     return Status::InvalidArgument("snapshot slot failed its CRC");
   }
   wire::Decoder dec(payload);

@@ -7,8 +7,8 @@
 // destroy the previous good snapshot — the torn slot fails its CRC
 // and recovery falls back to the other one.
 //
-// Slot image format: one CRC32C frame (same framing as the WAL)
-// whose payload is
+// Slot image format: one CRC32C frame (common/crc32c.h, the WAL's
+// framing) whose payload is
 //
 //   varint wal_seq        -- log sequence number this snapshot covers
 //   varint n              -- number of descriptor entries

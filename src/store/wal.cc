@@ -5,24 +5,6 @@
 namespace p2prange {
 namespace store {
 
-namespace {
-
-void PutFixed32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-uint32_t GetFixed32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-}  // namespace
-
 const char* WalOpName(WalRecord::Op op) {
   switch (op) {
     case WalRecord::Op::kInsert:
@@ -62,26 +44,21 @@ Result<WalRecord> DecodeWalRecord(wire::Decoder* dec) {
 size_t WriteAheadLog::Append(const WalRecord& rec) {
   wire::Encoder enc;
   EncodeWalRecord(rec, &enc);
-  const std::string payload = enc.Take();
-  PutFixed32(&image_, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&image_, Crc32cMask(Crc32c(payload)));
-  image_.append(payload);
   ++appended_;
-  return kFrameHeaderBytes + payload.size();
+  return AppendCrc32cFrame(enc.Take(), &image_);
 }
 
 WriteAheadLog::ReplayResult WriteAheadLog::Replay(std::string_view image) {
   ReplayResult out;
   size_t pos = 0;
   while (pos < image.size()) {
-    if (image.size() - pos < kFrameHeaderBytes) {
+    if (image.size() - pos < kCrc32cFrameHeaderBytes) {
       out.torn_tail = true;  // header cut short mid-append
       break;
     }
-    const uint32_t len = GetFixed32(image.data() + pos);
-    const uint32_t stored_crc =
-        Crc32cUnmask(GetFixed32(image.data() + pos + 4));
-    if (len > image.size() - pos - kFrameHeaderBytes) {
+    const Crc32cFrameHeader header = ReadCrc32cFrameHeader(image.data() + pos);
+    const uint32_t len = header.payload_len;
+    if (len > image.size() - pos - kCrc32cFrameHeaderBytes) {
       // Payload extends past the end of the image: either the append
       // was torn mid-payload, or the length field itself is damaged.
       // Both are indistinguishable from a torn tail at this point and
@@ -89,8 +66,9 @@ WriteAheadLog::ReplayResult WriteAheadLog::Replay(std::string_view image) {
       out.torn_tail = true;
       break;
     }
-    const std::string_view payload = image.substr(pos + kFrameHeaderBytes, len);
-    if (Crc32c(payload) != stored_crc) {
+    const std::string_view payload =
+        image.substr(pos + kCrc32cFrameHeaderBytes, len);
+    if (!header.Matches(payload)) {
       out.corrupted = true;  // complete frame, damaged bytes: bit rot
       break;
     }
@@ -103,7 +81,7 @@ WriteAheadLog::ReplayResult WriteAheadLog::Replay(std::string_view image) {
       break;
     }
     out.records.push_back(std::move(*rec));
-    pos += kFrameHeaderBytes + len;
+    pos += kCrc32cFrameHeaderBytes + len;
     out.valid_bytes = pos;
   }
   return out;

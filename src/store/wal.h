@@ -7,8 +7,8 @@
 // operation proceeds, and recovery replays checkpoint + log to rebuild
 // the exact pre-crash store.
 //
-// Frame format (little-endian fixed-width header so a torn header is
-// detectable by length alone):
+// Frame format (common/crc32c.h; little-endian fixed-width header so a
+// torn header is detectable by length alone):
 //
 //   [payload_len u32][masked crc32c(payload) u32][payload bytes]
 //
@@ -94,9 +94,6 @@ class WriteAheadLog {
   /// Validates and decodes `image` front to back (see file comment for
   /// the torn-tail vs corruption rule).
   static ReplayResult Replay(std::string_view image);
-
-  /// Frame overhead per record, exposed for tests sizing tears.
-  static constexpr size_t kFrameHeaderBytes = 8;
 
  private:
   std::string image_;

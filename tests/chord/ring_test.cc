@@ -134,6 +134,33 @@ TEST(ChordRingTest, LookupChargesNetworkMessages) {
   EXPECT_EQ(result->path.size(), static_cast<size_t>(result->hops));
 }
 
+TEST(ChordRingTest, SameSeedRingsReplayIdentically) {
+  // Two rings, same seed: every owner, hop count and latency draw of
+  // the simulated network must be exactly reproducible.
+  auto ring1 = ChordRing::Make(32, 99);
+  auto ring2 = ChordRing::Make(32, 99);
+  ASSERT_TRUE(ring1.ok());
+  ASSERT_TRUE(ring2.ok());
+  auto origin1 = ring1->RandomAliveAddress();
+  auto origin2 = ring2->RandomAliveAddress();
+  ASSERT_TRUE(origin1.ok());
+  ASSERT_TRUE(origin2.ok());
+  ASSERT_EQ(*origin1, *origin2);
+  for (uint32_t target = 0; target < 2000000000u; target += 123456789u) {
+    auto r1 = ring1->Lookup(*origin1, target);
+    auto r2 = ring2->Lookup(*origin2, target);
+    ASSERT_TRUE(r1.ok());
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(r1->owner.addr, r2->owner.addr);
+    EXPECT_EQ(r1->hops, r2->hops);
+    EXPECT_EQ(r1->latency_ms, r2->latency_ms);
+  }
+  EXPECT_EQ(ring1->network().stats().messages,
+            ring2->network().stats().messages);
+  EXPECT_EQ(ring1->network().stats().total_latency_ms,
+            ring2->network().stats().total_latency_ms);
+}
+
 TEST(ChordRingTest, LookupFromDeadOriginFails) {
   auto ring = ChordRing::Make(10, 41);
   ASSERT_TRUE(ring.ok());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "chord/ring.h"
+#include "common/crc32c.h"
 #include "core/system.h"
 #include "rel/generator.h"
 #include "sim/fault_injector.h"
@@ -131,11 +132,11 @@ TEST(CrashRecoveryIntegrationTest, TornWalRepairsFromLiveReplicas) {
     Peer* p = sys.peer(victim);
     ASSERT_NE(p, nullptr);
     std::string& wal = p->durable().wal().mutable_image();
-    if (wal.size() <= store::WriteAheadLog::kFrameHeaderBytes) continue;
+    if (wal.size() <= kCrc32cFrameHeaderBytes) continue;
     ASSERT_TRUE(sys.CrashPeer(victim).ok());
     // Tear the log mid-frame: everything but a stub of the first
     // record's header is lost in the "crash".
-    wal.resize(store::WriteAheadLog::kFrameHeaderBytes / 2);
+    wal.resize(kCrc32cFrameHeaderBytes / 2);
     ++torn;
     ASSERT_TRUE(sys.RecoverPeer(victim).ok());
   }

@@ -10,6 +10,9 @@
 //  3. Durability holds across process death — a restarted daemon serves
 //     the descriptors it had before SIGTERM.
 //
+// And the daemon refuses a malformed number instead of starting with a
+// garbage setting.
+//
 // Every child is reaped by RAII (SIGKILL as the last resort) so a
 // failing assertion can never leak a daemon into the build machine.
 #include <gtest/gtest.h>
@@ -313,6 +316,29 @@ TEST(LiveRingTest, RestartedDaemonStillServesItsDescriptors) {
 
   st = ring->daemons[0].Terminate(5s);
   EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(LiveRingTest, DaemonRejectsMalformedNumbersWithUsageExit) {
+  auto binary = harness::ToolBinary("p2prange_node");
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  // Each of these once started a daemon anyway: "four" workers ran the
+  // single-loop daemon, -5 wrapped to a queue depth of 2^64-5
+  // (admission control off), and "fast" failed later as a bad period.
+  const std::vector<std::vector<std::string>> bad_flags = {
+      {"--workers=four"},
+      {"--workers=2", "--queue_depth=-5"},
+      {"--probe_ms=fast"},
+  };
+  for (const auto& flags : bad_flags) {
+    std::vector<std::string> argv = {*binary, "--listen=127.0.0.1:0",
+                                     "--quiet"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    auto daemon = harness::ChildProcess::Spawn(argv);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    const std::string exit = daemon->Wait(10s).ToString();
+    EXPECT_NE(exit.find("exited with status 2"), std::string::npos)
+        << flags.back() << ": " << exit;
+  }
 }
 
 }  // namespace

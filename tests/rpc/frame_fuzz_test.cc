@@ -10,6 +10,8 @@
 #include "common/random.h"
 #include "rpc/frame.h"
 #include "rpc/message.h"
+#include "store/snapshot.h"
+#include "store/wal.h"
 
 namespace p2prange {
 namespace rpc {
@@ -154,6 +156,57 @@ TEST(FrameTest, CorruptedPayloadFailsCrcAndPoisons) {
       EXPECT_EQ(**got, "descriptor payload bytes");
     }
   }
+}
+
+TEST(FrameTest, WalImageAndSnapshotSlotParseAsWireFrames) {
+  // One codec for disk and wire: the stream parser reads a WAL image
+  // frame by frame and a snapshot slot as its single frame.
+  store::WriteAheadLog wal;
+  std::vector<store::WalRecord> written;
+  for (uint32_t i = 1; i <= 5; ++i) {
+    store::WalRecord rec;
+    rec.seq = i;
+    rec.bucket = i * 977;
+    rec.descriptor = PartitionDescriptor{
+        PartitionKey{"T", "a", Range(i, i + 9)}, NetAddress{i, 7000}};
+    wal.Append(rec);
+    written.push_back(rec);
+  }
+  FrameParser parser;
+  parser.Feed(wal.image());
+  for (const store::WalRecord& want : written) {
+    auto frame = parser.Next();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_TRUE(frame->has_value());
+    wire::Decoder dec(**frame);
+    auto rec = store::DecodeWalRecord(&dec);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(*rec, want);
+  }
+  auto end = parser.Next();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
+  EXPECT_EQ(parser.buffered(), 0u);
+
+  store::SnapshotStore snapshots;
+  store::SnapshotData snap;
+  snap.wal_seq = 5;
+  for (const store::WalRecord& rec : written) {
+    snap.entries.emplace_back(rec.bucket, rec.descriptor);
+  }
+  snapshots.Write(snap);
+  const std::string& slot = snapshots.slot(0);
+  FrameParser slot_parser;
+  slot_parser.Feed(slot);
+  auto payload = slot_parser.Next();
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  ASSERT_TRUE(payload->has_value());
+  EXPECT_EQ(kCrc32cFrameHeaderBytes + (*payload)->size(), slot.size());
+  wire::Decoder dec(**payload);
+  auto wal_seq = dec.Varint();
+  ASSERT_TRUE(wal_seq.ok());
+  EXPECT_EQ(*wal_seq, 5u);
+  EXPECT_EQ(slot_parser.buffered(), 0u);
 }
 
 TEST(FrameTest, GarbageStreamNeverCrashes) {

@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "store/durable_store.h"
 #include "wire/serde.h"
@@ -53,13 +54,9 @@ std::string Canon(const BucketStore& store) {
 bool IsFrameAligned(const std::string& wal, size_t size) {
   size_t off = 0;
   while (off < size) {
-    if (size - off < WriteAheadLog::kFrameHeaderBytes) return false;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(wal[off + i]))
-             << (8 * i);
-    }
-    off += WriteAheadLog::kFrameHeaderBytes + len;
+    if (size - off < kCrc32cFrameHeaderBytes) return false;
+    off += kCrc32cFrameHeaderBytes +
+           ReadCrc32cFrameHeader(wal.data() + off).payload_len;
   }
   return off == size;
 }

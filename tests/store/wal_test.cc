@@ -330,7 +330,7 @@ TEST(DurableStoreTest, MidLogCorruptionFallsBackToCheckpoint) {
   ASSERT_FALSE(durable.wal().image().empty());
   // Rot a payload byte of the FIRST post-checkpoint frame: the whole
   // log is voided and only the checkpoint state survives.
-  durable.wal().mutable_image()[WriteAheadLog::kFrameHeaderBytes] ^= 0x01;
+  durable.wal().mutable_image()[kCrc32cFrameHeaderBytes] ^= 0x01;
   durable.Crash();
   const RecoveryReport report = durable.Recover();
   EXPECT_TRUE(report.wal_corrupted);

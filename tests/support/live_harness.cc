@@ -143,11 +143,21 @@ Status ChildProcess::Kill() {
 
 Status ChildProcess::Terminate(std::chrono::milliseconds deadline) {
   RETURN_NOT_OK(Signal(SIGTERM));
+  return Reap(deadline, "child ignored SIGTERM");
+}
+
+Status ChildProcess::Wait(std::chrono::milliseconds deadline) {
+  if (!running()) return Status::InvalidArgument("child is not running");
+  return Reap(deadline, "child did not exit");
+}
+
+Status ChildProcess::Reap(std::chrono::milliseconds deadline,
+                          const std::string& waiting_for) {
   int status = 0;
   if (!PollUntil(deadline,
                  [&] { return ::waitpid(pid_, &status, WNOHANG) == pid_; })) {
     RETURN_NOT_OK(Kill());
-    return Status::Unavailable("child ignored SIGTERM for " +
+    return Status::Unavailable(waiting_for + " for " +
                                std::to_string(deadline.count()) + " ms");
   }
   pid_ = -1;

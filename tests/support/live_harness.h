@@ -81,9 +81,17 @@ class ChildProcess {
   /// Past the deadline the child is SIGKILLed, reaped, and that is an
   /// error too.
   Status Terminate(std::chrono::milliseconds deadline);
+  /// Terminate without the SIGTERM: waits for the child to exit on its
+  /// own.
+  Status Wait(std::chrono::milliseconds deadline);
 
  private:
   explicit ChildProcess(pid_t pid) : pid_(pid) {}
+
+  /// Reaps the child within `deadline` (see Terminate); `waiting_for`
+  /// names what timed out.
+  Status Reap(std::chrono::milliseconds deadline,
+              const std::string& waiting_for);
 
   pid_t pid_ = -1;
 };

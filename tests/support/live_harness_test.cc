@@ -62,7 +62,7 @@ TEST(LiveHarnessTest, ServerThreadStopIsIdempotent) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   rpc::TcpTransport transport;
   const NetAddress to = (*server)->address();
-  ASSERT_TRUE(transport.Call(NetAddress{}, to, rpc::MsgType::kPing, "").ok());
+  ASSERT_TRUE(transport.Call(to, rpc::MsgType::kPing, "").ok());
   (*server)->Stop();
   (*server)->Stop();
   EXPECT_EQ((*server)->stats().requests_served, 1u);

@@ -7,7 +7,7 @@ Three assertions:
      expected.txt — same files, same rule ids, same line numbers — and
      exits 1. A linter that stops firing on a known-bad snippet is a
      broken gate, not a quiet success.
-  2. Every rule id (P2P000–P2P008) appears at least once in the corpus
+  2. Every rule id (P2P000–P2P009) appears at least once in the corpus
      output, so adding a rule without a corpus snippet fails loudly.
   3. On the corpus's clean file alone, the linter exits 0 with no
      output.
@@ -30,7 +30,7 @@ CORPUS = os.path.join(HERE, "corpus", "tree")
 EXPECTED = os.path.join(HERE, "corpus", "expected.txt")
 
 ALL_RULES = ["P2P000", "P2P001", "P2P002", "P2P003", "P2P004", "P2P005",
-             "P2P006", "P2P007", "P2P008"]
+             "P2P006", "P2P007", "P2P008", "P2P009"]
 
 # Exact (file, line, rule) anchors for the concurrency rules — the
 # corpus comments label these lines, so a drifting linter (off-by-one

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "flags.h"
 #include "rpc/chaos.h"
 #include "rpc/tcp.h"
 
@@ -58,6 +59,8 @@ using p2prange::Rng;
 using p2prange::rpc::ChaosPlan;
 using p2prange::rpc::kChaosClient;
 using p2prange::rpc::LinkEffects;
+using p2prange::tools::ParseFlag;
+using p2prange::tools::ParseNumberFlag;
 
 volatile std::sig_atomic_t g_stop = 0;
 volatile std::sig_atomic_t g_reload = 0;
@@ -143,14 +146,6 @@ std::vector<std::string> SplitCommas(const std::string& s) {
   }
   if (!cur.empty()) out.push_back(cur);
   return out;
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
 }
 
 int Usage(const char* argv0) {
@@ -538,8 +533,12 @@ int main(int argc, char** argv) {
     if (ParseFlag(arg, "plan", &flags.plan_file)) continue;
     if (ParseFlag(arg, "rules", &flags.rules)) continue;
     if (ParseFlag(arg, "metrics_json", &flags.metrics_json)) continue;
-    if (ParseFlag(arg, "seed", &value)) {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
+    bool malformed = false;
+    if (ParseNumberFlag(arg, "seed", &flags.seed, &malformed)) {
+      if (malformed) {
+        std::fprintf(stderr, "malformed value: %s\n", arg.c_str());
+        return Usage(argv[0]);
+      }
       flags.seed_set = true;
       continue;
     }

@@ -19,11 +19,11 @@
 // --deadline_ms=D, --retries=N.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "flags.h"
 #include "rpc/ring_client.h"
 #include "rpc/tcp.h"
 #include "workload/range_workload.h"
@@ -31,6 +31,9 @@
 namespace {
 
 using namespace p2prange;
+using tools::ParseFlag;
+using tools::ParseNumber;
+using tools::ParseNumberFlag;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -44,14 +47,6 @@ int Usage(const char* argv0) {
                "[--wseed=S]\n",
                argv0);
   return 2;
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
 }
 
 Result<std::vector<NetAddress>> ParseMembers(const std::string& csv) {
@@ -78,13 +73,11 @@ Result<PartitionKey> ParseKeyArgs(const std::vector<std::string>& args,
   if (at + 4 > args.size()) {
     return Status::InvalidArgument("expected REL ATTR LO HI");
   }
-  const uint64_t lo = std::strtoull(args[at + 2].c_str(), nullptr, 10);
-  const uint64_t hi = std::strtoull(args[at + 3].c_str(), nullptr, 10);
-  if (lo > UINT32_MAX || hi > UINT32_MAX) {
-    return Status::InvalidArgument("range endpoints must fit in 32 bits");
+  uint32_t lo = 0, hi = 0;
+  if (!ParseNumber(args[at + 2], &lo) || !ParseNumber(args[at + 3], &hi)) {
+    return Status::InvalidArgument("LO and HI must be 32-bit unsigned");
   }
-  ASSIGN_OR_RETURN(Range range, Range::Make(static_cast<uint32_t>(lo),
-                                            static_cast<uint32_t>(hi)));
+  ASSIGN_OR_RETURN(Range range, Range::Make(lo, hi));
   return PartitionKey{args[at], args[at + 1], range};
 }
 
@@ -161,50 +154,31 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "members", &members_csv)) continue;
-    if (ParseFlag(arg, "lsh_k", &value)) {
-      options.lsh.k = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "lsh_l", &value)) {
-      options.lsh.l = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "lsh_seed", &value)) {
-      options.lsh.seed = std::strtoull(value.c_str(), nullptr, 10);
-      continue;
-    }
     if (ParseFlag(arg, "criterion", &criterion)) continue;
-    if (ParseFlag(arg, "replication", &value)) {
-      options.descriptor_replication = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "deadline_ms", &value)) {
-      options.deadline_ms = std::atof(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "retries", &value)) {
-      options.fault.max_retries = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "publishes", &value)) {
-      publishes = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "queries", &value)) {
-      queries = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
+    bool malformed = false;
+    const auto number = [&](std::string_view name, auto* out) {
+      return ParseNumberFlag(arg, name, out, &malformed);
+    };
+    if (number("lsh_k", &options.lsh.k) || number("lsh_l", &options.lsh.l) ||
+        number("lsh_seed", &options.lsh.seed) ||
+        number("replication", &options.descriptor_replication) ||
+        number("deadline_ms", &options.deadline_ms) ||
+        number("retries", &options.fault.max_retries) ||
+        number("publishes", &publishes) || number("queries", &queries) ||
+        number("wseed", &wseed)) {
+      if (!malformed) continue;
+      std::fprintf(stderr, "malformed value: %s\n", arg.c_str());
+      return Usage(argv[0]);
     }
     if (ParseFlag(arg, "domain", &value)) {
-      const size_t colon = value.find(':');
-      if (colon == std::string::npos) return Usage(argv[0]);
-      domain_lo = static_cast<uint32_t>(
-          std::strtoul(value.substr(0, colon).c_str(), nullptr, 10));
-      domain_hi = static_cast<uint32_t>(
-          std::strtoul(value.substr(colon + 1).c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "wseed", &value)) {
-      wseed = std::strtoull(value.c_str(), nullptr, 10);
+      const std::string_view lo_hi(value);
+      const size_t colon = lo_hi.find(':');
+      if (colon == std::string_view::npos ||
+          !ParseNumber(lo_hi.substr(0, colon), &domain_lo) ||
+          !ParseNumber(lo_hi.substr(colon + 1), &domain_hi)) {
+        std::fprintf(stderr, "malformed value: %s\n", arg.c_str());
+        return Usage(argv[0]);
+      }
       continue;
     }
     args.push_back(arg);

@@ -65,6 +65,16 @@ Rules
                               slow peer into a stalled worker pool:
                               copy what you need under the lock, do the
                               I/O outside it.
+  P2P009 sim-below-rpc        `#include "rpc/..."` in a file under src/
+                              outside src/rpc/. The simulator libraries
+                              sit below the live RPC stack: the daemon
+                              must not link the simulator, and the
+                              simulator must not link the daemon's
+                              transport. Matched on the raw line (the
+                              stripped view blanks the quoted path), and
+                              only where the stripped line still holds
+                              the #include, so a commented-out include
+                              is silent.
 
 Suppression: append `// p2plint: allow(P2PNNN): <reason>` to the
 offending line. The rule id is mandatory and the reason must be
@@ -249,6 +259,8 @@ RE_STD_SYNC = re.compile(
 RE_SCOPED_LOCK = re.compile(r"\b(?:Reader|Writer)?MutexLock\s+\w+\s*[({]")
 RE_BLOCKING_CALL = re.compile(
     r"::\s*(poll|send|recv|connect|nanosleep|usleep)\s*\(")
+RE_RPC_INCLUDE = re.compile(r'^\s*#\s*include\s*"rpc/')
+RE_INCLUDE = re.compile(r"^\s*#\s*include\b")
 
 
 def scoped_lock_span(stripped, m):
@@ -394,6 +406,14 @@ def lint_file(root, rel):
                  "::%s() while a scoped lock is held in this block; "
                  "finish the I/O outside the lock (copy under it, "
                  "block outside)" % call)
+
+    if in_src and not rel.startswith("src/rpc/"):
+        pairs = zip(text.split("\n"), stripped.split("\n"))
+        for idx, (line, kept) in enumerate(pairs):
+            if RE_RPC_INCLUDE.match(line) and RE_INCLUDE.match(kept):
+                emit(line_starts[idx], "P2P009",
+                     "src/rpc/ header included outside src/rpc/; the "
+                     "simulator stays below the live RPC stack")
 
 
 def collect_files(root, explicit):

@@ -52,15 +52,15 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <unistd.h>
 
 #include <chrono>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "flags.h"
 #include "rpc/executor.h"
 #include "rpc/membership.h"
 #include "rpc/multi_op.h"
@@ -70,6 +70,9 @@
 #include "rpc/tcp_transport.h"
 
 namespace {
+
+using p2prange::tools::ParseFlag;
+using p2prange::tools::ParseNumberFlag;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -105,14 +108,6 @@ struct Flags {
   bool quiet = false;
 };
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --listen=HOST:PORT [--advertise=HOST:PORT] "
@@ -147,78 +142,34 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string value;
     if (ParseFlag(arg, "listen", &flags.listen)) continue;
     if (ParseFlag(arg, "advertise", &flags.advertise)) continue;
     if (ParseFlag(arg, "join", &flags.join)) continue;
     if (ParseFlag(arg, "wal_dir", &flags.wal_dir)) continue;
     if (ParseFlag(arg, "metrics_json", &flags.metrics_json)) continue;
-    if (ParseFlag(arg, "store_capacity", &value)) {
-      flags.store_capacity = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "checkpoint_every", &value)) {
-      flags.checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
-      continue;
-    }
-    if (ParseFlag(arg, "replication", &value)) {
-      flags.replication = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "workers", &value)) {
-      flags.workers = std::atoi(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "queue_depth", &value)) {
-      flags.queue_depth =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "probe_ms", &value)) {
-      flags.probe_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "gossip_ms", &value)) {
-      flags.gossip_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "stabilize_ms", &value)) {
-      flags.stabilize_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "reconnect_ms", &value)) {
-      flags.reconnect_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "probe_timeout_ms", &value)) {
-      flags.probe_timeout_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "backoff_max_ms", &value)) {
-      flags.backoff_max_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "handoff_deadline_ms", &value)) {
-      flags.handoff_deadline_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "max_conns", &value)) {
-      flags.max_conns =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "write_buffer_cap", &value)) {
-      flags.write_buffer_cap =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "idle_timeout_ms", &value)) {
-      flags.idle_timeout_ms = std::strtod(value.c_str(), nullptr);
-      continue;
-    }
-    if (ParseFlag(arg, "first_frame_timeout_ms", &value)) {
-      flags.first_frame_timeout_ms = std::strtod(value.c_str(), nullptr);
-      continue;
+    bool malformed = false;
+    const auto number = [&](std::string_view name, auto* out) {
+      return ParseNumberFlag(arg, name, out, &malformed);
+    };
+    if (number("store_capacity", &flags.store_capacity) ||
+        number("checkpoint_every", &flags.checkpoint_every) ||
+        number("replication", &flags.replication) ||
+        number("workers", &flags.workers) ||
+        number("queue_depth", &flags.queue_depth) ||
+        number("probe_ms", &flags.probe_ms) ||
+        number("gossip_ms", &flags.gossip_ms) ||
+        number("stabilize_ms", &flags.stabilize_ms) ||
+        number("reconnect_ms", &flags.reconnect_ms) ||
+        number("probe_timeout_ms", &flags.probe_timeout_ms) ||
+        number("backoff_max_ms", &flags.backoff_max_ms) ||
+        number("handoff_deadline_ms", &flags.handoff_deadline_ms) ||
+        number("max_conns", &flags.max_conns) ||
+        number("write_buffer_cap", &flags.write_buffer_cap) ||
+        number("idle_timeout_ms", &flags.idle_timeout_ms) ||
+        number("first_frame_timeout_ms", &flags.first_frame_timeout_ms)) {
+      if (!malformed) continue;
+      std::fprintf(stderr, "malformed value: %s\n", arg.c_str());
+      return Usage(argv[0]);
     }
     if (arg == "--quiet") {
       flags.quiet = true;
