@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the performance-critical
 // primitives: permutation evaluation, range hashing, LSH identifier
-// computation, SHA-1, Chord lookups, and bucket matching.
+// computation, SHA-1, Chord lookups (heavy ring and the engine's
+// compact model), and bucket matching.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "rpc/frame.h"
 #include "rpc/message.h"
 #include "rpc/tcp_transport.h"
+#include "sim/engine/compact_overlay.h"
 #include "store/bucket_store.h"
 #include "tests/support/live_harness.h"
 
@@ -134,6 +136,24 @@ void BM_ChordLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordLookup)->Arg(100)->Arg(1000)->Arg(5000);
+
+void BM_CompactChordRoute(benchmark::State& state) {
+  // One engine probe's routing step: the compact Chord model the
+  // scenario engine routes over, random alive origin, random id.
+  auto net = sim::MakeCompactOverlay(overlay::Kind::kChord,
+                                     static_cast<size_t>(state.range(0)), 11,
+                                     /*can_dims=*/2);
+  CHECK(net.ok()) << net.status();
+  Rng rng(13);
+  int hops = 0;
+  for (auto _ : state) {
+    const uint32_t origin = (*net)->RandomAliveSlot(rng);
+    benchmark::DoNotOptimize((*net)->Route(origin, rng.Next32(), &hops));
+  }
+  state.counters["hops_per_route"] = benchmark::Counter(
+      static_cast<double>(hops), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CompactChordRoute)->Arg(100000);
 
 void BM_BucketBestMatch(benchmark::State& state) {
   BucketStore store;

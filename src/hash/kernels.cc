@@ -110,4 +110,72 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
   return result;
 }
 
+void PermutedLaneBlock::Set(int lane, const BitPermutation& perm,
+                            uint32_t out_xor) {
+  CHECK_EQ(perm.width(), kWidth);
+  DCHECK_GE(lane, 0);
+  DCHECK_LT(lane, kLanes);
+  const std::array<int, 64>& inv = perm.inverse_position_map();
+  for (int s = 0; s < kWidth; ++s) {
+    const int j = kWidth - 1 - s;
+    in_bit[s][lane] = 1u << inv[j];
+    flip[s][lane] = ((out_xor >> j) & 1u) != 0 ? in_bit[s][lane] : 0u;
+  }
+}
+
+void MinPermutedOverRangeLanes(
+    const PermutedLaneBlock& block, const Range& q,
+    std::array<uint32_t, PermutedLaneBlock::kLanes>* out) {
+  constexpr int kLanes = PermutedLaneBlock::kLanes;
+  const uint32_t lo = q.lo();
+  const uint32_t hi = q.hi();
+  // Every x in [lo, hi] carries lo's bits above d, the top bit where lo
+  // and hi differ; below that, x is either 0 at d with its low bits >=
+  // lo's, or 1 at d with its low bits <= hi's. (lo == hi: no d, all
+  // bits fixed.) So whether some x in [lo, hi] matches the pins
+  // (x & mask) == value comes down to three mask tests and two compares
+  // — NextMatchingPattern's answer without its per-pin search for d.
+  uint32_t low = lo ^ hi;  // becomes: bits at and below d
+  low |= low >> 1;
+  low |= low >> 2;
+  low |= low >> 4;
+  low |= low >> 8;
+  low |= low >> 16;
+  const uint32_t fixed = ~low;      // bits shared by all of [lo, hi]
+  const uint32_t below = low >> 1;  // bits under d (< 2^31: signed-safe)
+  const uint32_t bit_d = low ^ below;
+  const int32_t lo_below = static_cast<int32_t>(lo & below);
+  const int32_t hi_below = static_cast<int32_t>(hi & below);
+
+  std::array<uint32_t, kLanes> mask{};    // input bits pinned so far
+  std::array<uint32_t, kLanes> value{};   // their pinned values
+  std::array<uint32_t, kLanes> result{};  // output bits decided so far
+  for (int s = 0; s < PermutedLaneBlock::kWidth; ++s) {
+    // MinPermutedOverRange's step on every lane, with each test a mask
+    // so no lane branches: can this output bit be 0?
+    for (int i = 0; i < kLanes; ++i) {
+      const uint32_t in = block.in_bit[s][i];
+      const uint32_t m = mask[i] | in;
+      const uint32_t v = value[i] | block.flip[s][i];  // output bit 0
+      const uint32_t pinned_zero = m ^ v;
+      // Bitwise & and | on the tests, never && or ||: a short circuit
+      // is a branch, and a branch stops the loop from vectorizing.
+      const bool prefix_ok = ((v ^ lo) & m & fixed) == 0;
+      // 0 at d: the largest match below d must reach lo's low bits.
+      const int32_t largest = static_cast<int32_t>(below & ~pinned_zero);
+      const bool left = ((v & bit_d) == 0) & (largest >= lo_below);
+      // 1 at d: the smallest match below d must not pass hi's.
+      const int32_t smallest = static_cast<int32_t>(v & below);
+      const bool right = ((pinned_zero & bit_d) == 0) & (smallest <= hi_below);
+      const uint32_t keep_zero =
+          0u - static_cast<uint32_t>(prefix_ok & (left | right));
+      // Zero feasible: keep v; else pin the input bit the other way.
+      value[i] = v ^ (in & ~keep_zero);
+      result[i] = (result[i] << 1) | (~keep_zero & 1u);
+      mask[i] = m;
+    }
+  }
+  *out = result;
+}
+
 }  // namespace p2prange

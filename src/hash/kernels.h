@@ -19,13 +19,27 @@
 //    x ∈ [lo, hi] remains consistent with the partial assignment —
 //    O(W) feasibility checks of O(1) bit ops each.
 //
-// Both kernels return bit-identical results to the naive scan (the
+// The shuffle kernel comes in two forms with one result. The scalar
+// MinPermutedOverRange searches for the next matching input
+// (NextMatchingPattern) at every pinned bit and serves single-function
+// calls (HashRange, GroupIdentifier, Figure 5). The lane-batched
+// MinPermutedOverRangeLanes runs the same greedy for eight functions
+// at once: it splits [lo, hi] once at the top bit where lo and hi
+// differ, which turns each feasibility test into three mask tests and
+// two compares, and it has no branch, so the compiler vectorizes the
+// lane loop with no target flags. LshScheme's l×k probe path uses it.
+// Because the two forms derive feasibility differently, each is an
+// independent reference for the other.
+//
+// Every kernel returns bit-identical results to the naive scan (the
 // differential suite in tests/hash/kernels_test.cc pins this over
-// ≥ 10⁵ random ranges per family), so LSH signatures, bucket
-// placement, and every reproduced figure are unchanged.
+// ≥ 10⁵ random ranges per family, and the lane kernel against the
+// scalar one and the scan), so LSH signatures, bucket placement, and
+// every reproduced figure are unchanged.
 #ifndef P2PRANGE_HASH_KERNELS_H_
 #define P2PRANGE_HASH_KERNELS_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -47,6 +61,28 @@ uint32_t MinLinearOverRange(uint64_t a, uint64_t b, uint64_t p, const Range& q);
 /// permutation.
 uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
                               const Range& q);
+
+/// \brief Eight width-32 shuffle-family functions laid out for
+/// MinPermutedOverRangeLanes. Step s decides output bit j = 31 - s; for
+/// each lane it holds the input-bit mask 1 << inverse_position_map()[j]
+/// and the flip mask (that same bit if out_xor has bit j set, else 0).
+/// A lane never Set stays all-zero and yields a value to ignore.
+struct PermutedLaneBlock {
+  static constexpr int kLanes = 8;
+  static constexpr int kWidth = 32;
+
+  /// Compiles `perm` (width 32) with output XOR `out_xor` into `lane`.
+  void Set(int lane, const BitPermutation& perm, uint32_t out_xor);
+
+  std::array<std::array<uint32_t, kLanes>, kWidth> in_bit{};
+  std::array<std::array<uint32_t, kLanes>, kWidth> flip{};
+};
+
+/// \brief MinPermutedOverRange for every lane of `block` at once:
+/// (*out)[i] is the exact min of lane i's π over [q.lo(), q.hi()].
+void MinPermutedOverRangeLanes(
+    const PermutedLaneBlock& block, const Range& q,
+    std::array<uint32_t, PermutedLaneBlock::kLanes>* out);
 
 /// \brief Smallest x >= lo with (x & mask) == value, if any. The
 /// feasibility primitive of MinPermutedOverRange; exposed for its

@@ -1,5 +1,6 @@
 #include "hash/lsh.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bit_utils.h"
@@ -44,7 +45,23 @@ Result<LshScheme> LshScheme::Make(const LshParams& params) {
                                      params.linear_prime));
     }
   }
-  return LshScheme(params, std::move(fns));
+  std::vector<PermutedLaneBlock> lanes;
+  if (params.family != HashFamilyType::kLinear) {
+    constexpr int kLanes = PermutedLaneBlock::kLanes;
+    lanes.resize((fns.size() + kLanes - 1) / kLanes);
+    for (size_t f = 0; f < fns.size(); ++f) {
+      const BitPermutation& perm =
+          params.family == HashFamilyType::kMinwise
+              ? static_cast<const MinwiseHashFunction&>(*fns[f]).permutation()
+              : static_cast<const ApproxMinwiseHashFunction&>(*fns[f])
+                    .permutation();
+      // Permute(x) = P(x) ^ Permute(0): P fixes 0, so Permute(0) is
+      // the output XOR.
+      lanes[f / kLanes].Set(static_cast<int>(f % kLanes), perm,
+                            fns[f]->Permute(0));
+    }
+  }
+  return LshScheme(params, std::move(fns), std::move(lanes));
 }
 
 uint32_t LshScheme::GroupIdentifier(int g, const Range& q) const {
@@ -62,15 +79,22 @@ uint32_t LshScheme::GroupIdentifier(int g, const Range& q) const {
 
 void LshScheme::IdentifiersInto(const Range& q,
                                 std::vector<uint32_t>* out) const {
-  out->resize(static_cast<size_t>(params_.l));
-  size_t f = 0;
-  for (int g = 0; g < params_.l; ++g) {
-    uint32_t id = 0;
-    for (int i = 0; i < params_.k; ++i) {
-      id ^= fns_[f++]->HashRange(q);
+  out->assign(static_cast<size_t>(params_.l), 0);
+  const size_t k = static_cast<size_t>(params_.k);
+  if (lanes_.empty()) {
+    for (size_t f = 0; f < fns_.size(); ++f) {
+      (*out)[f / k] ^= fns_[f]->HashRange(q);
     }
-    (*out)[g] = bits::Mix32(id);
+  } else {
+    std::array<uint32_t, PermutedLaneBlock::kLanes> mins;
+    for (size_t b = 0; b < lanes_.size(); ++b) {
+      MinPermutedOverRangeLanes(lanes_[b], q, &mins);
+      const size_t first = b * mins.size();
+      const size_t count = std::min(mins.size(), fns_.size() - first);
+      for (size_t i = 0; i < count; ++i) (*out)[(first + i) / k] ^= mins[i];
+    }
   }
+  for (uint32_t& id : *out) id = bits::Mix32(id);
 }
 
 double LshScheme::CollisionProbability(double sim, int k, int l) {

@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "common/result.h"
+#include "hash/kernels.h"
 #include "hash/minwise.h"
 #include "hash/range.h"
 
@@ -71,7 +72,9 @@ class LshScheme {
 
   /// All l identifiers for `q` written into *out (resized to l): one
   /// batched pass over the flat function table, reusing out's storage
-  /// — the allocation-free form the probe path uses per lookup.
+  /// — the allocation-free form the probe path uses per lookup. The
+  /// shuffle families run eight functions per lane-kernel call
+  /// (MinPermutedOverRangeLanes); the linear family one at a time.
   void IdentifiersInto(const Range& q, std::vector<uint32_t>* out) const;
 
   /// Total number of sampled functions (l * k).
@@ -94,13 +97,16 @@ class LshScheme {
 
  private:
   LshScheme(LshParams params,
-            std::vector<std::unique_ptr<RangeHashFunction>> fns)
-      : params_(params), fns_(std::move(fns)) {}
+            std::vector<std::unique_ptr<RangeHashFunction>> fns,
+            std::vector<PermutedLaneBlock> lanes)
+      : params_(params), fns_(std::move(fns)), lanes_(std::move(lanes)) {}
 
   LshParams params_;
   // fns_[g*k + i]: i-th function of group g (flat: one contiguous
   // table so a batched evaluation is a single pass).
   std::vector<std::unique_ptr<RangeHashFunction>> fns_;
+  // Shuffle families only: fns_[8b + i] compiled into lanes_[b] lane i.
+  std::vector<PermutedLaneBlock> lanes_;
 };
 
 }  // namespace p2prange

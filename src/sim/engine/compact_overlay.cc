@@ -1,6 +1,7 @@
 #include "sim/engine/compact_overlay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "can/zone.h"
@@ -12,29 +13,61 @@ namespace sim {
 
 // ---------------------------------------------------------------- AliveIndex
 
-AliveIndex::AliveIndex(size_t n) : alive_(n, 1), tree_(n + 1, 0), num_alive_(n) {
-  // Build the Fenwick tree for the all-alive state in O(n).
-  for (size_t i = 1; i <= n; ++i) {
-    tree_[i] += 1;
+namespace {
+
+/// Bit position of the r-th (0-based) set bit of `word`; requires
+/// popcount(word) > r. Halves the search window six times.
+uint32_t SelectInWord(uint64_t word, size_t r) {
+  uint32_t pos = 0;
+  for (int half = 32; half > 0; half >>= 1) {
+    const size_t low = static_cast<size_t>(
+        std::popcount(word & ((uint64_t{1} << half) - 1)));
+    if (r >= low) {
+      r -= low;
+      word >>= half;
+      pos += static_cast<uint32_t>(half);
+    }
+  }
+  return pos;
+}
+
+}  // namespace
+
+AliveIndex::AliveIndex(size_t n)
+    : words_((n + 63) / 64, ~uint64_t{0}),
+      tree_(words_.size() + 1, 0),
+      size_(n),
+      num_alive_(n) {
+  if (n % 64 != 0) words_.back() = (uint64_t{1} << (n % 64)) - 1;
+  // Build the Fenwick tree for the all-alive state in O(n / 64).
+  for (size_t i = 1; i < tree_.size(); ++i) {
+    tree_[i] += static_cast<uint32_t>(std::popcount(words_[i - 1]));
     const size_t parent = i + (i & (~i + 1));
-    if (parent <= n) tree_[parent] += tree_[i];
+    if (parent < tree_.size()) tree_[parent] += tree_[i];
   }
 }
 
 void AliveIndex::Set(uint32_t slot, bool alive) {
-  const uint8_t bit = alive ? 1 : 0;
-  if (alive_[slot] == bit) return;
-  alive_[slot] = bit;
+  uint64_t& word = words_[slot >> 6];
+  const uint64_t bit = uint64_t{1} << (slot & 63);
+  if (((word & bit) != 0) == alive) return;
+  word ^= bit;
   const int delta = alive ? 1 : -1;
   num_alive_ += delta;
-  for (size_t i = slot + 1; i < tree_.size(); i += i & (~i + 1)) {
+  for (size_t i = (slot >> 6) + 1; i < tree_.size(); i += i & (~i + 1)) {
     tree_[i] = static_cast<uint32_t>(static_cast<int64_t>(tree_[i]) + delta);
   }
 }
 
 size_t AliveIndex::CountBefore(uint32_t end) const {
+  DCHECK_LE(end, size_);
+  const size_t w = end >> 6;
   size_t sum = 0;
-  for (size_t i = end; i > 0; i -= i & (~i + 1)) sum += tree_[i];
+  for (size_t i = w; i > 0; i -= i & (~i + 1)) sum += tree_[i];
+  if ((end & 63) != 0) {
+    sum += static_cast<size_t>(
+        std::popcount(words_[w] & ((uint64_t{1} << (end & 63)) - 1)));
+  }
   return sum;
 }
 
@@ -44,16 +77,28 @@ size_t AliveIndex::CountIn(uint32_t begin, uint32_t end) const {
 
 uint32_t AliveIndex::NextAliveWrapping(uint32_t slot) const {
   DCHECK_GT(num_alive_, 0u);
-  const size_t before = CountBefore(slot);
+  DCHECK_LT(slot, size_);
+  // Common case: a live slot later in the same word, or anywhere in
+  // the next one (word 0 after the last: the wrap).
+  const size_t w = slot >> 6;
+  const uint64_t here = words_[w] & (~uint64_t{0} << (slot & 63));
+  if (here != 0) {
+    return static_cast<uint32_t>((w << 6) + std::countr_zero(here));
+  }
+  const size_t next = w + 1 < words_.size() ? w + 1 : 0;
+  if (words_[next] != 0) {
+    return static_cast<uint32_t>((next << 6) + std::countr_zero(words_[next]));
+  }
   // `before` alive slots precede `slot`; the next alive slot is the
   // (before)-th overall unless we ran off the end — then wrap.
+  const size_t before = CountBefore(slot);
   return SelectAlive(before < num_alive_ ? before : 0);
 }
 
 uint32_t AliveIndex::SelectAlive(size_t k) const {
   DCHECK_LT(k, num_alive_);
-  // Classic Fenwick binary lifting: find the smallest prefix holding
-  // k+1 alive entries.
+  // Fenwick binary lifting over words: the longest word prefix holding
+  // at most k alive slots; the answer is inside the word after it.
   size_t pos = 0;
   size_t remaining = k + 1;
   size_t mask = size_t{1} << (63 - __builtin_clzll((tree_.size() - 1) | 1));
@@ -64,19 +109,35 @@ uint32_t AliveIndex::SelectAlive(size_t k) const {
       remaining -= tree_[next];
     }
   }
-  return static_cast<uint32_t>(pos);  // tree_ is 1-based: prefix len == slot
+  return static_cast<uint32_t>(pos << 6) +
+         SelectInWord(words_[pos], remaining - 1);
 }
 
 // ------------------------------------------------------------ CompactOverlay
 
 CompactOverlay::CompactOverlay(std::vector<uint32_t> ids)
-    : ids_(std::move(ids)), alive_(ids_.size()) {}
+    : ids_(std::move(ids)), alive_(ids_.size()) {
+  DCHECK(!ids_.empty());
+  // One pass over the sorted ids fills every bucket's first rank.
+  const int bits = static_cast<int>(std::bit_width(ids_.size())) - 1;
+  dir_shift_ = 32 - bits;
+  rank_dir_.resize(size_t{1} << bits);
+  size_t r = 0;
+  for (size_t b = 0; b < rank_dir_.size(); ++b) {
+    while (r < ids_.size() && (uint64_t{ids_[r]} >> dir_shift_) < b) ++r;
+    rank_dir_[b] = static_cast<uint32_t>(r);
+  }
+}
+
+uint32_t CompactOverlay::RankOfId(uint32_t id) const {
+  size_t r = rank_dir_[uint64_t{id} >> dir_shift_];
+  while (r < ids_.size() && ids_[r] < id) ++r;
+  return static_cast<uint32_t>(r);
+}
 
 uint32_t CompactOverlay::AliveSuccessorOfId(uint32_t id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  const uint32_t rank =
-      it == ids_.end() ? 0 : static_cast<uint32_t>(it - ids_.begin());
-  return alive_.NextAliveWrapping(rank);
+  const uint32_t rank = RankOfId(id);
+  return alive_.NextAliveWrapping(rank == ids_.size() ? 0 : rank);
 }
 
 uint32_t CompactOverlay::ReplicaSlot(uint32_t owner, int k) const {
@@ -118,9 +179,9 @@ class CompactChord final : public CompactOverlay {
       const uint32_t cur_id = ids_[cur];
       const uint32_t dist = id - cur_id;  // forward ring distance
       uint32_t chosen = owner;
-      for (int k = 31; k >= 0; --k) {
+      // Fingers above dist's top bit overshoot the target: skip them.
+      for (int k = static_cast<int>(std::bit_width(dist)) - 1; k >= 0; --k) {
         const uint32_t finger = uint32_t{1} << k;
-        if (finger > dist) continue;
         const uint32_t f = AliveSuccessorOfId(cur_id + finger);
         const uint32_t step = ids_[f] - cur_id;
         if (step != 0 && step <= dist) {
@@ -231,7 +292,7 @@ class CompactCan final : public CompactOverlay {
 /// a digit prefix is a contiguous span of the sorted identifier array,
 /// the global-mesh descent (cyclic successor among digits present at
 /// each level, exactly TapestryOverlay::OwnerOracle's rule) runs as a
-/// cascade of binary searches plus Fenwick alive-counts.
+/// cascade of rank lookups plus alive-counts.
 class CompactTapestry final : public CompactOverlay {
  public:
   explicit CompactTapestry(std::vector<uint32_t> ids)
@@ -289,12 +350,9 @@ class CompactTapestry final : public CompactOverlay {
     return alive_.SelectAlive(alive_.CountBefore(static_cast<uint32_t>(lo)));
   }
 
+  // Lower bound of `value` within ranks [lo, hi].
   size_t RankOf(uint64_t value, size_t lo, size_t hi) const {
-    return static_cast<size_t>(
-        std::lower_bound(ids_.begin() + static_cast<ptrdiff_t>(lo),
-                         ids_.begin() + static_cast<ptrdiff_t>(hi),
-                         static_cast<uint32_t>(value)) -
-        ids_.begin());
+    return std::clamp<size_t>(RankOfId(static_cast<uint32_t>(value)), lo, hi);
   }
 };
 

@@ -4,8 +4,10 @@
 // per-node objects (finger tables, zone lists, routing meshes) that
 // cost kilobytes per peer — fine at 10^3 peers, hopeless at 10^6. The
 // engine instead routes over *compact* models: a single sorted array
-// of peer identifiers plus a Fenwick tree of alive flags, ~10 bytes
-// per peer, with each substrate's hop count derived from the same
+// of peer identifiers (4 B/peer), a directory over its top ⌊log₂ n⌋
+// identifier bits (2–4 B/peer), and a word-packed alive bitmap with a
+// Fenwick tree over per-word counts (~0.2 B/peer) — about 7 bytes per
+// peer in all — with each substrate's hop count derived from the same
 // structural rules its heavy twin implements (Chord finger descent,
 // CAN torus walks on a d-dimensional grid, Tapestry digit
 // resolution). Peer "slots" are ranks in identifier order.
@@ -23,17 +25,22 @@
 namespace p2prange {
 namespace sim {
 
-/// \brief Alive-set index: per-slot flags plus a Fenwick tree of
-/// counts, so "first alive slot >= r (wrapping)" and "k-th alive
-/// slot in [a, b)" are O(log n).
+/// \brief Alive-set index: one bit per slot in 64-bit words plus a
+/// Fenwick tree over the per-word counts (n/8 + n/16 bytes, ≈19 KB at
+/// 10^5 slots, so it stays cache-resident). "First alive slot >= r
+/// (wrapping)" answers from r's word or the next one with one
+/// count-trailing-zeros each; rank, select, and the rarer long skips
+/// run over words in O(log(n/64)).
 class AliveIndex {
  public:
   explicit AliveIndex(size_t n);
 
   void Set(uint32_t slot, bool alive);
-  bool IsAlive(uint32_t slot) const { return alive_[slot] != 0; }
+  bool IsAlive(uint32_t slot) const {
+    return ((words_[slot >> 6] >> (slot & 63)) & 1) != 0;
+  }
   size_t num_alive() const { return num_alive_; }
-  size_t size() const { return alive_.size(); }
+  size_t size() const { return size_; }
 
   /// Alive slots in [0, end).
   size_t CountBefore(uint32_t end) const;
@@ -41,21 +48,22 @@ class AliveIndex {
   size_t CountIn(uint32_t begin, uint32_t end) const;
 
   /// First alive slot >= `slot`, wrapping past the end. Requires
-  /// num_alive() > 0.
+  /// slot < size() and num_alive() > 0.
   uint32_t NextAliveWrapping(uint32_t slot) const;
 
   /// The k-th (0-based) alive slot overall. Requires k < num_alive().
   uint32_t SelectAlive(size_t k) const;
 
   uint64_t MemoryBytes() const {
-    return alive_.capacity() * sizeof(uint8_t) +
+    return words_.capacity() * sizeof(uint64_t) +
            tree_.capacity() * sizeof(uint32_t);
   }
 
  private:
-  std::vector<uint8_t> alive_;
-  std::vector<uint32_t> tree_;  ///< Fenwick tree over alive_ (1-based)
-  size_t num_alive_ = 0;
+  std::vector<uint64_t> words_;  ///< bit s % 64 of word s / 64 = slot s
+  std::vector<uint32_t> tree_;   ///< Fenwick tree of word popcounts, 1-based
+  size_t size_;
+  size_t num_alive_;
 };
 
 /// \brief Substrate-shaped routing over the compact peer table.
@@ -92,8 +100,14 @@ class CompactOverlay {
   /// A uniformly random alive slot.
   uint32_t RandomAliveSlot(Rng& rng) const;
 
+  /// Rank of the first identifier >= `id`, or num_peers() if none
+  /// (std::lower_bound over the sorted identifiers, answered from the
+  /// directory plus a short scan inside one bucket).
+  uint32_t RankOfId(uint32_t id) const;
+
   virtual uint64_t MemoryBytes() const {
-    return ids_.capacity() * sizeof(uint32_t) + alive_.MemoryBytes();
+    return (ids_.capacity() + rank_dir_.capacity()) * sizeof(uint32_t) +
+           alive_.MemoryBytes();
   }
 
  protected:
@@ -105,6 +119,12 @@ class CompactOverlay {
 
   std::vector<uint32_t> ids_;
   AliveIndex alive_;
+
+ private:
+  // rank_dir_[b] = RankOfId(b << dir_shift_): 2^⌊log₂ n⌋ buckets over
+  // the top identifier bits, so a bucket holds under two ids on average.
+  std::vector<uint32_t> rank_dir_;
+  int dir_shift_ = 32;
 };
 
 /// \brief Factory: draws `num_peers` distinct identifiers from `seed`

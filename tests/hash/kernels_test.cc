@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -232,6 +234,7 @@ struct SchemeCase {
   int k;
   int l;
   HashFamilyType family;
+  bool pre_xor;
   const char* name;
 };
 
@@ -239,11 +242,15 @@ class KernelSchemeTest : public ::testing::TestWithParam<SchemeCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     KlGrid, KernelSchemeTest,
-    ::testing::Values(SchemeCase{1, 1, HashFamilyType::kApproxMinwise, "K1L1"},
-                      SchemeCase{4, 7, HashFamilyType::kMinwise, "K4L7"},
-                      SchemeCase{20, 5, HashFamilyType::kApproxMinwise,
-                                 "PaperK20L5"},
-                      SchemeCase{3, 2, HashFamilyType::kLinear, "LinearK3L2"}),
+    ::testing::Values(
+        SchemeCase{1, 1, HashFamilyType::kApproxMinwise, false, "K1L1"},
+        SchemeCase{4, 7, HashFamilyType::kMinwise, false, "K4L7"},
+        SchemeCase{20, 5, HashFamilyType::kApproxMinwise, false, "PaperK20L5"},
+        SchemeCase{3, 2, HashFamilyType::kLinear, false, "LinearK3L2"},
+        // l*k = 15 and 100: a partly filled last block of eight lanes.
+        SchemeCase{5, 3, HashFamilyType::kMinwise, true, "MinwisePreXorK5L3"},
+        SchemeCase{20, 5, HashFamilyType::kApproxMinwise, true,
+                   "PaperK20L5PreXor"}),
     [](const auto& name_info) { return name_info.param.name; });
 
 TEST_P(KernelSchemeTest, BatchedIdentifiersMatchNaivePerFunctionXor) {
@@ -252,6 +259,7 @@ TEST_P(KernelSchemeTest, BatchedIdentifiersMatchNaivePerFunctionXor) {
   p.k = c.k;
   p.l = c.l;
   p.family = c.family;
+  p.pre_xor_mask = c.pre_xor;
   p.seed = 77;
   auto scheme = LshScheme::Make(p);
   ASSERT_TRUE(scheme.ok());
@@ -278,12 +286,100 @@ TEST_P(KernelSchemeTest, IdentifiersIntoReusesBufferAndMatches) {
   p.k = c.k;
   p.l = c.l;
   p.family = c.family;
+  p.pre_xor_mask = c.pre_xor;
   p.seed = 78;
   auto scheme = LshScheme::Make(p);
   ASSERT_TRUE(scheme.ok());
   std::vector<uint32_t> buffer(99, 0xFFFFFFFFu);  // stale oversized buffer
   scheme->IdentifiersInto(Range(500, 900), &buffer);
   EXPECT_EQ(buffer, scheme->Identifiers(Range(500, 900)));
+}
+
+// IdentifiersInto (the lane kernel for the shuffle families) against
+// the per-function XOR, 10^4 seeded ranges per width class: narrow
+// ones against the naive scan, ranges in the engine's [0, 10^6] domain
+// and anywhere in the 32-bit domain against the scalar kernel.
+TEST_P(KernelSchemeTest, IdentifiersIntoMatchesPerFunctionXorOnSeededRanges) {
+  const SchemeCase& c = GetParam();
+  LshParams p;
+  p.k = c.k;
+  p.l = c.l;
+  p.family = c.family;
+  p.pre_xor_mask = c.pre_xor;
+  p.seed = 79;
+  auto scheme = LshScheme::Make(p);
+  ASSERT_TRUE(scheme.ok());
+  auto expect_ids = [&](const Range& q, bool naive) {
+    std::vector<uint32_t> ids;
+    scheme->IdentifiersInto(q, &ids);
+    ASSERT_EQ(ids.size(), static_cast<size_t>(c.l));
+    for (int g = 0; g < c.l; ++g) {
+      uint32_t expected = 0;
+      for (int i = 0; i < c.k; ++i) {
+        const RangeHashFunction& fn = scheme->function(g, i);
+        expected ^= naive ? fn.HashRangeNaive(q) : fn.HashRange(q);
+      }
+      ASSERT_EQ(ids[g], bits::Mix32(expected))
+          << "group " << g << " q=" << q.ToString();
+    }
+  };
+  Rng rng(0x1A9E ^ static_cast<uint64_t>(c.k * 31 + c.l));
+  constexpr int kRanges = 10000;
+  for (int i = 0; i < kRanges; ++i) {
+    const uint32_t width = static_cast<uint32_t>(rng.NextInRange(1, 64));
+    const uint32_t lo = static_cast<uint32_t>(
+        rng.NextBounded(uint64_t{kDomainMax} - width + 2));
+    expect_ids(Range(lo, lo + width - 1), /*naive=*/true);
+  }
+  for (int i = 0; i < kRanges; ++i) {
+    const uint32_t a = static_cast<uint32_t>(rng.NextInRange(0, 1000000));
+    const uint32_t b = static_cast<uint32_t>(rng.NextInRange(0, 1000000));
+    expect_ids(Range(std::min(a, b), std::max(a, b)), /*naive=*/false);
+  }
+  for (const Range& edge : {Range(0, kDomainMax), Range(0, 0),
+                            Range(kDomainMax, kDomainMax)}) {
+    expect_ids(edge, /*naive=*/false);
+  }
+  for (int i = 0; i < kRanges; ++i) {
+    const uint32_t a = rng.Next32();
+    const uint32_t b = rng.Next32();
+    expect_ids(Range(std::min(a, b), std::max(a, b)), /*naive=*/false);
+  }
+}
+
+// The lane kernel on its own: eight functions of both shuffle families,
+// with and without an output XOR, lane by lane against the scalar
+// kernel; lanes left unset in a block must not disturb the set ones.
+TEST(LaneKernelTest, EveryLaneMatchesTheScalarKernel) {
+  Rng rng(0x1A4E5);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<BitPermutation> perms;
+    std::vector<uint32_t> out_xor;
+    PermutedLaneBlock block;
+    const int lanes =
+        round % 2 == 0 ? PermutedLaneBlock::kLanes : 1 + round % 7;
+    for (int i = 0; i < lanes; ++i) {
+      const BitShuffleKeys keys = BitShuffleKeys::Sample(32, rng);
+      perms.emplace_back(keys, i % 2 == 0 ? keys.num_levels() : 1);
+      out_xor.push_back(i % 4 < 2 ? 0u : rng.Next32());
+      block.Set(i, perms.back(), out_xor.back());
+    }
+    std::array<uint32_t, PermutedLaneBlock::kLanes> mins;
+    for (int trial = 0; trial < 5000; ++trial) {
+      uint32_t a = rng.Next32();
+      uint32_t b = rng.Next32();
+      if (trial % 2 == 0) {  // the engine's domain
+        a %= 1000001;
+        b %= 1000001;
+      }
+      const Range q(std::min(a, b), std::max(a, b));
+      MinPermutedOverRangeLanes(block, q, &mins);
+      for (int i = 0; i < lanes; ++i) {
+        ASSERT_EQ(mins[i], MinPermutedOverRange(perms[i], out_xor[i], q))
+            << "lane " << i << " q=" << q.ToString();
+      }
+    }
+  }
 }
 
 // The kernels change no signature bits, so kernel-built schemes must
