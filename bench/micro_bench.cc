@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the performance-critical
 // primitives: permutation evaluation, range hashing, LSH identifier
 // computation, SHA-1, Chord lookups (heavy ring and the engine's
-// compact model), and bucket matching.
+// compact model), whole scenario-engine cells, and bucket matching.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "chord/ring.h"
@@ -17,6 +19,7 @@
 #include "rpc/message.h"
 #include "rpc/tcp_transport.h"
 #include "sim/engine/compact_overlay.h"
+#include "sim/engine/scenario_engine.h"
 #include "store/bucket_store.h"
 #include "tests/support/live_harness.h"
 
@@ -154,6 +157,47 @@ void BM_CompactChordRoute(benchmark::State& state) {
       static_cast<double>(hops), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CompactChordRoute)->Arg(100000);
+
+void BM_ScenarioEngineRun(benchmark::State& state) {
+  // One whole engine cell, Run() only: 10^5 Chord peers, replication 3.
+  // zipf_width 0 is perfbench's engine_uniform cell (2x10^4 uniform
+  // queries); 333000 is the scan-heavy wide-zipf cell under churn
+  // (3x10^3 queries), whose buckets grow to tens of thousands of
+  // copies.
+  sim::ScenarioConfig config;
+  config.kind = overlay::Kind::kChord;
+  config.num_peers = 100000;
+  config.domain = 1000000;
+  config.replication = 3;
+  if (state.range(0) == 0) {
+    config.num_queries = 20000;
+  } else {
+    config.shape = sim::WorkloadShape::kZipf;
+    config.zipf_mean_width = static_cast<double>(state.range(0));
+    config.churn = sim::ChurnMode::kChurn;
+    config.num_queries = 3000;
+  }
+  std::optional<sim::ScenarioEngine> engine;
+  uint64_t queries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.reset();
+    auto made = sim::ScenarioEngine::Make(config);
+    CHECK(made.ok()) << made.status();
+    engine.emplace(std::move(*made));
+    state.ResumeTiming();
+    auto report = engine->Run();
+    benchmark::DoNotOptimize(report);
+    CHECK(report.ok()) << report.status();
+    queries += report->queries;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(queries));
+}
+BENCHMARK(BM_ScenarioEngineRun)
+    ->ArgName("zipf_width")
+    ->Arg(0)
+    ->Arg(333000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BucketBestMatch(benchmark::State& state) {
   BucketStore store;

@@ -4,33 +4,11 @@
 
 namespace p2prange {
 
-uint64_t Range::IntersectionSize(const Range& other) const {
-  const uint32_t lo = std::max(lo_, other.lo_);
-  const uint32_t hi = std::min(hi_, other.hi_);
-  if (lo > hi) return 0;
-  return static_cast<uint64_t>(hi) - lo + 1;
-}
-
-uint64_t Range::UnionSize(const Range& other) const {
-  return size() + other.size() - IntersectionSize(other);
-}
-
 std::optional<Range> Range::Intersection(const Range& other) const {
   const uint32_t lo = std::max(lo_, other.lo_);
   const uint32_t hi = std::min(hi_, other.hi_);
   if (lo > hi) return std::nullopt;
   return Range(lo, hi);
-}
-
-double Range::Jaccard(const Range& other) const {
-  const uint64_t inter = IntersectionSize(other);
-  if (inter == 0) return 0.0;
-  return static_cast<double>(inter) / static_cast<double>(UnionSize(other));
-}
-
-double Range::ContainmentIn(const Range& other) const {
-  return static_cast<double>(IntersectionSize(other)) /
-         static_cast<double>(size());
 }
 
 Range Range::Padded(double fraction, uint32_t domain_lo, uint32_t domain_hi) const {

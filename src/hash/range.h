@@ -7,6 +7,7 @@
 #ifndef P2PRANGE_HASH_RANGE_H_
 #define P2PRANGE_HASH_RANGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -52,24 +53,38 @@ class Range {
   }
 
   /// |this ∩ other| as a count of elements.
-  uint64_t IntersectionSize(const Range& other) const;
+  uint64_t IntersectionSize(const Range& other) const {
+    const uint32_t lo = std::max(lo_, other.lo_);
+    const uint32_t hi = std::min(hi_, other.hi_);
+    if (lo > hi) return 0;
+    return static_cast<uint64_t>(hi) - lo + 1;
+  }
 
   /// |this ∪ other| as a count of elements (the sets may be disjoint;
   /// this is set union, not interval hull).
-  uint64_t UnionSize(const Range& other) const;
+  uint64_t UnionSize(const Range& other) const {
+    return size() + other.size() - IntersectionSize(other);
+  }
 
   /// The overlapping sub-range, if any.
   std::optional<Range> Intersection(const Range& other) const;
 
   /// \brief Jaccard set similarity |Q∩R| / |Q∪R| — the measure the LSH
   /// families are built on (§3.2). In [0, 1]; 1 iff identical.
-  double Jaccard(const Range& other) const;
+  double Jaccard(const Range& other) const {
+    const uint64_t inter = IntersectionSize(other);
+    if (inter == 0) return 0.0;
+    return static_cast<double>(inter) / static_cast<double>(UnionSize(other));
+  }
 
   /// \brief Containment similarity |Q∩R| / |Q| where Q == *this — the
   /// fraction of this range covered by `other`. Not symmetric; does not
   /// admit an LSH family (no triangle inequality), but is the better
   /// best-match criterion inside a bucket (§5.2, Figure 9).
-  double ContainmentIn(const Range& other) const;
+  double ContainmentIn(const Range& other) const {
+    return static_cast<double>(IntersectionSize(other)) /
+           static_cast<double>(size());
+  }
 
   /// \brief Recall of answering query `*this` from cached range
   /// `other`: identical to ContainmentIn, named for the §5.2 metric.

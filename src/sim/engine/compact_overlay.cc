@@ -95,6 +95,27 @@ uint32_t AliveIndex::NextAliveWrapping(uint32_t slot) const {
   return SelectAlive(before < num_alive_ ? before : 0);
 }
 
+uint32_t AliveIndex::PrevAliveWrapping(uint32_t slot) const {
+  DCHECK_GT(num_alive_, 0u);
+  DCHECK_LT(slot, size_);
+  // Mirror of NextAliveWrapping: a live slot earlier in the same word,
+  // or anywhere in the previous one (the last word before word 0).
+  const size_t w = slot >> 6;
+  const uint64_t here = words_[w] & (~uint64_t{0} >> (63 - (slot & 63)));
+  if (here != 0) {
+    return static_cast<uint32_t>((w << 6) + 63 - std::countl_zero(here));
+  }
+  const size_t prev = w > 0 ? w - 1 : words_.size() - 1;
+  if (words_[prev] != 0) {
+    return static_cast<uint32_t>((prev << 6) + 63 -
+                                 std::countl_zero(words_[prev]));
+  }
+  // `upto` alive slots lie at or before `slot`; the last of them is
+  // the answer, or the last alive slot overall when there are none.
+  const size_t upto = CountBefore(slot + 1);
+  return SelectAlive(upto > 0 ? upto - 1 : num_alive_ - 1);
+}
+
 uint32_t AliveIndex::SelectAlive(size_t k) const {
   DCHECK_LT(k, num_alive_);
   // Fenwick binary lifting over words: the longest word prefix holding
@@ -161,6 +182,16 @@ namespace {
 /// ring; routing performs greedy power-of-two finger descent, each hop
 /// landing on the alive successor of cur + 2^k without passing the
 /// target — the same rule ChordRing's finger tables implement.
+///
+/// The descent takes the highest finger whose alive successor lies in
+/// (cur, id]. Let `last` be the last alive peer at or before id; from
+/// an alive cur it lies in [cur, id]. A finger cur + 2^k lands in
+/// (cur, id] exactly when 2^k <= last - cur (its successor is then at
+/// or before `last`); a finger past `last` reaches the owner, beyond
+/// id, and the descent rejects it. So each hop goes to the successor
+/// of cur + 2^k for the top set bit k of last - cur, or to the owner
+/// once cur is `last`: one successor lookup per hop instead of one per
+/// finger tried.
 class CompactChord final : public CompactOverlay {
  public:
   explicit CompactChord(std::vector<uint32_t> ids)
@@ -171,27 +202,27 @@ class CompactChord final : public CompactOverlay {
   uint32_t Owner(uint32_t id) const override { return AliveSuccessorOfId(id); }
 
   uint32_t Route(uint32_t origin, uint32_t id, int* hops) const override {
+    DCHECK(IsAlive(origin));
     const uint32_t owner = Owner(id);
+    if (origin == owner) return owner;
+    const uint32_t last =
+        ids_[owner] == id
+            ? owner
+            : alive_.PrevAliveWrapping(
+                  owner > 0 ? owner - 1
+                            : static_cast<uint32_t>(ids_.size() - 1));
+    const uint32_t last_id = ids_[last];
     uint32_t cur = origin;
-    // 2 * 32 fingers bounds any descent; the fallback successor step
-    // always advances, so this is belt-and-braces, not control flow.
+    // 2 * 32 fingers bounds any descent; every hop advances, so this
+    // is belt-and-braces, not control flow.
     for (int budget = 0; cur != owner && budget < 64; ++budget) {
-      const uint32_t cur_id = ids_[cur];
-      const uint32_t dist = id - cur_id;  // forward ring distance
-      uint32_t chosen = owner;
-      // Fingers above dist's top bit overshoot the target: skip them.
-      for (int k = static_cast<int>(std::bit_width(dist)) - 1; k >= 0; --k) {
-        const uint32_t finger = uint32_t{1} << k;
-        const uint32_t f = AliveSuccessorOfId(cur_id + finger);
-        const uint32_t step = ids_[f] - cur_id;
-        if (step != 0 && step <= dist) {
-          chosen = f;
-          break;
-        }
-        // The first alive node past this finger overshoots the target:
-        // it is the target's successor, i.e. the owner itself.
+      if (cur == last) {
+        cur = owner;
+      } else {
+        const uint32_t cur_id = ids_[cur];
+        const int k = static_cast<int>(std::bit_width(last_id - cur_id)) - 1;
+        cur = AliveSuccessorOfId(cur_id + (uint32_t{1} << k));
       }
-      cur = chosen;
       ++*hops;
     }
     return owner;

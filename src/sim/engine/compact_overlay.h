@@ -10,7 +10,10 @@
 // peer in all — with each substrate's hop count derived from the same
 // structural rules its heavy twin implements (Chord finger descent,
 // CAN torus walks on a d-dimensional grid, Tapestry digit
-// resolution). Peer "slots" are ranks in identifier order.
+// resolution). Peer "slots" are ranks in identifier order. A Chord hop
+// costs one alive-successor lookup: the route finds the last alive
+// peer at or before the target once, and that fixes which finger each
+// hop takes.
 #ifndef P2PRANGE_SIM_ENGINE_COMPACT_OVERLAY_H_
 #define P2PRANGE_SIM_ENGINE_COMPACT_OVERLAY_H_
 
@@ -29,8 +32,9 @@ namespace sim {
 /// Fenwick tree over the per-word counts (n/8 + n/16 bytes, ≈19 KB at
 /// 10^5 slots, so it stays cache-resident). "First alive slot >= r
 /// (wrapping)" answers from r's word or the next one with one
-/// count-trailing-zeros each; rank, select, and the rarer long skips
-/// run over words in O(log(n/64)).
+/// count-trailing-zeros each, and "last alive slot <= r" from r's word
+/// or the previous one; rank, select, and the rarer long skips run
+/// over words in O(log(n/64)).
 class AliveIndex {
  public:
   explicit AliveIndex(size_t n);
@@ -51,6 +55,10 @@ class AliveIndex {
   /// slot < size() and num_alive() > 0.
   uint32_t NextAliveWrapping(uint32_t slot) const;
 
+  /// Last alive slot <= `slot`, wrapping past the start. Requires
+  /// slot < size() and num_alive() > 0.
+  uint32_t PrevAliveWrapping(uint32_t slot) const;
+
   /// The k-th (0-based) alive slot overall. Requires k < num_alive().
   uint32_t SelectAlive(size_t k) const;
 
@@ -70,7 +78,8 @@ class AliveIndex {
 ///
 /// All slot arguments are ranks in the engine's sorted identifier
 /// order. Owner/Route require at least one alive peer; the engine
-/// never fails its last peer.
+/// never fails its last peer. A route starts at an alive origin (the
+/// engine draws it with RandomAliveSlot).
 class CompactOverlay {
  public:
   virtual ~CompactOverlay() = default;

@@ -1,0 +1,71 @@
+// Flat identifier -> row index of the scenario engine's descriptor
+// buckets.
+//
+// One engine query looks up its l bucket identifiers and, on a
+// non-exact answer, adds the ones it has not seen before. A node-based
+// hash map makes each lookup three dependent loads (bucket array, node,
+// vector) and each new identifier a heap allocation. This index is a
+// single open-addressing array instead: every position is one 8-byte
+// slot holding (row + 1) << 32 | id, 0 meaning empty, so a lookup
+// touches one cache line and a caller can prefetch it before routing.
+// Rows are dense, numbered 0, 1, 2, ... in insertion order, and never
+// move when the slot array grows; the engine keeps its copies in a
+// plain vector indexed by row.
+#ifndef P2PRANGE_SIM_ENGINE_IDENTIFIER_INDEX_H_
+#define P2PRANGE_SIM_ENGINE_IDENTIFIER_INDEX_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+namespace p2prange {
+namespace sim {
+
+/// \brief Open-addressing map from a 32-bit identifier to a dense row
+/// number: power-of-two capacity, Fibonacci-hashed home position,
+/// linear probing, at most 3/4 full.
+class IdentifierIndex {
+ public:
+  IdentifierIndex();
+
+  /// Row of `id`, or nullopt if it was never added.
+  std::optional<uint32_t> Find(uint32_t id) const {
+    for (size_t pos = Home(id);; pos = (pos + 1) & mask_) {
+      const uint64_t slot = slots_[pos];
+      if (slot == 0) return std::nullopt;
+      if (static_cast<uint32_t>(slot) == id) {
+        return static_cast<uint32_t>(slot >> 32) - 1;
+      }
+    }
+  }
+
+  /// Row of `id`, adding it as row size() first if it is new.
+  uint32_t FindOrAdd(uint32_t id);
+
+  /// Starts loading `id`'s home slot, ahead of a Find or FindOrAdd.
+  void Prefetch(uint32_t id) const { __builtin_prefetch(&slots_[Home(id)]); }
+
+  /// Number of identifiers (and rows) added so far.
+  size_t size() const { return size_; }
+
+  uint64_t MemoryBytes() const { return slots_.capacity() * sizeof(uint64_t); }
+
+ private:
+  size_t Home(uint32_t id) const {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  /// Doubles the slot array and re-inserts every slot; rows keep
+  /// their numbers.
+  void Grow();
+
+  std::vector<uint64_t> slots_;  ///< (row + 1) << 32 | id; 0 = empty
+  size_t mask_;                  ///< slots_.size() - 1
+  int shift_;                    ///< 64 - log2(slots_.size())
+  size_t size_ = 0;
+};
+
+}  // namespace sim
+}  // namespace p2prange
+
+#endif  // P2PRANGE_SIM_ENGINE_IDENTIFIER_INDEX_H_

@@ -1,6 +1,8 @@
 #include "sim/engine/scenario_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -62,6 +64,22 @@ Status ScenarioConfig::Validate() const {
   if (replication < 1) {
     return Status::InvalidArgument("replication must be >= 1");
   }
+  // NaN passes every ordered test below, and an infinite value breaks
+  // the clock or the generators, so every real field must be finite.
+  const std::pair<const char*, double> reals[] = {
+      {"zipf_theta", zipf_theta},
+      {"zipf_mean_width", zipf_mean_width},
+      {"hot_fraction", hot_fraction},
+      {"query_interval_ms", query_interval_ms},
+      {"churn_interval_ms", churn_interval_ms},
+      {"recover_delay_ms", recover_delay_ms},
+      {"crash_wave_fraction", crash_wave_fraction},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(std::string(name) + " must be finite");
+    }
+  }
   if (query_interval_ms <= 0.0 || churn_interval_ms <= 0.0 ||
       recover_delay_ms <= 0.0) {
     return Status::InvalidArgument("intervals must be positive");
@@ -74,6 +92,10 @@ Status ScenarioConfig::Validate() const {
   }
   if (zipf_mean_width < 1.0) {
     return Status::InvalidArgument("zipf_mean_width must be >= 1");
+  }
+  // ZipfGenerator's sampler is undefined at theta == 1.
+  if (zipf_theta <= 0.0 || zipf_theta == 1.0) {
+    return Status::InvalidArgument("zipf_theta must be > 0 and != 1");
   }
   return Status::OK();
 }
@@ -223,7 +245,12 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
   // its cache-on-miss publish the same way).
   for (size_t g = 0; g < identifier_scratch_.size(); ++g) {
     const uint32_t owner = owner_scratch_[g];
-    std::vector<StoredDesc>& bucket = buckets_[identifier_scratch_[g]];
+    const uint32_t row = index_.FindOrAdd(identifier_scratch_[g]);
+    if (row == rows_.size()) {
+      rows_.emplace_back().reserve(static_cast<size_t>(config_.replication));
+    }
+    // Taken after FindOrAdd: adding a row may move every other row.
+    std::vector<StoredDesc>& bucket = rows_[row];
     uint32_t target = owner;
     for (int copy = 0; copy < config_.replication; ++copy) {
       if (copy > 0) {
@@ -260,21 +287,34 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
   const Range q = next_query_();
   const uint32_t origin = net_->RandomAliveSlot(rng_);
   lsh_->IdentifiersInto(q, &identifier_scratch_);
+  // Every stage below is one independent lookup per identifier, so
+  // each runs over all l before the next starts: the index slots load
+  // while the query routes, and the rows' first copies while the other
+  // rows are looked up. Routing reads only liveness, which no probe
+  // changes, so routing first leaves every answer as it was.
+  for (const uint32_t id : identifier_scratch_) index_.Prefetch(id);
   owner_scratch_.clear();
+  for (const uint32_t id : identifier_scratch_) {
+    int hops = 0;
+    owner_scratch_.push_back(net_->Route(origin, id, &hops));
+    report->hops += static_cast<uint64_t>(hops);
+    report->messages += static_cast<uint64_t>(hops) + 1;  // hops + reply
+    report->bytes += (static_cast<uint64_t>(hops) + 1) * kControlBytes;
+  }
+  row_scratch_.clear();
+  for (const uint32_t id : identifier_scratch_) {
+    const std::optional<uint32_t> row = index_.Find(id);
+    if (row) __builtin_prefetch(rows_[*row].data());
+    row_scratch_.push_back(row);
+  }
 
   // The best valid copy under the shared §4 rule; a miss scores 0.
   double best_score = 0.0;
   bool best_exact = false;
-  for (const uint32_t id : identifier_scratch_) {
-    int hops = 0;
-    const uint32_t owner = net_->Route(origin, id, &hops);
-    owner_scratch_.push_back(owner);
-    report->hops += static_cast<uint64_t>(hops);
-    report->messages += static_cast<uint64_t>(hops) + 1;  // hops + reply
-    report->bytes += (static_cast<uint64_t>(hops) + 1) * kControlBytes;
-    auto it = buckets_.find(id);
-    if (it == buckets_.end()) continue;
-    std::vector<StoredDesc>& bucket = it->second;
+  for (size_t g = 0; g < row_scratch_.size(); ++g) {
+    if (!row_scratch_[g]) continue;
+    const uint32_t owner = owner_scratch_[g];
+    std::vector<StoredDesc>& bucket = rows_[*row_scratch_[g]];
     for (size_t i = 0; i < bucket.size();) {
       const StoredDesc& d = bucket[i];
       if (!CopyValid(d, owner)) {
@@ -341,13 +381,11 @@ void ScenarioEngine::Recover(uint32_t slot, ScenarioReport* report) {
 
 uint64_t ScenarioEngine::MemoryBytes() const {
   uint64_t bytes = net_->MemoryBytes() + queue_.MemoryBytes() +
-                   crash_epoch_.capacity() * sizeof(uint16_t);
-  // unordered_map node overhead, measured generously: bucket array +
-  // one heap node (key + vector header + control) per entry.
-  bytes += buckets_.bucket_count() * sizeof(void*);
-  for (const auto& [id, bucket] : buckets_) {
-    (void)id;
-    bytes += 48 + bucket.capacity() * sizeof(StoredDesc);
+                   crash_epoch_.capacity() * sizeof(uint16_t) +
+                   index_.MemoryBytes() +
+                   rows_.capacity() * sizeof(std::vector<StoredDesc>);
+  for (const std::vector<StoredDesc>& row : rows_) {
+    bytes += row.capacity() * sizeof(StoredDesc);
   }
   return bytes;
 }

@@ -4,7 +4,8 @@
 // WALs, finger tables) — faithful, but ~kilobytes per peer. The
 // scenario engine strips the §4 protocol to its struct-of-arrays
 // skeleton: peers are ranks in a sorted identifier array, descriptors
-// are 20-byte packed rows in bucket-indexed tables, and time advances
+// are 20-byte packed copies in one vector per bucket identifier (found
+// through a flat, prefetchable IdentifierIndex), and time advances
 // through an indexed event queue of query / crash / recover events.
 // What it keeps exact: the real LSH identifier scheme, the §4 match
 // rule of store/bucket_store.h (copies ranked by containment), the
@@ -22,8 +23,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -35,6 +36,7 @@
 #include "overlay/overlay.h"
 #include "sim/engine/compact_overlay.h"
 #include "sim/engine/event_queue.h"
+#include "sim/engine/identifier_index.h"
 
 namespace p2prange {
 namespace sim {
@@ -193,14 +195,18 @@ class ScenarioEngine {
   Rng rng_;  ///< query origins and crash victims
   std::function<Range()> next_query_;
 
-  /// bucket identifier -> replicated descriptor copies.
-  std::unordered_map<uint32_t, std::vector<StoredDesc>> buckets_;
+  /// Bucket identifier -> row of rows_; a row holds the replicated
+  /// descriptor copies published under that identifier.
+  IdentifierIndex index_;
+  std::vector<std::vector<StoredDesc>> rows_;
   /// Per-peer crash epoch; bumping it orphans every resident copy.
   std::vector<uint16_t> crash_epoch_;
 
-  /// The current query's l identifiers and the owner each routed to.
+  /// The current query's l identifiers, the owner each routed to, and
+  /// each one's row (nullopt: no copy was ever published under it).
   std::vector<uint32_t> identifier_scratch_;
   std::vector<uint32_t> owner_scratch_;
+  std::vector<std::optional<uint32_t>> row_scratch_;
   double now_ms_ = 0.0;
   double wave_time_ms_ = -1.0;
   bool ran_ = false;

@@ -16,22 +16,6 @@ const char* MatchCriterionName(MatchCriterion c) {
   return "unknown";
 }
 
-double ScoreMatch(const Range& query, const Range& stored,
-                  MatchCriterion criterion) {
-  switch (criterion) {
-    case MatchCriterion::kJaccard:
-      return query.Jaccard(stored);
-    case MatchCriterion::kContainment:
-      return query.ContainmentIn(stored);
-  }
-  return 0.0;
-}
-
-bool Outranks(double score_a, bool exact_a, double score_b, bool exact_b) {
-  if (score_a != score_b) return score_a > score_b;
-  return exact_a && !exact_b;
-}
-
 void RankCandidates(std::vector<MatchCandidate>* candidates) {
   std::stable_sort(candidates->begin(), candidates->end(),
                    [](const MatchCandidate& a, const MatchCandidate& b) {

@@ -19,6 +19,7 @@
 
 #include "chord/id.h"
 #include "common/result.h"
+#include "hash/range.h"
 #include "store/interval_index.h"
 #include "store/partition_key.h"
 
@@ -44,13 +45,25 @@ struct MatchCandidate {
 // the scenario engine all rank candidates through these three functions.
 
 /// \brief Score of `stored` as an answer to `query` under `criterion`.
-double ScoreMatch(const Range& query, const Range& stored,
-                  MatchCriterion criterion);
+inline double ScoreMatch(const Range& query, const Range& stored,
+                         MatchCriterion criterion) {
+  switch (criterion) {
+    case MatchCriterion::kJaccard:
+      return query.Jaccard(stored);
+    case MatchCriterion::kContainment:
+      return query.ContainmentIn(stored);
+  }
+  return 0.0;
+}
 
 /// \brief True when (score_a, exact_a) is the better answer: the higher
 /// score wins, and an exact copy wins a tie (under containment a
 /// superset scores 1 too, and must not hide the exact copy).
-bool Outranks(double score_a, bool exact_a, double score_b, bool exact_b);
+inline bool Outranks(double score_a, bool exact_a, double score_b,
+                     bool exact_b) {
+  if (score_a != score_b) return score_a > score_b;
+  return exact_a && !exact_b;
+}
 
 /// \brief Stable sort of `candidates`, best first by Outranks.
 void RankCandidates(std::vector<MatchCandidate>* candidates);

@@ -7,9 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/engine/compact_overlay.h"
@@ -156,6 +160,12 @@ void ExpectMatchesReference(const AliveIndex& idx, const std::vector<bool>& ref,
         before[s] < alive.size() ? alive[before[s]] : alive[0];
     ASSERT_EQ(idx.NextAliveWrapping(s), want) << where << " from " << s;
   }
+  for (uint32_t s = 0; s < n; ++s) {
+    // before[s + 1] alive slots lie at or before s.
+    const uint32_t want =
+        before[s + 1] > 0 ? alive[before[s + 1] - 1] : alive.back();
+    ASSERT_EQ(idx.PrevAliveWrapping(s), want) << where << " back from " << s;
+  }
 }
 
 TEST(AliveIndexTest, MatchesVectorBoolReferenceUnderSeededEdits) {
@@ -224,6 +234,119 @@ TEST(CompactOverlayRankTest, RankOfIdMatchesLowerBound) {
   }
 }
 
+// The Chord descent as it was before Route took one successor lookup
+// per hop: from each hop try the fingers cur + 2^k from the top bit of
+// the distance down, and take the first whose alive successor lands in
+// (cur, id]. Successors come from a lower bound over the ids plus a
+// plain scan for a live slot.
+class FingerScanChord {
+ public:
+  explicit FingerScanChord(const CompactOverlay& net) : net_(net) {
+    for (uint32_t s = 0; s < net.num_peers(); ++s) ids_.push_back(net.id_of(s));
+  }
+
+  uint32_t AliveSuccessor(uint32_t id) const {
+    const uint32_t n = static_cast<uint32_t>(ids_.size());
+    uint32_t s = static_cast<uint32_t>(
+        std::lower_bound(ids_.begin(), ids_.end(), id) - ids_.begin());
+    if (s == n) s = 0;
+    while (!net_.IsAlive(s)) s = s + 1 == n ? 0 : s + 1;
+    return s;
+  }
+
+  uint32_t Route(uint32_t origin, uint32_t id, int* hops) const {
+    const uint32_t owner = AliveSuccessor(id);
+    uint32_t cur = origin;
+    for (int budget = 0; cur != owner && budget < 64; ++budget) {
+      const uint32_t cur_id = ids_[cur];
+      const uint32_t dist = id - cur_id;
+      uint32_t chosen = owner;
+      for (int k = static_cast<int>(std::bit_width(dist)) - 1; k >= 0; --k) {
+        const uint32_t f = AliveSuccessor(cur_id + (uint32_t{1} << k));
+        const uint32_t step = ids_[f] - cur_id;
+        if (step != 0 && step <= dist) {
+          chosen = f;
+          break;
+        }
+      }
+      cur = chosen;
+      ++*hops;
+    }
+    return owner;
+  }
+
+ private:
+  const CompactOverlay& net_;
+  std::vector<uint32_t> ids_;
+};
+
+// CompactChord::Route against the finger scan: the same owner and the
+// same hop count from every alive origin (n <= 64) or seeded alive
+// origins plus the owner itself, to every peer id and its neighbours,
+// the ring's ends and seeded ids, under dense, sparse and near-empty
+// alive sets.
+TEST(CompactChordRouteTest, MatchesFingerScanDescent) {
+  for (const uint32_t n : {2u, 3u, 64u, 1000u}) {
+    auto made = MakeCompactOverlay(overlay::Kind::kChord, n, 17 + n, 2);
+    ASSERT_TRUE(made.ok()) << made.status();
+    CompactOverlay& net = **made;
+    const FingerScanChord reference(net);
+    Rng rng(0xC40D ^ n);
+
+    std::vector<uint32_t> ids = {0, std::numeric_limits<uint32_t>::max()};
+    for (uint32_t s = 0; s < n; ++s) {
+      ids.push_back(net.id_of(s) - 1);
+      ids.push_back(net.id_of(s));
+      ids.push_back(net.id_of(s) + 1);
+    }
+    for (int i = 0; i < 64; ++i) ids.push_back(rng.Next32());
+
+    // Each pattern is a liveness rule over slots; at least one survives.
+    const uint32_t mid = n / 2;
+    using AliveIf = std::function<bool(uint32_t)>;
+    const std::vector<std::pair<std::string, AliveIf>> patterns = {
+        {"all alive", [](uint32_t) { return true; }},
+        {"half dead", [&rng](uint32_t) { return rng.NextBounded(2) == 0; }},
+        {"90% dead", [&rng](uint32_t) { return rng.NextBounded(10) == 0; }},
+        {"one survivor", [mid](uint32_t s) { return s == mid; }},
+        {"two adjacent survivors",
+         [mid](uint32_t s) { return s == mid || s == mid - 1; }},
+        {"two survivors across the wrap",
+         [n](uint32_t s) { return s == 0 || s == n - 1; }},
+    };
+    for (const auto& [name, alive_if] : patterns) {
+      for (uint32_t s = 0; s < n; ++s) net.SetAlive(s, alive_if(s));
+      if (net.num_alive() == 0) net.SetAlive(mid, true);
+      std::vector<uint32_t> alive;
+      for (uint32_t s = 0; s < n; ++s) {
+        if (net.IsAlive(s)) alive.push_back(s);
+      }
+      for (const uint32_t id : ids) {
+        const uint32_t owner = reference.AliveSuccessor(id);
+        std::vector<uint32_t> origins = {owner};
+        if (n <= 64) {
+          origins = alive;
+        } else {
+          for (int i = 0; i < 8; ++i) {
+            origins.push_back(alive[rng.NextBounded(alive.size())]);
+          }
+        }
+        for (const uint32_t origin : origins) {
+          int want_hops = 0;
+          int got_hops = 0;
+          ASSERT_EQ(net.Route(origin, id, &got_hops),
+                    reference.Route(origin, id, &want_hops))
+              << "n=" << n << " " << name << " origin " << origin << " id "
+              << id;
+          ASSERT_EQ(got_hops, want_hops) << "n=" << n << " " << name
+                                         << " origin " << origin << " id "
+                                         << id;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- scenarios
 
 ScenarioConfig SmallConfig(overlay::Kind kind, ChurnMode churn,
@@ -251,6 +374,54 @@ TEST(ScenarioEngineTest, ValidatesConfig) {
                     WorkloadShape::kZipf);
   bad.zipf_mean_width = 0.5;
   EXPECT_TRUE(ScenarioEngine::Make(bad).status().IsInvalidArgument());
+
+  // Each of these used to pass Validate and then CHECK-abort in a
+  // generator (ZipfGenerator's theta, a NaN hotspot or width), cast a
+  // NaN crash fraction to size_t, or put a NaN or infinite interval on
+  // the clock.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Mutate = std::function<void(ScenarioConfig*)>;
+  const std::vector<std::pair<std::string, Mutate>> cases = {
+      {"zipf_theta 0", [](ScenarioConfig* c) { c->zipf_theta = 0.0; }},
+      {"zipf_theta -0.5", [](ScenarioConfig* c) { c->zipf_theta = -0.5; }},
+      {"zipf_theta 1", [](ScenarioConfig* c) { c->zipf_theta = 1.0; }},
+      {"zipf_theta NaN", [&](ScenarioConfig* c) { c->zipf_theta = nan; }},
+      {"zipf_theta inf", [&](ScenarioConfig* c) { c->zipf_theta = inf; }},
+      {"zipf_mean_width NaN",
+       [&](ScenarioConfig* c) { c->zipf_mean_width = nan; }},
+      {"zipf_mean_width inf",
+       [&](ScenarioConfig* c) { c->zipf_mean_width = inf; }},
+      {"hot_fraction NaN",
+       [&](ScenarioConfig* c) { c->hot_fraction = nan; }},
+      {"crash_wave_fraction NaN",
+       [&](ScenarioConfig* c) { c->crash_wave_fraction = nan; }},
+      {"query_interval_ms NaN",
+       [&](ScenarioConfig* c) { c->query_interval_ms = nan; }},
+      {"query_interval_ms inf",
+       [&](ScenarioConfig* c) { c->query_interval_ms = inf; }},
+      {"churn_interval_ms NaN",
+       [&](ScenarioConfig* c) { c->churn_interval_ms = nan; }},
+      {"churn_interval_ms inf",
+       [&](ScenarioConfig* c) { c->churn_interval_ms = inf; }},
+      {"recover_delay_ms NaN",
+       [&](ScenarioConfig* c) { c->recover_delay_ms = nan; }},
+      {"recover_delay_ms inf",
+       [&](ScenarioConfig* c) { c->recover_delay_ms = inf; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    ScenarioConfig config = SmallConfig(overlay::Kind::kChord,
+                                        ChurnMode::kCrashWave,
+                                        WorkloadShape::kZipf);
+    mutate(&config);
+    EXPECT_TRUE(config.Validate().IsInvalidArgument()) << name;
+    EXPECT_TRUE(ScenarioEngine::Make(config).status().IsInvalidArgument())
+        << name;
+  }
+  ScenarioConfig steep = SmallConfig(overlay::Kind::kChord, ChurnMode::kNone,
+                                     WorkloadShape::kZipf);
+  steep.zipf_theta = 1.5;
+  EXPECT_TRUE(steep.Validate().ok());
 }
 
 TEST(ScenarioEngineTest, QueryStreamReplaysWithinTheDomain) {
