@@ -107,7 +107,9 @@ Result<NetAddress> CanNetwork::Route(const NetAddress& from, const Point& p,
                                    " is not a live CAN node");
   }
   std::set<NetAddress> visited;
-  for (int step = 0; step < config_.max_route_steps; ++step) {
+  // Safety bound on greedy routing steps.
+  constexpr int kMaxRouteSteps = 4096;
+  for (int step = 0; step < kMaxRouteSteps; ++step) {
     if (cur->Owns(p)) return cur->addr();
     visited.insert(cur->addr());
     // Greedy: forward to the neighbor whose zones are closest to the

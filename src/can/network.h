@@ -23,8 +23,6 @@ namespace can {
 /// \brief Tunables of the CAN overlay.
 struct CanConfig {
   int dims = 2;  ///< dimensionality d of the coordinate space
-  /// Safety bound on greedy routing steps.
-  int max_route_steps = 4096;
   /// Latency/loss model of the underlying simulated network.
   LatencyModel latency;
 };

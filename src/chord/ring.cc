@@ -158,7 +158,6 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
         if (out != nullptr) {
           ++out->hops;
           out->latency_ms += *latency;
-          out->path.push_back(node(to)->id());
         }
         return Status::OK();
       }
@@ -170,7 +169,9 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
   };
 
   const ChordNode* cur = origin;
-  for (int step = 0; step < config_.max_lookup_steps; ++step) {
+  // Safety bound on routing steps before a lookup is declared broken.
+  constexpr int kMaxLookupSteps = 3 * kIdBits;
+  for (int step = 0; step < kMaxLookupSteps; ++step) {
     const NodeInfo succ = FirstAliveSuccessor(*cur);
     if (InOpenClosed(cur->id(), succ.id, target)) {
       // succ owns the target; contact it (the final routing hop),

@@ -24,8 +24,6 @@ namespace chord {
 struct ChordConfig {
   /// Successor-list length (fault tolerance; Chord suggests O(log N)).
   int successor_list_len = 8;
-  /// Safety bound on routing steps before a lookup is declared broken.
-  int max_lookup_steps = 3 * kIdBits;
   /// Latency/loss model of the underlying simulated network.
   LatencyModel latency;
   /// Retransmissions per routing message when it is lost in transit.
@@ -39,8 +37,6 @@ struct LookupResult {
   int hops = 0;
   /// Total simulated network latency of the contacted path.
   double latency_ms = 0.0;
-  /// Identifiers of the contacted nodes in order (excludes the origin).
-  std::vector<ChordId> path;
 };
 
 /// \brief A simulated Chord ring over a 32-bit identifier space.

@@ -1,5 +1,6 @@
-// The one number format of every JSON metrics export (SystemMetrics,
-// NetworkStats, ScenarioReport), so their floats always render alike.
+// The one float format of the JSON metrics exports. ScenarioReport is
+// the only export with floats today; the daemon's sections (RpcStats,
+// membership, re-replication, executor) are all integers.
 #ifndef P2PRANGE_COMMON_JSON_H_
 #define P2PRANGE_COMMON_JSON_H_
 

@@ -19,8 +19,6 @@ std::vector<int>& HeldRanks() {
 
 }  // namespace
 
-#ifndef P2PRANGE_NO_LOCK_RANKS
-
 void NoteAcquire(int rank, bool check_order) {
   if (rank == kNoLockRank) return;
   std::vector<int>& held = HeldRanks();
@@ -48,13 +46,6 @@ void NoteRelease(int rank) {
   LOG_FATAL() << "releasing a rank-" << rank
               << " lock this thread does not hold";
 }
-
-#else  // P2PRANGE_NO_LOCK_RANKS
-
-void NoteAcquire(int, bool) {}
-void NoteRelease(int) {}
-
-#endif  // P2PRANGE_NO_LOCK_RANKS
 
 uint64_t ThisThreadTag() {
   static std::atomic<uint64_t> next{1};

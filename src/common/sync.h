@@ -20,9 +20,8 @@
 //    CHECK-aborts with both ranks in the message. Deadlock ordering
 //    is thereby enforced in the ordinary ctest/TSan builds, not just
 //    reasoned about in comments. Unranked mutexes skip the
-//    bookkeeping entirely; -DP2PRANGE_NO_LOCK_RANKS compiles it out
-//    for maximal-performance production builds. The rank table lives
-//    in DESIGN.md ("Engineering standards").
+//    bookkeeping entirely; ranked ones always check, in every build.
+//    The rank table lives in DESIGN.md ("Engineering standards").
 //
 // The layer also owns the two single-threaded-by-contract seams:
 // ThreadChecker (sticky owner thread, for the scenario engine) and

@@ -15,6 +15,7 @@
 #ifndef P2PRANGE_CORE_ADAPTIVE_PADDING_H_
 #define P2PRANGE_CORE_ADAPTIVE_PADDING_H_
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 
@@ -22,18 +23,24 @@ namespace p2prange {
 
 /// \brief Tunables of the controller.
 struct AdaptivePaddingConfig {
-  double initial = 0.05;   ///< starting fraction per edge
-  double min = 0.0;
-  double max = 0.5;        ///< never pad more than half the range per edge
-  double increase = 1.5;   ///< multiplier on an incomplete answer
-  double decrease = 0.9;   ///< multiplier on a complete answer
-  /// Floor used when increasing from (near) zero.
-  double step_floor = 0.02;
+  /// Starting fraction per edge; finite and >= 0 (checked by
+  /// RangeCacheSystem::Make).
+  double initial = 0.05;
 };
 
 /// \brief Per-column padding state driven by lookup outcomes.
 class AdaptivePaddingController {
  public:
+  /// Never pad more than half the range per edge.
+  static constexpr double kMax = 0.5;
+  /// Multiplier on an incomplete answer.
+  static constexpr double kIncrease = 1.5;
+  /// Multiplier on a complete answer. The padding starts >= 0 and only
+  /// shrinks by this factor, so it never drops below zero.
+  static constexpr double kDecrease = 0.9;
+  /// Floor used when increasing from (near) zero.
+  static constexpr double kStepFloor = 0.02;
+
   explicit AdaptivePaddingController(AdaptivePaddingConfig config = {})
       : config_(config) {}
 
@@ -47,11 +54,10 @@ class AdaptivePaddingController {
   void Observe(const std::string& column_key, double recall) {
     double& pad = state_.try_emplace(column_key, config_.initial).first->second;
     if (recall >= 1.0) {
-      pad *= config_.decrease;
-      if (pad < config_.min) pad = config_.min;
+      pad *= kDecrease;
     } else {
-      pad = std::max(pad * config_.increase, config_.step_floor);
-      if (pad > config_.max) pad = config_.max;
+      pad = std::max(pad * kIncrease, kStepFloor);
+      if (pad > kMax) pad = kMax;
     }
   }
 

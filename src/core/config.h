@@ -6,7 +6,6 @@
 
 #include "chord/ring.h"
 #include "core/adaptive_padding.h"
-#include "core/column_stats.h"
 #include "core/fault_policy.h"
 #include "hash/lsh.h"
 #include "overlay/overlay.h"
@@ -58,13 +57,6 @@ struct SystemConfig {
   /// jointly do (greedy interval cover, at most max_coverage_pieces).
   bool assemble_coverage = false;
   size_t max_coverage_pieces = 8;
-
-  /// §6 future work: statistics-based planning. The querying side
-  /// tracks per-column cache usefulness and skips the l-lookup probe
-  /// for columns whose cache has proven useless (with periodic
-  /// re-exploration).
-  bool stats_planning = false;
-  StatsPlanningConfig stats;
 
   /// §6 extension: cache whole query results, addressed by the
   /// canonical plan text through the exact-match DHT path. Only

@@ -10,29 +10,31 @@
 #ifndef P2PRANGE_CORE_FAULT_POLICY_H_
 #define P2PRANGE_CORE_FAULT_POLICY_H_
 
+#include <cmath>
+
 #include "common/status.h"
 
 namespace p2prange {
 
 /// \brief How the system retries, backs off, and gives up.
 struct FaultPolicy {
+  // The backoff schedule between retransmissions, shared by the
+  // simulator (RangeCacheSystem) and the live client (RingClient).
+
+  /// Wait before the first retransmission, in ms; charged to the
+  /// operation's latency in the simulator.
+  static constexpr double kBackoffBaseMs = 10.0;
+  /// Multiplier applied to the wait after every failed attempt.
+  static constexpr double kBackoffMultiplier = 2.0;
+  /// Cap on a single backoff wait.
+  static constexpr double kBackoffMaxMs = 500.0;
+  /// Fraction of each wait randomized uniformly (0 = deterministic,
+  /// 1 = full jitter): wait * (1 - jitter + jitter * U[0,1)).
+  static constexpr double kBackoffJitter = 0.5;
+
   /// Retransmissions per message after the first attempt. Only transit
   /// loss (IOError) is retried; a dead peer (Unavailable) fails fast.
   int max_retries = 3;
-
-  /// Wait before the first retransmission, in simulated ms; charged to
-  /// the operation's latency.
-  double backoff_base_ms = 10.0;
-
-  /// Multiplier applied to the wait after every failed attempt.
-  double backoff_multiplier = 2.0;
-
-  /// Cap on a single backoff wait.
-  double backoff_max_ms = 500.0;
-
-  /// Fraction of each wait randomized uniformly (0 = deterministic,
-  /// 1 = full jitter): wait * (1 - jitter + jitter * U[0,1)).
-  double backoff_jitter = 0.5;
 
   /// Latency budget of one top-level operation (a range lookup's whole
   /// l-identifier fan-out), in simulated ms. Once an operation has
@@ -45,17 +47,9 @@ struct FaultPolicy {
     if (max_retries < 0) {
       return Status::InvalidArgument("FaultPolicy.max_retries must be >= 0");
     }
-    if (backoff_base_ms < 0.0 || backoff_max_ms < 0.0) {
-      return Status::InvalidArgument("FaultPolicy backoff waits must be >= 0");
-    }
-    if (backoff_multiplier < 1.0) {
-      return Status::InvalidArgument("FaultPolicy.backoff_multiplier must be >= 1");
-    }
-    if (backoff_jitter < 0.0 || backoff_jitter > 1.0) {
-      return Status::InvalidArgument("FaultPolicy.backoff_jitter must be in [0, 1]");
-    }
-    if (op_budget_ms < 0.0) {
-      return Status::InvalidArgument("FaultPolicy.op_budget_ms must be >= 0");
+    if (!std::isfinite(op_budget_ms) || op_budget_ms < 0.0) {
+      return Status::InvalidArgument(
+          "FaultPolicy.op_budget_ms must be finite and >= 0");
     }
     return Status::OK();
   }

@@ -1,13 +1,10 @@
 #include "core/metrics.h"
 
-#include "common/json.h"
-
 namespace p2prange {
 
 namespace {
 
-/// Every counter with its export name, in one place, so the text and
-/// JSON renderings can never disagree on coverage. The renderers walk
+/// Every counter with its export name, in one place: ToString walks
 /// this list, so a new counter is exported by adding one row here.
 struct Field {
   const char* name;
@@ -25,7 +22,6 @@ constexpr Field kCounters[] = {
     {"eq_hits", &SystemMetrics::eq_hits},
     {"result_cache_lookups", &SystemMetrics::result_cache_lookups},
     {"result_cache_hits", &SystemMetrics::result_cache_hits},
-    {"lookups_skipped", &SystemMetrics::lookups_skipped},
     {"coverage_assemblies", &SystemMetrics::coverage_assemblies},
     {"source_fetches", &SystemMetrics::source_fetches},
     {"cache_fetches", &SystemMetrics::cache_fetches},
@@ -48,13 +44,6 @@ constexpr Field kCounters[] = {
      &SystemMetrics::recovery_descriptors_restored},
     {"recovery_descriptors_repaired",
      &SystemMetrics::recovery_descriptors_repaired},
-    {"connections_accepted", &SystemMetrics::connections_accepted},
-    {"connections_shed", &SystemMetrics::connections_shed},
-    {"slow_readers_evicted", &SystemMetrics::slow_readers_evicted},
-    {"idle_connections_closed", &SystemMetrics::idle_connections_closed},
-    {"corrupt_frames_dropped", &SystemMetrics::corrupt_frames_dropped},
-    {"bytes_per_peer", &SystemMetrics::bytes_per_peer},
-    {"event_queue_depth", &SystemMetrics::event_queue_depth},
 };
 
 }  // namespace
@@ -67,21 +56,6 @@ std::string SystemMetrics::ToString() const {
     out += '=';
     out += std::to_string(this->*f.value);
   }
-  return out;
-}
-
-std::string SystemMetrics::ToJson() const {
-  std::string out = "{";
-  for (const Field& f : kCounters) {
-    if (out.size() > 1) out += ',';
-    out += '"';
-    out += f.name;
-    out += "\":";
-    out += std::to_string(this->*f.value);
-  }
-  out += ",\"latency_ms\":" + JsonDouble(latency_ms);
-  out += ",\"backoff_latency_ms\":" + JsonDouble(backoff_latency_ms);
-  out += "}";
   return out;
 }
 

@@ -23,7 +23,6 @@ struct SystemMetrics {
   uint64_t result_cache_lookups = 0;  ///< whole-query result probes
   uint64_t result_cache_hits = 0;
 
-  uint64_t lookups_skipped = 0;  ///< cache probes avoided by stats planning
   uint64_t coverage_assemblies = 0;  ///< leaves served by multiple partitions
 
   uint64_t source_fetches = 0;  ///< leaf answered from the base relation
@@ -58,27 +57,7 @@ struct SystemMetrics {
   uint64_t recovery_descriptors_repaired = 0;  ///< descriptors re-pulled from
                                                ///< live replicas post-recovery
 
-  // --- Connection-lifecycle counters (live transport, DESIGN.md §11) --
-  // Filled from TcpServer RpcStats by the daemons' harnesses; zero in
-  // pure-simulation runs.
-
-  uint64_t connections_accepted = 0;     ///< TCP accepts completed
-  uint64_t connections_shed = 0;         ///< refused at accept (conn limit)
-  uint64_t slow_readers_evicted = 0;     ///< write backlog over the cap
-  uint64_t idle_connections_closed = 0;  ///< read-idle/first-frame deadline
-  uint64_t corrupt_frames_dropped = 0;   ///< CRC/length/envelope rejections
-
-  // --- Scenario-engine gauges (set by sim::ScenarioEngine; zero in
-  // plain RangeCacheSystem runs) -------------------------------------
-
-  uint64_t bytes_per_peer = 0;     ///< resident engine bytes per simulated peer
-  uint64_t event_queue_depth = 0;  ///< high-water mark of pending events
-
   std::string ToString() const;
-
-  /// Single-line JSON object (no trailing newline), for the daemon's
-  /// --metrics_json export and harness scraping.
-  std::string ToJson() const;
 };
 
 }  // namespace p2prange

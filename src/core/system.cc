@@ -1,6 +1,7 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/logging.h"
@@ -27,19 +28,19 @@ Result<double> RangeCacheSystem::DeliverWithPolicy(const NetAddress& from,
                                                    OpBudget* budget) {
   const FaultPolicy& policy = config_.fault;
   double total = 0.0;
-  double wait = policy.backoff_base_ms;
+  double wait = FaultPolicy::kBackoffBaseMs;
   Status last;
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff before the retransmission; the wait is
       // simulated time the operation spends doing nothing, so it is
       // charged as latency like any network delay.
-      double pause = std::min(wait, policy.backoff_max_ms);
-      pause *= 1.0 - policy.backoff_jitter +
-               policy.backoff_jitter * rng_.NextDouble();
+      double pause = std::min(wait, FaultPolicy::kBackoffMaxMs);
+      pause *= 1.0 - FaultPolicy::kBackoffJitter +
+               FaultPolicy::kBackoffJitter * rng_.NextDouble();
       total += pause;
       metrics_.backoff_latency_ms += pause;
-      wait *= policy.backoff_multiplier;
+      wait *= FaultPolicy::kBackoffMultiplier;
       ++metrics_.retransmissions;
     }
     auto latency = overlay_->DeliverBytes(from, to, payload_bytes);
@@ -66,13 +67,16 @@ RangeCacheSystem::RangeCacheSystem(const SystemConfig& config, Catalog catalog)
     : config_(config),
       catalog_(std::move(catalog)),
       padding_controller_(config.adaptive),
-      column_stats_(config.stats),
       rng_(config.seed ^ 0xfa017edULL) {}
 
 Result<RangeCacheSystem> RangeCacheSystem::Make(const SystemConfig& config,
                                                 Catalog catalog) {
-  if (config.padding < 0.0) {
-    return Status::InvalidArgument("padding must be non-negative");
+  if (!std::isfinite(config.padding) || config.padding < 0.0) {
+    return Status::InvalidArgument("padding must be finite and non-negative");
+  }
+  if (!std::isfinite(config.adaptive.initial) || config.adaptive.initial < 0.0) {
+    return Status::InvalidArgument(
+        "adaptive.initial must be finite and non-negative");
   }
   if (config.descriptor_replication < 1) {
     return Status::InvalidArgument("descriptor_replication must be >= 1");
@@ -486,24 +490,14 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     std::optional<Candidate> best;
     std::optional<Candidate> best_cover;  // by assembled coverage
     std::optional<RangeLookupOutcome> primary_lookup;
-    PartitionKey primary_key;
     for (const RangeSelection& sel : ranges) {
       ASSIGN_OR_RETURN(const AttributeDomain domain,
                        catalog_.GetDomain(leaf.table, sel.attribute));
       ASSIGN_OR_RETURN(const Range encoded,
                        domain.EncodeClampedRange(sel.lo, sel.hi));
       const PartitionKey key{leaf.table, sel.attribute, encoded};
-      if (primary_key.relation.empty()) primary_key = key;
-      // §6 statistics-based planning: skip probing columns whose cache
-      // has proven useless (with periodic exploration).
-      const std::string column_key = leaf.table + "." + sel.attribute;
-      if (config_.stats_planning && !column_stats_.ShouldProbe(column_key)) {
-        ++metrics_.lookups_skipped;
-        continue;
-      }
       ASSIGN_OR_RETURN(RangeLookupOutcome lookup, LookupRangeFrom(client, key));
       const double recall = lookup.match ? lookup.match->recall : 0.0;
-      if (config_.stats_planning) column_stats_.Observe(column_key, recall);
       const double best_recall =
           best && best->lookup.match ? best->lookup.match->recall : -1.0;
       if (!primary_lookup) primary_lookup = lookup;
@@ -598,15 +592,10 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     // copy — the lookup's cache-on-miss step does not run on an exact
     // hit, and the exact hit may have been a descriptor whose holder
     // never materialized the bytes (e.g. published by a metadata-only
-    // lookup).
-    Range primary_effective = primary_key.range;
-    if (primary_lookup) {
-      primary_effective = primary_lookup->effective_query;
-    } else {
-      ASSIGN_OR_RETURN(primary_effective, EffectiveRange(primary_key));
-    }
+    // lookup). Every selection ran a lookup, so the first one is set.
+    DCHECK(primary_lookup.has_value());
     const PartitionKey effective_key{leaf.table, ranges.front().attribute,
-                                     primary_effective};
+                                     primary_lookup->effective_query};
     if (config_.cache_on_miss) {
       RETURN_NOT_OK(MaterializePartition(effective_key, client));
       RETURN_NOT_OK(PublishPartition(effective_key, client));
@@ -627,7 +616,7 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     }
     outcome->from_source = true;
     outcome->recall = 1.0;
-    if (primary_lookup) outcome->lookup = std::move(*primary_lookup);
+    outcome->lookup = std::move(*primary_lookup);
     return Status::OK();
   }
 

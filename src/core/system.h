@@ -203,10 +203,6 @@ class RangeCacheSystem {
     return padding_controller_;
   }
 
-  /// The per-column planner statistics (meaningful when
-  /// config().stats_planning is set).
-  const ColumnStats& column_stats() const { return column_stats_; }
-
   /// Address of the data-source peer.
   const NetAddress& source_address() const { return source_; }
 
@@ -272,7 +268,6 @@ class RangeCacheSystem {
   SystemConfig config_;
   Catalog catalog_;
   AdaptivePaddingController padding_controller_;
-  ColumnStats column_stats_;
   std::unique_ptr<overlay::Overlay> overlay_;
   std::unique_ptr<LshScheme> lsh_;
   std::unordered_map<NetAddress, std::unique_ptr<Peer>, NetAddressHash> peers_;

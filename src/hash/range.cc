@@ -14,7 +14,12 @@ std::optional<Range> Range::Intersection(const Range& other) const {
 Range Range::Padded(double fraction, uint32_t domain_lo, uint32_t domain_hi) const {
   DCHECK_GE(fraction, 0.0);
   DCHECK_LE(domain_lo, domain_hi);
-  const uint64_t pad = static_cast<uint64_t>(fraction * static_cast<double>(size()));
+  // A pad of 2^32 already saturates both edges for any bounds, so
+  // clamping to it changes no result and keeps the cast below defined
+  // (and the sums below from wrapping) for every finite fraction.
+  constexpr double kSaturatingPad = 4294967296.0;
+  const uint64_t pad = static_cast<uint64_t>(
+      std::min(fraction * static_cast<double>(size()), kSaturatingPad));
   uint32_t lo = lo_;
   uint32_t hi = hi_;
   // Widen, saturating at the attribute-domain bounds.

@@ -18,14 +18,9 @@ uint32_t AddressId(const NetAddress& addr) {
 
 Result<std::unique_ptr<Overlay>> CanOverlay::Make(size_t num_nodes,
                                                   uint64_t seed,
-                                                  const can::CanConfig& config,
-                                                  int replica_list_len) {
-  if (replica_list_len < 1) {
-    return Status::InvalidArgument("replica_list_len must be >= 1");
-  }
+                                                  const can::CanConfig& config) {
   ASSIGN_OR_RETURN(auto net, can::CanNetwork::Make(num_nodes, seed, config));
-  std::unique_ptr<Overlay> out =
-      std::make_unique<CanOverlay>(std::move(net), replica_list_len);
+  std::unique_ptr<Overlay> out = std::make_unique<CanOverlay>(std::move(net));
   return out;
 }
 
@@ -58,9 +53,7 @@ std::vector<PeerInfo> CanOverlay::ReplicaCandidates(
               if (a.id != b.id) return a.id < b.id;
               return a.addr.ToString() < b.addr.ToString();
             });
-  if (out.size() > static_cast<size_t>(replica_list_len_)) {
-    out.resize(static_cast<size_t>(replica_list_len_));
-  }
+  if (out.size() > kReplicaListLen) out.resize(kReplicaListLen);
   return out;
 }
 

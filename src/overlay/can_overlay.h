@@ -18,11 +18,9 @@ namespace overlay {
 class CanOverlay final : public Overlay {
  public:
   static Result<std::unique_ptr<Overlay>> Make(size_t num_nodes, uint64_t seed,
-                                               const can::CanConfig& config,
-                                               int replica_list_len);
+                                               const can::CanConfig& config);
 
-  CanOverlay(can::CanNetwork net, int replica_list_len)
-      : can_(std::move(net)), replica_list_len_(replica_list_len) {}
+  explicit CanOverlay(can::CanNetwork net) : can_(std::move(net)) {}
 
   Kind kind() const override { return Kind::kCan; }
 
@@ -65,7 +63,6 @@ class CanOverlay final : public Overlay {
 
  private:
   mutable can::CanNetwork can_;
-  int replica_list_len_;
 };
 
 }  // namespace overlay

@@ -36,14 +36,11 @@ Result<std::unique_ptr<Overlay>> MakeOverlay(
     case Kind::kCan: {
       can::CanConfig config;
       config.dims = params.can_dims;
-      config.max_route_steps = params.can_max_route_steps;
       config.latency = chord_config.latency;
-      return CanOverlay::Make(num_nodes, seed, config,
-                              params.replica_list_len);
+      return CanOverlay::Make(num_nodes, seed, config);
     }
     case Kind::kTapestry:
-      return TapestryOverlay::Make(num_nodes, seed, chord_config.latency,
-                                   params.replica_list_len);
+      return TapestryOverlay::Make(num_nodes, seed, chord_config.latency);
   }
   return Status::InvalidArgument("unknown overlay kind");
 }

@@ -154,12 +154,11 @@ struct OverlayParams {
   Kind kind = Kind::kChord;
   /// CAN dimensionality d (hops scale as d/4 * n^(1/d)).
   int can_dims = 2;
-  /// Safety bound on CAN greedy routing steps.
-  int can_max_route_steps = 4096;
-  /// Replica-list depth for CAN/Tapestry ReplicaCandidates (Chord uses
-  /// its successor-list length).
-  int replica_list_len = 8;
 };
+
+/// Replica-list depth of the CAN and Tapestry ReplicaCandidates (Chord
+/// uses its successor-list length).
+inline constexpr size_t kReplicaListLen = 8;
 
 }  // namespace overlay
 }  // namespace p2prange

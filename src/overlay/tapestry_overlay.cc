@@ -14,15 +14,11 @@ PeerInfo FromMesh(const tapestry::MeshNodeInfo& n) {
 }  // namespace
 
 Result<std::unique_ptr<Overlay>> TapestryOverlay::Make(
-    size_t num_nodes, uint64_t seed, const LatencyModel& latency,
-    int replica_list_len) {
-  if (replica_list_len < 1) {
-    return Status::InvalidArgument("replica_list_len must be >= 1");
-  }
+    size_t num_nodes, uint64_t seed, const LatencyModel& latency) {
   ASSIGN_OR_RETURN(auto mesh,
                    tapestry::TapestryMesh::Make(num_nodes, seed, latency));
   std::unique_ptr<Overlay> out =
-      std::make_unique<TapestryOverlay>(std::move(mesh), replica_list_len);
+      std::make_unique<TapestryOverlay>(std::move(mesh));
   return out;
 }
 
@@ -73,8 +69,7 @@ std::vector<PeerInfo> TapestryOverlay::ReplicaCandidates(
   // deterministic analogue of Chord's successor list.
   size_t start = 0;
   while (start < alive.size() && alive[start].id <= node->id()) ++start;
-  for (size_t k = 0; k < alive.size() && out.size() <
-       static_cast<size_t>(replica_list_len_); ++k) {
+  for (size_t k = 0; k < alive.size() && out.size() < kReplicaListLen; ++k) {
     const auto& cand = alive[(start + k) % alive.size()];
     if (cand.addr == owner) continue;
     out.push_back(FromMesh(cand));

@@ -17,11 +17,10 @@ namespace overlay {
 class TapestryOverlay final : public Overlay {
  public:
   static Result<std::unique_ptr<Overlay>> Make(size_t num_nodes, uint64_t seed,
-                                               const LatencyModel& latency,
-                                               int replica_list_len);
+                                               const LatencyModel& latency);
 
-  TapestryOverlay(tapestry::TapestryMesh mesh, int replica_list_len)
-      : mesh_(std::move(mesh)), replica_list_len_(replica_list_len) {}
+  explicit TapestryOverlay(tapestry::TapestryMesh mesh)
+      : mesh_(std::move(mesh)) {}
 
   Kind kind() const override { return Kind::kTapestry; }
 
@@ -64,7 +63,6 @@ class TapestryOverlay final : public Overlay {
 
  private:
   mutable tapestry::TapestryMesh mesh_;
-  int replica_list_len_;
 };
 
 }  // namespace overlay

@@ -5,12 +5,10 @@
 #include <cstring>
 #include <fstream>
 
-#include "common/json.h"
 #include "common/memory.h"
 
 #include "rpc/membership.h"
 #include "rpc/multi_op.h"
-#include "rpc/tcp_transport.h"
 #include "wire/serde.h"
 
 namespace p2prange {
@@ -52,17 +50,6 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
     return Status::IOError("rename " + tmp + " -> " + path + " failed");
   }
   return Status::OK();
-}
-
-std::string NetworkStatsToJson(const NetworkStats& s) {
-  std::string out = "{";
-  out += "\"messages\":" + std::to_string(s.messages);
-  out += ",\"bytes\":" + std::to_string(s.bytes);
-  out += ",\"total_latency_ms\":" + JsonDouble(s.total_latency_ms);
-  out += ",\"failed_deliveries\":" + std::to_string(s.failed_deliveries);
-  out += ",\"lost_messages\":" + std::to_string(s.lost_messages);
-  out += "}";
-  return out;
 }
 
 }  // namespace
@@ -307,9 +294,9 @@ Result<std::string> NodeService::Handle(MsgType type, std::string_view body) {
     case MsgType::kFetchPartition:
       return HandleFetchPartition(body);
     case MsgType::kMetrics:
-      // The daemon wraps Handle() to merge transport stats in; served
-      // bare, the node's own counters still tell most of the story.
-      return MetricsJson(NetworkStats{}, RpcStats{});
+      // Only the node block: the daemon answers kMetrics itself with
+      // the full document it writes to --metrics_json.
+      return MetricsJson();
     case MsgType::kJoin:
     case MsgType::kLeave:
     case MsgType::kNotify:
@@ -557,9 +544,7 @@ Result<std::string> NodeService::HandleMultiOp(std::string_view body) {
   return EncodeMultiOpResponse(resp);
 }
 
-std::string NodeService::MetricsJson(const NetworkStats& net,
-                                     const RpcStats& rpc,
-                                     std::string_view extra) const {
+std::string NodeService::MetricsJson(std::string_view extra) const {
   std::string out = "{\"node\":{";
   out += "\"addr\":\"" + self_.ToString() + "\"";
   out += ",\"id\":" + std::to_string(id_);
@@ -593,8 +578,7 @@ std::string NodeService::MetricsJson(const NetworkStats& net,
          std::to_string(recovery_.descriptors_restored);
   out += ",\"recovery_wal_replayed\":" +
          std::to_string(recovery_.wal_records_replayed);
-  out += "},\"network\":" + NetworkStatsToJson(net);
-  out += ",\"rpc\":" + rpc.ToJson();
+  out += '}';
   out += extra;
   out += "}";
   return out;

@@ -25,7 +25,6 @@
 #include "common/result.h"
 #include "common/sync.h"
 #include "net/address.h"
-#include "net/sim_network.h"
 #include "rel/relation.h"
 #include "rpc/message.h"
 #include "rpc/ring_view.h"
@@ -36,7 +35,6 @@ namespace p2prange {
 namespace rpc {
 
 class LiveMembership;  // rpc/membership.h
-struct RpcStats;       // rpc/tcp_transport.h
 
 // --------------------------------------------------------------------------
 // Protocol bodies
@@ -180,13 +178,12 @@ class NodeService {
   /// kHandoff and the re-replicator's pull path.
   Result<size_t> ApplyHandoff(const HandoffBatch& batch) EXCLUDES(data_mu_);
 
-  /// Single-line JSON: this node's counters + store gauges + the
-  /// supplied transport counters (the daemon passes its server stats).
-  /// `extra` is spliced in as additional top-level sections — the
-  /// daemon passes its membership/re-replication gauges (must be
-  /// either empty or a ",\"key\":{...}" fragment).
-  std::string MetricsJson(const NetworkStats& net, const RpcStats& rpc,
-                          std::string_view extra = {}) const
+  /// Single-line JSON `{"node":{...}}`: this node's counters and store
+  /// gauges. `extra` is spliced in after the node block as further
+  /// top-level sections (either empty or a ",\"key\":..." fragment);
+  /// the daemon passes its transport, membership, re-replication and
+  /// executor sections.
+  std::string MetricsJson(std::string_view extra = {}) const
       EXCLUDES(data_mu_);
 
   const NetAddress& self() const { return self_; }

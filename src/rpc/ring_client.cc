@@ -52,7 +52,7 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
   const auto started = std::chrono::steady_clock::now();
   TcpTransport::CallOptions call_options;
   call_options.deadline_ms = options_.deadline_ms;
-  double wait_ms = policy.backoff_base_ms;
+  double wait_ms = FaultPolicy::kBackoffBaseMs;
   Status last;
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -60,8 +60,8 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
       // the policy's jitter so synchronized clients desynchronize
       // instead of stampeding a recovering peer.
       const double sleep_ms =
-          wait_ms * (1.0 - policy.backoff_jitter +
-                     policy.backoff_jitter * retry_rng_.NextDouble());
+          wait_ms * (1.0 - FaultPolicy::kBackoffJitter +
+                     FaultPolicy::kBackoffJitter * retry_rng_.NextDouble());
       if (policy.op_budget_ms > 0.0 &&
           ElapsedMs(started) + sleep_ms >= policy.op_budget_ms) {
         return Status(last.code(),
@@ -74,8 +74,8 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
       // draining (parked for their own waits) while this one backs
       // off, so one flaky peer cannot freeze the rest of a lookup.
       transport_.PumpFor(sleep_ms);
-      wait_ms = std::min(wait_ms * policy.backoff_multiplier,
-                         policy.backoff_max_ms);
+      wait_ms = std::min(wait_ms * FaultPolicy::kBackoffMultiplier,
+                         FaultPolicy::kBackoffMaxMs);
       ++transport_.mutable_rpc_stats().retransmits;
     }
     if (policy.op_budget_ms > 0.0) {

@@ -13,7 +13,7 @@
 //
 // Fault handling wires the existing FaultPolicy into the real network:
 // an IOError (deadline missed, stream corrupted) is retried with
-// jittered exponential backoff — FaultPolicy.backoff_jitter spreads the
+// jittered exponential backoff — FaultPolicy::kBackoffJitter spreads the
 // retry instants so synchronized clients do not stampede a recovering
 // peer — under an optional per-operation budget
 // (FaultPolicy.op_budget_ms), and counted as a retransmission;

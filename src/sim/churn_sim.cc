@@ -90,18 +90,14 @@ Result<ChurnReport> ChurnSimulator::Run(int num_slices) {
   }
   std::vector<double> recall_sums(num_slices, 0.0);
 
-  // Repair counters are cumulative in SystemMetrics; slices report the
-  // delta accumulated while they were current.
-  uint64_t prev_stale = system_->metrics().stale_evictions;
+  // The repair counter is cumulative in SystemMetrics; slices report
+  // the delta accumulated while they were current.
   uint64_t prev_repaired = system_->metrics().recovery_descriptors_repaired;
   auto close_slice = [&](int s) {
     ChurnTimeSlice& slice = report.slices[s];
     slice.alive_at_end = system_->overlay().num_alive();
-    const uint64_t stale = system_->metrics().stale_evictions;
     const uint64_t repaired = system_->metrics().recovery_descriptors_repaired;
-    slice.stale_repairs = stale - prev_stale;
     slice.descriptors_repaired = repaired - prev_repaired;
-    prev_stale = stale;
     prev_repaired = repaired;
   };
 

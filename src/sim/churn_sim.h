@@ -55,9 +55,6 @@ struct ChurnTimeSlice {
   uint64_t departures = 0;
   uint64_t crashes = 0;     ///< abrupt departures taken as transient crashes
   uint64_t recoveries = 0;  ///< crashed peers that rejoined via replay
-  /// Stale descriptors lazily evicted during this slice (SystemMetrics
-  /// stale_evictions delta).
-  uint64_t stale_repairs = 0;
   /// Descriptors re-pulled from live replicas by recovering peers
   /// during this slice (recovery_descriptors_repaired delta).
   uint64_t descriptors_repaired = 0;

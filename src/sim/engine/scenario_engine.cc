@@ -168,21 +168,6 @@ std::string ScenarioReport::ToJson() const {
   return out;
 }
 
-void ScenarioReport::FillMetrics(SystemMetrics* m) const {
-  m->range_lookups = queries;
-  m->exact_hits = exact_hits;
-  m->approx_hits = approx_hits;
-  m->misses = misses;
-  m->partitions_published = publishes;
-  m->descriptors_stored = descriptors_stored;
-  m->chord_hops = hops;
-  m->stale_evictions = stale_evictions;
-  m->peer_crashes = crashes;
-  m->peer_recoveries = recoveries;
-  m->bytes_per_peer = bytes_per_peer;
-  m->event_queue_depth = event_queue_depth;
-}
-
 ScenarioEngine::ScenarioEngine(const ScenarioConfig& config)
     : config_(config), rng_(config.seed ^ 0x5CE9A210ULL) {}
 

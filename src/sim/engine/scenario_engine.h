@@ -30,7 +30,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sync.h"
-#include "core/metrics.h"
 #include "hash/lsh.h"
 #include "hash/range.h"
 #include "overlay/overlay.h"
@@ -137,10 +136,6 @@ struct ScenarioReport {
 
   /// Single-line JSON object (scenario_matrix rows).
   std::string ToJson() const;
-
-  /// Copies the counters and the two engine gauges into `m` so the
-  /// standard SystemMetrics::ToJson export carries them.
-  void FillMetrics(SystemMetrics* m) const;
 };
 
 /// \brief Runs one scenario cell to completion.

@@ -132,7 +132,7 @@ TEST(SyncTest, UnrankedMutexIgnoresOrder) {
   SUCCEED();
 }
 
-#if !defined(P2PRANGE_NO_LOCK_RANKS) && defined(GTEST_HAS_DEATH_TEST)
+#ifdef GTEST_HAS_DEATH_TEST
 
 TEST(SyncDeathTest, RankInversionAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -159,10 +159,6 @@ TEST(SyncDeathTest, SameRankReacquireAborts) {
       },
       "lock-rank inversion");
 }
-
-#endif  // !P2PRANGE_NO_LOCK_RANKS && GTEST_HAS_DEATH_TEST
-
-#ifdef GTEST_HAS_DEATH_TEST
 
 TEST(SyncDeathTest, ConcurrentExclusiveUseAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";

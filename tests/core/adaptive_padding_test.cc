@@ -31,13 +31,11 @@ TEST(AdaptivePaddingControllerTest, DecaysOnCompleteAnswers) {
 }
 
 TEST(AdaptivePaddingControllerTest, ClampsToBounds) {
-  AdaptivePaddingConfig cfg;
-  cfg.max = 0.3;
-  AdaptivePaddingController c(cfg);
+  AdaptivePaddingController c;
   for (int i = 0; i < 50; ++i) c.Observe("T.a", 0.0);
-  EXPECT_DOUBLE_EQ(c.Get("T.a"), 0.3);
+  EXPECT_DOUBLE_EQ(c.Get("T.a"), AdaptivePaddingController::kMax);
   for (int i = 0; i < 500; ++i) c.Observe("T.a", 1.0);
-  EXPECT_GE(c.Get("T.a"), cfg.min);
+  EXPECT_GE(c.Get("T.a"), 0.0);
   EXPECT_LT(c.Get("T.a"), 0.01);
 }
 
@@ -46,7 +44,7 @@ TEST(AdaptivePaddingControllerTest, IncreaseFromZeroUsesStepFloor) {
   cfg.initial = 0.0;
   AdaptivePaddingController c(cfg);
   c.Observe("T.a", 0.2);
-  EXPECT_DOUBLE_EQ(c.Get("T.a"), cfg.step_floor);
+  EXPECT_DOUBLE_EQ(c.Get("T.a"), AdaptivePaddingController::kStepFloor);
 }
 
 TEST(AdaptivePaddingControllerTest, ColumnsAreIndependent) {

@@ -104,7 +104,7 @@ TEST(SystemEdgeTest, MetricsToStringMentionsEveryCounter) {
   for (const char* field :
        {"range_lookups=", "exact_hits=", "approx_hits=", "misses=", "published=",
         "descriptors=", "eq_lookups=", "eq_hits=", "result_cache_lookups=",
-        "lookups_skipped=", "coverage_assemblies=", "source_fetches=",
+        "coverage_assemblies=", "source_fetches=",
         "cache_fetches=", "bytes_from_source=", "bytes_from_cache=",
         "chord_hops="}) {
     EXPECT_NE(s.find(field), std::string::npos) << field;

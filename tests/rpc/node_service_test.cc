@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/crc32c.h"
-#include "net/sim_network.h"
 #include "rpc/multi_op.h"
 #include "rpc/node_service.h"
 #include "rpc/tcp_transport.h"
@@ -164,15 +163,19 @@ TEST(NodeServiceTest, ServesProtocolOverAnyTransport) {
 TEST(NodeServiceTest, MetricsJsonIsWellFormedSingleLine) {
   auto service = NodeService::Make(Addr(1, 1), NodeServiceOptions{});
   ASSERT_TRUE(service.ok());
-  const std::string json =
-      (*service)->MetricsJson(NetworkStats{}, RpcStats{});
+  const std::string json = (*service)->MetricsJson();
   EXPECT_EQ(json.find('\n'), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"node\":"), std::string::npos);
-  EXPECT_NE(json.find("\"network\":"), std::string::npos);
-  EXPECT_NE(json.find("\"rpc\":"), std::string::npos);
-  EXPECT_NE(json.find("\"timeouts\":0"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"node\":{", 0), 0u) << json;
+  // A caller's sections follow the node block inside the one object.
+  const std::string rpc = ",\"rpc\":" + RpcStats{}.ToJson();
+  EXPECT_EQ((*service)->MetricsJson(rpc),
+            json.substr(0, json.size() - 1) + rpc + "}");
+  // Served bare, kMetrics answers with the node block alone.
+  auto served = (*service)->Handle(MsgType::kMetrics, "");
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(*served, json);
 }
 
 TEST(NodeServiceTest, MultiOpRunsEverySlotAndIsolatesFailures) {
@@ -256,7 +259,7 @@ TEST(NodeServiceTest, HandleIsSafeUnderConcurrentWorkers) {
           ++failures;
         }
         if (i % 50 == 0) {
-          (void)raw->MetricsJson(NetworkStats{}, RpcStats{});
+          (void)raw->MetricsJson();
         }
       }
     });

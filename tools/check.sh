@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate. Stages, in order:
+# Tier-1 gate. The suite lists and JSON assertions that CI runs too
+# live in tools/gates.sh. Stages, in order:
 #
 #   lint         p2prange_lint.py (repo invariants) + run_tidy.sh
 #                (clang-tidy when installed, NOLINT hygiene always)
@@ -210,41 +211,14 @@ run_live_smoke build
 echo "=== live-churn smoke (joins + SIGKILL + rolling restart under load) ==="
 ./build/tests/p2prange_tests --gtest_filter='LiveChurnTest.*'
 
-# The load harness emits one JSON object; beyond exiting 0 it must show
-# a live daemon after the overload burst and zero hung clients — a shed
-# request that never resolves is exactly the bug this gate exists for.
 echo "=== live-load smoke (worker pool + admission control under overload) ==="
-load_json=$(./build/bench/ablation_live_ring --smoke 2>/dev/null)
-echo "$load_json" | grep -q '"hung":0' \
-  || { echo "live-load smoke: hung clients in overload phase" >&2; exit 1; }
-echo "$load_json" | grep -q '"daemon_alive_after":true' \
-  || { echo "live-load smoke: daemon died under overload" >&2; exit 1; }
+tools/gates.sh live-load build
 
-# Chaos smoke: the unit suites for the fault-injection stack (plan
-# parsing, transport hardening, membership damping), the full ring
-# behind the chaos proxy (partition/heal, corruption, slow-loris), and
-# the bench harness in --smoke form. The JSON must show a clean daemon
-# shutdown and zero failed lookups in every fault regime — availability
-# under faults is the whole point of the gate.
 echo "=== chaos smoke (fault-injection proxy + hardened ring) ==="
-./build/tests/p2prange_tests \
-  --gtest_filter='ChaosPlanTest.*:TcpHardeningTest.*:ChaosRingTest.*'
-chaos_json=$(./build/bench/ablation_chaos --smoke 2>/dev/null)
-echo "$chaos_json" | grep -q '"clean":true' \
-  || { echo "chaos smoke: daemons did not shut down cleanly" >&2; exit 1; }
-if echo "$chaos_json" | grep -q '"lookup_failures":[1-9]'; then
-  echo "chaos smoke: failed lookups under fault injection" >&2
-  exit 1
-fi
+tools/gates.sh chaos build
 
-# Scenario-matrix smoke: the event-driven engine over all three
-# overlay substrates (10^4-peer grid plus the 10^6-peer chord cell).
-# The bench computes the verdict itself: nonzero_recall_overlays
-# counts substrates with cache hits under churn and must be 3.
 echo "=== scenario-matrix smoke (chord/can/tapestry engine grid) ==="
-matrix_json=$(./build/bench/scenario_matrix --smoke 2>/dev/null)
-echo "$matrix_json" | grep -q '"nonzero_recall_overlays":3' \
-  || { echo "scenario-matrix smoke: an overlay had zero recall under churn" >&2; exit 1; }
+tools/gates.sh matrix build
 
 if [[ $do_sanitize -eq 1 ]]; then
   echo "=== sanitized build + tests (address;undefined) ==="
@@ -256,28 +230,21 @@ if [[ $do_sanitize -eq 1 ]]; then
   echo "=== sanitized live-ring smoke ==="
   run_live_smoke build-asan
   echo "=== sanitized scenario-matrix smoke ==="
-  ./build-asan/bench/scenario_matrix --smoke > /dev/null
+  tools/gates.sh matrix build-asan
 fi
 
 if [[ $do_tsan -eq 1 ]]; then
   # TSan cannot share a tree (or a process) with ASan; build-tsan is
   # its own configuration. Scope: the suites that actually run threads
-  # today — TCP transport/server (background poll threads), concurrent
-  # logging, the membership join/leave tests (helper poll threads), the
-  # worker-pool executor and kMultiOp suites, the live-churn
-  # acceptance test (client thread + forked daemons), and the
-  # transport-hardening + chaos-ring suites (deadline sweeps and the
-  # fault-injection proxy against TSan-built daemons), and the live
-  # harness's own self-test (its ServerThread poll thread).
+  # today (tools/gates.sh lists them).
   echo "=== tsan build + threaded suites (thread) ==="
   cmake -B build-tsan -S . -DP2PRANGE_WERROR=ON -DP2PRANGE_SANITIZE=thread
   cmake --build build-tsan -j
-  ./build-tsan/tests/p2prange_tests \
-    --gtest_filter='SyncTest.*:TcpTransportTest.*:LoggingTest.*:NodeServiceTest.*:RingClientTest.*:MembershipTest.*:LiveChurnTest.*:RpcExecutorTest.*:MultiOpTest.*:TcpHardeningTest.*:ChaosRingTest.*:LiveHarnessTest.*'
+  tools/gates.sh tsan-suites build-tsan
   # The load harness under TSan exercises the poll-loop/worker/doorbell
   # handoff in forked TSan-built daemons under real concurrent load.
   echo "=== tsan live-load smoke ==="
-  ./build-tsan/bench/ablation_live_ring --smoke > /dev/null
+  tools/gates.sh live-load build-tsan
 fi
 
 echo "=== all checks passed ==="

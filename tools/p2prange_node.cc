@@ -45,6 +45,12 @@
 // spot with ResourceExhausted instead of queueing without bound.
 // --workers=0 (the default) keeps the classic single-loop daemon.
 //
+// The metrics document is one JSON line: the node block of
+// NodeService::MetricsJson, then the rpc (transport counters),
+// membership, membership_alive, rereplication and, with --workers,
+// executor sections. --metrics_json rewrites it to a file
+// periodically, and a kMetrics request gets the same document.
+//
 // SIGTERM / SIGINT shut the daemon down gracefully: with ring peers
 // present the local descriptors are handed off to the successor and
 // the departure announced (so lookups never miss), a final metrics
@@ -56,6 +62,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -196,8 +203,11 @@ int main(int argc, char** argv) {
   // The server comes up first so a 0 port is resolved to the kernel's
   // ephemeral pick before the service derives its id from the address.
   // Requests cannot arrive before the poll loop below starts, so the
-  // handler's service pointer is always set by the time it runs.
+  // handler's service pointer and metrics renderer are always set by
+  // the time it runs. kMetrics is answered here, not by NodeService, so
+  // the reply is the whole document the --metrics_json file holds.
   rpc::NodeService* service_ptr = nullptr;
+  std::function<std::string()> metrics_document;
   rpc::TcpServer::Options server_options;
   server_options.max_out_buffer = flags.write_buffer_cap;
   server_options.read_idle_timeout_ms = flags.idle_timeout_ms;
@@ -205,7 +215,9 @@ int main(int argc, char** argv) {
   server_options.max_connections = flags.max_conns;
   auto server = rpc::TcpServer::Listen(
       *listen_addr,
-      [&service_ptr](rpc::MsgType type, std::string_view body) {
+      [&service_ptr, &metrics_document](
+          rpc::MsgType type, std::string_view body) -> Result<std::string> {
+        if (type == rpc::MsgType::kMetrics) return metrics_document();
         return service_ptr->Handle(type, body);
       },
       server_options);
@@ -380,6 +392,29 @@ int main(int argc, char** argv) {
     }
   }
 
+  metrics_document = [&]() {
+    std::string extra = ",\"rpc\":" + server->stats().ToJson() +
+                        ",\"membership\":" + membership->counters().ToJson() +
+                        // Live gauge, not a counter: how many ring
+                        // members (self included) this node can see
+                        // right now. The partition acceptance tests
+                        // poll it to observe a split becoming total.
+                        ",\"membership_alive\":" +
+                        std::to_string(membership->num_alive()) +
+                        ",\"rereplication\":" +
+                        rereplicator->counters().ToJson();
+    if (executor != nullptr) {
+      const rpc::ExecutorStats exec = executor->snapshot();
+      extra += ",\"executor\":{\"workers\":" + std::to_string(flags.workers) +
+               ",\"queue_depth\":" + std::to_string(flags.queue_depth) +
+               ",\"submitted\":" + std::to_string(exec.submitted) +
+               ",\"shed\":" + std::to_string(exec.shed) +
+               ",\"completed\":" + std::to_string(exec.completed) +
+               ",\"max_queue\":" + std::to_string(exec.max_queue) + "}";
+    }
+    return (*service)->MetricsJson(extra);
+  };
+
   auto write_metrics = [&]() {
     if (flags.metrics_json.empty()) return;
     // Write-then-rename: a scraper reading mid-update must never see a
@@ -387,31 +422,7 @@ int main(int argc, char** argv) {
     const std::string tmp = flags.metrics_json + ".tmp";
     {
       std::ofstream out(tmp, std::ios::trunc);
-      // The server observes no per-message latency model; its
-      // NetworkStats half carries the byte totals.
-      NetworkStats net;
-      net.messages = server->stats().requests_served;
-      net.bytes = server->stats().bytes_in + server->stats().bytes_out;
-      std::string extra = ",\"membership\":" +
-                          membership->counters().ToJson() +
-                          // Live gauge, not a counter: how many ring
-                          // members (self included) this node can see
-                          // right now. The partition acceptance tests
-                          // poll it to observe a split becoming total.
-                          ",\"membership_alive\":" +
-                          std::to_string(membership->num_alive()) +
-                          ",\"rereplication\":" +
-                          rereplicator->counters().ToJson();
-      if (executor != nullptr) {
-        const rpc::ExecutorStats exec = executor->snapshot();
-        extra += ",\"executor\":{\"workers\":" + std::to_string(flags.workers) +
-                 ",\"queue_depth\":" + std::to_string(flags.queue_depth) +
-                 ",\"submitted\":" + std::to_string(exec.submitted) +
-                 ",\"shed\":" + std::to_string(exec.shed) +
-                 ",\"completed\":" + std::to_string(exec.completed) +
-                 ",\"max_queue\":" + std::to_string(exec.max_queue) + "}";
-      }
-      out << (*service)->MetricsJson(net, server->stats(), extra) << "\n";
+      out << metrics_document() << "\n";
     }
     std::rename(tmp.c_str(), flags.metrics_json.c_str());
   };
