@@ -6,24 +6,19 @@
 // the same RouteToOwner calls core::System makes — so this bench also
 // doubles as a smoke test of the abstraction seam. Reported per
 // overlay and size: mean/99th-percentile routing hops, per-node
-// routing-state size (probed through each adapter's substrate
-// accessor; state layout is inherently substrate-specific), and the
-// load imbalance of identifier ownership (max/mean of identifiers
-// owned per node). Chord routes in O(log N) hops with O(log N) state;
+// routing-state size (RoutingStateSizes: each substrate counts its own
+// state layout), and the load imbalance of identifier ownership
+// (max/mean of identifiers owned per node). Chord routes in O(log N) hops with O(log N) state;
 // CAN in O(d*N^(1/d)) hops with O(d) state; Tapestry in O(log16 N)
 // hops with compact prefix tables — the classical tradeoffs, measured
 // on identical workloads.
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <set>
 
 #include "bench/bench_util.h"
 #include "hash/lsh.h"
-#include "overlay/can_overlay.h"
-#include "overlay/chord_overlay.h"
-#include "overlay/factory.h"
-#include "overlay/tapestry_overlay.h"
+#include "overlay/overlay.h"
 
 #include "bench/bench_args.h"
 
@@ -52,44 +47,9 @@ struct OverlayRow {
   double load_max_over_mean;
 };
 
-/// Routing-state entries per node, through the substrate accessors
-/// (the one measurement the uniform contract cannot express).
-Summary StatePerNode(overlay::Overlay& net) {
-  Summary state;
-  switch (net.kind()) {
-    case overlay::Kind::kChord: {
-      chord::ChordRing& ring = static_cast<overlay::ChordOverlay&>(net).ring();
-      for (const chord::NodeInfo& info : ring.AliveNodesSorted()) {
-        const chord::ChordNode* node = ring.node(info.addr);
-        std::set<uint32_t> distinct;
-        for (int i = 0; i < chord::FingerTable::size(); ++i) {
-          if (node->fingers().entry(i)) {
-            distinct.insert(node->fingers().entry(i)->id);
-          }
-        }
-        for (const auto& s : node->successors()) distinct.insert(s.id);
-        state.AddCount(distinct.size());
-      }
-      break;
-    }
-    case overlay::Kind::kCan: {
-      can::CanNetwork& can_net = static_cast<overlay::CanOverlay&>(net).can();
-      for (size_t c : can_net.NeighborCounts()) state.AddCount(c);
-      break;
-    }
-    case overlay::Kind::kTapestry: {
-      tapestry::TapestryMesh& mesh =
-          static_cast<overlay::TapestryOverlay&>(net).mesh();
-      for (size_t s : mesh.StateSizes()) state.AddCount(s);
-      break;
-    }
-  }
-  return state;
-}
-
 OverlayRow Measure(const overlay::OverlayParams& params, size_t n,
                    const std::vector<uint32_t>& ids) {
-  auto net = overlay::MakeOverlay(params, n, 5, chord::ChordConfig{});
+  auto net = overlay::MakeOverlay(params, n, 5);
   CHECK(net.ok()) << net.status();
   Summary hops;
   std::map<std::string, size_t> owned;  // owner address -> identifiers owned
@@ -101,7 +61,8 @@ OverlayRow Measure(const overlay::OverlayParams& params, size_t n,
     hops.AddCount(static_cast<uint64_t>(result->hops));
     ++owned[result->owner.addr.ToString()];
   }
-  const Summary state = StatePerNode(**net);
+  Summary state;
+  for (size_t entries : (*net)->RoutingStateSizes()) state.AddCount(entries);
   Summary load;
   for (const auto& [addr, count] : owned) load.AddCount(count);
   const double mean_per_owner =

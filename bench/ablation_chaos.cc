@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       harness::ToolBinary("p2prange_chaosproxy").ValueOrDie();
   const std::string scratch =
       harness::MakeScratchDir("chaos_bench_").ValueOrDie();
-  const double duration_s = ScaleFromArgs(argc, argv, /*full=*/5.0,
+  const double duration_s = DurationFromArgs(argc, argv, /*full=*/5.0,
                                           /*smoke=*/1.0);
 
   // --- Topology: proxy in front of every link -------------------------

@@ -102,7 +102,7 @@ void Run(double duration_s) {
 
 int main(int argc, char** argv) {
   const double duration =
-      p2prange::bench::ScaleFromArgs(argc, argv, 600.0, 30.0);
+      p2prange::bench::DurationFromArgs(argc, argv, 600.0, 30.0);
   p2prange::bench::Run(duration);
   return 0;
 }

@@ -27,8 +27,8 @@ void RunScenario(double fault_prob, int replication, size_t num_queries,
   cfg.lsh = LshParams::Paper(HashFamilyType::kApproxMinwise, 42);
   cfg.criterion = MatchCriterion::kContainment;
   cfg.descriptor_replication = replication;
-  cfg.chord.latency.loss_rate = fault_prob > 0.0 ? 0.05 : 0.0;
-  cfg.chord.max_message_retries = 6;
+  cfg.overlay.latency.loss_rate = fault_prob > 0.0 ? 0.05 : 0.0;
+  cfg.overlay.max_message_retries = 6;
   cfg.fault.max_retries = 6;
   cfg.seed = 42;
   auto sys = RangeCacheSystem::Make(

@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
   const std::string scratch =
       harness::MakeScratchDir("live_churn_bench_").ValueOrDie();
 
-  const double duration_s = ScaleFromArgs(argc, argv, /*full=*/20.0,
+  const double duration_s = DurationFromArgs(argc, argv, /*full=*/20.0,
                                           /*smoke=*/3.0);
   const bool smoke = duration_s <= 3.0;
   const std::vector<double> rates =

@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
   const std::string scratch =
       harness::MakeScratchDir("live_ring_bench_").ValueOrDie();
 
-  const double duration_s = ScaleFromArgs(argc, argv, /*full=*/12.0,
+  const double duration_s = DurationFromArgs(argc, argv, /*full=*/12.0,
                                           /*smoke=*/1.5);
   const bool smoke = duration_s <= 1.5;
   const size_t clients = smoke ? 4 : 4;

@@ -6,39 +6,62 @@
 // second. tools/check.sh runs each binary with --smoke so that
 // signature-affecting regressions in the figure harnesses are caught
 // before anyone pays for a full regeneration run.
+//
+// The scale parses strictly (tools/flags.h): a count is a whole number
+// >= 1 and a duration a finite number > 0. Any other argument exits 2
+// with the usage line instead of running some other scale.
 #ifndef P2PRANGE_BENCH_BENCH_ARGS_H_
 #define P2PRANGE_BENCH_BENCH_ARGS_H_
 
 #include <cstddef>
 #include <cstdlib>
-#include <cstring>
+#include <iostream>
+#include <string_view>
+
+#include "tools/flags.h"
 
 namespace p2prange {
 namespace bench {
 
 /// Scale from argv: `--smoke` anywhere wins and selects `smoke`;
-/// otherwise the first parsable positive number overrides `full`.
-inline double ScaleFromArgs(int argc, char** argv, double full, double smoke) {
-  double scale = full;
+/// otherwise one positional argument that parses as a T accepted by
+/// `valid` overrides `full`. `what` names the argument in the usage
+/// line.
+template <typename T, typename Valid>
+T ScaleFromArgs(int argc, char** argv, T full, T smoke, const char* what,
+                Valid valid) {
+  bool smoke_run = false;
   bool overridden = false;
+  T scale = full;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return smoke;
-    if (!overridden) {
-      const double v = std::strtod(argv[i], nullptr);
-      if (v > 0) {
-        scale = v;
-        overridden = true;
-      }
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      smoke_run = true;
+      continue;
     }
+    T value{};
+    if (overridden || !tools::ParseNumber(arg, &value) || !valid(value)) {
+      std::cerr << "malformed argument: " << arg << "\nusage: " << argv[0]
+                << " [--smoke] [" << what << "]\n";
+      std::exit(2);
+    }
+    scale = value;
+    overridden = true;
   }
-  return scale;
+  return smoke_run ? smoke : scale;
 }
 
-/// ScaleFromArgs for integer-count benches.
+/// A count scale (queries, peers, ...): a whole number >= 1.
 inline size_t CountFromArgs(int argc, char** argv, size_t full, size_t smoke) {
-  return static_cast<size_t>(ScaleFromArgs(argc, argv,
-                                           static_cast<double>(full),
-                                           static_cast<double>(smoke)));
+  return ScaleFromArgs(argc, argv, full, smoke, "COUNT",
+                       [](size_t v) { return v >= 1; });
+}
+
+/// A duration scale in seconds: a finite number > 0.
+inline double DurationFromArgs(int argc, char** argv, double full,
+                               double smoke) {
+  return ScaleFromArgs(argc, argv, full, smoke, "SECONDS",
+                       [](double v) { return v > 0.0; });
 }
 
 }  // namespace bench

@@ -134,7 +134,7 @@ void BM_ChordLookup(benchmark::State& state) {
   auto origin = ring->RandomAliveAddress();
   CHECK(origin.ok());
   for (auto _ : state) {
-    auto result = ring->Lookup(*origin, rng.Next32());
+    auto result = ring->RouteToOwner(*origin, rng.Next32());
     benchmark::DoNotOptimize(result);
   }
 }

@@ -5,9 +5,21 @@
 #include <set>
 
 #include "common/logging.h"
+#include "hash/sha1.h"
 
 namespace p2prange {
 namespace can {
+
+namespace {
+
+/// The deterministic peer order of AlivePeersOrdered and
+/// ReplicaCandidates: by overlay id, ties by address text.
+bool PeerOrder(const overlay::PeerInfo& a, const overlay::PeerInfo& b) {
+  if (a.id != b.id) return a.id < b.id;
+  return a.addr.ToString() < b.addr.ToString();
+}
+
+}  // namespace
 
 double CanNode::DistanceTo(const Point& p) const {
   double best = std::numeric_limits<double>::infinity();
@@ -15,10 +27,8 @@ double CanNode::DistanceTo(const Point& p) const {
   return best;
 }
 
-CanNetwork::CanNetwork(CanConfig config, uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      net_(std::make_unique<SimNetwork>(config.latency, seed ^ 0x123456)) {}
+CanNetwork::CanNetwork(const overlay::OverlayParams& params, uint64_t seed)
+    : Overlay(params.latency, seed ^ 0x123456), params_(params), rng_(seed) {}
 
 Result<NetAddress> CanNetwork::CreateAddress() {
   for (int attempt = 0; attempt < 1000; ++attempt) {
@@ -31,28 +41,33 @@ Result<NetAddress> CanNetwork::CreateAddress() {
 }
 
 Result<CanNetwork> CanNetwork::Make(size_t num_nodes, uint64_t seed,
-                                    CanConfig config) {
+                                    const overlay::OverlayParams& params) {
   if (num_nodes == 0) {
     return Status::InvalidArgument("a CAN needs at least one node");
   }
-  if (config.dims < 1 || config.dims > kMaxDims) {
+  if (params.can_dims < 1 || params.can_dims > kMaxDims) {
     return Status::InvalidArgument("dims must be in [1, " +
                                    std::to_string(kMaxDims) + "]");
   }
-  RETURN_NOT_OK(config.latency.Validate());
-  CanNetwork net(config, seed);
+  RETURN_NOT_OK(params.latency.Validate());
+  CanNetwork net(params, seed);
   // Bootstrap node owns the whole space.
   ASSIGN_OR_RETURN(const NetAddress first, net.CreateAddress());
-  auto node = std::make_unique<CanNode>(first);
-  node->mutable_zones().push_back(Zone::Root(config.dims));
-  net.net_->Register(first);
-  net.nodes_.emplace(first, std::move(node));
-  net.addresses_.push_back(first);
+  net.InsertNode(first, Zone::Root(params.can_dims));
   for (size_t i = 1; i < num_nodes; ++i) {
     RETURN_NOT_OK(net.AddNode().status());
   }
-  net.net_->ResetStats();
+  net.ResetNetStats();
   return net;
+}
+
+CanNode& CanNetwork::InsertNode(const NetAddress& addr, const Zone& zone) {
+  auto fresh = std::make_unique<CanNode>(
+      overlay::PeerInfo{Sha1::Hash32(addr.ToString()), addr});
+  fresh->mutable_zones().push_back(zone);
+  network().Register(addr);
+  addresses_.push_back(addr);
+  return *nodes_.emplace(addr, std::move(fresh)).first->second;
 }
 
 CanNode* CanNetwork::mutable_node(const NetAddress& addr) {
@@ -68,7 +83,7 @@ const CanNode* CanNetwork::node(const NetAddress& addr) const {
 size_t CanNetwork::num_alive() const {
   size_t n = 0;
   for (const auto& [addr, node] : nodes_) {
-    if (net_->IsAlive(addr)) ++n;
+    if (IsAlive(addr)) ++n;
   }
   return n;
 }
@@ -77,32 +92,55 @@ Result<NetAddress> CanNetwork::RandomAliveAddress() {
   std::vector<NetAddress> alive;
   alive.reserve(nodes_.size());
   for (const auto& [addr, node] : nodes_) {
-    if (net_->IsAlive(addr)) alive.push_back(addr);
+    if (IsAlive(addr)) alive.push_back(addr);
   }
   if (alive.empty()) return Status::NotFound("no live CAN nodes");
   return alive[rng_.NextBounded(alive.size())];
 }
 
-std::vector<NetAddress> CanNetwork::AliveAddresses() const {
-  std::vector<NetAddress> out;
-  out.reserve(addresses_.size());
-  for (const NetAddress& addr : addresses_) {
-    if (net_->IsAlive(addr)) out.push_back(addr);
+std::vector<overlay::PeerInfo> CanNetwork::AlivePeersOrdered() const {
+  std::vector<overlay::PeerInfo> out;
+  out.reserve(nodes_.size());
+  for (const auto& [addr, node] : nodes_) {
+    if (IsAlive(addr)) out.push_back(node->info());
   }
+  std::sort(out.begin(), out.end(), PeerOrder);
   return out;
 }
 
-Result<NetAddress> CanNetwork::FindOwnerOracle(const Point& p) const {
+Result<overlay::PeerInfo> CanNetwork::FindOwnerOracle(const Point& p) const {
   for (const auto& [addr, node] : nodes_) {
-    if (net_->IsAlive(addr) && node->Owns(p)) return addr;
+    if (IsAlive(addr) && node->Owns(p)) return node->info();
   }
   return Status::NotFound("no live node owns the point");
 }
 
-Result<NetAddress> CanNetwork::Route(const NetAddress& from, const Point& p,
-                                     CanLookupResult* out) {
-  const CanNode* cur = node(from);
-  if (cur == nullptr || !net_->IsAlive(from)) {
+Result<overlay::PeerInfo> CanNetwork::OwnerOracle(uint32_t identifier) const {
+  return FindOwnerOracle(IdentifierToPoint(identifier, params_.can_dims));
+}
+
+std::vector<overlay::PeerInfo> CanNetwork::ReplicaCandidates(
+    const NetAddress& owner) const {
+  std::vector<overlay::PeerInfo> out;
+  const CanNode* n = node(owner);
+  if (n == nullptr) return out;
+  out.reserve(n->neighbors().size());
+  for (const NetAddress& addr : n->neighbors()) {
+    out.push_back(node(addr)->info());
+  }
+  // Neighbor sets are rebuilt in map order; sort for a deterministic
+  // preference order independent of hash-table layout.
+  std::sort(out.begin(), out.end(), PeerOrder);
+  if (out.size() > overlay::kReplicaListLen) {
+    out.resize(overlay::kReplicaListLen);
+  }
+  return out;
+}
+
+Result<CanNode*> CanNetwork::Route(const NetAddress& from, const Point& p,
+                                   overlay::RouteResult* out) {
+  CanNode* cur = mutable_node(from);
+  if (cur == nullptr || !IsAlive(from)) {
     return Status::InvalidArgument("route origin " + from.ToString() +
                                    " is not a live CAN node");
   }
@@ -110,15 +148,15 @@ Result<NetAddress> CanNetwork::Route(const NetAddress& from, const Point& p,
   // Safety bound on greedy routing steps.
   constexpr int kMaxRouteSteps = 4096;
   for (int step = 0; step < kMaxRouteSteps; ++step) {
-    if (cur->Owns(p)) return cur->addr();
+    if (cur->Owns(p)) return cur;
     visited.insert(cur->addr());
     // Greedy: forward to the neighbor whose zones are closest to the
     // target point; skip dead or already-visited nodes.
-    const CanNode* best = nullptr;
+    CanNode* best = nullptr;
     double best_dist = std::numeric_limits<double>::infinity();
     for (const NetAddress& naddr : cur->neighbors()) {
-      if (!net_->IsAlive(naddr) || visited.contains(naddr)) continue;
-      const CanNode* cand = node(naddr);
+      if (!IsAlive(naddr) || visited.contains(naddr)) continue;
+      CanNode* cand = mutable_node(naddr);
       const double dist = cand->DistanceTo(p);
       if (dist < best_dist) {
         best_dist = dist;
@@ -129,7 +167,7 @@ Result<NetAddress> CanNetwork::Route(const NetAddress& from, const Point& p,
       return Status::Unavailable("greedy routing is stuck at " +
                                  cur->addr().ToString());
     }
-    auto latency = net_->Deliver(from, best->addr());
+    auto latency = network().Deliver(from, best->addr());
     RETURN_NOT_OK(latency.status());
     if (out != nullptr) {
       ++out->hops;
@@ -140,11 +178,12 @@ Result<NetAddress> CanNetwork::Route(const NetAddress& from, const Point& p,
   return Status::Internal("CAN routing did not converge");
 }
 
-Result<CanLookupResult> CanNetwork::Lookup(const NetAddress& from,
-                                           uint32_t identifier) {
-  CanLookupResult result;
-  const Point p = IdentifierToPoint(identifier, config_.dims);
-  ASSIGN_OR_RETURN(result.owner, Route(from, p, &result));
+Result<overlay::RouteResult> CanNetwork::RouteToOwner(const NetAddress& from,
+                                                      uint32_t identifier) {
+  overlay::RouteResult result;
+  const Point p = IdentifierToPoint(identifier, params_.can_dims);
+  ASSIGN_OR_RETURN(const CanNode* owner, Route(from, p, &result));
+  result.owner = owner->info();
   return result;
 }
 
@@ -161,11 +200,11 @@ void CanNetwork::RebuildNeighborhoods(const std::vector<NetAddress>& affected) {
   }
   for (const NetAddress& a : frontier) {
     CanNode* n = mutable_node(a);
-    if (n == nullptr || !net_->IsAlive(a)) continue;
+    if (n == nullptr || !IsAlive(a)) continue;
     auto& nbrs = n->mutable_neighbors();
     nbrs.clear();
     for (const auto& [baddr, bnode] : nodes_) {
-      if (baddr == a || !net_->IsAlive(baddr)) continue;
+      if (baddr == a || !IsAlive(baddr)) continue;
       bool adjacent = false;
       for (const Zone& za : n->zones()) {
         for (const Zone& zb : bnode->zones()) {
@@ -181,18 +220,14 @@ void CanNetwork::RebuildNeighborhoods(const std::vector<NetAddress>& affected) {
   }
 }
 
-Result<NetAddress> CanNetwork::AddNode() {
-  // Pick a bootstrap and a random target point, then run the join.
-  ASSIGN_OR_RETURN(const NetAddress bootstrap, RandomAliveAddress());
-  ASSIGN_OR_RETURN(const NetAddress addr, CreateAddress());
-
+Result<NetAddress> CanNetwork::SplitZoneForJoin(const NetAddress& bootstrap,
+                                                Zone* joiner_half) {
   for (int attempt = 0; attempt < 64; ++attempt) {
     Point p;
-    for (int d = 0; d < config_.dims; ++d) p.coords[d] = rng_.Next32();
-    ASSIGN_OR_RETURN(const NetAddress owner_addr, Route(bootstrap, p, nullptr));
-    CanNode* owner = mutable_node(owner_addr);
+    for (int d = 0; d < params_.can_dims; ++d) p.coords[d] = rng_.Next32();
+    ASSIGN_OR_RETURN(CanNode* owner, Route(bootstrap, p, nullptr));
     // Split the owner's zone that contains the point, along its widest
-    // dimension. The newcomer takes the half containing the point.
+    // dimension. The joiner takes the half containing the point.
     size_t zone_idx = 0;
     while (zone_idx < owner->zones().size() &&
            !owner->zones()[zone_idx].Contains(p)) {
@@ -203,25 +238,28 @@ Result<NetAddress> CanNetwork::AddNode() {
     const int dim = zone.WidestDim();
     if (zone.width(dim) < 2) continue;  // unsplittable sliver; new point
     auto [lower, upper] = zone.Split(dim);
-    const Zone& newcomer_half = lower.Contains(p) ? lower : upper;
-    const Zone& owner_half = lower.Contains(p) ? upper : lower;
-    owner->mutable_zones()[zone_idx] = owner_half;
-
-    auto fresh = std::make_unique<CanNode>(addr);
-    fresh->mutable_zones().push_back(newcomer_half);
-    net_->Register(addr);
-    nodes_.emplace(addr, std::move(fresh));
-    addresses_.push_back(addr);
-    RebuildNeighborhoods({owner_addr, addr});
-    return addr;
+    *joiner_half = lower.Contains(p) ? lower : upper;
+    owner->mutable_zones()[zone_idx] = lower.Contains(p) ? upper : lower;
+    return owner->addr();
   }
   return Status::Internal("could not find a splittable zone to join into");
+}
+
+Result<overlay::PeerInfo> CanNetwork::AddNode() {
+  // Pick a bootstrap and a fresh address, then run the join.
+  ASSIGN_OR_RETURN(const NetAddress bootstrap, RandomAliveAddress());
+  ASSIGN_OR_RETURN(const NetAddress addr, CreateAddress());
+  Zone half;
+  ASSIGN_OR_RETURN(const NetAddress owner, SplitZoneForJoin(bootstrap, &half));
+  const overlay::PeerInfo info = InsertNode(addr, half).info();
+  RebuildNeighborhoods({owner, addr});
+  return info;
 }
 
 Status CanNetwork::Leave(const NetAddress& addr) {
   CanNode* leaver = mutable_node(addr);
   if (leaver == nullptr) return Status::NotFound("unknown CAN node");
-  if (!net_->IsAlive(addr)) return Status::InvalidArgument("node already down");
+  if (!IsAlive(addr)) return Status::InvalidArgument("node already down");
   if (num_alive() == 1) {
     return Status::InvalidArgument("the last CAN node cannot leave");
   }
@@ -236,7 +274,7 @@ Status CanNetwork::Leave(const NetAddress& addr) {
     double best_volume = std::numeric_limits<double>::infinity();
     for (const NetAddress& naddr : leaver->neighbors()) {
       CanNode* cand = mutable_node(naddr);
-      if (cand == nullptr || !net_->IsAlive(naddr)) continue;
+      if (cand == nullptr || !IsAlive(naddr)) continue;
       for (size_t zi = 0; zi < cand->zones().size(); ++zi) {
         if (cand->zones()[zi].CanMergeWith(zone, nullptr)) {
           taker = cand;
@@ -262,7 +300,7 @@ Status CanNetwork::Leave(const NetAddress& addr) {
     }
     affected.push_back(taker->addr());
   }
-  RETURN_NOT_OK(net_->SetAlive(addr, false));
+  RETURN_NOT_OK(network().SetAlive(addr, false));
   leaver->mutable_zones().clear();
   RebuildNeighborhoods(affected);
   return Status::OK();
@@ -270,32 +308,29 @@ Status CanNetwork::Leave(const NetAddress& addr) {
 
 Status CanNetwork::Fail(const NetAddress& addr) {
   if (node(addr) == nullptr) return Status::NotFound("unknown CAN node");
-  if (!net_->IsAlive(addr)) return Status::InvalidArgument("node already down");
+  if (!IsAlive(addr)) return Status::InvalidArgument("node already down");
   if (num_alive() == 1) {
     return Status::InvalidArgument("the last CAN node cannot fail");
   }
-  return net_->SetAlive(addr, false);
+  return network().SetAlive(addr, false);
 }
 
 Status CanNetwork::Recover(const NetAddress& addr) {
   CanNode* n = mutable_node(addr);
   if (n == nullptr) return Status::NotFound("unknown CAN node");
-  if (net_->IsAlive(addr)) return Status::InvalidArgument("node already up");
-  RETURN_NOT_OK(net_->SetAlive(addr, true));
+  if (IsAlive(addr)) return Status::InvalidArgument("node already up");
+  RETURN_NOT_OK(network().SetAlive(addr, true));
   if (!n->zones().empty()) {
     // Crash not yet taken over: the node simply resumes its zones.
     RebuildNeighborhoods({addr});
     return Status::OK();
   }
-  return JoinExisting(addr);
-}
-
-Status CanNetwork::JoinExisting(const NetAddress& addr) {
-  // Bootstrap through a deterministic live, zone-owning node.
+  // Its zones were taken over: re-join through the protocol, keeping
+  // the address, from a deterministic live, zone-owning bootstrap.
   const CanNode* bootstrap = nullptr;
   for (const NetAddress& a : addresses_) {
     const CanNode* cand = node(a);
-    if (a == addr || cand == nullptr || !net_->IsAlive(a)) continue;
+    if (a == addr || cand == nullptr || !IsAlive(a)) continue;
     if (cand->zones().empty()) continue;
     bootstrap = cand;
     break;
@@ -303,37 +338,25 @@ Status CanNetwork::JoinExisting(const NetAddress& addr) {
   if (bootstrap == nullptr) {
     return Status::Internal("no live zone-owning node to bootstrap from");
   }
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    Point p;
-    for (int d = 0; d < config_.dims; ++d) p.coords[d] = rng_.Next32();
-    ASSIGN_OR_RETURN(const NetAddress owner_addr,
-                     Route(bootstrap->addr(), p, nullptr));
-    CanNode* owner = mutable_node(owner_addr);
-    size_t zone_idx = 0;
-    while (zone_idx < owner->zones().size() &&
-           !owner->zones()[zone_idx].Contains(p)) {
-      ++zone_idx;
-    }
-    DCHECK_LT(zone_idx, owner->zones().size());
-    const Zone zone = owner->zones()[zone_idx];
-    const int dim = zone.WidestDim();
-    if (zone.width(dim) < 2) continue;  // unsplittable sliver; new point
-    auto [lower, upper] = zone.Split(dim);
-    const Zone& newcomer_half = lower.Contains(p) ? lower : upper;
-    const Zone& owner_half = lower.Contains(p) ? upper : lower;
-    owner->mutable_zones()[zone_idx] = owner_half;
-    mutable_node(addr)->mutable_zones().push_back(newcomer_half);
-    RebuildNeighborhoods({owner_addr, addr});
-    return Status::OK();
+  Zone half;
+  ASSIGN_OR_RETURN(const NetAddress owner,
+                   SplitZoneForJoin(bootstrap->addr(), &half));
+  n->mutable_zones().push_back(half);
+  RebuildNeighborhoods({owner, addr});
+  return Status::OK();
+}
+
+void CanNetwork::Stabilize(int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    if (TakeoverDeadZones() == 0) break;
   }
-  return Status::Internal("could not find a splittable zone to join into");
 }
 
 size_t CanNetwork::TakeoverDeadZones() {
   size_t transferred = 0;
   for (const NetAddress& dead_addr : addresses_) {
     CanNode* dead = mutable_node(dead_addr);
-    if (dead == nullptr || net_->IsAlive(dead_addr) || dead->zones().empty()) {
+    if (dead == nullptr || IsAlive(dead_addr) || dead->zones().empty()) {
       continue;
     }
     std::vector<NetAddress> affected;
@@ -349,7 +372,7 @@ size_t CanNetwork::TakeoverDeadZones() {
       double best_volume = std::numeric_limits<double>::infinity();
       auto consider = [&](CanNode* cand) {
         if (mergeable || cand == nullptr || cand == dead) return;
-        if (!net_->IsAlive(cand->addr())) return;
+        if (!IsAlive(cand->addr())) return;
         for (size_t zi = 0; zi < cand->zones().size(); ++zi) {
           if (cand->zones()[zi].CanMergeWith(zone, nullptr)) {
             taker = cand;
@@ -400,15 +423,15 @@ size_t CanNetwork::TakeoverDeadZones() {
 std::vector<double> CanNetwork::Volumes() const {
   std::vector<double> out;
   for (const auto& [addr, node] : nodes_) {
-    if (net_->IsAlive(addr)) out.push_back(node->Volume());
+    if (IsAlive(addr)) out.push_back(node->Volume());
   }
   return out;
 }
 
-std::vector<size_t> CanNetwork::NeighborCounts() const {
+std::vector<size_t> CanNetwork::RoutingStateSizes() const {
   std::vector<size_t> out;
   for (const auto& [addr, node] : nodes_) {
-    if (net_->IsAlive(addr)) out.push_back(node->neighbors().size());
+    if (IsAlive(addr)) out.push_back(node->neighbors().size());
   }
   return out;
 }
@@ -424,10 +447,10 @@ Status CanNetwork::CheckInvariants() const {
   Rng probe(99);
   for (int i = 0; i < 256; ++i) {
     Point p;
-    for (int d = 0; d < config_.dims; ++d) p.coords[d] = probe.Next32();
+    for (int d = 0; d < params_.can_dims; ++d) p.coords[d] = probe.Next32();
     int owners = 0;
     for (const auto& [addr, node] : nodes_) {
-      if (net_->IsAlive(addr) && node->Owns(p)) ++owners;
+      if (IsAlive(addr) && node->Owns(p)) ++owners;
     }
     if (owners != 1) {
       return Status::Internal("point owned by " + std::to_string(owners) +
@@ -436,10 +459,10 @@ Status CanNetwork::CheckInvariants() const {
   }
   // Neighbor sets are symmetric.
   for (const auto& [addr, n] : nodes_) {
-    if (!net_->IsAlive(addr)) continue;
+    if (!IsAlive(addr)) continue;
     for (const NetAddress& nb : n->neighbors()) {
       const CanNode* other = node(nb);
-      if (other == nullptr || !net_->IsAlive(nb)) {
+      if (other == nullptr || !IsAlive(nb)) {
         return Status::Internal("neighbor list references a dead node");
       }
       const auto& back = other->neighbors();

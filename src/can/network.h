@@ -1,10 +1,14 @@
 // The CAN overlay: zone ownership, greedy routing, join and takeover.
 //
-// Mirrors ChordRing's interface so the two DHT substrates can be
-// compared head to head (bench/ablation_can_vs_chord): identifiers map
-// to points in the d-torus, lookups route greedily through zone
-// neighbors with per-hop accounting, joins split the zone containing a
-// random point, and departures are absorbed by neighbor takeover.
+// Implements the overlay::Overlay contract ChordRing implements, so the
+// two DHT substrates can be compared head to head
+// (bench/ablation_can_vs_chord): identifiers map to points in the
+// d-torus, lookups route greedily through zone neighbors with per-hop
+// accounting, joins split the zone containing a random point, and
+// departures are absorbed by neighbor takeover. CAN has no node
+// identifier space: a node's overlay id is a stable hash of its
+// address, computed once at creation and used only for deterministic
+// ordering.
 #ifndef P2PRANGE_CAN_NETWORK_H_
 #define P2PRANGE_CAN_NETWORK_H_
 
@@ -15,32 +19,19 @@
 #include "can/zone.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "net/sim_network.h"
+#include "overlay/overlay.h"
 
 namespace p2prange {
 namespace can {
-
-/// \brief Tunables of the CAN overlay.
-struct CanConfig {
-  int dims = 2;  ///< dimensionality d of the coordinate space
-  /// Latency/loss model of the underlying simulated network.
-  LatencyModel latency;
-};
-
-/// \brief Outcome of one lookup.
-struct CanLookupResult {
-  NetAddress owner;
-  int hops = 0;
-  double latency_ms = 0.0;
-};
 
 /// \brief One CAN node: its zones (one, or several after takeovers)
 /// and its current neighbor set.
 class CanNode {
  public:
-  explicit CanNode(NetAddress addr) : addr_(addr) {}
+  explicit CanNode(overlay::PeerInfo info) : info_(info) {}
 
-  const NetAddress& addr() const { return addr_; }
+  const overlay::PeerInfo& info() const { return info_; }
+  const NetAddress& addr() const { return info_.addr; }
 
   const std::vector<Zone>& zones() const { return zones_; }
   std::vector<Zone>& mutable_zones() { return zones_; }
@@ -66,47 +57,65 @@ class CanNode {
   double DistanceTo(const Point& p) const;
 
  private:
-  NetAddress addr_;
+  overlay::PeerInfo info_;
   std::vector<Zone> zones_;
   std::vector<NetAddress> neighbors_;
 };
 
 /// \brief A simulated CAN over the d-dimensional unit torus.
-class CanNetwork {
+class CanNetwork final : public overlay::Overlay {
  public:
   /// Grows a network to `num_nodes` through the real join protocol
   /// (random point, route, split), then clears the accumulated
-  /// routing statistics.
+  /// routing statistics. Reads `can_dims` and the latency model of
+  /// `params`.
   static Result<CanNetwork> Make(size_t num_nodes, uint64_t seed,
-                                 CanConfig config = CanConfig{});
+                                 const overlay::OverlayParams& params = {});
 
   CanNetwork(CanNetwork&&) noexcept = default;
   CanNetwork& operator=(CanNetwork&&) noexcept = default;
 
-  /// Greedy lookup of `identifier`'s point starting at `from`.
-  Result<CanLookupResult> Lookup(const NetAddress& from, uint32_t identifier);
+  overlay::Kind kind() const override { return overlay::Kind::kCan; }
 
-  /// Zero-cost oracle: the owner of a point.
-  Result<NetAddress> FindOwnerOracle(const Point& p) const;
+  /// Greedy lookup of `identifier`'s point starting at `from`.
+  Result<overlay::RouteResult> RouteToOwner(const NetAddress& from,
+                                            uint32_t identifier) override;
+
+  /// The zone owner of `identifier`'s point.
+  Result<overlay::PeerInfo> OwnerOracle(uint32_t identifier) const override;
+
+  /// Zero-cost oracle: the live owner of a point.
+  Result<overlay::PeerInfo> FindOwnerOracle(const Point& p) const;
+
+  /// The owner's zone neighbors in peer order, at most
+  /// overlay::kReplicaListLen of them.
+  std::vector<overlay::PeerInfo> ReplicaCandidates(
+      const NetAddress& owner) const override;
 
   /// Joins a new node (random target point, protocol route + split).
-  Result<NetAddress> AddNode();
+  Result<overlay::PeerInfo> AddNode() override;
 
   /// Graceful departure: each zone merges into a mergeable neighbor
   /// where possible, otherwise the smallest-volume neighbor takes it
   /// over (and temporarily manages multiple zones, as in CAN).
-  Status Leave(const NetAddress& addr);
+  Status Leave(const NetAddress& addr) override;
 
   /// Abrupt failure: the node goes down with no handoff. Its zones
   /// stay assigned to it (points there are unowned) until
   /// TakeoverDeadZones reassigns them — CAN's takeover protocol run
   /// as periodic maintenance.
-  Status Fail(const NetAddress& addr);
+  Status Fail(const NetAddress& addr) override;
 
   /// A failed node comes back at its address. If its zones were not
   /// yet taken over it resumes them; otherwise it re-joins through
   /// the protocol (route + split) keeping the address.
-  Status Recover(const NetAddress& addr);
+  Status Recover(const NetAddress& addr) override;
+
+  /// Takeover rounds until one transfers nothing, at most `rounds`.
+  void Stabilize(int rounds) override;
+
+  /// One takeover round (it also rebuilds the neighbor sets).
+  void RepairRouting() override { TakeoverDeadZones(); }
 
   /// Reassigns every zone still held by a dead node to a live one
   /// (mergeable neighbor first, then the smallest-volume live node),
@@ -114,21 +123,18 @@ class CanNetwork {
   /// transferred.
   size_t TakeoverDeadZones();
 
-  size_t num_alive() const;
+  size_t num_alive() const override;
   const CanNode* node(const NetAddress& addr) const;
-  Result<NetAddress> RandomAliveAddress();
+  Result<NetAddress> RandomAliveAddress() override;
 
-  /// Live node addresses in deterministic (join) order.
-  std::vector<NetAddress> AliveAddresses() const;
+  /// Live nodes ordered by overlay id, ties by address text.
+  std::vector<overlay::PeerInfo> AlivePeersOrdered() const override;
 
   /// Volumes of all live nodes (sums to ~1); the CAN load metric.
   std::vector<double> Volumes() const;
 
   /// Per-node neighbor-set sizes (CAN state is O(d) per node).
-  std::vector<size_t> NeighborCounts() const;
-
-  SimNetwork& network() { return *net_; }
-  const CanConfig& config() const { return config_; }
+  std::vector<size_t> RoutingStateSizes() const override;
 
   /// Validation hook for tests: checks that zones tile the space
   /// (volumes sum to 1), ownership is disjoint on sampled points, and
@@ -136,27 +142,33 @@ class CanNetwork {
   Status CheckInvariants() const;
 
  private:
-  CanNetwork(CanConfig config, uint64_t seed);
+  CanNetwork(const overlay::OverlayParams& params, uint64_t seed);
 
   CanNode* mutable_node(const NetAddress& addr);
   Result<NetAddress> CreateAddress();
 
-  /// Protocol join of the already-registered, zoneless, live node at
-  /// `addr`: route to a random point from a zone-owning bootstrap and
-  /// split the owner's zone. Used by Recover after a takeover.
-  Status JoinExisting(const NetAddress& addr);
+  /// Registers a live node at `addr` owning `zone`; its overlay id is
+  /// the SHA-1 hash of the address text.
+  CanNode& InsertNode(const NetAddress& addr, const Zone& zone);
 
-  /// Routes from `from` to the owner of `p`, charging hops.
-  Result<NetAddress> Route(const NetAddress& from, const Point& p,
-                           CanLookupResult* out);
+  /// The CAN join step: routes from `bootstrap` to random points until
+  /// one lands in a splittable zone and halves that zone along its
+  /// widest dimension. The owner keeps the half without the point;
+  /// `*joiner_half` gets the other. Returns the owner's address.
+  Result<NetAddress> SplitZoneForJoin(const NetAddress& bootstrap,
+                                      Zone* joiner_half);
+
+  /// Routes from `from` to the owner of `p`, charging hops into `out`
+  /// when non-null.
+  Result<CanNode*> Route(const NetAddress& from, const Point& p,
+                         overlay::RouteResult* out);
 
   /// Recomputes the neighbor sets of `affected` nodes and of everyone
   /// adjacent to them.
   void RebuildNeighborhoods(const std::vector<NetAddress>& affected);
 
-  CanConfig config_;
+  overlay::OverlayParams params_;
   Rng rng_;
-  std::unique_ptr<SimNetwork> net_;
   std::unordered_map<NetAddress, std::unique_ptr<CanNode>, NetAddressHash> nodes_;
   std::vector<NetAddress> addresses_;
 };

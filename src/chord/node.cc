@@ -3,10 +3,11 @@
 namespace p2prange {
 namespace chord {
 
-std::optional<NodeInfo> ChordNode::ClosestPrecedingNode(
-    ChordId target, const std::function<bool(const NodeInfo&)>& usable) const {
-  std::optional<NodeInfo> best;
-  auto consider = [&](const NodeInfo& cand) {
+std::optional<overlay::PeerInfo> ChordNode::ClosestPrecedingNode(
+    ChordId target,
+    const std::function<bool(const overlay::PeerInfo&)>& usable) const {
+  std::optional<overlay::PeerInfo> best;
+  auto consider = [&](const overlay::PeerInfo& cand) {
     if (cand.id == info_.id) return;
     if (!InOpenOpen(info_.id, target, cand.id)) return;
     if (usable && !usable(cand)) return;
@@ -20,7 +21,7 @@ std::optional<NodeInfo> ChordNode::ClosestPrecedingNode(
   for (int i = FingerTable::size() - 1; i >= 0; --i) {
     if (fingers_.entry(i)) consider(*fingers_.entry(i));
   }
-  for (const NodeInfo& s : successors_) consider(s);
+  for (const overlay::PeerInfo& s : successors_) consider(s);
   return best;
 }
 

@@ -12,32 +12,27 @@
 
 #include "chord/id.h"
 #include "net/address.h"
+#include "overlay/overlay.h"
 
 namespace p2prange {
 namespace chord {
-
-/// \brief A (identifier, address) pair — the routing handle for a peer.
-struct NodeInfo {
-  ChordId id = 0;
-  NetAddress addr;
-
-  bool operator==(const NodeInfo&) const = default;
-};
 
 /// \brief The finger table: entry i points at the first node whose
 /// identifier succeeds FingerStart(n, i) = n + 2^i.
 class FingerTable {
  public:
   /// Entry accessors; unset entries are nullopt.
-  const std::optional<NodeInfo>& entry(int i) const { return entries_[i]; }
-  void set_entry(int i, NodeInfo info) { entries_[i] = info; }
+  const std::optional<overlay::PeerInfo>& entry(int i) const {
+    return entries_[i];
+  }
+  void set_entry(int i, overlay::PeerInfo info) { entries_[i] = info; }
   void clear_entry(int i) { entries_[i] = std::nullopt; }
   void Clear() { entries_.fill(std::nullopt); }
 
   static constexpr int size() { return kIdBits; }
 
  private:
-  std::array<std::optional<NodeInfo>, kIdBits> entries_{};
+  std::array<std::optional<overlay::PeerInfo>, kIdBits> entries_{};
 };
 
 /// \brief Routing state of one peer.
@@ -45,20 +40,24 @@ class ChordNode {
  public:
   ChordNode(ChordId id, NetAddress addr) : info_{id, addr} {}
 
-  const NodeInfo& info() const { return info_; }
+  const overlay::PeerInfo& info() const { return info_; }
   ChordId id() const { return info_.id; }
   const NetAddress& addr() const { return info_.addr; }
 
-  const std::optional<NodeInfo>& predecessor() const { return predecessor_; }
-  void set_predecessor(std::optional<NodeInfo> p) { predecessor_ = std::move(p); }
+  const std::optional<overlay::PeerInfo>& predecessor() const {
+    return predecessor_;
+  }
+  void set_predecessor(std::optional<overlay::PeerInfo> p) {
+    predecessor_ = std::move(p);
+  }
 
   /// The successor list, closest first. successors()[0] is the
   /// immediate successor (== self only in a single-node ring).
-  const std::vector<NodeInfo>& successors() const { return successors_; }
-  std::vector<NodeInfo>& mutable_successors() { return successors_; }
+  const std::vector<overlay::PeerInfo>& successors() const { return successors_; }
+  std::vector<overlay::PeerInfo>& mutable_successors() { return successors_; }
 
   /// Immediate successor; self if the list is empty (fresh node).
-  NodeInfo successor() const {
+  overlay::PeerInfo successor() const {
     return successors_.empty() ? info_ : successors_.front();
   }
 
@@ -78,13 +77,14 @@ class ChordNode {
   /// fingers and successor list, restricted to nodes accepted by
   /// `usable` (the caller's failure knowledge). Returns nullopt when
   /// no known node improves on self.
-  std::optional<NodeInfo> ClosestPrecedingNode(
-      ChordId target, const std::function<bool(const NodeInfo&)>& usable) const;
+  std::optional<overlay::PeerInfo> ClosestPrecedingNode(
+      ChordId target,
+      const std::function<bool(const overlay::PeerInfo&)>& usable) const;
 
  private:
-  NodeInfo info_;
-  std::optional<NodeInfo> predecessor_;
-  std::vector<NodeInfo> successors_;
+  overlay::PeerInfo info_;
+  std::optional<overlay::PeerInfo> predecessor_;
+  std::vector<overlay::PeerInfo> successors_;
   FingerTable fingers_;
 };
 

@@ -1,6 +1,7 @@
 #include "chord/ring.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.h"
 #include "hash/sha1.h"
@@ -8,23 +9,22 @@
 namespace p2prange {
 namespace chord {
 
-ChordRing::ChordRing(ChordConfig config, uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      net_(std::make_unique<SimNetwork>(config.latency, seed ^ 0xABCDEF)) {}
+ChordRing::ChordRing(const overlay::OverlayParams& params, uint64_t seed)
+    : Overlay(params.latency, seed ^ 0xABCDEF), params_(params), rng_(seed) {}
 
-Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed, ChordConfig config) {
+Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed,
+                                  const overlay::OverlayParams& params) {
   if (num_nodes == 0) {
     return Status::InvalidArgument("a ring needs at least one node");
   }
-  if (config.successor_list_len < 1) {
+  if (params.successor_list_len < 1) {
     return Status::InvalidArgument("successor_list_len must be >= 1");
   }
-  if (config.max_message_retries < 0) {
+  if (params.max_message_retries < 0) {
     return Status::InvalidArgument("max_message_retries must be >= 0");
   }
-  RETURN_NOT_OK(config.latency.Validate());
-  ChordRing ring(config, seed);
+  RETURN_NOT_OK(params.latency.Validate());
+  ChordRing ring(params, seed);
   for (size_t i = 0; i < num_nodes; ++i) {
     RETURN_NOT_OK(ring.CreateNode().status());
   }
@@ -32,7 +32,7 @@ Result<ChordRing> ChordRing::Make(size_t num_nodes, uint64_t seed, ChordConfig c
   return ring;
 }
 
-Result<NodeInfo> ChordRing::CreateNode() {
+Result<overlay::PeerInfo> ChordRing::CreateNode() {
   // Draw addresses until both the address and its SHA-1 identifier are
   // unused. Identifier collisions are ~N^2/2^33 likely, so a couple of
   // retries suffice at any realistic scale.
@@ -51,8 +51,8 @@ Result<NodeInfo> ChordRing::CreateNode() {
     }
     if (id_taken) continue;
     auto node = std::make_unique<ChordNode>(id, addr);
-    const NodeInfo info = node->info();
-    net_->Register(addr);
+    const overlay::PeerInfo info = node->info();
+    network().Register(addr);
     nodes_.emplace(addr, std::move(node));
     addresses_.push_back(addr);
     MarkDirty();
@@ -61,15 +61,17 @@ Result<NodeInfo> ChordRing::CreateNode() {
   return Status::Internal("could not generate a unique node identifier");
 }
 
-const std::vector<NodeInfo>& ChordRing::SortedAlive() const {
+const std::vector<overlay::PeerInfo>& ChordRing::SortedAlive() const {
   if (sorted_dirty_) {
     sorted_alive_.clear();
     sorted_alive_.reserve(nodes_.size());
     for (const auto& [addr, node] : nodes_) {
-      if (net_->IsAlive(addr)) sorted_alive_.push_back(node->info());
+      if (IsAlive(addr)) sorted_alive_.push_back(node->info());
     }
     std::sort(sorted_alive_.begin(), sorted_alive_.end(),
-              [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
+              [](const overlay::PeerInfo& a, const overlay::PeerInfo& b) {
+                return a.id < b.id;
+              });
     sorted_dirty_ = false;
   }
   return sorted_alive_;
@@ -77,7 +79,9 @@ const std::vector<NodeInfo>& ChordRing::SortedAlive() const {
 
 size_t ChordRing::num_alive() const { return SortedAlive().size(); }
 
-std::vector<NodeInfo> ChordRing::AliveNodesSorted() const { return SortedAlive(); }
+std::vector<overlay::PeerInfo> ChordRing::AlivePeersOrdered() const {
+  return SortedAlive();
+}
 
 Result<NetAddress> ChordRing::RandomAliveAddress() {
   const auto& alive = SortedAlive();
@@ -95,15 +99,42 @@ const ChordNode* ChordRing::node(const NetAddress& addr) const {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-Result<NodeInfo> ChordRing::FindSuccessorOracle(ChordId target) const {
+Result<overlay::PeerInfo> ChordRing::OwnerOracle(ChordId target) const {
   const auto& alive = SortedAlive();
   if (alive.empty()) return Status::NotFound("no live nodes");
   // First node with id >= target, wrapping to the smallest id.
   auto it = std::lower_bound(
       alive.begin(), alive.end(), target,
-      [](const NodeInfo& n, ChordId t) { return n.id < t; });
+      [](const overlay::PeerInfo& n, ChordId t) { return n.id < t; });
   if (it == alive.end()) it = alive.begin();
   return *it;
+}
+
+std::vector<overlay::PeerInfo> ChordRing::ReplicaCandidates(
+    const NetAddress& owner) const {
+  std::vector<overlay::PeerInfo> out;
+  const ChordNode* n = node(owner);
+  if (n == nullptr) return out;
+  out.reserve(n->successors().size());
+  for (const overlay::PeerInfo& succ : n->successors()) {
+    if (succ.addr == owner) continue;  // the owner backs itself up last
+    out.push_back(succ);
+  }
+  return out;
+}
+
+std::vector<size_t> ChordRing::RoutingStateSizes() const {
+  std::vector<size_t> out;
+  for (const overlay::PeerInfo& info : SortedAlive()) {
+    const ChordNode* n = node(info.addr);
+    std::set<ChordId> distinct;
+    for (int i = 0; i < FingerTable::size(); ++i) {
+      if (n->fingers().entry(i)) distinct.insert(n->fingers().entry(i)->id);
+    }
+    for (const overlay::PeerInfo& s : n->successors()) distinct.insert(s.id);
+    out.push_back(distinct.size());
+  }
+  return out;
 }
 
 void ChordRing::RebuildPerfectState() {
@@ -118,7 +149,7 @@ void ChordRing::RebuildPerfectState() {
     // Successor list: the next `successor_list_len` nodes clockwise.
     auto& succ = nd->mutable_successors();
     succ.clear();
-    const size_t len = std::min<size_t>(config_.successor_list_len, n);
+    const size_t len = std::min<size_t>(params_.successor_list_len, n);
     for (size_t j = 1; j <= len; ++j) succ.push_back(alive[(i + j) % n]);
     if (succ.empty()) succ.push_back(nd->info());  // 1-node ring
     // Fingers: successor of id + 2^k.
@@ -127,24 +158,24 @@ void ChordRing::RebuildPerfectState() {
       const ChordId start = FingerStart(nd->id(), k);
       auto it = std::lower_bound(
           alive.begin(), alive.end(), start,
-          [](const NodeInfo& a, ChordId t) { return a.id < t; });
+          [](const overlay::PeerInfo& a, ChordId t) { return a.id < t; });
       if (it == alive.end()) it = alive.begin();
       ft.set_entry(k, *it);
     }
   }
 }
 
-NodeInfo ChordRing::FirstAliveSuccessor(const ChordNode& n) const {
-  for (const NodeInfo& s : n.successors()) {
-    if (net_->IsAlive(s.addr)) return s;
+overlay::PeerInfo ChordRing::FirstAliveSuccessor(const ChordNode& n) const {
+  for (const overlay::PeerInfo& s : n.successors()) {
+    if (IsAlive(s.addr)) return s;
   }
   return n.info();
 }
 
-Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
-                                                  ChordId target, LookupResult* out) {
+Result<overlay::PeerInfo> ChordRing::ProtocolFindSuccessor(
+    const NetAddress& from, ChordId target, overlay::RouteResult* out) {
   const ChordNode* origin = node(from);
-  if (origin == nullptr || !net_->IsAlive(from)) {
+  if (origin == nullptr || !IsAlive(from)) {
     return Status::InvalidArgument("lookup origin " + from.ToString() +
                                    " is not a live peer");
   }
@@ -152,8 +183,8 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
     // Messages to live peers may be lost in transit; retransmit a few
     // times before giving up. Every attempt pays latency.
     Status last;
-    for (int attempt = 0; attempt <= config_.max_message_retries; ++attempt) {
-      auto latency = net_->Deliver(from, to);
+    for (int attempt = 0; attempt <= params_.max_message_retries; ++attempt) {
+      auto latency = network().Deliver(from, to);
       if (latency.ok()) {
         if (out != nullptr) {
           ++out->hops;
@@ -163,7 +194,7 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
       }
       last = latency.status();
       if (!last.IsIOError()) return last;  // dead peer: retrying is futile
-      if (out != nullptr) out->latency_ms += config_.latency.base_ms;
+      if (out != nullptr) out->latency_ms += params_.latency.base_ms;
     }
     return last;
   };
@@ -172,15 +203,18 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
   // Safety bound on routing steps before a lookup is declared broken.
   constexpr int kMaxLookupSteps = 3 * kIdBits;
   for (int step = 0; step < kMaxLookupSteps; ++step) {
-    const NodeInfo succ = FirstAliveSuccessor(*cur);
+    const overlay::PeerInfo succ = FirstAliveSuccessor(*cur);
     if (InOpenClosed(cur->id(), succ.id, target)) {
       // succ owns the target; contact it (the final routing hop),
       // unless the owner is the node we are already talking to.
       if (succ.addr != cur->addr()) RETURN_NOT_OK(charge(succ.addr));
       return succ;
     }
-    auto usable = [this](const NodeInfo& cand) { return net_->IsAlive(cand.addr); };
-    std::optional<NodeInfo> next = cur->ClosestPrecedingNode(target, usable);
+    auto usable = [this](const overlay::PeerInfo& cand) {
+      return IsAlive(cand.addr);
+    };
+    std::optional<overlay::PeerInfo> next =
+        cur->ClosestPrecedingNode(target, usable);
     if (!next || next->addr == cur->addr()) {
       next = succ;  // cannot improve; fall through to the successor
     }
@@ -196,16 +230,17 @@ Result<NodeInfo> ChordRing::ProtocolFindSuccessor(const NetAddress& from,
                           " did not converge; ring state is inconsistent");
 }
 
-Result<LookupResult> ChordRing::Lookup(const NetAddress& from, ChordId target) {
-  LookupResult result;
+Result<overlay::RouteResult> ChordRing::RouteToOwner(const NetAddress& from,
+                                                     ChordId target) {
+  overlay::RouteResult result;
   ASSIGN_OR_RETURN(result.owner, ProtocolFindSuccessor(from, target, &result));
   return result;
 }
 
-Result<NodeInfo> ChordRing::AddNode() {
+Result<overlay::PeerInfo> ChordRing::AddNode() {
   // Pick a bootstrap peer before registering the newcomer.
   auto bootstrap = RandomAliveAddress();
-  ASSIGN_OR_RETURN(const NodeInfo info, CreateNode());
+  ASSIGN_OR_RETURN(const overlay::PeerInfo info, CreateNode());
   ChordNode* fresh = node(info.addr);
   if (!bootstrap.ok()) {
     // First node of the system: a ring of one.
@@ -214,34 +249,38 @@ Result<NodeInfo> ChordRing::AddNode() {
     return info;
   }
   // Chord join: resolve our own identifier through the bootstrap node.
-  ASSIGN_OR_RETURN(const NodeInfo succ,
+  ASSIGN_OR_RETURN(const overlay::PeerInfo succ,
                    ProtocolFindSuccessor(*bootstrap, info.id, nullptr));
-  auto& list = fresh->mutable_successors();
+  JoinBehind(*fresh, succ);
+  return info;
+}
+
+void ChordRing::JoinBehind(ChordNode& n, const overlay::PeerInfo& succ) {
+  auto& list = n.mutable_successors();
   list.push_back(succ);
-  const ChordNode* succ_node = node(succ.addr);
-  for (const NodeInfo& s : succ_node->successors()) {
-    if (static_cast<int>(list.size()) >= config_.successor_list_len) break;
-    if (s.addr == info.addr) continue;
+  for (const overlay::PeerInfo& s : node(succ.addr)->successors()) {
+    if (static_cast<int>(list.size()) >= params_.successor_list_len) break;
+    if (s.addr == n.addr()) continue;
     if (std::find(list.begin(), list.end(), s) != list.end()) continue;
     list.push_back(s);
   }
-  Stabilize(*fresh);
-  FixFingers(*fresh);
-  return info;
+  StabilizeNode(n);
+  FixFingers(n);
 }
 
 Status ChordRing::Leave(const NetAddress& addr) {
   ChordNode* n = node(addr);
   if (n == nullptr) return Status::NotFound("unknown peer " + addr.ToString());
-  if (!net_->IsAlive(addr)) return Status::InvalidArgument("peer already down");
+  if (!IsAlive(addr)) return Status::InvalidArgument("peer already down");
   // Graceful departure: hand our successor to our predecessor and our
   // predecessor to our successor, then go down.
-  const NodeInfo succ = FirstAliveSuccessor(*n);
-  if (n->predecessor() && net_->IsAlive(n->predecessor()->addr) &&
+  const overlay::PeerInfo succ = FirstAliveSuccessor(*n);
+  if (n->predecessor() && IsAlive(n->predecessor()->addr) &&
       n->predecessor()->addr != addr) {
     ChordNode* pred = node(n->predecessor()->addr);
     auto& list = pred->mutable_successors();
-    std::erase_if(list, [&](const NodeInfo& s) { return s.addr == addr; });
+    std::erase_if(list,
+                  [&](const overlay::PeerInfo& s) { return s.addr == addr; });
     if (succ.addr != addr &&
         std::find(list.begin(), list.end(), succ) == list.end()) {
       list.insert(list.begin(), succ);
@@ -253,14 +292,14 @@ Status ChordRing::Leave(const NetAddress& addr) {
       s->set_predecessor(n->predecessor());
     }
   }
-  RETURN_NOT_OK(net_->SetAlive(addr, false));
+  RETURN_NOT_OK(network().SetAlive(addr, false));
   MarkDirty();
   return Status::OK();
 }
 
 Status ChordRing::Fail(const NetAddress& addr) {
   if (node(addr) == nullptr) return Status::NotFound("unknown peer " + addr.ToString());
-  RETURN_NOT_OK(net_->SetAlive(addr, false));
+  RETURN_NOT_OK(network().SetAlive(addr, false));
   MarkDirty();
   return Status::OK();
 }
@@ -268,14 +307,14 @@ Status ChordRing::Fail(const NetAddress& addr) {
 Status ChordRing::Recover(const NetAddress& addr) {
   ChordNode* n = node(addr);
   if (n == nullptr) return Status::NotFound("unknown peer " + addr.ToString());
-  if (net_->IsAlive(addr)) return Status::InvalidArgument("peer already up");
+  if (IsAlive(addr)) return Status::InvalidArgument("peer already up");
   // Stale routing state from before the crash would point anywhere;
   // wipe it and re-bootstrap like a joiner.
   n->mutable_successors().clear();
   n->set_predecessor(std::nullopt);
   n->mutable_fingers().Clear();
   auto bootstrap = RandomAliveAddress();
-  RETURN_NOT_OK(net_->SetAlive(addr, true));
+  RETURN_NOT_OK(network().SetAlive(addr, true));
   MarkDirty();
   if (!bootstrap.ok()) {
     // Everyone else is down: a ring of one.
@@ -291,28 +330,18 @@ Status ChordRing::Recover(const NetAddress& addr) {
     n->mutable_successors().push_back(n->info());
     return Status::OK();
   }
-  auto& list = n->mutable_successors();
-  list.push_back(*succ);
-  const ChordNode* succ_node = node(succ->addr);
-  for (const NodeInfo& s : succ_node->successors()) {
-    if (static_cast<int>(list.size()) >= config_.successor_list_len) break;
-    if (s.addr == addr) continue;
-    if (std::find(list.begin(), list.end(), s) != list.end()) continue;
-    list.push_back(s);
-  }
-  Stabilize(*n);
-  FixFingers(*n);
+  JoinBehind(*n, *succ);
   return Status::OK();
 }
 
-void ChordRing::Stabilize(ChordNode& n) {
-  NodeInfo succ = FirstAliveSuccessor(n);
+void ChordRing::StabilizeNode(ChordNode& n) {
+  overlay::PeerInfo succ = FirstAliveSuccessor(n);
   if (succ.addr == n.addr()) {
     // Self-ring. If a joiner has announced itself as our predecessor,
     // adopt it as successor (this is how a 1-node ring grows);
     // otherwise stay collapsed until a notify reconnects us.
     if (n.predecessor() && n.predecessor()->addr != n.addr() &&
-        net_->IsAlive(n.predecessor()->addr)) {
+        IsAlive(n.predecessor()->addr)) {
       succ = *n.predecessor();
       n.mutable_successors().assign(1, succ);
     } else {
@@ -323,7 +352,7 @@ void ChordRing::Stabilize(ChordNode& n) {
   ChordNode* s = node(succ.addr);
   // Adopt the successor's predecessor when it sits between us.
   const auto& x = s->predecessor();
-  if (x && net_->IsAlive(x->addr) && InOpenOpen(n.id(), succ.id, x->id)) {
+  if (x && IsAlive(x->addr) && InOpenOpen(n.id(), succ.id, x->id)) {
     succ = *x;
     s = node(succ.addr);
   }
@@ -331,22 +360,23 @@ void ChordRing::Stabilize(ChordNode& n) {
   auto& list = n.mutable_successors();
   list.clear();
   list.push_back(succ);
-  for (const NodeInfo& e : s->successors()) {
-    if (static_cast<int>(list.size()) >= config_.successor_list_len) break;
+  for (const overlay::PeerInfo& e : s->successors()) {
+    if (static_cast<int>(list.size()) >= params_.successor_list_len) break;
     if (e.addr == n.addr()) continue;
-    if (!net_->IsAlive(e.addr)) continue;
+    if (!IsAlive(e.addr)) continue;
     if (std::find(list.begin(), list.end(), e) == list.end()) list.push_back(e);
   }
   Notify(*s, n.info());
   // Drop a dead predecessor so a live one can claim the slot.
-  if (n.predecessor() && !net_->IsAlive(n.predecessor()->addr)) {
+  if (n.predecessor() && !IsAlive(n.predecessor()->addr)) {
     n.set_predecessor(std::nullopt);
   }
 }
 
-void ChordRing::Notify(ChordNode& successor, const NodeInfo& candidate) {
+void ChordRing::Notify(ChordNode& successor,
+                       const overlay::PeerInfo& candidate) {
   const auto& pred = successor.predecessor();
-  if (!pred || !net_->IsAlive(pred->addr) ||
+  if (!pred || !IsAlive(pred->addr) ||
       InOpenOpen(pred->id, successor.id(), candidate.id)) {
     if (candidate.addr != successor.addr()) successor.set_predecessor(candidate);
   }
@@ -363,18 +393,18 @@ void ChordRing::FixFingers(ChordNode& n) {
   }
 }
 
-void ChordRing::StabilizeAll(int rounds) {
+void ChordRing::Stabilize(int rounds) {
   for (int r = 0; r < rounds; ++r) {
     for (const NetAddress& addr : addresses_) {
-      if (!net_->IsAlive(addr)) continue;
-      Stabilize(*node(addr));
+      if (!IsAlive(addr)) continue;
+      StabilizeNode(*node(addr));
     }
   }
 }
 
-void ChordRing::FixAllFingers() {
+void ChordRing::RepairRouting() {
   for (const NetAddress& addr : addresses_) {
-    if (!net_->IsAlive(addr)) continue;
+    if (!IsAlive(addr)) continue;
     FixFingers(*node(addr));
   }
 }

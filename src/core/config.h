@@ -4,7 +4,6 @@
 
 #include <cstdint>
 
-#include "chord/ring.h"
 #include "core/adaptive_padding.h"
 #include "core/fault_policy.h"
 #include "hash/lsh.h"
@@ -79,15 +78,13 @@ struct SystemConfig {
 
   /// Retry/backoff/timeout discipline for the system's own messages
   /// (descriptor stores, owner replies, data transfers). The Chord
-  /// layer's routing retries stay under chord.max_message_retries.
+  /// layer's routing retries stay under overlay.max_message_retries.
   FaultPolicy fault;
 
-  chord::ChordConfig chord;
-
-  /// Which routing substrate backs the system. Defaults to Chord (the
-  /// paper's choice); CAN and Tapestry run the same §4 protocol
-  /// unmodified through the overlay contract. The latency model is
-  /// taken from `chord.latency` for every substrate.
+  /// Which routing substrate backs the system, and its tunables.
+  /// Defaults to Chord (the paper's choice); CAN and Tapestry run the
+  /// same §4 protocol unmodified through the overlay contract, over
+  /// the same `overlay.latency` model.
   overlay::OverlayParams overlay;
 
   /// Master seed: peers, LSH keys, and query origins all derive from it.

@@ -7,7 +7,8 @@
 #include <string>
 #include <unordered_map>
 
-#include "chord/node.h"
+#include "chord/id.h"
+#include "overlay/overlay.h"
 #include "rel/relation.h"
 #include "store/bucket_store.h"
 #include "store/durable_store.h"
@@ -26,11 +27,11 @@ struct EqDescriptor {
 /// \brief One peer of the data-sharing system.
 class Peer {
  public:
-  explicit Peer(chord::NodeInfo info, size_t store_capacity,
+  explicit Peer(overlay::PeerInfo info, size_t store_capacity,
                 store::DurabilityConfig durability = {})
       : info_(info), durable_(store_capacity, durability) {}
 
-  const chord::NodeInfo& info() const { return info_; }
+  const overlay::PeerInfo& info() const { return info_; }
   const NetAddress& addr() const { return info_.addr; }
 
   BucketStore& store() { return durable_.store(); }
@@ -97,7 +98,7 @@ class Peer {
   }
 
  private:
-  chord::NodeInfo info_;
+  overlay::PeerInfo info_;
   store::DurableDescriptorStore durable_;
   std::unordered_map<PartitionKey, Relation, PartitionKeyHash> data_;
   std::unordered_map<chord::ChordId, std::vector<EqDescriptor>> eq_index_;

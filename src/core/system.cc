@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "core/coverage.h"
 #include "hash/sha1.h"
-#include "overlay/factory.h"
 #include "wire/serde.h"
 
 namespace p2prange {
@@ -86,7 +85,7 @@ Result<RangeCacheSystem> RangeCacheSystem::Make(const SystemConfig& config,
 
   ASSIGN_OR_RETURN(sys.overlay_,
                    overlay::MakeOverlay(config.overlay, config.num_peers,
-                                        config.seed, config.chord));
+                                        config.seed));
 
   LshParams lsh_params = config.lsh;
   lsh_params.seed = config.seed ^ 0x5bd1e995u;
@@ -95,10 +94,9 @@ Result<RangeCacheSystem> RangeCacheSystem::Make(const SystemConfig& config,
 
   const auto nodes = sys.overlay_->AlivePeersOrdered();
   for (const overlay::PeerInfo& info : nodes) {
-    sys.peers_.emplace(
-        info.addr,
-        std::make_unique<Peer>(chord::NodeInfo{info.id, info.addr},
-                               config.store_capacity, config.durability));
+    sys.peers_.emplace(info.addr,
+                       std::make_unique<Peer>(info, config.store_capacity,
+                                              config.durability));
   }
   sys.source_ = nodes.front().addr;
   return sys;
@@ -787,8 +785,8 @@ Result<NetAddress> RangeCacheSystem::AddPeer() {
   ASSIGN_OR_RETURN(const overlay::PeerInfo info, overlay_->AddNode());
   overlay_->Stabilize(2);
   peers_.emplace(info.addr,
-                 std::make_unique<Peer>(chord::NodeInfo{info.id, info.addr},
-                                        config_.store_capacity, config_.durability));
+                 std::make_unique<Peer>(info, config_.store_capacity,
+                                        config_.durability));
   return info.addr;
 }
 

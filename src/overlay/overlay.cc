@@ -1,12 +1,23 @@
 #include "overlay/overlay.h"
 
-#include "overlay/can_overlay.h"
-#include "overlay/chord_overlay.h"
-#include "overlay/factory.h"
-#include "overlay/tapestry_overlay.h"
+#include "can/network.h"
+#include "chord/ring.h"
+#include "tapestry/tapestry.h"
 
 namespace p2prange {
 namespace overlay {
+
+namespace {
+
+template <typename Substrate>
+Result<std::unique_ptr<Overlay>> Build(size_t num_nodes, uint64_t seed,
+                                       const OverlayParams& params) {
+  ASSIGN_OR_RETURN(Substrate built, Substrate::Make(num_nodes, seed, params));
+  std::unique_ptr<Overlay> out = std::make_unique<Substrate>(std::move(built));
+  return out;
+}
+
+}  // namespace
 
 const char* KindName(Kind kind) {
   switch (kind) {
@@ -27,20 +38,15 @@ Result<Kind> KindFromName(std::string_view name) {
   return Status::InvalidArgument("unknown overlay kind: " + std::string(name));
 }
 
-Result<std::unique_ptr<Overlay>> MakeOverlay(
-    const OverlayParams& params, size_t num_nodes, uint64_t seed,
-    const chord::ChordConfig& chord_config) {
+Result<std::unique_ptr<Overlay>> MakeOverlay(const OverlayParams& params,
+                                             size_t num_nodes, uint64_t seed) {
   switch (params.kind) {
     case Kind::kChord:
-      return ChordOverlay::Make(num_nodes, seed, chord_config);
-    case Kind::kCan: {
-      can::CanConfig config;
-      config.dims = params.can_dims;
-      config.latency = chord_config.latency;
-      return CanOverlay::Make(num_nodes, seed, config);
-    }
+      return Build<chord::ChordRing>(num_nodes, seed, params);
+    case Kind::kCan:
+      return Build<can::CanNetwork>(num_nodes, seed, params);
     case Kind::kTapestry:
-      return TapestryOverlay::Make(num_nodes, seed, chord_config.latency);
+      return Build<tapestry::TapestryMesh>(num_nodes, seed, params);
   }
   return Status::InvalidArgument("unknown overlay kind");
 }

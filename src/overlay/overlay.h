@@ -4,12 +4,16 @@
 // descriptor replication, churn and fault injection — asks one
 // abstract question ("who owns identifier x, and what did routing
 // there cost?") plus a membership/maintenance surface; everything
-// below decides what the overlay physically is. Three implementations,
-// each charging its messages to its own SimNetwork, route the
-// identical workload so the paper's protocol can be measured over
-// Chord (the evaluation substrate), CAN (the substrate Harren et al.
-// used), and Tapestry (the third family the introduction surveys)
-// without touching core::System.
+// below decides what the overlay physically is. chord::ChordRing (the
+// evaluation substrate), can::CanNetwork (the substrate Harren et al.
+// used) and tapestry::TapestryMesh (the third family the introduction
+// surveys) implement it directly, each charging its messages to the
+// SimNetwork the base owns, so the identical workload routes over all
+// three without touching core::System.
+//
+// The contract is header-only so the substrate libraries can sit
+// above it; KindName, KindFromName and MakeOverlay live in
+// p2p_overlay, which links all three substrates.
 #ifndef P2PRANGE_OVERLAY_OVERLAY_H_
 #define P2PRANGE_OVERLAY_OVERLAY_H_
 
@@ -59,6 +63,25 @@ struct RouteResult {
   double latency_ms = 0.0;
 };
 
+/// \brief Which overlay to build and every substrate tunable.
+struct OverlayParams {
+  Kind kind = Kind::kChord;
+  /// CAN dimensionality d (hops scale as d/4 * n^(1/d)).
+  int can_dims = 2;
+  /// Latency/loss model of the substrate's simulated network, the same
+  /// for every substrate so hop costs are comparable.
+  LatencyModel latency;
+  /// Chord successor-list length (fault tolerance; Chord suggests
+  /// O(log N)).
+  int successor_list_len = 8;
+  /// Chord retransmissions per routing message lost in transit.
+  int max_message_retries = 3;
+};
+
+/// Replica-list depth of the CAN and Tapestry ReplicaCandidates (Chord
+/// uses its successor-list length).
+inline constexpr size_t kReplicaListLen = 8;
+
 /// \brief Abstract structured overlay: identifier ownership, routed
 /// lookup with per-hop accounting, replica placement, membership, and
 /// maintenance. All implementations are deterministic under a seed.
@@ -66,7 +89,6 @@ class Overlay {
  public:
   virtual ~Overlay() = default;
 
-  Overlay() = default;
   Overlay(const Overlay&) = delete;
   Overlay& operator=(const Overlay&) = delete;
 
@@ -131,34 +153,42 @@ class Overlay {
   /// A uniformly random live peer (e.g. to originate a lookup).
   virtual Result<NetAddress> RandomAliveAddress() = 0;
 
-  virtual bool IsAlive(const NetAddress& addr) const = 0;
+  /// Routing-state entries of each live peer: Chord's distinct fingers
+  /// and successors, CAN's zone neighbors, Tapestry's populated
+  /// prefix-table slots.
+  virtual std::vector<size_t> RoutingStateSizes() const = 0;
+
+  bool IsAlive(const NetAddress& addr) const { return net_->IsAlive(addr); }
 
   // --- Accounted delivery ---------------------------------------------
 
   /// Accounts one system message with `payload_bytes` of payload
   /// through the substrate's network (see SimNetwork::DeliverBytes for
   /// the error contract).
-  virtual Result<double> DeliverBytes(const NetAddress& from,
-                                      const NetAddress& to,
-                                      uint64_t payload_bytes) = 0;
+  Result<double> DeliverBytes(const NetAddress& from, const NetAddress& to,
+                              uint64_t payload_bytes) {
+    return net_->DeliverBytes(from, to, payload_bytes);
+  }
 
-  virtual const NetworkStats& net_stats() const = 0;
-  virtual void ResetNetStats() = 0;
+  const NetworkStats& net_stats() const { return net_->stats(); }
+  void ResetNetStats() { net_->ResetStats(); }
+
+ protected:
+  /// The substrate's network: `latency` over an RNG seeded `net_seed`.
+  Overlay(const LatencyModel& latency, uint64_t net_seed)
+      : net_(std::make_unique<SimNetwork>(latency, net_seed)) {}
+  Overlay(Overlay&&) noexcept = default;
+  Overlay& operator=(Overlay&&) noexcept = default;
+
+  SimNetwork& network() { return *net_; }
+
+ private:
+  std::unique_ptr<SimNetwork> net_;
 };
 
-/// \brief Which overlay to build and its substrate tunables. The
-/// Chord tunables stay in chord::ChordConfig (SystemConfig::chord);
-/// its latency model is shared by all substrates so hop costs are
-/// comparable.
-struct OverlayParams {
-  Kind kind = Kind::kChord;
-  /// CAN dimensionality d (hops scale as d/4 * n^(1/d)).
-  int can_dims = 2;
-};
-
-/// Replica-list depth of the CAN and Tapestry ReplicaCandidates (Chord
-/// uses its successor-list length).
-inline constexpr size_t kReplicaListLen = 8;
+/// \brief Builds a `params.kind` overlay of `num_nodes` peers.
+Result<std::unique_ptr<Overlay>> MakeOverlay(const OverlayParams& params,
+                                             size_t num_nodes, uint64_t seed);
 
 }  // namespace overlay
 }  // namespace p2prange

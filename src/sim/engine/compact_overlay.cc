@@ -322,7 +322,7 @@ class CompactCan final : public CompactOverlay {
 /// Tapestry: surrogate routing resolves one hex digit per hop. Because
 /// a digit prefix is a contiguous span of the sorted identifier array,
 /// the global-mesh descent (cyclic successor among digits present at
-/// each level, exactly TapestryOverlay::OwnerOracle's rule) runs as a
+/// each level, exactly TapestryMesh::OwnerOracle's rule) runs as a
 /// cascade of rank lookups plus alive-counts.
 class CompactTapestry final : public CompactOverlay {
  public:

@@ -13,7 +13,9 @@
 // Slots are filled globally and deterministically (minimum identifier
 // among candidates), which makes the surrogate root of every
 // identifier consistent across all starting points; the test suite
-// checks this root-consistency property explicitly.
+// checks this root-consistency property explicitly. TapestryMesh
+// implements the overlay::Overlay contract: an identifier's owner is
+// its surrogate root.
 #ifndef P2PRANGE_TAPESTRY_TAPESTRY_H_
 #define P2PRANGE_TAPESTRY_TAPESTRY_H_
 
@@ -25,7 +27,7 @@
 
 #include "common/random.h"
 #include "common/result.h"
-#include "net/sim_network.h"
+#include "overlay/overlay.h"
 
 namespace p2prange {
 namespace tapestry {
@@ -46,27 +48,19 @@ inline int SharedPrefixLen(uint32_t a, uint32_t b) {
   return kDigits;
 }
 
-/// \brief A routing handle.
-struct MeshNodeInfo {
-  uint32_t id = 0;
-  NetAddress addr;
-
-  bool operator==(const MeshNodeInfo&) const = default;
-};
-
 /// \brief One Tapestry node: identifier plus routing table.
 class TapestryNode {
  public:
-  TapestryNode(uint32_t id, NetAddress addr) : id_(id), addr_(addr) {}
+  explicit TapestryNode(overlay::PeerInfo info) : info_(info) {}
 
-  uint32_t id() const { return id_; }
-  const NetAddress& addr() const { return addr_; }
-  MeshNodeInfo info() const { return MeshNodeInfo{id_, addr_}; }
+  uint32_t id() const { return info_.id; }
+  const NetAddress& addr() const { return info_.addr; }
+  const overlay::PeerInfo& info() const { return info_; }
 
-  const std::optional<MeshNodeInfo>& slot(int level, int digit) const {
+  const std::optional<overlay::PeerInfo>& slot(int level, int digit) const {
     return table_[level][digit];
   }
-  void set_slot(int level, int digit, MeshNodeInfo info) {
+  void set_slot(int level, int digit, overlay::PeerInfo info) {
     table_[level][digit] = info;
   }
   void ClearTable();
@@ -75,73 +69,78 @@ class TapestryNode {
   size_t PopulatedSlots() const;
 
  private:
-  uint32_t id_;
-  NetAddress addr_;
-  std::array<std::array<std::optional<MeshNodeInfo>, kBase>, kDigits> table_{};
-};
-
-/// \brief Outcome of one lookup.
-struct MeshLookupResult {
-  MeshNodeInfo owner;  ///< the surrogate root of the identifier
-  int hops = 0;
-  double latency_ms = 0.0;
+  overlay::PeerInfo info_;
+  std::array<std::array<std::optional<overlay::PeerInfo>, kBase>, kDigits>
+      table_{};
 };
 
 /// \brief A simulated Tapestry mesh.
-class TapestryMesh {
+class TapestryMesh final : public overlay::Overlay {
  public:
+  /// Reads the latency model of `params`.
   static Result<TapestryMesh> Make(size_t num_nodes, uint64_t seed,
-                                   LatencyModel latency = LatencyModel{});
+                                   const overlay::OverlayParams& params = {});
 
   TapestryMesh(TapestryMesh&&) noexcept = default;
   TapestryMesh& operator=(TapestryMesh&&) noexcept = default;
 
+  overlay::Kind kind() const override { return overlay::Kind::kTapestry; }
+
   /// Prefix-routes `target` from `from` to its surrogate root.
-  Result<MeshLookupResult> Lookup(const NetAddress& from, uint32_t target);
+  Result<overlay::RouteResult> RouteToOwner(const NetAddress& from,
+                                            uint32_t target) override;
+
+  /// The surrogate root of `target` among live nodes, without routing.
+  Result<overlay::PeerInfo> OwnerOracle(uint32_t target) const override;
+
+  /// The next live nodes clockwise in identifier order, at most
+  /// overlay::kReplicaListLen of them.
+  std::vector<overlay::PeerInfo> ReplicaCandidates(
+      const NetAddress& owner) const override;
 
   /// Joins a brand-new node with a fresh address and unique identifier
   /// and repairs the mesh immediately (steady-state model).
-  Result<MeshNodeInfo> AddNode();
+  Result<overlay::PeerInfo> AddNode() override;
 
   /// Graceful departure: the node goes down and the mesh is repaired
   /// immediately (the leaver hands its routing role off).
-  Status Leave(const NetAddress& addr);
+  Status Leave(const NetAddress& addr) override;
 
-  /// Marks a node down; call RebuildRoutingTables to repair the mesh
-  /// (this substrate models steady state, not Tapestry's incremental
-  /// repair protocol).
-  Status Fail(const NetAddress& addr);
+  /// Marks a node down; call RepairRouting to repair the mesh (this
+  /// substrate models steady state, not Tapestry's incremental repair
+  /// protocol).
+  Status Fail(const NetAddress& addr) override;
 
   /// A failed node comes back with its identifier; the mesh is
   /// repaired immediately.
-  Status Recover(const NetAddress& addr);
+  Status Recover(const NetAddress& addr) override;
+
+  /// Any positive number of rounds is one RepairRouting.
+  void Stabilize(int rounds) override {
+    if (rounds > 0) RepairRouting();
+  }
 
   /// Recomputes every live node's routing table from global knowledge
   /// with the deterministic minimum-identifier fill.
-  void RebuildRoutingTables();
+  void RepairRouting() override;
 
-  size_t num_alive() const;
-  Result<NetAddress> RandomAliveAddress();
+  size_t num_alive() const override;
+  Result<NetAddress> RandomAliveAddress() override;
   const TapestryNode* node(const NetAddress& addr) const;
 
   /// Live nodes in ascending identifier order.
-  std::vector<MeshNodeInfo> AliveNodesSorted() const { return AliveInfos(); }
+  std::vector<overlay::PeerInfo> AlivePeersOrdered() const override;
 
   /// Routing-table occupancy per node (state metric).
-  std::vector<size_t> StateSizes() const;
-
-  SimNetwork& network() { return *net_; }
+  std::vector<size_t> RoutingStateSizes() const override;
 
  private:
-  TapestryMesh(uint64_t seed, LatencyModel latency);
+  TapestryMesh(const overlay::OverlayParams& params, uint64_t seed);
 
   /// Registers one node at a fresh address with a unique identifier.
-  Result<MeshNodeInfo> CreateNode();
-
-  std::vector<MeshNodeInfo> AliveInfos() const;
+  Result<overlay::PeerInfo> CreateNode();
 
   Rng rng_;
-  std::unique_ptr<SimNetwork> net_;
   std::unordered_map<NetAddress, std::unique_ptr<TapestryNode>, NetAddressHash>
       nodes_;
 };

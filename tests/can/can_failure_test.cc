@@ -16,8 +16,8 @@ namespace can {
 namespace {
 
 CanNetwork MakeNet(size_t n, uint64_t seed = 21, int dims = 2) {
-  CanConfig cfg;
-  cfg.dims = dims;
+  overlay::OverlayParams cfg;
+  cfg.can_dims = dims;
   auto net = CanNetwork::Make(n, seed, cfg);
   EXPECT_TRUE(net.ok()) << net.status();
   return std::move(net).ValueUnsafe();
@@ -48,7 +48,7 @@ TEST(CanFailureTest, FailedZonesStayOrphanedUntilTakeover) {
   EXPECT_GE(transferred, victim_zones);
   auto owner = net.FindOwnerOracle(inside);
   ASSERT_TRUE(owner.ok()) << owner.status();
-  EXPECT_NE(*owner, *victim);
+  EXPECT_NE(owner->addr, *victim);
   EXPECT_TRUE(net.CheckInvariants().ok());
   // Idempotent once everything is reassigned.
   EXPECT_EQ(net.TakeoverDeadZones(), 0u);
@@ -105,7 +105,7 @@ TEST(CanFailureTest, MassFailureWithTakeoverKeepsSpaceTiled) {
   for (uint32_t i = 0; i < 64; ++i) {
     auto owner = net.FindOwnerOracle(IdentifierToPoint(i * 0x9E3779B9u, 2));
     ASSERT_TRUE(owner.ok()) << owner.status();
-    EXPECT_EQ(downed.count(owner->ToString()), 0u);
+    EXPECT_EQ(downed.count(owner->addr.ToString()), 0u);
   }
 }
 

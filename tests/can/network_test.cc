@@ -13,10 +13,10 @@ namespace {
 
 TEST(CanNetworkTest, MakeRejectsBadConfigs) {
   EXPECT_TRUE(CanNetwork::Make(0, 1).status().IsInvalidArgument());
-  CanConfig cfg;
-  cfg.dims = 0;
+  overlay::OverlayParams cfg;
+  cfg.can_dims = 0;
   EXPECT_TRUE(CanNetwork::Make(4, 1, cfg).status().IsInvalidArgument());
-  cfg.dims = kMaxDims + 1;
+  cfg.can_dims = kMaxDims + 1;
   EXPECT_TRUE(CanNetwork::Make(4, 1, cfg).status().IsInvalidArgument());
 }
 
@@ -26,9 +26,9 @@ TEST(CanNetworkTest, SingleNodeOwnsEverything) {
   ASSERT_TRUE(net->CheckInvariants().ok());
   auto origin = net->RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
-  auto result = net->Lookup(*origin, 0xCAFEBABE);
+  auto result = net->RouteToOwner(*origin, 0xCAFEBABE);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->owner, *origin);
+  EXPECT_EQ(result->owner.addr, *origin);
   EXPECT_EQ(result->hops, 0);
 }
 
@@ -51,9 +51,9 @@ TEST_P(CanSizeTest, LookupsAgreeWithOracle) {
     const uint32_t id = rng.Next32();
     auto origin = net->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = net->Lookup(*origin, id);
+    auto result = net->RouteToOwner(*origin, id);
     ASSERT_TRUE(result.ok()) << result.status();
-    auto oracle = net->FindOwnerOracle(IdentifierToPoint(id, net->config().dims));
+    auto oracle = net->OwnerOracle(id);
     ASSERT_TRUE(oracle.ok());
     EXPECT_EQ(result->owner, *oracle);
   }
@@ -69,7 +69,7 @@ TEST(CanNetworkTest, PathLengthScalesAsDTimesRootN) {
   for (int i = 0; i < 300; ++i) {
     auto origin = net->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = net->Lookup(*origin, rng.Next32());
+    auto result = net->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok());
     hops.AddCount(static_cast<uint64_t>(result->hops));
   }
@@ -81,10 +81,10 @@ TEST(CanNetworkTest, PathLengthScalesAsDTimesRootN) {
 TEST(CanNetworkTest, HigherDimensionalityShortensRoutes) {
   Summary hops2, hops4;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
-    CanConfig d2;
-    d2.dims = 2;
-    CanConfig d4;
-    d4.dims = 4;
+    overlay::OverlayParams d2;
+    d2.can_dims = 2;
+    overlay::OverlayParams d4;
+    d4.can_dims = 4;
     auto net2 = CanNetwork::Make(256, seed, d2);
     auto net4 = CanNetwork::Make(256, seed, d4);
     ASSERT_TRUE(net2.ok());
@@ -96,8 +96,8 @@ TEST(CanNetworkTest, HigherDimensionalityShortensRoutes) {
       auto o4 = net4->RandomAliveAddress();
       ASSERT_TRUE(o2.ok());
       ASSERT_TRUE(o4.ok());
-      auto r2 = net2->Lookup(*o2, id);
-      auto r4 = net4->Lookup(*o4, id);
+      auto r2 = net2->RouteToOwner(*o2, id);
+      auto r4 = net4->RouteToOwner(*o4, id);
       ASSERT_TRUE(r2.ok());
       ASSERT_TRUE(r4.ok());
       hops2.AddCount(static_cast<uint64_t>(r2->hops));
@@ -108,17 +108,17 @@ TEST(CanNetworkTest, HigherDimensionalityShortensRoutes) {
 }
 
 TEST(CanNetworkTest, NeighborCountsGrowWithDimension) {
-  CanConfig d2;
-  d2.dims = 2;
-  CanConfig d6;
-  d6.dims = 6;
+  overlay::OverlayParams d2;
+  d2.can_dims = 2;
+  overlay::OverlayParams d6;
+  d6.can_dims = 6;
   auto net2 = CanNetwork::Make(128, 23, d2);
   auto net6 = CanNetwork::Make(128, 23, d6);
   ASSERT_TRUE(net2.ok());
   ASSERT_TRUE(net6.ok());
   Summary n2, n6;
-  for (size_t c : net2->NeighborCounts()) n2.AddCount(c);
-  for (size_t c : net6->NeighborCounts()) n6.AddCount(c);
+  for (size_t c : net2->RoutingStateSizes()) n2.AddCount(c);
+  for (size_t c : net6->RoutingStateSizes()) n6.AddCount(c);
   EXPECT_GT(n6.Mean(), n2.Mean());
   // CAN's per-node state is O(d): ~2d for balanced zones.
   EXPECT_GT(n2.Mean(), 2.0);
@@ -156,7 +156,7 @@ TEST(CanNetworkTest, LeaveMergesOrHandsOverZones) {
   for (int i = 0; i < 40; ++i) {
     auto origin = net->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = net->Lookup(*origin, rng.Next32());
+    auto result = net->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok()) << result.status();
   }
 }
@@ -197,7 +197,7 @@ TEST(CanNetworkTest, LookupFromDeadOriginFails) {
   auto victim = net->RandomAliveAddress();
   ASSERT_TRUE(victim.ok());
   ASSERT_TRUE(net->Leave(*victim).ok());
-  EXPECT_TRUE(net->Lookup(*victim, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(net->RouteToOwner(*victim, 1).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -6,8 +6,8 @@ namespace p2prange {
 namespace chord {
 namespace {
 
-NodeInfo Info(ChordId id) {
-  return NodeInfo{id, NetAddress{id, static_cast<uint16_t>(id & 0xFFFF)}};
+overlay::PeerInfo Info(ChordId id) {
+  return overlay::PeerInfo{id, NetAddress{id, static_cast<uint16_t>(id & 0xFFFF)}};
 }
 
 TEST(FingerTableTest, EntriesStartUnset) {
@@ -76,7 +76,7 @@ TEST(ChordNodeTest, ClosestPrecedingRespectsUsablePredicate) {
   n.mutable_fingers().set_entry(7, Info(128));
   n.mutable_fingers().set_entry(4, Info(16));
   auto best = n.ClosestPrecedingNode(
-      500, [](const NodeInfo& cand) { return cand.id != 128; });
+      500, [](const overlay::PeerInfo& cand) { return cand.id != 128; });
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->id, 16u);
 }
@@ -89,7 +89,7 @@ TEST(ChordNodeTest, ClosestPrecedingNoneWhenNothingImproves) {
 
 TEST(ChordNodeTest, ClosestPrecedingIgnoresSelfEntries) {
   ChordNode n(100, NetAddress{0, 0});
-  n.mutable_fingers().set_entry(0, NodeInfo{100, NetAddress{0, 0}});
+  n.mutable_fingers().set_entry(0, overlay::PeerInfo{100, NetAddress{0, 0}});
   EXPECT_FALSE(n.ClosestPrecedingNode(400, nullptr).has_value());
 }
 

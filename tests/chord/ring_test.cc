@@ -16,7 +16,7 @@ TEST(ChordRingTest, MakeRejectsZeroNodes) {
 }
 
 TEST(ChordRingTest, MakeRejectsBadSuccessorListLen) {
-  ChordConfig cfg;
+  overlay::OverlayParams cfg;
   cfg.successor_list_len = 0;
   EXPECT_TRUE(ChordRing::Make(5, 1, cfg).status().IsInvalidArgument());
 }
@@ -24,10 +24,10 @@ TEST(ChordRingTest, MakeRejectsBadSuccessorListLen) {
 TEST(ChordRingTest, NodesHaveUniqueIds) {
   auto ring = ChordRing::Make(200, 7);
   ASSERT_TRUE(ring.ok());
-  const auto nodes = ring->AliveNodesSorted();
+  const auto nodes = ring->AlivePeersOrdered();
   ASSERT_EQ(nodes.size(), 200u);
   std::set<ChordId> ids;
-  for (const NodeInfo& n : nodes) ids.insert(n.id);
+  for (const overlay::PeerInfo& n : nodes) ids.insert(n.id);
   EXPECT_EQ(ids.size(), 200u);
   for (size_t i = 1; i < nodes.size(); ++i) {
     EXPECT_LT(nodes[i - 1].id, nodes[i].id) << "must be sorted";
@@ -37,9 +37,9 @@ TEST(ChordRingTest, NodesHaveUniqueIds) {
 TEST(ChordRingTest, SingleNodeRingOwnsEverything) {
   auto ring = ChordRing::Make(1, 3);
   ASSERT_TRUE(ring.ok());
-  const NodeInfo only = ring->AliveNodesSorted().front();
+  const overlay::PeerInfo only = ring->AlivePeersOrdered().front();
   for (ChordId target : {0u, 1u, 0x80000000u, 0xFFFFFFFFu, only.id}) {
-    auto result = ring->Lookup(only.addr, target);
+    auto result = ring->RouteToOwner(only.addr, target);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->owner, only);
     EXPECT_EQ(result->hops, 0);
@@ -49,18 +49,18 @@ TEST(ChordRingTest, SingleNodeRingOwnsEverything) {
 TEST(ChordRingTest, OracleFindsCorrectSuccessor) {
   auto ring = ChordRing::Make(50, 11);
   ASSERT_TRUE(ring.ok());
-  const auto nodes = ring->AliveNodesSorted();
+  const auto nodes = ring->AlivePeersOrdered();
   // Target exactly at a node id -> that node.
-  for (const NodeInfo& n : nodes) {
-    auto owner = ring->FindSuccessorOracle(n.id);
+  for (const overlay::PeerInfo& n : nodes) {
+    auto owner = ring->OwnerOracle(n.id);
     ASSERT_TRUE(owner.ok());
     EXPECT_EQ(owner->id, n.id);
   }
   // Target one past a node -> the next node (wrapping).
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeInfo& next = nodes[(i + 1) % nodes.size()];
+    const overlay::PeerInfo& next = nodes[(i + 1) % nodes.size()];
     if (nodes[i].id + 1 == next.id) continue;
-    auto owner = ring->FindSuccessorOracle(nodes[i].id + 1);
+    auto owner = ring->OwnerOracle(nodes[i].id + 1);
     ASSERT_TRUE(owner.ok());
     EXPECT_EQ(owner->id, next.id);
   }
@@ -79,9 +79,9 @@ TEST_P(RingLookupTest, ProtocolLookupAgreesWithOracle) {
     const ChordId target = rng.Next32();
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto expected = ring->FindSuccessorOracle(target);
+    auto expected = ring->OwnerOracle(target);
     ASSERT_TRUE(expected.ok());
-    auto actual = ring->Lookup(*origin, target);
+    auto actual = ring->RouteToOwner(*origin, target);
     ASSERT_TRUE(actual.ok()) << actual.status();
     EXPECT_EQ(actual->owner, *expected) << "target=" << target;
   }
@@ -96,7 +96,7 @@ TEST_P(RingLookupTest, HopsBoundedByLogarithm) {
   for (int trial = 0; trial < 50; ++trial) {
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = ring->Lookup(*origin, rng.Next32());
+    auto result = ring->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok());
     // With perfect fingers, path length is at most ~log2 N (+ slack).
     EXPECT_LE(result->hops, static_cast<int>(2.0 * log2n) + 2);
@@ -112,7 +112,7 @@ TEST(ChordRingTest, MeanPathLengthScalesAsHalfLog) {
   for (int i = 0; i < kLookups; ++i) {
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = ring->Lookup(*origin, rng.Next32());
+    auto result = ring->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok());
     total_hops += result->hops;
   }
@@ -125,12 +125,12 @@ TEST(ChordRingTest, MeanPathLengthScalesAsHalfLog) {
 TEST(ChordRingTest, LookupChargesNetworkMessages) {
   auto ring = ChordRing::Make(128, 37);
   ASSERT_TRUE(ring.ok());
-  ring->network().ResetStats();
+  ring->ResetNetStats();
   auto origin = ring->RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
-  auto result = ring->Lookup(*origin, 0x12345678);
+  auto result = ring->RouteToOwner(*origin, 0x12345678);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(ring->network().stats().messages, static_cast<uint64_t>(result->hops));
+  EXPECT_EQ(ring->net_stats().messages, static_cast<uint64_t>(result->hops));
 }
 
 TEST(ChordRingTest, SameSeedRingsReplayIdentically) {
@@ -146,26 +146,26 @@ TEST(ChordRingTest, SameSeedRingsReplayIdentically) {
   ASSERT_TRUE(origin2.ok());
   ASSERT_EQ(*origin1, *origin2);
   for (uint32_t target = 0; target < 2000000000u; target += 123456789u) {
-    auto r1 = ring1->Lookup(*origin1, target);
-    auto r2 = ring2->Lookup(*origin2, target);
+    auto r1 = ring1->RouteToOwner(*origin1, target);
+    auto r2 = ring2->RouteToOwner(*origin2, target);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     EXPECT_EQ(r1->owner.addr, r2->owner.addr);
     EXPECT_EQ(r1->hops, r2->hops);
     EXPECT_EQ(r1->latency_ms, r2->latency_ms);
   }
-  EXPECT_EQ(ring1->network().stats().messages,
-            ring2->network().stats().messages);
-  EXPECT_EQ(ring1->network().stats().total_latency_ms,
-            ring2->network().stats().total_latency_ms);
+  EXPECT_EQ(ring1->net_stats().messages,
+            ring2->net_stats().messages);
+  EXPECT_EQ(ring1->net_stats().total_latency_ms,
+            ring2->net_stats().total_latency_ms);
 }
 
 TEST(ChordRingTest, LookupFromDeadOriginFails) {
   auto ring = ChordRing::Make(10, 41);
   ASSERT_TRUE(ring.ok());
-  const auto nodes = ring->AliveNodesSorted();
+  const auto nodes = ring->AlivePeersOrdered();
   ASSERT_TRUE(ring->Fail(nodes[0].addr).ok());
-  EXPECT_TRUE(ring->Lookup(nodes[0].addr, 5).status().IsInvalidArgument());
+  EXPECT_TRUE(ring->RouteToOwner(nodes[0].addr, 5).status().IsInvalidArgument());
 }
 
 TEST(ChordRingTest, AddNodeJoinsAndResolvesCorrectly) {
@@ -174,10 +174,10 @@ TEST(ChordRingTest, AddNodeJoinsAndResolvesCorrectly) {
   for (int i = 0; i < 8; ++i) {
     auto added = ring->AddNode();
     ASSERT_TRUE(added.ok()) << added.status();
-    ring->StabilizeAll(2);
+    ring->Stabilize(2);
   }
-  ring->FixAllFingers();
-  ring->StabilizeAll(1);
+  ring->RepairRouting();
+  ring->Stabilize(1);
   EXPECT_EQ(ring->num_alive(), 40u);
   // After maintenance, protocol lookups agree with the oracle.
   Rng rng(47);
@@ -185,8 +185,8 @@ TEST(ChordRingTest, AddNodeJoinsAndResolvesCorrectly) {
     const ChordId target = rng.Next32();
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto expected = ring->FindSuccessorOracle(target);
-    auto actual = ring->Lookup(*origin, target);
+    auto expected = ring->OwnerOracle(target);
+    auto actual = ring->RouteToOwner(*origin, target);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok()) << actual.status();
     EXPECT_EQ(actual->owner, *expected);
@@ -196,32 +196,32 @@ TEST(ChordRingTest, AddNodeJoinsAndResolvesCorrectly) {
 TEST(ChordRingTest, GracefulLeavePatchesNeighbors) {
   auto ring = ChordRing::Make(64, 53);
   ASSERT_TRUE(ring.ok());
-  const auto nodes = ring->AliveNodesSorted();
+  const auto nodes = ring->AlivePeersOrdered();
   const NetAddress leaver = nodes[10].addr;
   ASSERT_TRUE(ring->Leave(leaver).ok());
   EXPECT_EQ(ring->num_alive(), 63u);
   EXPECT_TRUE(ring->Leave(leaver).IsInvalidArgument()) << "already gone";
-  ring->StabilizeAll(2);
+  ring->Stabilize(2);
   // Identifiers previously owned by the leaver now resolve to its
   // successor.
-  auto owner = ring->FindSuccessorOracle(nodes[10].id);
+  auto owner = ring->OwnerOracle(nodes[10].id);
   ASSERT_TRUE(owner.ok());
   EXPECT_EQ(owner->id, nodes[11].id);
   auto origin = ring->RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
-  auto result = ring->Lookup(*origin, nodes[10].id);
+  auto result = ring->RouteToOwner(*origin, nodes[10].id);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->owner.id, nodes[11].id);
 }
 
 TEST(ChordRingTest, LookupsRouteAroundAbruptFailures) {
-  ChordConfig cfg;
+  overlay::OverlayParams cfg;
   cfg.successor_list_len = 16;
   auto ring = ChordRing::Make(128, 59, cfg);
   ASSERT_TRUE(ring.ok());
   // Fail 12 random peers without any repair.
   Rng rng(61);
-  auto nodes = ring->AliveNodesSorted();
+  auto nodes = ring->AlivePeersOrdered();
   std::set<size_t> failed;
   while (failed.size() < 12) failed.insert(rng.NextBounded(nodes.size()));
   for (size_t idx : failed) ASSERT_TRUE(ring->Fail(nodes[idx].addr).ok());
@@ -230,8 +230,8 @@ TEST(ChordRingTest, LookupsRouteAroundAbruptFailures) {
     const ChordId target = rng.Next32();
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto expected = ring->FindSuccessorOracle(target);
-    auto actual = ring->Lookup(*origin, target);
+    auto expected = ring->OwnerOracle(target);
+    auto actual = ring->RouteToOwner(*origin, target);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok()) << actual.status();
     EXPECT_EQ(actual->owner, *expected) << "target=" << target;
@@ -241,15 +241,15 @@ TEST(ChordRingTest, LookupsRouteAroundAbruptFailures) {
 TEST(ChordRingTest, StabilizationRepairsAfterFailures) {
   auto ring = ChordRing::Make(100, 67);
   ASSERT_TRUE(ring.ok());
-  auto nodes = ring->AliveNodesSorted();
+  auto nodes = ring->AlivePeersOrdered();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(ring->Fail(nodes[i * 7].addr).ok());
   }
-  ring->StabilizeAll(3);
-  ring->FixAllFingers();
+  ring->Stabilize(3);
+  ring->RepairRouting();
   // After repair, successors/predecessors are consistent: each live
   // node's successor is the next live node.
-  const auto alive = ring->AliveNodesSorted();
+  const auto alive = ring->AlivePeersOrdered();
   for (size_t i = 0; i < alive.size(); ++i) {
     const ChordNode* n = ring->node(alive[i].addr);
     ASSERT_NE(n, nullptr);
@@ -267,11 +267,11 @@ TEST(ChordRingTest, GrowFromSingleNodeViaProtocolJoins) {
   for (int i = 0; i < 11; ++i) {
     auto added = ring->AddNode();
     ASSERT_TRUE(added.ok()) << "join " << i << ": " << added.status();
-    ring->StabilizeAll(3);
-    ring->FixAllFingers();
+    ring->Stabilize(3);
+    ring->RepairRouting();
   }
   EXPECT_EQ(ring->num_alive(), 12u);
-  const auto alive = ring->AliveNodesSorted();
+  const auto alive = ring->AlivePeersOrdered();
   for (size_t i = 0; i < alive.size(); ++i) {
     const ChordNode* n = ring->node(alive[i].addr);
     EXPECT_EQ(n->successor().id, alive[(i + 1) % alive.size()].id)
@@ -282,8 +282,8 @@ TEST(ChordRingTest, GrowFromSingleNodeViaProtocolJoins) {
     const ChordId target = rng.Next32();
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto expected = ring->FindSuccessorOracle(target);
-    auto actual = ring->Lookup(*origin, target);
+    auto expected = ring->OwnerOracle(target);
+    auto actual = ring->RouteToOwner(*origin, target);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok()) << actual.status();
     EXPECT_EQ(actual->owner, *expected);
@@ -292,16 +292,16 @@ TEST(ChordRingTest, GrowFromSingleNodeViaProtocolJoins) {
 
 TEST(ChordRingTest, SuccessorListLongerThanRing) {
   // successor_list_len > N must clamp, not wrap duplicates.
-  chord::ChordConfig cfg;
+  overlay::OverlayParams cfg;
   cfg.successor_list_len = 16;
   auto ring = chord::ChordRing::Make(3, 103, cfg);
   ASSERT_TRUE(ring.ok());
-  for (const NodeInfo& info : ring->AliveNodesSorted()) {
+  for (const overlay::PeerInfo& info : ring->AlivePeersOrdered()) {
     const ChordNode* n = ring->node(info.addr);
     EXPECT_LE(n->successors().size(), 3u);
     // No duplicates.
     std::set<uint32_t> ids;
-    for (const NodeInfo& s : n->successors()) ids.insert(s.id);
+    for (const overlay::PeerInfo& s : n->successors()) ids.insert(s.id);
     EXPECT_EQ(ids.size(), n->successors().size());
   }
 }
@@ -309,7 +309,7 @@ TEST(ChordRingTest, SuccessorListLongerThanRing) {
 TEST(ChordRingTest, RandomAliveAddressFailsOnDeadRing) {
   auto ring = ChordRing::Make(2, 71);
   ASSERT_TRUE(ring.ok());
-  for (const NodeInfo& n : ring->AliveNodesSorted()) {
+  for (const overlay::PeerInfo& n : ring->AlivePeersOrdered()) {
     ASSERT_TRUE(ring->Fail(n.addr).ok());
   }
   EXPECT_TRUE(ring->RandomAliveAddress().status().IsNotFound());
@@ -318,11 +318,11 @@ TEST(ChordRingTest, RandomAliveAddressFailsOnDeadRing) {
 TEST(ChordRingTest, PerfectStateHasCorrectFingers) {
   auto ring = ChordRing::Make(64, 73);
   ASSERT_TRUE(ring.ok());
-  for (const NodeInfo& info : ring->AliveNodesSorted()) {
+  for (const overlay::PeerInfo& info : ring->AlivePeersOrdered()) {
     const ChordNode* n = ring->node(info.addr);
     for (int k = 0; k < FingerTable::size(); ++k) {
       ASSERT_TRUE(n->fingers().entry(k).has_value());
-      auto expected = ring->FindSuccessorOracle(FingerStart(n->id(), k));
+      auto expected = ring->OwnerOracle(FingerStart(n->id(), k));
       ASSERT_TRUE(expected.ok());
       EXPECT_EQ(n->fingers().entry(k)->id, expected->id)
           << "node " << n->id() << " finger " << k;

@@ -8,7 +8,7 @@ namespace p2prange {
 namespace {
 
 Peer MakePeer(uint16_t port = 7, size_t capacity = 0) {
-  return Peer(chord::NodeInfo{123, NetAddress{1, port}}, capacity);
+  return Peer(overlay::PeerInfo{123, NetAddress{1, port}}, capacity);
 }
 
 Relation SomeRows(int n) {

@@ -73,13 +73,13 @@ TEST(LatencyModelTest, ValidateRejectsBadModels) {
 }
 
 TEST(LatencyModelTest, ChordRingMakeValidatesModel) {
-  chord::ChordConfig cfg;
+  overlay::OverlayParams cfg;
   cfg.latency.loss_rate = 1.5;
   EXPECT_TRUE(chord::ChordRing::Make(16, 11, cfg).status().IsInvalidArgument());
-  cfg = chord::ChordConfig{};
+  cfg = overlay::OverlayParams{};
   cfg.latency.jitter_ms = -1.0;
   EXPECT_TRUE(chord::ChordRing::Make(16, 11, cfg).status().IsInvalidArgument());
-  cfg = chord::ChordConfig{};
+  cfg = overlay::OverlayParams{};
   cfg.max_message_retries = -1;
   EXPECT_TRUE(chord::ChordRing::Make(16, 11, cfg).status().IsInvalidArgument());
 }
@@ -106,7 +106,7 @@ TEST(StaleRepairTest, BucketStoreEraseStaleRemovesAllCopies) {
 }
 
 TEST(StaleRepairTest, PeerEraseEqDescriptor) {
-  Peer peer(chord::NodeInfo{}, 0);
+  Peer peer(overlay::PeerInfo{}, 0);
   peer.StoreEqDescriptor(5, EqDescriptor{"k1", NetAddress{1, 1}});
   peer.StoreEqDescriptor(5, EqDescriptor{"k2", NetAddress{2, 2}});
   EXPECT_FALSE(peer.EraseEqDescriptor(5, "k1", NetAddress{9, 9}))
@@ -343,8 +343,8 @@ TEST(FaultInjectorTest, AbruptFailuresWithLossNeverFailQueries) {
   SystemConfig cfg = FaultyConfig(117);
   cfg.num_peers = 50;
   cfg.descriptor_replication = 2;
-  cfg.chord.latency.loss_rate = 0.1;
-  cfg.chord.max_message_retries = 8;
+  cfg.overlay.latency.loss_rate = 0.1;
+  cfg.overlay.max_message_retries = 8;
   cfg.fault.max_retries = 8;
   auto sys = MakeNumbersSystem(cfg);
 

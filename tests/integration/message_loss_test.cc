@@ -34,7 +34,7 @@ TEST(MessageLossTest, NetworkCountsLostMessages) {
 }
 
 TEST(MessageLossTest, ChordLookupsSurviveModerateLoss) {
-  chord::ChordConfig cfg;
+  overlay::OverlayParams cfg;
   cfg.latency.loss_rate = 0.1;
   cfg.max_message_retries = 5;
   auto ring = chord::ChordRing::Make(128, 7, cfg);
@@ -45,8 +45,8 @@ TEST(MessageLossTest, ChordLookupsSurviveModerateLoss) {
     const chord::ChordId target = rng.Next32();
     auto origin = ring->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto expected = ring->FindSuccessorOracle(target);
-    auto result = ring->Lookup(*origin, target);
+    auto expected = ring->OwnerOracle(target);
+    auto result = ring->RouteToOwner(*origin, target);
     ASSERT_TRUE(expected.ok());
     if (result.ok()) {
       ++succeeded;
@@ -56,12 +56,12 @@ TEST(MessageLossTest, ChordLookupsSurviveModerateLoss) {
   // With loss 0.1 and 5 retries, per-hop failure is 1e-6; essentially
   // every lookup completes.
   EXPECT_GE(succeeded, 199);
-  EXPECT_GT(ring->network().stats().lost_messages, 0u);
+  EXPECT_GT(ring->net_stats().lost_messages, 0u);
 }
 
 TEST(MessageLossTest, RetriesInflateMessageCountNotHops) {
-  chord::ChordConfig lossless;
-  chord::ChordConfig lossy;
+  overlay::OverlayParams lossless;
+  overlay::OverlayParams lossy;
   lossy.latency.loss_rate = 0.2;
   lossy.max_message_retries = 8;
   auto ring_ok = chord::ChordRing::Make(64, 9, lossless);
@@ -76,8 +76,8 @@ TEST(MessageLossTest, RetriesInflateMessageCountNotHops) {
     auto o2 = ring_lossy->RandomAliveAddress();
     ASSERT_TRUE(o1.ok());
     ASSERT_TRUE(o2.ok());
-    auto r1 = ring_ok->Lookup(*o1, target);
-    auto r2 = ring_lossy->Lookup(*o2, target);
+    auto r1 = ring_ok->RouteToOwner(*o1, target);
+    auto r2 = ring_lossy->RouteToOwner(*o2, target);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok()) << r2.status();
     hops_ok += static_cast<uint64_t>(r1->hops);
@@ -87,8 +87,8 @@ TEST(MessageLossTest, RetriesInflateMessageCountNotHops) {
   // the same seed, so the totals match while the lossy ring sends more
   // raw messages.
   EXPECT_EQ(hops_ok, hops_lossy);
-  EXPECT_GT(ring_lossy->network().stats().messages,
-            ring_ok->network().stats().messages);
+  EXPECT_GT(ring_lossy->net_stats().messages,
+            ring_ok->net_stats().messages);
 }
 
 TEST(MessageLossTest, EndToEndQueriesRemainExactUnderLoss) {
@@ -100,8 +100,8 @@ TEST(MessageLossTest, EndToEndQueriesRemainExactUnderLoss) {
   cfg.num_peers = 32;
   cfg.lsh = LshParams::Paper(HashFamilyType::kApproxMinwise, 15);
   cfg.criterion = MatchCriterion::kContainment;
-  cfg.chord.latency.loss_rate = 0.05;
-  cfg.chord.max_message_retries = 6;
+  cfg.overlay.latency.loss_rate = 0.05;
+  cfg.overlay.max_message_retries = 6;
   cfg.seed = 15;
   auto sys = RangeCacheSystem::Make(cfg, cat);
   ASSERT_TRUE(sys.ok());
@@ -128,8 +128,8 @@ TEST(MessageLossTest, QueriesStayExactUnderAbruptChurnAndLoss) {
   cfg.num_peers = 40;
   cfg.lsh = LshParams::Paper(HashFamilyType::kApproxMinwise, 23);
   cfg.descriptor_replication = 2;
-  cfg.chord.latency.loss_rate = 0.1;
-  cfg.chord.max_message_retries = 8;
+  cfg.overlay.latency.loss_rate = 0.1;
+  cfg.overlay.max_message_retries = 8;
   cfg.fault.max_retries = 8;
   cfg.seed = 23;
   auto sys = RangeCacheSystem::Make(cfg, MakeNumbersCatalog(1500, 0, 1000, 9));

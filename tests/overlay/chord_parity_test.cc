@@ -1,13 +1,15 @@
-// Differential parity: the Chord-backed RangeCacheSystem, now driven
-// through the overlay::Overlay contract, must stay bit-identical to
-// the pre-refactor direct-ChordRing path. The goldens below were
-// captured from the tree at the commit before the overlay seam was
-// introduced, running exactly this seeded workload (48 peers, paper
-// LSH, 2% loss, 90 lookups across a join, a graceful leave, an abrupt
-// failure, and a crash/recover cycle). Every RNG draw, retry, and
-// replica-failover decision feeds these counters, so any behavioral
-// drift in the refactor — reordered draws, changed failover policy,
-// different stabilization cadence — shows up as a mismatch here.
+// Differential parity: the Chord-backed RangeCacheSystem, driven
+// through the overlay::Overlay contract that ChordRing implements
+// itself, must stay bit-identical to the direct-ChordRing path from
+// before the contract existed. The goldens below were captured from
+// the tree at the commit before the overlay seam was introduced,
+// running exactly this seeded workload (48 peers, paper LSH, 2% loss,
+// 90 lookups across a join, a graceful leave, an abrupt failure, and
+// a crash/recover cycle). Every RNG draw, retry, and replica-failover
+// decision feeds these counters, so any behavioral drift in a change
+// to the contract or the ring — reordered draws, changed failover
+// policy, different stabilization cadence — shows up as a mismatch
+// here.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -23,7 +25,7 @@ TEST(ChordParityTest, SeededWorkloadMatchesPreRefactorGoldens) {
   cfg.lsh = LshParams::Paper(HashFamilyType::kApproxMinwise, 7);
   cfg.seed = 7;
   cfg.descriptor_replication = 3;
-  cfg.chord.latency.loss_rate = 0.02;
+  cfg.overlay.latency.loss_rate = 0.02;
   auto sysr = RangeCacheSystem::Make(cfg, MakeNumbersCatalog(2000, 0, 1000, 5));
   ASSERT_TRUE(sysr.ok()) << sysr.status();
   auto sys = std::move(sysr).ValueUnsafe();

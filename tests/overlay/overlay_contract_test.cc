@@ -1,15 +1,16 @@
 // The Overlay contract, exercised identically against all three
 // substrates: ownership agrees between the routed path and the
-// oracle, replica candidates exclude the owner, membership churn
-// (join / leave / fail / recover) keeps the routing surface sound,
-// and every hop lands in the accounted network stats.
+// oracle, replica candidates exclude the owner, every call hands out
+// one identity per peer, membership churn (join / leave / fail /
+// recover) keeps the routing surface sound, and every hop lands in the
+// accounted network stats.
 #include "overlay/overlay.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
-
-#include "overlay/factory.h"
+#include <string>
 
 namespace p2prange {
 namespace overlay {
@@ -20,7 +21,7 @@ class OverlayContractTest : public ::testing::TestWithParam<Kind> {
   std::unique_ptr<Overlay> MakeNet(size_t n, uint64_t seed = 11) {
     OverlayParams params;
     params.kind = GetParam();
-    auto net = MakeOverlay(params, n, seed, chord::ChordConfig{});
+    auto net = MakeOverlay(params, n, seed);
     EXPECT_TRUE(net.ok()) << net.status();
     return std::move(net).ValueUnsafe();
   }
@@ -118,6 +119,59 @@ TEST_P(OverlayContractTest, MembershipLifecycle) {
     ASSERT_TRUE(routed.ok()) << routed.status();
     EXPECT_EQ(routed->owner.addr, oracle->addr);
   }
+}
+
+TEST_P(OverlayContractTest, OnePeerInfoPerAddress) {
+  auto net = MakeNet(24);
+  auto joined = net->AddNode();
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  net->Stabilize(2);
+
+  // Every PeerInfo the contract hands out for a live address must be
+  // that address's AlivePeersOrdered entry, id included.
+  auto check = [&](const std::string& phase) {
+    std::map<std::string, PeerInfo> listed;
+    for (const PeerInfo& p : net->AlivePeersOrdered()) {
+      listed.emplace(p.addr.ToString(), p);
+    }
+    auto expect_listed = [&](const PeerInfo& p, const char* source) {
+      auto it = listed.find(p.addr.ToString());
+      ASSERT_NE(it, listed.end())
+          << phase << ": " << source << " named a peer that is not alive";
+      EXPECT_EQ(p, it->second) << phase << ": " << source << " for "
+                               << p.addr.ToString();
+    };
+    expect_listed(*joined, "AddNode");
+    for (uint32_t i = 0; i < 16; ++i) {
+      const uint32_t id = 0x2545F491u * i + 17;
+      auto oracle = net->OwnerOracle(id);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      expect_listed(*oracle, "OwnerOracle");
+      auto origin = net->RandomAliveAddress();
+      ASSERT_TRUE(origin.ok());
+      auto routed = net->RouteToOwner(*origin, id);
+      ASSERT_TRUE(routed.ok()) << routed.status();
+      expect_listed(routed->owner, "RouteToOwner");
+    }
+    for (const auto& [text, peer] : listed) {
+      for (const PeerInfo& r : net->ReplicaCandidates(peer.addr)) {
+        if (net->IsAlive(r.addr)) expect_listed(r, "ReplicaCandidates");
+      }
+    }
+  };
+  check("before churn");
+
+  const std::vector<PeerInfo> before = net->AlivePeersOrdered();
+  const PeerInfo victim =
+      before[0].addr == joined->addr ? before[1] : before[0];
+  ASSERT_TRUE(net->Fail(victim.addr).ok());
+  net->Stabilize(1);
+  ASSERT_TRUE(net->Recover(victim.addr).ok());
+  net->Stabilize(1);
+  net->RepairRouting();
+  check("after fail/recover");
+  EXPECT_EQ(net->AlivePeersOrdered(), before)
+      << "a recovered peer keeps its identity";
 }
 
 TEST_P(OverlayContractTest, RoutingAroundFailedOwner) {

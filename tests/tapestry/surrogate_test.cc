@@ -25,8 +25,8 @@ TapestryMesh MakeMesh(size_t n, uint64_t seed = 31) {
 uint32_t ConsistentRoot(TapestryMesh& mesh, uint32_t target) {
   uint32_t root = 0;
   bool first = true;
-  for (const MeshNodeInfo& start : mesh.AliveNodesSorted()) {
-    auto result = mesh.Lookup(start.addr, target);
+  for (const overlay::PeerInfo& start : mesh.AlivePeersOrdered()) {
+    auto result = mesh.RouteToOwner(start.addr, target);
     EXPECT_TRUE(result.ok()) << result.status();
     if (first) {
       root = result->owner.id;
@@ -41,14 +41,14 @@ uint32_t ConsistentRoot(TapestryMesh& mesh, uint32_t target) {
 
 TEST(SurrogateTest, RootSharesLongestAvailablePrefix) {
   TapestryMesh mesh = MakeMesh(48);
-  const std::vector<MeshNodeInfo> nodes = mesh.AliveNodesSorted();
+  const std::vector<overlay::PeerInfo> nodes = mesh.AlivePeersOrdered();
   for (uint32_t probe = 0; probe < 32; ++probe) {
     const uint32_t target = probe * 0x88E1DB3Bu + 5;
     const uint32_t root = ConsistentRoot(mesh, target);
     // No live node may share a strictly longer prefix with the target
     // than the chosen root does — the heart of surrogate routing.
     const int root_len = SharedPrefixLen(root, target);
-    for (const MeshNodeInfo& n : nodes) {
+    for (const overlay::PeerInfo& n : nodes) {
       EXPECT_LE(SharedPrefixLen(n.id, target), root_len)
           << "node " << n.id << " out-prefixes root " << root << " for "
           << target;
@@ -61,12 +61,12 @@ TEST(SurrogateTest, RootMigratesWhenItLeavesAndReturnsOnRecover) {
   const uint32_t target = 0x5A5A5A5Au;
   const uint32_t old_root = ConsistentRoot(mesh, target);
   NetAddress old_addr;
-  for (const MeshNodeInfo& n : mesh.AliveNodesSorted()) {
+  for (const overlay::PeerInfo& n : mesh.AlivePeersOrdered()) {
     if (n.id == old_root) old_addr = n.addr;
   }
 
   ASSERT_TRUE(mesh.Fail(old_addr).ok());
-  mesh.RebuildRoutingTables();
+  mesh.RepairRouting();
   const uint32_t interim_root = ConsistentRoot(mesh, target);
   EXPECT_NE(interim_root, old_root);
 
@@ -104,7 +104,7 @@ TEST(SurrogateTest, DigitWraparoundFindsRoot) {
   // A 2-node mesh forces surrogate scans to wrap past digit 15 at
   // nearly every level; the unique-root property must survive it.
   TapestryMesh mesh = MakeMesh(2, 13);
-  const std::vector<MeshNodeInfo> nodes = mesh.AliveNodesSorted();
+  const std::vector<overlay::PeerInfo> nodes = mesh.AlivePeersOrdered();
   ASSERT_EQ(nodes.size(), 2u);
   for (uint32_t probe = 0; probe < 64; ++probe) {
     const uint32_t target = probe * 0x45D9F3Bu;
@@ -112,8 +112,8 @@ TEST(SurrogateTest, DigitWraparoundFindsRoot) {
     EXPECT_TRUE(root == nodes[0].id || root == nodes[1].id);
   }
   // Both nodes own their exact identifiers.
-  for (const MeshNodeInfo& n : nodes) {
-    auto self = mesh.Lookup(n.addr, n.id);
+  for (const overlay::PeerInfo& n : nodes) {
+    auto self = mesh.RouteToOwner(n.addr, n.id);
     ASSERT_TRUE(self.ok());
     EXPECT_EQ(self->owner.id, n.id);
     EXPECT_EQ(self->hops, 0);

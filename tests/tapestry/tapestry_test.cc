@@ -37,7 +37,7 @@ TEST(TapestryMeshTest, SingleNodeOwnsEverything) {
   auto origin = mesh->RandomAliveAddress();
   ASSERT_TRUE(origin.ok());
   for (uint32_t id : {0u, 0xFFFFFFFFu, 0x12345678u}) {
-    auto result = mesh->Lookup(*origin, id);
+    auto result = mesh->RouteToOwner(*origin, id);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->owner.addr, *origin);
     EXPECT_EQ(result->hops, 0);
@@ -54,7 +54,7 @@ TEST(TapestryMeshTest, ExactIdResolvesToThatNode) {
     auto some = mesh->RandomAliveAddress();
     ASSERT_TRUE(some.ok());
     const uint32_t id = mesh->node(*some)->id();
-    auto result = mesh->Lookup(*origin, id);
+    auto result = mesh->RouteToOwner(*origin, id);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->owner.id, id);
   }
@@ -75,7 +75,7 @@ TEST_P(TapestryConsistencyTest, SurrogateRootIsStartIndependent) {
     for (int start = 0; start < 8; ++start) {
       auto origin = mesh->RandomAliveAddress();
       ASSERT_TRUE(origin.ok());
-      auto result = mesh->Lookup(*origin, target);
+      auto result = mesh->RouteToOwner(*origin, target);
       ASSERT_TRUE(result.ok()) << result.status();
       if (!root) {
         root = result->owner.id;
@@ -95,7 +95,7 @@ TEST(TapestryMeshTest, HopsAreLogarithmicBase16) {
   for (int i = 0; i < 400; ++i) {
     auto origin = mesh->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = mesh->Lookup(*origin, rng.Next32());
+    auto result = mesh->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok());
     hops.AddCount(static_cast<uint64_t>(result->hops));
   }
@@ -113,7 +113,7 @@ TEST(TapestryMeshTest, LoadIsSpreadAcrossNodes) {
   for (int i = 0; i < 2000; ++i) {
     auto origin = mesh->RandomAliveAddress();
     ASSERT_TRUE(origin.ok());
-    auto result = mesh->Lookup(*origin, rng.Next32());
+    auto result = mesh->RouteToOwner(*origin, rng.Next32());
     ASSERT_TRUE(result.ok());
     ++owned[result->owner.id];
   }
@@ -129,7 +129,7 @@ TEST(TapestryMeshTest, SurvivesFailuresAfterRebuild) {
     ASSERT_TRUE(victim.ok());
     ASSERT_TRUE(mesh->Fail(*victim).ok());
   }
-  mesh->RebuildRoutingTables();
+  mesh->RepairRouting();
   EXPECT_EQ(mesh->num_alive(), 85u);
   for (int trial = 0; trial < 30; ++trial) {
     const uint32_t target = rng.Next32();
@@ -137,7 +137,7 @@ TEST(TapestryMeshTest, SurvivesFailuresAfterRebuild) {
     for (int start = 0; start < 5; ++start) {
       auto origin = mesh->RandomAliveAddress();
       ASSERT_TRUE(origin.ok());
-      auto result = mesh->Lookup(*origin, target);
+      auto result = mesh->RouteToOwner(*origin, target);
       ASSERT_TRUE(result.ok()) << result.status();
       if (!root) {
         root = result->owner.id;
@@ -155,14 +155,14 @@ TEST(TapestryMeshTest, FailValidation) {
   auto victim = mesh->RandomAliveAddress();
   ASSERT_TRUE(victim.ok());
   ASSERT_TRUE(mesh->Fail(*victim).ok());
-  EXPECT_TRUE(mesh->Lookup(*victim, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(mesh->RouteToOwner(*victim, 1).status().IsInvalidArgument());
 }
 
 TEST(TapestryMeshTest, StateSizeIsCompact) {
   auto mesh = TapestryMesh::Make(256, 43);
   ASSERT_TRUE(mesh.ok());
   Summary state;
-  for (size_t s : mesh->StateSizes()) state.AddCount(s);
+  for (size_t s : mesh->RoutingStateSizes()) state.AddCount(s);
   // Level 0 alone can hold up to 15 entries; deeper levels thin out
   // exponentially. For 256 nodes expect a few dozen entries, far less
   // than kDigits * kBase = 128.

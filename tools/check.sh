@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate. The suite lists and JSON assertions that CI runs too
-# live in tools/gates.sh. Stages, in order:
+# Tier-1 gate. The gate commands CI runs too (suite lists, JSON
+# assertions, the bench smoke loop) live in tools/gates.sh. Stages,
+# in order:
 #
 #   lint         p2prange_lint.py (repo invariants) + run_tidy.sh
 #                (clang-tidy when installed, NOLINT hygiene always)
@@ -85,15 +86,6 @@ run_suite() {
   cmake -B "$build_dir" -S . -DP2PRANGE_WERROR=ON "$@"
   cmake --build "$build_dir" -j
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-}
-
-run_bench_smoke() {
-  local bench_dir=$1
-  for b in "$bench_dir"/*; do
-    [[ -x "$b" && -f "$b" ]] || continue
-    echo "--- $(basename "$b") --smoke"
-    "$b" --smoke > /dev/null
-  done
 }
 
 # Boots a 3-node loopback ring of real p2prange_node processes, runs
@@ -193,12 +185,8 @@ echo "=== normal build + tests (with -Werror) ==="
 run_suite build
 
 if [[ $do_bench_smoke -eq 1 ]]; then
-  echo "=== bench smoke runs (--smoke) ==="
-  run_bench_smoke build/bench
-  echo "=== benchmark smoke (perfbench/run.py, 1 s per workload) ==="
-  for workload in engine_uniform live_mixed; do
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0
-  done
+  echo "=== bench smoke runs (--smoke, then perfbench/run.py 1 s per workload) ==="
+  tools/gates.sh bench-smoke build
 fi
 
 echo "=== crash-consistency fuzz smoke (3000 crash points) ==="
@@ -209,7 +197,7 @@ echo "=== live-ring smoke (3 daemons over loopback TCP) ==="
 run_live_smoke build
 
 echo "=== live-churn smoke (joins + SIGKILL + rolling restart under load) ==="
-./build/tests/p2prange_tests --gtest_filter='LiveChurnTest.*'
+tools/gates.sh live-churn build
 
 echo "=== live-load smoke (worker pool + admission control under overload) ==="
 tools/gates.sh live-load build

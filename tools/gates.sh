@@ -23,8 +23,16 @@
 #   matrix       bench/scenario_matrix --smoke, the scenario engine on
 #                chord, can and tapestry: the bench counts substrates
 #                with cache hits under churn, and that must be 3
+#   bench-smoke  every bench binary in its tiny --smoke configuration,
+#                then one 1 s perfbench/run.py run per benchmark
+#                workload, which builds perfbench/ in its own tree
+#                (nothing else does) and runs its output checks; run
+#                it from the repository root
+#   live-churn   the dynamic-membership acceptance test: a ring grown
+#                by --join, one SIGKILL, one rolling restart, all under
+#                a seeded query load that must never fail
 #
-# Usage: tools/gates.sh tsan-suites|live-load|chaos|matrix BUILD_DIR
+# Usage: tools/gates.sh tsan-suites|live-load|chaos|matrix|bench-smoke|live-churn BUILD_DIR
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -64,6 +72,19 @@ case "$gate" in
     echo "$out"
     grep -q '"nonzero_recall_overlays":3' <<< "$out" \
       || { echo "matrix gate: an overlay had zero recall under churn" >&2; exit 1; }
+    ;;
+  bench-smoke)
+    for b in "$build"/bench/*; do
+      [[ -x "$b" && -f "$b" ]] || continue
+      echo "--- $(basename "$b") --smoke"
+      "$b" --smoke > /dev/null
+    done
+    for workload in engine_uniform live_mixed; do
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0
+    done
+    ;;
+  live-churn)
+    "$build/tests/p2prange_tests" --gtest_filter='LiveChurnTest.*'
     ;;
   *)
     echo "gates.sh: unknown gate: $gate" >&2
