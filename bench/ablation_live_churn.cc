@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
 
   const double duration_s = DurationFromArgs(argc, argv, /*full=*/20.0,
                                           /*smoke=*/3.0);
-  const bool smoke = duration_s <= 3.0;
+  const bool smoke = SmokeFromArgs(argc, argv);
   const std::vector<double> rates =
       smoke ? std::vector<double>{0.5} : std::vector<double>{0.1, 0.25, 0.5};
 

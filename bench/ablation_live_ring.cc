@@ -436,10 +436,10 @@ int main(int argc, char** argv) {
 
   const double duration_s = DurationFromArgs(argc, argv, /*full=*/12.0,
                                           /*smoke=*/1.5);
-  const bool smoke = duration_s <= 1.5;
-  const size_t clients = smoke ? 4 : 4;
-  const size_t publishes = smoke ? 120 : 120;
-  const size_t bulk_rows = smoke ? 150000 : 150000;
+  const bool smoke = SmokeFromArgs(argc, argv);
+  const size_t clients = 4;
+  const size_t publishes = 120;
+  const size_t bulk_rows = 150000;
   const std::vector<LoopConfig> configs = {
       {"single_loop", 0, 128, false},
       {"worker_pool", 4, 128, false},

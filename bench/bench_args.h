@@ -23,6 +23,16 @@
 namespace p2prange {
 namespace bench {
 
+/// True iff `--smoke` is among the arguments. A bench whose smoke run
+/// differs in more than its scale asks this, never the scale: a short
+/// real run is not a smoke run.
+inline bool SmokeFromArgs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--smoke") return true;
+  }
+  return false;
+}
+
 /// Scale from argv: `--smoke` anywhere wins and selects `smoke`;
 /// otherwise one positional argument that parses as a T accepted by
 /// `valid` overrides `full`. `what` names the argument in the usage
@@ -30,15 +40,11 @@ namespace bench {
 template <typename T, typename Valid>
 T ScaleFromArgs(int argc, char** argv, T full, T smoke, const char* what,
                 Valid valid) {
-  bool smoke_run = false;
   bool overridden = false;
   T scale = full;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke_run = true;
-      continue;
-    }
+    if (arg == "--smoke") continue;
     T value{};
     if (overridden || !tools::ParseNumber(arg, &value) || !valid(value)) {
       std::cerr << "malformed argument: " << arg << "\nusage: " << argv[0]
@@ -48,7 +54,7 @@ T ScaleFromArgs(int argc, char** argv, T full, T smoke, const char* what,
     scale = value;
     overridden = true;
   }
-  return smoke_run ? smoke : scale;
+  return SmokeFromArgs(argc, argv) ? smoke : scale;
 }
 
 /// A count scale (queries, peers, ...): a whole number >= 1.

@@ -17,8 +17,10 @@
 //     results; only the figure's cost model changes;
 //   * "approx batched": LshScheme::IdentifiersInto with the paper's
 //     k = 20, l = 5 over the same 100 approx functions — the lane
-//     kernel eight functions at a time, XOR-folded into 5
-//     identifiers: what a probe actually pays.
+//     kernel, which takes every function's minimum over the range's
+//     dyadic blocks in one call, XOR-folded into 5 identifiers: what
+//     a probe actually pays. Its cost grows with the top bit where
+//     the range's ends differ, not with the range's size.
 // The paper's orderings — time linear in range size; linear
 // permutations fastest, full min-wise slowest — hold in the naive
 // column, with ratios set by 5 rounds vs 1 round vs one multiply.

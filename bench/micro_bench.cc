@@ -243,17 +243,23 @@ void BM_PeerIndexBestMatch(benchmark::State& state) {
 BENCHMARK(BM_PeerIndexBestMatch)->Arg(100)->Arg(10000)->Arg(100000);
 
 void BM_LshIdentifiersInto(benchmark::State& state) {
-  // The batched, allocation-free probe-path form.
+  // The batched, allocation-free probe-path form, over a range of the
+  // argument's width centred in the engine's [0, 10^6] domain. The lane
+  // kernel's cost grows with d, the top bit where lo and hi differ:
+  // 334 is the paper's [0, 1000] workload (d = 8), 333334 the mean
+  // width of engine_uniform's uniform endpoints (d = 19).
   auto scheme = LshScheme::Make(LshParams::Paper(HashFamilyType::kApproxMinwise, 7));
   CHECK(scheme.ok());
-  const Range q(100, 433);
+  const auto width = static_cast<uint32_t>(state.range(0));
+  const uint32_t lo = 500000 - width / 2;
+  const Range q(lo, lo + width - 1);
   std::vector<uint32_t> ids;
   for (auto _ : state) {
     scheme->IdentifiersInto(q, &ids);
     benchmark::DoNotOptimize(ids.data());
   }
 }
-BENCHMARK(BM_LshIdentifiersInto);
+BENCHMARK(BM_LshIdentifiersInto)->Arg(334)->Arg(333334);
 
 // --- RPC layer: frame codec, envelope codec, live TCP round trip ------
 

@@ -1,6 +1,8 @@
 #include "hash/kernels.h"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -110,72 +112,135 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
   return result;
 }
 
+namespace {
+
+constexpr uint32_t kBias = 0x80000000u;  // see PermutedLaneBlock
+
+// Blocks one pass of the lane kernel walks together. Its running
+// prefixes and minima live in fixed-size local arrays (behind a
+// pointer the compiler no longer vectorizes the lane loops); 16 blocks
+// cover the paper's l·k = 100 in one pass.
+constexpr size_t kChunkBlocks = 16;
+
+// Folds a biased candidate into a biased minimum: signed order on
+// biased values is unsigned order on the values themselves.
+void TakeMin(int32_t& best, uint32_t biased_candidate) {
+  best = std::min(best, static_cast<int32_t>(biased_candidate));
+}
+
+// MinPermutedOverRangeLanes over at most kChunkBlocks blocks; d is the
+// top bit where lo and hi differ, or -1 if lo == hi.
+void MinOverChunk(std::span<const PermutedLaneBlock> blocks, uint32_t lo,
+                  uint32_t hi, int d, std::span<uint32_t> out) {
+  constexpr size_t kLanes = PermutedLaneBlock::kLanes;
+  using LaneRow = std::array<uint32_t, kLanes>;
+  const size_t n = blocks.size();
+  std::array<LaneRow, kChunkBlocks> lo_prefix{};  // P(lo's bits above i)
+  std::array<LaneRow, kChunkBlocks> hi_prefix{};  // P(hi's bits above i)
+  std::array<std::array<int32_t, kLanes>, kChunkBlocks> best;  // biased
+  for (auto& row : best) row.fill(std::numeric_limits<int32_t>::max());
+  // Runs step(image, high_xor, lo_prefix, hi_prefix, best) at input bit
+  // i on every lane of the chunk.
+  const auto each_lane = [&](int i, auto step) {
+    for (size_t b = 0; b < n; ++b) {
+      const LaneRow& image = blocks[b].image[i];
+      const LaneRow& high_xor = blocks[b].high_xor[i];
+      for (size_t j = 0; j < kLanes; ++j) {
+        step(image[j], high_xor[j], lo_prefix[b][j], hi_prefix[b][j],
+             best[b][j]);
+      }
+    }
+  };
+  // Down to d the prefixes only take bits: lo and hi agree above d, and
+  // at d only hi has a 1.
+  for (int i = PermutedLaneBlock::kWidth - 1; i >= std::max(d, 0); --i) {
+    if (((lo >> i) & 1u) != 0) {
+      each_lane(i, [](uint32_t image, uint32_t, uint32_t& lp, uint32_t& hp,
+                      int32_t&) {
+        lp ^= image;
+        hp ^= image;
+      });
+    } else if (((hi >> i) & 1u) != 0) {
+      each_lane(i, [](uint32_t image, uint32_t, uint32_t&, uint32_t& hp,
+                      int32_t&) { hp ^= image; });
+    }
+  }
+  // Below d: the minimum over A_i where lo has a 0 and over B_i where hi
+  // has a 1, then each prefix takes its bit. One branch per bit for
+  // every lane: branching per block on random bits mispredicts.
+  for (int i = d - 1; i >= 0; --i) {
+    switch ((((lo >> i) & 1u) << 1) | ((hi >> i) & 1u)) {
+      case 0b00:
+        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
+                        uint32_t&, int32_t& m) {
+          TakeMin(m, lp ^ image ^ high_xor);
+        });
+        break;
+      case 0b01:
+        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
+                        uint32_t& hp, int32_t& m) {
+          TakeMin(m, lp ^ image ^ high_xor);
+          TakeMin(m, hp ^ high_xor);
+          hp ^= image;
+        });
+        break;
+      case 0b10:
+        each_lane(i, [](uint32_t image, uint32_t, uint32_t& lp, uint32_t&,
+                        int32_t&) { lp ^= image; });
+        break;
+      default:
+        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
+                        uint32_t& hp, int32_t& m) {
+          TakeMin(m, hp ^ high_xor);
+          lp ^= image;
+          hp ^= image;
+        });
+    }
+  }
+  // The prefixes are now P(lo) and P(hi), and high_xor[0] is P(r): add
+  // π(lo) and π(hi) themselves.
+  each_lane(0, [](uint32_t, uint32_t out_xor, uint32_t& lp, uint32_t& hp,
+                  int32_t& m) {
+    TakeMin(m, lp ^ out_xor);
+    TakeMin(m, hp ^ out_xor);
+  });
+  for (size_t b = 0; b < n; ++b) {
+    for (size_t j = 0; j < kLanes; ++j) {
+      out[b * kLanes + j] = static_cast<uint32_t>(best[b][j]) ^ kBias;
+    }
+  }
+}
+
+}  // namespace
+
 void PermutedLaneBlock::Set(int lane, const BitPermutation& perm,
                             uint32_t out_xor) {
   CHECK_EQ(perm.width(), kWidth);
   DCHECK_GE(lane, 0);
   DCHECK_LT(lane, kLanes);
-  const std::array<int, 64>& inv = perm.inverse_position_map();
-  for (int s = 0; s < kWidth; ++s) {
-    const int j = kWidth - 1 - s;
-    in_bit[s][lane] = 1u << inv[j];
-    flip[s][lane] = ((out_xor >> j) & 1u) != 0 ? in_bit[s][lane] : 0u;
+  const std::array<int, 64>& pos = perm.position_map();
+  uint32_t above = 0;  // P(~(2^i - 1)): the images of input bits >= i
+  for (int i = kWidth - 1; i >= 0; --i) {
+    image[i][lane] = 1u << pos[i];
+    above |= image[i][lane];
+    // P(r & ~(2^i - 1)) = P(r) & P(~(2^i - 1)): P moves bits, so it
+    // commutes with &.
+    high_xor[i][lane] = (out_xor & above) ^ kBias;
   }
 }
 
-void MinPermutedOverRangeLanes(
-    const PermutedLaneBlock& block, const Range& q,
-    std::array<uint32_t, PermutedLaneBlock::kLanes>* out) {
-  constexpr int kLanes = PermutedLaneBlock::kLanes;
+void MinPermutedOverRangeLanes(std::span<const PermutedLaneBlock> blocks,
+                               const Range& q, std::span<uint32_t> out) {
+  constexpr size_t kLanes = PermutedLaneBlock::kLanes;
+  CHECK_EQ(out.size(), blocks.size() * kLanes);
   const uint32_t lo = q.lo();
   const uint32_t hi = q.hi();
-  // Every x in [lo, hi] carries lo's bits above d, the top bit where lo
-  // and hi differ; below that, x is either 0 at d with its low bits >=
-  // lo's, or 1 at d with its low bits <= hi's. (lo == hi: no d, all
-  // bits fixed.) So whether some x in [lo, hi] matches the pins
-  // (x & mask) == value comes down to three mask tests and two compares
-  // — NextMatchingPattern's answer without its per-pin search for d.
-  uint32_t low = lo ^ hi;  // becomes: bits at and below d
-  low |= low >> 1;
-  low |= low >> 2;
-  low |= low >> 4;
-  low |= low >> 8;
-  low |= low >> 16;
-  const uint32_t fixed = ~low;      // bits shared by all of [lo, hi]
-  const uint32_t below = low >> 1;  // bits under d (< 2^31: signed-safe)
-  const uint32_t bit_d = low ^ below;
-  const int32_t lo_below = static_cast<int32_t>(lo & below);
-  const int32_t hi_below = static_cast<int32_t>(hi & below);
-
-  std::array<uint32_t, kLanes> mask{};    // input bits pinned so far
-  std::array<uint32_t, kLanes> value{};   // their pinned values
-  std::array<uint32_t, kLanes> result{};  // output bits decided so far
-  for (int s = 0; s < PermutedLaneBlock::kWidth; ++s) {
-    // MinPermutedOverRange's step on every lane, with each test a mask
-    // so no lane branches: can this output bit be 0?
-    for (int i = 0; i < kLanes; ++i) {
-      const uint32_t in = block.in_bit[s][i];
-      const uint32_t m = mask[i] | in;
-      const uint32_t v = value[i] | block.flip[s][i];  // output bit 0
-      const uint32_t pinned_zero = m ^ v;
-      // Bitwise & and | on the tests, never && or ||: a short circuit
-      // is a branch, and a branch stops the loop from vectorizing.
-      const bool prefix_ok = ((v ^ lo) & m & fixed) == 0;
-      // 0 at d: the largest match below d must reach lo's low bits.
-      const int32_t largest = static_cast<int32_t>(below & ~pinned_zero);
-      const bool left = ((v & bit_d) == 0) & (largest >= lo_below);
-      // 1 at d: the smallest match below d must not pass hi's.
-      const int32_t smallest = static_cast<int32_t>(v & below);
-      const bool right = ((pinned_zero & bit_d) == 0) & (smallest <= hi_below);
-      const uint32_t keep_zero =
-          0u - static_cast<uint32_t>(prefix_ok & (left | right));
-      // Zero feasible: keep v; else pin the input bit the other way.
-      value[i] = v ^ (in & ~keep_zero);
-      result[i] = (result[i] << 1) | (~keep_zero & 1u);
-      mask[i] = m;
-    }
+  const int d = std::bit_width(lo ^ hi) - 1;
+  for (size_t first = 0; first < blocks.size(); first += kChunkBlocks) {
+    const size_t n = std::min(kChunkBlocks, blocks.size() - first);
+    MinOverChunk(blocks.subspan(first, n), lo, hi, d,
+                 out.subspan(first * kLanes, n * kLanes));
   }
-  *out = result;
 }
 
 }  // namespace p2prange

@@ -19,17 +19,27 @@
 //    x ∈ [lo, hi] remains consistent with the partial assignment —
 //    O(W) feasibility checks of O(1) bit ops each.
 //
-// The shuffle kernel comes in two forms with one result. The scalar
-// MinPermutedOverRange searches for the next matching input
-// (NextMatchingPattern) at every pinned bit and serves single-function
-// calls (HashRange, GroupIdentifier, Figure 5). The lane-batched
-// MinPermutedOverRangeLanes runs the same greedy for eight functions
-// at once: it splits [lo, hi] once at the top bit where lo and hi
-// differ, which turns each feasibility test into three mask tests and
-// two compares, and it has no branch, so the compiler vectorizes the
-// lane loop with no target flags. LshScheme's l×k probe path uses it.
-// Because the two forms derive feasibility differently, each is an
-// independent reference for the other.
+// The shuffle kernel comes in two forms that use different algorithms
+// and must agree. The scalar MinPermutedOverRange is the greedy above:
+// it searches for the next matching input (NextMatchingPattern) at
+// every pinned bit and serves single-function calls (HashRange,
+// GroupIdentifier, Figure 5). The lane-batched
+// MinPermutedOverRangeLanes, which LshScheme's l×k probe path uses,
+// evaluates the range through its dyadic blocks instead (range-
+// efficient min-hashing, Gudmundsson & Pagh): with d the top bit where
+// lo and hi differ, [lo, hi] is {lo} ∪ {hi} ∪ the blocks A_i (lo's
+// bits above i, bit i set, bits below free) for each i < d where lo
+// has a 0, and B_i (hi's bits above i, bit i clear, bits below free)
+// for each i < d where hi has a 1. Writing π(x) = P(x ⊕ r) for the
+// pre-XOR r, the free bits cancel r's low bits, so the minimum over a
+// block with prefix p is P(p) ⊕ P(r & ~(2^i − 1)) in closed form. One
+// walk from bit 31 down keeps P(lo's bits above i) and P(hi's bits
+// above i) for every function and takes at most 2·d + 2 candidates.
+// It branches on lo's and hi's bit once per bit for all functions of
+// a chunk and not per lane, so the compiler vectorizes the lane loops
+// with no target flags. Neither form derives its answer from the
+// other's reasoning, so each is an independent reference for the
+// other.
 //
 // Every kernel returns bit-identical results to the naive scan (the
 // differential suite in tests/hash/kernels_test.cc pins this over
@@ -42,6 +52,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "hash/bit_permutation.h"
 #include "hash/range.h"
@@ -63,10 +74,12 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
                               const Range& q);
 
 /// \brief Eight width-32 shuffle-family functions laid out for
-/// MinPermutedOverRangeLanes. Step s decides output bit j = 31 - s; for
-/// each lane it holds the input-bit mask 1 << inverse_position_map()[j]
-/// and the flip mask (that same bit if out_xor has bit j set, else 0).
-/// A lane never Set stays all-zero and yields a value to ignore.
+/// MinPermutedOverRangeLanes. For each input bit i and lane, with P
+/// the lane's bit-position permutation and r its pre-XOR (out_xor =
+/// P(r)): image holds P(1 << i), and high_xor holds P(r & ~(2^i − 1))
+/// XOR 2^31 — the bias lets the kernel's signed 32-bit min order the
+/// values as unsigned, which SSE2 has no instruction for. A lane never
+/// Set stays all-zero and yields a value to ignore.
 struct PermutedLaneBlock {
   static constexpr int kLanes = 8;
   static constexpr int kWidth = 32;
@@ -74,15 +87,15 @@ struct PermutedLaneBlock {
   /// Compiles `perm` (width 32) with output XOR `out_xor` into `lane`.
   void Set(int lane, const BitPermutation& perm, uint32_t out_xor);
 
-  std::array<std::array<uint32_t, kLanes>, kWidth> in_bit{};
-  std::array<std::array<uint32_t, kLanes>, kWidth> flip{};
+  std::array<std::array<uint32_t, kLanes>, kWidth> image{};
+  std::array<std::array<uint32_t, kLanes>, kWidth> high_xor{};
 };
 
-/// \brief MinPermutedOverRange for every lane of `block` at once:
-/// (*out)[i] is the exact min of lane i's π over [q.lo(), q.hi()].
-void MinPermutedOverRangeLanes(
-    const PermutedLaneBlock& block, const Range& q,
-    std::array<uint32_t, PermutedLaneBlock::kLanes>* out);
+/// \brief MinPermutedOverRange for every lane of every block at once:
+/// out[8·b + i] is the exact min of block b's lane i over [q.lo(),
+/// q.hi()]. `out` must hold 8 values per block.
+void MinPermutedOverRangeLanes(std::span<const PermutedLaneBlock> blocks,
+                               const Range& q, std::span<uint32_t> out);
 
 /// \brief Smallest x >= lo with (x & mask) == value, if any. The
 /// feasibility primitive of MinPermutedOverRange; exposed for its

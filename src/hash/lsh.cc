@@ -1,6 +1,5 @@
 #include "hash/lsh.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/bit_utils.h"
@@ -79,22 +78,24 @@ uint32_t LshScheme::GroupIdentifier(int g, const Range& q) const {
 
 void LshScheme::IdentifiersInto(const Range& q,
                                 std::vector<uint32_t>* out) const {
-  out->assign(static_cast<size_t>(params_.l), 0);
-  const size_t k = static_cast<size_t>(params_.k);
+  // Every function's minimum first, with *out as the scratch buffer;
+  // then each group folds its k minima into its identifier in place
+  // (group g reads entries g·k.. before any later group writes g).
   if (lanes_.empty()) {
-    for (size_t f = 0; f < fns_.size(); ++f) {
-      (*out)[f / k] ^= fns_[f]->HashRange(q);
-    }
+    out->resize(fns_.size());
+    for (size_t f = 0; f < fns_.size(); ++f) (*out)[f] = fns_[f]->HashRange(q);
   } else {
-    std::array<uint32_t, PermutedLaneBlock::kLanes> mins;
-    for (size_t b = 0; b < lanes_.size(); ++b) {
-      MinPermutedOverRangeLanes(lanes_[b], q, &mins);
-      const size_t first = b * mins.size();
-      const size_t count = std::min(mins.size(), fns_.size() - first);
-      for (size_t i = 0; i < count; ++i) (*out)[(first + i) / k] ^= mins[i];
-    }
+    out->resize(lanes_.size() * PermutedLaneBlock::kLanes);
+    MinPermutedOverRangeLanes(lanes_, q, *out);
   }
-  for (uint32_t& id : *out) id = bits::Mix32(id);
+  const size_t k = static_cast<size_t>(params_.k);
+  const size_t l = static_cast<size_t>(params_.l);
+  for (size_t g = 0; g < l; ++g) {
+    uint32_t id = 0;
+    for (size_t i = 0; i < k; ++i) id ^= (*out)[g * k + i];
+    (*out)[g] = bits::Mix32(id);
+  }
+  out->resize(l);
 }
 
 double LshScheme::CollisionProbability(double sim, int k, int l) {

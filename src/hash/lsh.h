@@ -70,11 +70,12 @@ class LshScheme {
     return ids;
   }
 
-  /// All l identifiers for `q` written into *out (resized to l): one
-  /// batched pass over the flat function table, reusing out's storage
-  /// — the allocation-free form the probe path uses per lookup. The
-  /// shuffle families run eight functions per lane-kernel call
-  /// (MinPermutedOverRangeLanes); the linear family one at a time.
+  /// All l identifiers for `q` written into *out (resized to l). The
+  /// l·k function minima go into out's storage first, so a reused
+  /// buffer makes this allocation-free — the form the probe path uses
+  /// per lookup. The shuffle families take every minimum in one
+  /// MinPermutedOverRangeLanes call, which walks the range's dyadic
+  /// blocks; the linear family runs MinLinearOverRange per function.
   void IdentifiersInto(const Range& q, std::vector<uint32_t>* out) const;
 
   /// Total number of sampled functions (l * k).

@@ -1,6 +1,7 @@
 // The benches' scale argument: `--smoke` wins, a count is a whole
 // number >= 1, a duration a finite number > 0, and anything else
 // exits 2 with the usage line instead of running some other scale.
+// Whether a run is a smoke run comes from the flag alone.
 #include "bench/bench_args.h"
 
 #include <gtest/gtest.h>
@@ -72,6 +73,24 @@ TEST(BenchArgsTest, DurationTakesAFinitePositiveNumberOrSmoke) {
                 "usage: prog \\[--smoke\\] \\[SECONDS\\]")
         << '"' << bad << '"';
   }
+}
+
+bool Smoke(std::initializer_list<const char*> args) {
+  Argv a(args);
+  return SmokeFromArgs(a.argc(), a.argv());
+}
+
+TEST(BenchArgsTest, SmokeIsTheFlagNotTheScale) {
+  // Scales at and under the smoke durations the live benches use
+  // (1.5 s, 3 s) are real runs.
+  EXPECT_FALSE(Smoke({}));
+  EXPECT_FALSE(Smoke({"2"}));
+  EXPECT_FALSE(Smoke({"1.5"}));
+  EXPECT_FALSE(Smoke({"3"}));
+  EXPECT_TRUE(Smoke({"--smoke"}));
+  EXPECT_TRUE(Smoke({"2", "--smoke"}));
+  EXPECT_TRUE(Smoke({"--smoke", "2"}));
+  EXPECT_EQ(Duration({"1.5"}), 1.5);
 }
 
 }  // namespace

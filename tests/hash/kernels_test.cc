@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -133,6 +132,48 @@ Range RandomNarrowRange(Rng& rng) {
   return Range(lo, lo + width - 1);
 }
 
+// Ranges at the edges of the lane kernel's dyadic decomposition:
+// every d (the top bit where lo and hi differ) from 0 to 31 with
+// random bits above and below it, every pair of endpoints within 2 of
+// a power of two, singletons, hi = lo + 1 and the full domain. Random
+// ranges almost never have d in 7–18 or 20–30.
+std::vector<Range> DyadicEdgeRanges(Rng& rng) {
+  std::vector<Range> ranges;
+  for (int d = 0; d < 32; ++d) {
+    const uint64_t below = (uint64_t{1} << d) - 1;
+    for (int t = 0; t < 8; ++t) {
+      const uint64_t prefix = rng.Next32() & ~((uint64_t{2} << d) - 1);
+      ranges.emplace_back(
+          static_cast<uint32_t>(prefix | (rng.Next32() & below)),
+          static_cast<uint32_t>(prefix | (uint64_t{1} << d) |
+                                (rng.Next32() & below)));
+    }
+  }
+  std::vector<uint32_t> points;
+  for (int j = 0; j <= 32; ++j) {
+    for (int64_t delta = -2; delta <= 2; ++delta) {
+      const int64_t x = (int64_t{1} << j) + delta;
+      if (x >= 0 && x <= int64_t{kDomainMax}) {
+        points.push_back(static_cast<uint32_t>(x));
+      }
+    }
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  for (size_t a = 0; a < points.size(); ++a) {
+    for (size_t b = a; b < points.size(); ++b) {
+      ranges.emplace_back(points[a], points[b]);
+    }
+  }
+  for (int t = 0; t < 64; ++t) {
+    const uint32_t lo = rng.Next32() >> (t % 32);
+    ranges.emplace_back(lo, lo);
+    if (lo < kDomainMax) ranges.emplace_back(lo, lo + 1);
+  }
+  ranges.emplace_back(0, kDomainMax);
+  return ranges;
+}
+
 // >= 10^5 random ranges per family parameterization, fresh functions
 // every 1000 ranges, zero tolerated mismatches.
 TEST_P(KernelSweepTest, KernelMatchesNaiveOver100kRandomRanges) {
@@ -245,6 +286,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         SchemeCase{1, 1, HashFamilyType::kApproxMinwise, false, "K1L1"},
         SchemeCase{4, 7, HashFamilyType::kMinwise, false, "K4L7"},
+        // l*k = 7, 8 and 9: one block short of, exactly and just past
+        // full.
+        SchemeCase{7, 1, HashFamilyType::kApproxMinwise, true, "K7L1PreXor"},
+        SchemeCase{2, 4, HashFamilyType::kMinwise, true, "MinwisePreXorK2L4"},
+        SchemeCase{3, 3, HashFamilyType::kApproxMinwise, false, "K3L3"},
         SchemeCase{20, 5, HashFamilyType::kApproxMinwise, false, "PaperK20L5"},
         SchemeCase{3, 2, HashFamilyType::kLinear, false, "LinearK3L2"},
         // l*k = 15 and 100: a partly filled last block of eight lanes.
@@ -298,7 +344,9 @@ TEST_P(KernelSchemeTest, IdentifiersIntoReusesBufferAndMatches) {
 // IdentifiersInto (the lane kernel for the shuffle families) against
 // the per-function XOR, 10^4 seeded ranges per width class: narrow
 // ones against the naive scan, ranges in the engine's [0, 10^6] domain
-// and anywhere in the 32-bit domain against the scalar kernel.
+// and anywhere in the 32-bit domain against the scalar kernel; then
+// the dyadic edge ranges, against the naive scan where they hold at
+// most 64 values.
 TEST_P(KernelSchemeTest, IdentifiersIntoMatchesPerFunctionXorOnSeededRanges) {
   const SchemeCase& c = GetParam();
   LshParams p;
@@ -336,9 +384,8 @@ TEST_P(KernelSchemeTest, IdentifiersIntoMatchesPerFunctionXorOnSeededRanges) {
     const uint32_t b = static_cast<uint32_t>(rng.NextInRange(0, 1000000));
     expect_ids(Range(std::min(a, b), std::max(a, b)), /*naive=*/false);
   }
-  for (const Range& edge : {Range(0, kDomainMax), Range(0, 0),
-                            Range(kDomainMax, kDomainMax)}) {
-    expect_ids(edge, /*naive=*/false);
+  for (const Range& edge : DyadicEdgeRanges(rng)) {
+    expect_ids(edge, /*naive=*/edge.size() <= 64);
   }
   for (int i = 0; i < kRanges; ++i) {
     const uint32_t a = rng.Next32();
@@ -347,36 +394,51 @@ TEST_P(KernelSchemeTest, IdentifiersIntoMatchesPerFunctionXorOnSeededRanges) {
   }
 }
 
-// The lane kernel on its own: eight functions of both shuffle families,
-// with and without an output XOR, lane by lane against the scalar
-// kernel; lanes left unset in a block must not disturb the set ones.
+// The lane kernel on its own, lane by lane against the scalar kernel
+// and, where the range holds at most 64 values, the naive scan: both
+// shuffle families, with and without an output XOR, in 1, 7, 8, 9, 100
+// and 130 lanes (partly filled blocks must not disturb the set lanes;
+// 130 takes more than one of the kernel's 16-block passes), over the
+// dyadic edge ranges and random ranges in the engine's [0, 10^6]
+// domain and the whole 32-bit domain.
 TEST(LaneKernelTest, EveryLaneMatchesTheScalarKernel) {
   Rng rng(0x1A4E5);
-  for (int round = 0; round < 20; ++round) {
+  std::vector<Range> ranges = DyadicEdgeRanges(rng);
+  for (int trial = 0; trial < 2000; ++trial) {
+    uint32_t a = rng.Next32();
+    uint32_t b = rng.Next32();
+    if (trial % 2 == 0) {  // the engine's domain
+      a %= 1000001;
+      b %= 1000001;
+    }
+    ranges.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  constexpr int kLanes = PermutedLaneBlock::kLanes;
+  for (const int lanes : {1, 7, 8, 9, 100, 130}) {
     std::vector<BitPermutation> perms;
     std::vector<uint32_t> out_xor;
-    PermutedLaneBlock block;
-    const int lanes =
-        round % 2 == 0 ? PermutedLaneBlock::kLanes : 1 + round % 7;
+    std::vector<PermutedLaneBlock> blocks((lanes + kLanes - 1) / kLanes);
     for (int i = 0; i < lanes; ++i) {
       const BitShuffleKeys keys = BitShuffleKeys::Sample(32, rng);
       perms.emplace_back(keys, i % 2 == 0 ? keys.num_levels() : 1);
       out_xor.push_back(i % 4 < 2 ? 0u : rng.Next32());
-      block.Set(i, perms.back(), out_xor.back());
+      blocks[static_cast<size_t>(i / kLanes)].Set(i % kLanes, perms.back(),
+                                                  out_xor.back());
     }
-    std::array<uint32_t, PermutedLaneBlock::kLanes> mins;
-    for (int trial = 0; trial < 5000; ++trial) {
-      uint32_t a = rng.Next32();
-      uint32_t b = rng.Next32();
-      if (trial % 2 == 0) {  // the engine's domain
-        a %= 1000001;
-        b %= 1000001;
-      }
-      const Range q(std::min(a, b), std::max(a, b));
-      MinPermutedOverRangeLanes(block, q, &mins);
-      for (int i = 0; i < lanes; ++i) {
-        ASSERT_EQ(mins[i], MinPermutedOverRange(perms[i], out_xor[i], q))
-            << "lane " << i << " q=" << q.ToString();
+    std::vector<uint32_t> mins(blocks.size() * kLanes);
+    for (const Range& q : ranges) {
+      MinPermutedOverRangeLanes(blocks, q, mins);
+      for (size_t i = 0; i < static_cast<size_t>(lanes); ++i) {
+        const uint32_t scalar = MinPermutedOverRange(perms[i], out_xor[i], q);
+        ASSERT_EQ(mins[i], scalar)
+            << lanes << " lanes, lane " << i << " q=" << q.ToString();
+        if (q.size() > 64) continue;
+        uint32_t naive = kDomainMax;
+        for (uint64_t x = q.lo(); x <= q.hi(); ++x) {
+          naive = std::min(
+              naive, perms[i].Apply(static_cast<uint32_t>(x)) ^ out_xor[i]);
+        }
+        ASSERT_EQ(scalar, naive) << "lane " << i << " q=" << q.ToString();
       }
     }
   }

@@ -24,10 +24,13 @@
 #                chord, can and tapestry: the bench counts substrates
 #                with cache hits under churn, and that must be 3
 #   bench-smoke  every bench binary in its tiny --smoke configuration,
-#                then one 1 s perfbench/run.py run per benchmark
-#                workload, which builds perfbench/ in its own tree
-#                (nothing else does) and runs its output checks; run
-#                it from the repository root
+#                then two 1 s perfbench/run.py runs per benchmark
+#                workload, which build perfbench/ in its own tree
+#                (nothing else does) and run its output checks: an
+#                untraced run (the end-to-end metrics) and a traced one
+#                (the per-layer probes, the probe codec round trip and
+#                every replayed request served); run it from the
+#                repository root
 #   live-churn   the dynamic-membership acceptance test: a ring grown
 #                by --join, one SIGKILL, one rolling restart, all under
 #                a seeded query load that must never fail
@@ -80,7 +83,9 @@ case "$gate" in
       "$b" --smoke > /dev/null
     done
     for workload in engine_uniform live_mixed; do
-      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0
+      for trace in 0 1; do
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace "$trace"
+      done
     done
     ;;
   live-churn)
