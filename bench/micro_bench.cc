@@ -220,8 +220,8 @@ void BM_BucketBestMatch(benchmark::State& state) {
 BENCHMARK(BM_BucketBestMatch)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_PeerIndexBestMatch(benchmark::State& state) {
-  // The §5.3 peer-wide matcher over the interval index: cost stays
-  // near-flat in store size for selective queries.
+  // The §5.3 peer-wide matcher: one pass over every entry the store
+  // holds, so the cost grows linearly with store size.
   BucketStore store;
   Rng rng(19);
   const int entries = static_cast<int>(state.range(0));

@@ -32,8 +32,9 @@ struct SystemConfig {
   bool adaptive_padding = false;
   AdaptivePaddingConfig adaptive;
 
-  /// §5.3 extension: search a peer-wide index over all its buckets
-  /// instead of only the probed identifier's bucket.
+  /// §5.3 extension: match against every bucket the probed peer holds
+  /// (one pass over its store) instead of only the probed identifier's
+  /// bucket.
   bool use_peer_index = false;
 
   /// The paper's protocol stores the queried partition at the l

@@ -239,8 +239,11 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
       if (!candidate || overlay_->IsAlive(candidate->descriptor.holder)) {
         break;
       }
-      metrics_.stale_evictions += owner_peer->EraseStaleDescriptors(
+      // The loop ends because every pass removes the entry it was given.
+      const size_t erased = owner_peer->EraseStaleDescriptors(
           candidate->descriptor.key, candidate->descriptor.holder);
+      DCHECK_GT(erased, 0u);
+      metrics_.stale_evictions += erased;
     }
     std::vector<MatchCandidate> overlapping;
     if (config_.assemble_coverage) {

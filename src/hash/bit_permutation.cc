@@ -1,5 +1,7 @@
 #include "hash/bit_permutation.h"
 
+#include <bit>
+
 #include "common/bit_utils.h"
 #include "common/logging.h"
 
@@ -51,18 +53,14 @@ BitPermutation::BitPermutation(const BitShuffleKeys& keys, int rounds)
   for (int j = 0; j < 64; ++j) inverse_map_[j] = j;
   for (int j = 0; j < width_; ++j) inverse_map_[position_map_[j]] = j;
 
-  // Compile per-byte scatter tables.
+  // Compile per-byte scatter tables: v's image is the image of v with
+  // its lowest set bit cleared, OR that bit's image (none past width).
   table_.assign(num_bytes_, {});
   for (int i = 0; i < num_bytes_; ++i) {
-    for (int v = 0; v < 256; ++v) {
-      uint32_t out = 0;
-      for (int b = 0; b < 8; ++b) {
-        const int j = 8 * i + b;
-        if (j < width_ && ((v >> b) & 1)) {
-          out |= (1u << position_map_[j]);
-        }
-      }
-      table_[i][v] = out;
+    for (unsigned v = 1; v < 256; ++v) {
+      const int j = 8 * i + std::countr_zero(v);
+      const uint32_t low = j < width_ ? 1u << position_map_[j] : 0u;
+      table_[i][v] = table_[i][v & (v - 1)] | low;
     }
   }
 }

@@ -566,7 +566,6 @@ Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
       }
       const uint64_t id = envelope->header.call_id;
       ++rpc_.responses_received;
-      rpc_.bytes_in += envelope->body.size();
       if (id == call_id) {
         *out = std::move(*envelope);
         return Status::OK();
@@ -595,6 +594,7 @@ Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
 
     const ssize_t got = ::read(c.fd, buf, sizeof(buf));
     if (got > 0) {
+      rpc_.bytes_in += static_cast<uint64_t>(got);
       c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
       continue;
     }
@@ -668,6 +668,7 @@ Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
     if (n == 0) break;  // nothing more buffered
     const ssize_t got = ::read(c.fd, buf, sizeof(buf));
     if (got > 0) {
+      rpc_.bytes_in += static_cast<uint64_t>(got);
       c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
       continue;
     }
@@ -692,7 +693,6 @@ Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
       return Status::IOError("bad envelope from " + to.ToString());
     }
     ++rpc_.responses_received;
-    rpc_.bytes_in += envelope->body.size();
     c.parked[envelope->header.call_id] = std::move(*envelope);
   }
   return death;

@@ -7,10 +7,13 @@
 // of peer identifiers (4 B/peer), a directory over its top ⌊log₂ n⌋
 // identifier bits (2–4 B/peer), and a word-packed alive bitmap with a
 // Fenwick tree over per-word counts (~0.2 B/peer) — about 7 bytes per
-// peer in all — with each substrate's hop count derived from the same
-// structural rules its heavy twin implements (Chord finger descent,
-// CAN torus walks on a d-dimensional grid, Tapestry digit
-// resolution). Peer "slots" are ranks in identifier order. A Chord hop
+// peer in all — with each substrate's hop count derived from the
+// structural rules of its heavy twin (Chord finger descent, CAN torus
+// walks on a d-dimensional grid, Tapestry digit resolution). The rules
+// are not identical: CompactChord::Route descends by fingers alone,
+// while the heavy ring's ChordNode::ClosestPrecedingNode also scans the
+// successor list, so the two can take different hop counts on the
+// same ring. Peer "slots" are ranks in identifier order. A Chord hop
 // costs one alive-successor lookup: the route finds the last alive
 // peer at or before the target once, and that fixes which finger each
 // hop takes.

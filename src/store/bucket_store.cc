@@ -37,20 +37,8 @@ bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descripto
   }
   recency_.push_front(Entry{id, descriptor});
   bucket.push_back(recency_.begin());
-  index_.Insert(descriptor);
-  ++key_refs_[descriptor.key];
   EvictIfNeeded();
   return true;
-}
-
-void BucketStore::DropIndexReference(const PartitionKey& key) {
-  auto it = key_refs_.find(key);
-  DCHECK(it != key_refs_.end());
-  if (it == key_refs_.end()) return;
-  if (--it->second == 0) {
-    key_refs_.erase(it);
-    index_.Erase(key);
-  }
 }
 
 void BucketStore::EvictIfNeeded() {
@@ -64,7 +52,6 @@ void BucketStore::EvictIfNeeded() {
     auto last = std::prev(recency_.end());
     std::erase_if(vec, [&](const RecencyList::iterator& it) { return it == last; });
     if (vec.empty()) buckets_.erase(bucket_it);
-    DropIndexReference(victim.descriptor.key);
     recency_.pop_back();
     ++evictions_;
   }
@@ -84,7 +71,6 @@ size_t BucketStore::EraseStale(const PartitionKey& key, const NetAddress& holder
       std::erase_if(vec, [&](const RecencyList::iterator& e) { return e == it; });
       if (vec.empty()) buckets_.erase(bucket_it);
     }
-    DropIndexReference(it->descriptor.key);
     it = recency_.erase(it);
     ++removed;
   }
@@ -111,23 +97,34 @@ std::optional<MatchCandidate> BucketStore::BestMatch(chord::ChordId id,
 
 std::optional<MatchCandidate> BucketStore::BestMatchAnywhere(
     const PartitionKey& query, MatchCriterion criterion) const {
-  // Only overlapping ranges can score above zero under either
-  // criterion, so the interval index enumerates exactly the candidates
-  // that matter in O(log n + k).
+  // Only overlapping ranges score above zero under either criterion.
+  // The walk is newest first, so the strict comparisons below leave an
+  // equal range's newer holder in place.
+  const auto packed = [](const Range& r) {
+    return (static_cast<uint64_t>(r.lo()) << 32) | r.hi();
+  };
   std::optional<MatchCandidate> best;
-  index_.ForEachOverlapping(query, [&](const PartitionDescriptor& d) {
+  const PartitionDescriptor* lowest = nullptr;  // zero-score fallback
+  for (const Entry& entry : recency_) {
+    const PartitionDescriptor& d = entry.descriptor;
+    if (!d.key.SameColumn(query)) continue;
+    if (!query.range.Overlaps(d.key.range)) {
+      if (lowest == nullptr || packed(d.key.range) < packed(lowest->key.range)) {
+        lowest = &d;
+      }
+      continue;
+    }
     const double score = ScoreMatch(query.range, d.key.range, criterion);
     const bool exact = d.key.range == query.range;
-    if (!best || Outranks(score, exact, best->similarity, best->exact)) {
+    if (!best || Outranks(score, exact, best->similarity, best->exact) ||
+        (!Outranks(best->similarity, best->exact, score, exact) &&
+         packed(d.key.range) > packed(best->descriptor.key.range))) {
       best = MatchCandidate{d, score, exact};
     }
-  });
-  if (!best) {
-    // Zero-similarity fallback: the §4 protocol still reports the best
-    // (here: any) same-column partition when nothing overlaps.
-    const PartitionDescriptor* any = index_.AnyOfColumn(query);
-    if (any != nullptr) best = MatchCandidate{*any, 0.0, false};
   }
+  // Zero-similarity fallback: the §4 protocol still reports a
+  // same-column partition when nothing overlaps.
+  if (!best && lowest != nullptr) best = MatchCandidate{*lowest, 0.0, false};
   return best;
 }
 
@@ -155,7 +152,6 @@ bool BucketStore::EraseOne(chord::ChordId id, const PartitionKey& key) {
     if (!(entry_it->descriptor.key == key)) continue;
     vec.erase(vec.begin() + static_cast<ptrdiff_t>(i));
     if (vec.empty()) buckets_.erase(bucket_it);
-    DropIndexReference(entry_it->descriptor.key);
     recency_.erase(entry_it);
     return true;
   }

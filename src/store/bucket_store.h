@@ -5,7 +5,7 @@
 // (distinct ranges can collide on an identifier, and one range is
 // published under l identifiers). A lookup probes one bucket and
 // returns the best match under the chosen similarity; §5.3's extension
-// instead searches an index over all buckets the peer holds.
+// instead matches against every bucket the peer holds.
 #ifndef P2PRANGE_STORE_BUCKET_STORE_H_
 #define P2PRANGE_STORE_BUCKET_STORE_H_
 
@@ -20,7 +20,6 @@
 #include "chord/id.h"
 #include "common/result.h"
 #include "hash/range.h"
-#include "store/interval_index.h"
 #include "store/partition_key.h"
 
 namespace p2prange {
@@ -89,7 +88,12 @@ class BucketStore {
                                           MatchCriterion criterion) const;
 
   /// \brief §5.3 extension: best match across *all* buckets this peer
-  /// holds, via a per-column index rather than one bucket's list.
+  /// holds, by one pass over every entry, most recent first. A tie in
+  /// (score, exact) goes to the larger (lo, hi), and a key held in
+  /// several buckets reports its most recently inserted or refreshed
+  /// holder. When nothing overlaps the query, the column's smallest
+  /// (lo, hi) comes back at score 0. The result is always an entry the
+  /// store holds, so EraseStale of its (key, holder) removes it.
   std::optional<MatchCandidate> BestMatchAnywhere(const PartitionKey& query,
                                                   MatchCriterion criterion) const;
 
@@ -146,20 +150,12 @@ class BucketStore {
 
   void EvictIfNeeded();
 
-  /// Removes one (bucket, key) reference from the peer-wide index,
-  /// erasing the index entry when no bucket holds the key anymore.
-  void DropIndexReference(const PartitionKey& key);
-
   size_t max_descriptors_;
   uint64_t evictions_ = 0;
   EvictionListener eviction_listener_;
   // LRU order: front = most recent. Buckets point into the list.
   RecencyList recency_;
   std::unordered_map<chord::ChordId, std::vector<RecencyList::iterator>> buckets_;
-  // §5.3 peer-wide index: one entry per distinct key, reference-counted
-  // across buckets.
-  IntervalIndex index_;
-  std::unordered_map<PartitionKey, size_t, PartitionKeyHash> key_refs_;
 };
 
 }  // namespace p2prange

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "rel/generator.h"
 
@@ -204,6 +205,34 @@ TEST_F(SystemTest, PeerIndexFindsMatchesAcrossBuckets) {
   ASSERT_TRUE(outcome.ok());
   ASSERT_TRUE(outcome->match.has_value());
   EXPECT_EQ(outcome->match->matched.range, Range(0, 1000));
+}
+
+TEST_F(SystemTest, PeerIndexLookupSkipsARepublishedKeysDeadHolder) {
+  // Re-publishing a key with a new holder refreshes the owners'
+  // entries in place. Once the first holder dies, the peer-wide match
+  // must serve the new holder: a match naming the dead one would be
+  // evicted without removing anything, and the lookup would not end.
+  SystemConfig cfg = SmallConfig(5);
+  cfg.num_peers = 16;
+  cfg.use_peer_index = true;
+  auto sys = MakeSystem(cfg);
+  std::vector<NetAddress> peers;
+  for (const auto& info : sys.overlay().AlivePeersOrdered()) {
+    if (!(info.addr == sys.source_address())) peers.push_back(info.addr);
+  }
+  ASSERT_GE(peers.size(), 3u);
+  const NetAddress a = peers[0];
+  const NetAddress c = peers[1];
+  const NetAddress origin = peers[2];
+  const PartitionKey key = NumbersKey(300, 400);
+  ASSERT_TRUE(sys.PublishPartition(key, a).ok());
+  ASSERT_TRUE(sys.PublishPartition(key, c).ok());
+  ASSERT_TRUE(sys.RemovePeer(a, /*graceful=*/false).ok());
+  auto outcome = sys.LookupRangeFrom(origin, key);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_TRUE(outcome->match.has_value());
+  EXPECT_EQ(outcome->match->matched, key);
+  EXPECT_EQ(outcome->match->holder, c);
 }
 
 TEST_F(SystemTest, PublishThenMaterializeServesData) {

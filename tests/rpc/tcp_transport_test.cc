@@ -48,6 +48,26 @@ TEST(TcpTransportTest, EchoRoundTripOverLoopback) {
   EXPECT_EQ(transport.rpc_stats().open_connections, 1u);
 }
 
+TEST(TcpTransportTest, ByteCountersAgreeWithTheServers) {
+  // Both ends count framed bytes, so what one end sent the other
+  // received: frame and envelope headers included, not only the body.
+  auto server = ServerThread::Start([](MsgType, std::string_view body) {
+    return Result<std::string>(std::string(body));
+  });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  TcpTransport transport;
+  auto result = transport.Call((*server)->address(), MsgType::kPing,
+                               std::string(100, 'x'));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  (*server)->Stop();
+  const RpcStats& client = transport.rpc_stats();
+  const RpcStats& served = (*server)->stats();
+  EXPECT_GT(client.bytes_in, 100u);
+  EXPECT_EQ(client.bytes_in, served.bytes_out);
+  EXPECT_EQ(client.bytes_out, served.bytes_in);
+}
+
 TEST(TcpTransportTest, PipelinedCallsMatchResponsesByCallId) {
   auto server = ServerThread::Start(
       [](MsgType, std::string_view body) {

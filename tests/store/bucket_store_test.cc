@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+
 namespace p2prange {
 namespace {
 
@@ -179,6 +185,117 @@ TEST(BucketStoreTest, UnboundedStoreNeverEvicts) {
   }
   EXPECT_EQ(store.num_descriptors(), 500u);
   EXPECT_EQ(store.evictions(), 0u);
+}
+
+TEST(BucketStoreTest, PeerWideMatchReportsTheRefreshedHolder) {
+  // A refresh adopts the new holder. The peer-wide match must report
+  // it as the bucket match does, and erasing that (key, holder) must
+  // leave nothing for a stale-eviction loop to find again.
+  BucketStore store;
+  store.Insert(7, Desc(0, 10, /*holder_port=*/1));
+  store.Insert(7, Desc(0, 10, /*holder_port=*/2));
+  const auto anywhere = store.BestMatchAnywhere(Key(0, 10), MatchCriterion::kJaccard);
+  const auto in_bucket = store.BestMatch(7, Key(0, 10), MatchCriterion::kJaccard);
+  ASSERT_TRUE(anywhere.has_value());
+  ASSERT_TRUE(in_bucket.has_value());
+  EXPECT_EQ(anywhere->descriptor.holder.port, 2u);
+  EXPECT_EQ(in_bucket->descriptor.holder.port, 2u);
+  EXPECT_EQ(store.EraseStale(Key(0, 10), NetAddress{1, 2}), 1u);
+  EXPECT_FALSE(store.BestMatchAnywhere(Key(0, 10), MatchCriterion::kJaccard));
+}
+
+TEST(BucketStoreTest, PeerWideMatchTieBreaks) {
+  BucketStore store;
+  // [50,70] and [30,50] both score 11/31 against [40,60]: the larger
+  // (lo, hi) wins although [30,50] is the more recent entry.
+  store.Insert(1, Desc(50, 70));
+  store.Insert(2, Desc(30, 50));
+  auto tie = store.BestMatchAnywhere(Key(40, 60), MatchCriterion::kJaccard);
+  ASSERT_TRUE(tie.has_value());
+  EXPECT_EQ(tie->descriptor.key.range, Range(50, 70));
+  EXPECT_DOUBLE_EQ(tie->similarity, 11.0 / 31.0);
+  // Nothing overlaps [500,600]: the smallest (lo, hi) at score 0.
+  auto none = store.BestMatchAnywhere(Key(500, 600), MatchCriterion::kJaccard);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(none->descriptor.key.range, Range(30, 50));
+  EXPECT_DOUBLE_EQ(none->similarity, 0.0);
+  EXPECT_FALSE(none->exact);
+  // One key in two buckets: the most recently inserted or refreshed
+  // entry's holder.
+  store.Insert(3, Desc(0, 100, /*holder_port=*/3));
+  store.Insert(4, Desc(0, 100, /*holder_port=*/4));
+  auto held = store.BestMatchAnywhere(Key(0, 100), MatchCriterion::kJaccard);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->descriptor.holder.port, 4u);
+  store.Insert(3, Desc(0, 100, /*holder_port=*/3));
+  held = store.BestMatchAnywhere(Key(0, 100), MatchCriterion::kJaccard);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->descriptor.holder.port, 3u);
+}
+
+TEST(BucketStoreIndexTest, BestMatchAnywhereAgreesWithLinearScan) {
+  Rng rng(99);
+  BucketStore store;
+  std::vector<std::pair<chord::ChordId, PartitionDescriptor>> shadow;
+  for (int i = 0; i < 500; ++i) {
+    const uint32_t lo = static_cast<uint32_t>(rng.NextBounded(1000));
+    const uint32_t hi = lo + static_cast<uint32_t>(rng.NextBounded(150));
+    const chord::ChordId bucket = static_cast<chord::ChordId>(rng.NextBounded(40));
+    const PartitionDescriptor d = Desc(lo, hi);
+    store.Insert(bucket, d);
+    shadow.emplace_back(bucket, d);
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t lo = static_cast<uint32_t>(rng.NextBounded(1000));
+    const PartitionKey q = Key(lo, lo + static_cast<uint32_t>(rng.NextBounded(200)));
+    for (MatchCriterion criterion :
+         {MatchCriterion::kJaccard, MatchCriterion::kContainment}) {
+      // Reference: linear scan over every stored descriptor.
+      double best_score = -1.0;
+      for (const auto& [bucket, d] : shadow) {
+        if (!d.key.SameColumn(q)) continue;
+        const double score = criterion == MatchCriterion::kJaccard
+                                 ? q.range.Jaccard(d.key.range)
+                                 : q.range.ContainmentIn(d.key.range);
+        best_score = std::max(best_score, score);
+      }
+      const auto got = store.BestMatchAnywhere(q, criterion);
+      if (best_score < 0) {
+        EXPECT_FALSE(got.has_value());
+      } else {
+        ASSERT_TRUE(got.has_value());
+        EXPECT_DOUBLE_EQ(got->similarity, best_score);
+      }
+    }
+  }
+}
+
+TEST(BucketStoreIndexTest, EvictionKeepsIndexConsistent) {
+  BucketStore store(/*max_descriptors=*/5);
+  for (uint32_t i = 0; i < 30; ++i) {
+    store.Insert(i % 3, Desc(i * 10, i * 10 + 15));
+  }
+  EXPECT_EQ(store.num_descriptors(), 5u);
+  // The surviving 5 descriptors are the most recent: i = 25..29, i.e.
+  // ranges [250,265] .. [290,305]. Older ranges must be gone from the
+  // peer-wide matcher.
+  auto old = store.BestMatchAnywhere(Key(0, 50), MatchCriterion::kJaccard);
+  ASSERT_TRUE(old.has_value()) << "zero-score fallback still reports something";
+  EXPECT_DOUBLE_EQ(old->similarity, 0.0);
+  auto fresh = store.BestMatchAnywhere(Key(250, 265), MatchCriterion::kJaccard);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_DOUBLE_EQ(fresh->similarity, 1.0);
+}
+
+TEST(BucketStoreIndexTest, SameKeyInTwoBucketsSurvivesOneEviction) {
+  BucketStore bounded(/*max_descriptors=*/2);
+  bounded.Insert(1, Desc(100, 200));
+  bounded.Insert(2, Desc(100, 200));
+  bounded.Insert(3, Desc(500, 600));  // evicts (1, [100,200])
+  auto match = bounded.BestMatchAnywhere(Key(100, 200), MatchCriterion::kJaccard);
+  ASSERT_TRUE(match.has_value());
+  EXPECT_DOUBLE_EQ(match->similarity, 1.0)
+      << "the key still lives in bucket 2, so the peer-wide match must find it";
 }
 
 TEST(MatchRuleTest, RankCandidatesIsBestFirstAndStable) {

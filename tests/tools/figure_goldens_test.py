@@ -14,10 +14,12 @@ on stdin when that file exists and with an empty stdin otherwise. The
 binary must exit 0 and print exactly its golden. On a mismatch the
 script prints a unified diff per binary and exits 1.
 
-The binaries are seeded and deterministic, so any difference is a
-behaviour change. fig5 (its columns are timings) and the live-ring
-benches have no golden. A change that moves a figure or an example on
-purpose re-records the file from the new binary,
+The binaries run concurrently, one per CPU; failures are reported in
+a fixed order (figures, then examples, each by name). The binaries
+are seeded and deterministic, so any
+difference is a behaviour change. fig5 (its columns are timings) and
+the live-ring benches have no golden. A change that moves a figure or
+an example on purpose re-records the file from the new binary,
 
     build/bench/NAME --smoke > tests/goldens/NAME.txt
     build/examples/NAME < /dev/null > tests/goldens/examples/NAME.txt
@@ -29,6 +31,7 @@ and says why in CHANGES.md.
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
 
+import concurrent.futures
 import difflib
 import os
 import subprocess
@@ -105,7 +108,8 @@ def main():
     if not cases:
         print("no goldens in " + GOLDEN_DIR, file=sys.stderr)
         return 2
-    failures = [e for e in (check(*case) for case in cases) if e]
+    with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
+        failures = [e for e in pool.map(lambda case: check(*case), cases) if e]
     for failure in failures:
         print(failure)
     print("%d/%d figure and example goldens match" % (
