@@ -85,10 +85,16 @@ struct LogMessageVoidify {
 #define CHECK_GT(a, b) CHECK((a) > (b))
 #define CHECK_GE(a, b) CHECK((a) >= (b))
 
-#ifdef NDEBUG
+// DCHECKs compile out of NDEBUG (release) builds. A build that defines
+// P2PRANGE_DCHECK_ALWAYS_ON evaluates them anyway: every sanitized CMake
+// tree does (CMakeLists.txt), so the checking gates run optimized code
+// with its invariants asserted. P2PRANGE_DCHECK_IS_ON says which.
+#if defined(NDEBUG) && !defined(P2PRANGE_DCHECK_ALWAYS_ON)
+#define P2PRANGE_DCHECK_IS_ON 0
 #define DCHECK(cond) \
   while (false) CHECK(cond)
 #else
+#define P2PRANGE_DCHECK_IS_ON 1
 #define DCHECK(cond) CHECK(cond)
 #endif
 #define DCHECK_EQ(a, b) DCHECK((a) == (b))

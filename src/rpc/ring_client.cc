@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/memory.h"
@@ -22,6 +23,13 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
       .count();
+}
+
+/// The member a wrong-owner redirect names; nullopt for any other
+/// status.
+std::optional<NetAddress> RedirectOf(const Status& status) {
+  if (!status.IsOutOfRange()) return std::nullopt;
+  return ParseWrongOwner(status.message());
 }
 
 }  // namespace
@@ -151,45 +159,62 @@ Status RingClient::Publish(const PartitionKey& key, const NetAddress& holder,
   StoreDescriptorRequest req;
   req.descriptor.key = key;
   req.descriptor.holder = holder;
-  for (const uint32_t id : ids) {
-    req.bucket = id;
+  // One store per (bucket, replica), in that order, all in one wave.
+  std::vector<WaveCall> stores;
+  std::vector<size_t> bucket_of;
+  for (size_t b = 0; b < ids.size(); ++b) {
+    req.bucket = ids[b];
     const std::string body = EncodeStoreDescriptorRequest(req);
-    // Distinct addresses that accepted the bucket — a set, not a
-    // count, because a wrong-owner redirect can land on a member that
-    // is itself one of our replicas and a redirected store must not
-    // count as two copies.
-    std::set<NetAddress> stored_at;
-    Status last;
     for (const NetAddress& replica :
-         view_.Replicas(id, options_.descriptor_replication)) {
-      NetAddress target = replica;
-      auto result = CallWithPolicy(target, MsgType::kStoreDescriptor, body);
-      if (!result.ok() && result.status().IsOutOfRange()) {
-        // The replica's view says this bucket lives elsewhere (a
-        // member joined since our refresh): follow the redirect.
-        if (const auto owner = ParseWrongOwner(result.status().message())) {
-          LearnMember(*owner);
-          target = *owner;
-          if (stats != nullptr) ++stats->redirects;
-          result = CallWithPolicy(target, MsgType::kStoreDescriptor, body);
-        }
-      }
-      if (result.ok()) {
-        stored_at.insert(target);
-      } else {
-        last = result.status();
-      }
+         view_.Replicas(ids[b], options_.descriptor_replication)) {
+      stores.push_back(WaveCall{replica, MsgType::kStoreDescriptor, body});
+      bucket_of.push_back(b);
     }
+  }
+  std::vector<Result<std::string>> results = FirstWave(stores, nullptr);
+
+  // Distinct addresses that accepted each bucket — a set, not a
+  // count, because a wrong-owner redirect can land on a member that
+  // is itself one of our replicas and a redirected store must not
+  // count as two copies.
+  std::vector<std::set<NetAddress>> stored_at(ids.size());
+  std::vector<Status> last(ids.size());
+  int redirects = 0;
+  for (size_t i = 0; i < stores.size(); ++i) {
+    NetAddress target = stores[i].to;
+    Result<std::string>& result = results[i];
+    // A lost frame, a shed, a batch the replica rejected wholesale:
+    // the store is asked again there, under the FaultPolicy.
+    if (!result.ok() && !RedirectOf(result.status())) {
+      result = CallWithPolicy(target, MsgType::kStoreDescriptor,
+                              stores[i].body);
+    }
+    // The replica's view says this bucket lives elsewhere (a member
+    // joined since our refresh): follow the redirect.
+    if (const auto owner = FollowRedirect(MsgType::kStoreDescriptor,
+                                          stores[i].body, &result,
+                                          &redirects)) {
+      target = *owner;
+    }
+    if (result.ok()) {
+      stored_at[bucket_of[i]].insert(target);
+    } else {
+      last[bucket_of[i]] = result.status();
+    }
+  }
+  if (stats != nullptr) stats->redirects += redirects;
+  for (size_t b = 0; b < ids.size(); ++b) {
     // Replication tolerates partial failure; a bucket stored nowhere
     // is a lost publish and must surface.
-    if (stored_at.empty()) {
-      return Status(last.code(), "bucket " + std::to_string(id) + " of " +
-                                     key.ToString() +
-                                     " stored nowhere: " + last.message());
+    if (stored_at[b].empty()) {
+      return Status(last[b].code(), "bucket " + std::to_string(ids[b]) +
+                                        " of " + key.ToString() +
+                                        " stored nowhere: " +
+                                        last[b].message());
     }
     if (stats != nullptr) {
       ++stats->buckets;
-      stats->copies_stored += static_cast<int>(stored_at.size());
+      stats->copies_stored += static_cast<int>(stored_at[b].size());
     }
   }
   return Status::OK();
@@ -221,75 +246,21 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   lsh_->IdentifiersInto(query.range, &out.identifiers);
   const size_t l = out.identifiers.size();
 
+  // First wave: every group's probe to its bucket's primary owner.
   ProbeBucketRequest req;
   req.query = query;
   req.criterion = options_.criterion;
-
-  // First wave, pipelined: every group's probe goes to its bucket's
-  // primary owner before any response is awaited. Probes sharing an
-  // owner coalesce into one kMultiOp frame (batch_probes); a batch of
-  // one stays a plain kProbeBucket.
-  struct Probe {
-    NetAddress owner;
-    std::string body;
-    uint64_t call_id = 0;
-    bool started = false;
-    size_t batch = SIZE_MAX;  ///< index into batches, SIZE_MAX = solo
-    size_t slot = 0;          ///< this probe's position in the batch
-  };
-  struct Batch {
-    NetAddress owner;
-    std::vector<size_t> groups;  ///< probe indices, in op order
-    uint64_t call_id = 0;
-    bool started = false;
-    bool waited = false;
-    /// Filled at wait time when the whole batch round trip succeeded.
-    std::optional<MultiOpResponse> response;
-  };
-  std::vector<Probe> probes(l);
-  std::vector<Batch> batches;
-  for (size_t g = 0; g < l; ++g) {
-    req.bucket = out.identifiers[g];
-    probes[g].owner = view_.Owner(out.identifiers[g]);
-    probes[g].body = EncodeProbeBucketRequest(req);
+  std::vector<WaveCall> probes;
+  probes.reserve(l);
+  for (const uint32_t id : out.identifiers) {
+    req.bucket = id;
+    probes.push_back(WaveCall{view_.Owner(id), MsgType::kProbeBucket,
+                              EncodeProbeBucketRequest(req)});
   }
-  if (options_.batch_probes) {
-    std::map<NetAddress, size_t> batch_of;
-    for (size_t g = 0; g < l; ++g) {
-      auto [it, fresh] = batch_of.try_emplace(probes[g].owner, batches.size());
-      if (fresh) {
-        batches.push_back(Batch{});
-        batches.back().owner = probes[g].owner;
-      }
-      batches[it->second].groups.push_back(g);
-    }
-  }
-  for (Batch& batch : batches) {
-    if (batch.groups.size() < 2) continue;  // solo probes ship plain
-    MultiOpRequest mreq;
-    for (size_t i = 0; i < batch.groups.size(); ++i) {
-      const size_t g = batch.groups[i];
-      mreq.ops.push_back(MultiOp{MsgType::kProbeBucket, probes[g].body});
-      probes[g].batch = static_cast<size_t>(&batch - batches.data());
-      probes[g].slot = i;
-    }
-    auto started = transport_.StartCall(batch.owner, MsgType::kMultiOp,
-                                        EncodeMultiOpRequest(mreq));
-    if (started.ok()) {
-      batch.call_id = *started;
-      batch.started = true;
-      out.batched_probes += static_cast<int>(batch.groups.size());
-    }
-  }
-  for (size_t g = 0; g < l; ++g) {
-    if (probes[g].batch != SIZE_MAX) continue;
-    auto started = transport_.StartCall(probes[g].owner, MsgType::kProbeBucket,
-                                        probes[g].body);
-    if (started.ok()) {
-      probes[g].call_id = *started;
-      probes[g].started = true;
-    }
-  }
+  const auto wave_started = std::chrono::steady_clock::now();
+  std::vector<Result<std::string>> first =
+      FirstWave(probes, &out.batched_probes);
+  out.latency_ms += ElapsedMs(wave_started);
 
   std::vector<MatchCandidate> candidates;
   std::set<std::string> candidates_seen;
@@ -308,65 +279,42 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   };
 
   for (size_t g = 0; g < l; ++g) {
-    Probe& probe = probes[g];
+    const std::string& body = probes[g].body;
     bool answered = false;
     const auto probe_started = std::chrono::steady_clock::now();
 
-    if (probe.batch != SIZE_MAX) {
-      Batch& batch = batches[probe.batch];
-      if (batch.started && !batch.waited) {
-        // First probe of the batch to be collected pays the wait; its
-        // siblings read their slots from the decoded response.
-        batch.waited = true;
-        auto waited = transport_.WaitCall(batch.owner, batch.call_id,
-                                          options_.deadline_ms);
-        if (waited.ok()) {
-          auto decoded = DecodeMultiOpResponse(waited->body);
-          if (decoded.ok() && decoded->results.size() == batch.groups.size()) {
-            batch.response = std::move(*decoded);
-          }
-        }
-      }
-      if (batch.response.has_value()) {
-        const MultiOpResult& slot = batch.response->results[probe.slot];
-        if (slot.status == StatusCode::kOk) {
-          answered = collect(slot.body).ok();
-        }
-        // A non-OK slot (redirect, shed, decode error) falls through
-        // to the per-replica path below, which knows how to follow
-        // redirects and fail over.
-      }
-    } else if (probe.started) {
-      auto waited = transport_.WaitCall(probe.owner, probe.call_id,
-                                        options_.deadline_ms);
-      if (waited.ok()) {
-        answered = collect(waited->body).ok();
-      }
+    // The first-wave answer is the owner's attempt: a redirect is
+    // followed at once, and a shed or a refused connection moves on to
+    // the next replica without asking the owner again. Only a lost
+    // frame (IOError) or an answer the client could not use sends the
+    // owner the probe again, under the fault policy.
+    std::optional<NetAddress> attempted;
+    Result<std::string>& result = first[g];
+    if (!result.ok() &&
+        (RedirectOf(result.status()) || result.status().IsUnavailable() ||
+         result.status().IsResourceExhausted())) {
+      attempted = probes[g].to;
+      FollowRedirect(MsgType::kProbeBucket, body, &result, &out.redirects);
     }
+    if (result.ok()) answered = collect(*result).ok();
 
     // Retry the owner under the fault policy, then fail over to the
     // bucket's replicas — the live analogue of the simulator's
     // owner-then-successors probe sequence. A wrong-owner redirect
     // from any replica is followed (and its member learned) at once.
-    auto probe_replicas = [&](bool* answered_out) {
+    auto probe_replicas = [&](const std::optional<NetAddress>& skip) {
       const auto replicas = view_.Replicas(out.identifiers[g],
                                            options_.descriptor_replication);
-      for (size_t r = 0; r < replicas.size() && !*answered_out; ++r) {
-        auto result =
-            CallWithPolicy(replicas[r], MsgType::kProbeBucket, probe.body);
-        if (!result.ok() && result.status().IsOutOfRange()) {
-          if (const auto owner = ParseWrongOwner(result.status().message())) {
-            LearnMember(*owner);
-            ++out.redirects;
-            result = CallWithPolicy(*owner, MsgType::kProbeBucket, probe.body);
-          }
-        }
-        if (!result.ok()) continue;
-        *answered_out = collect(*result).ok();
-        if (*answered_out && r > 0) ++out.failovers;
+      for (size_t r = 0; r < replicas.size() && !answered; ++r) {
+        if (replicas[r] == skip) continue;
+        auto retried = CallWithPolicy(replicas[r], MsgType::kProbeBucket, body);
+        FollowRedirect(MsgType::kProbeBucket, body, &retried, &out.redirects);
+        if (!retried.ok()) continue;
+        answered = collect(*retried).ok();
+        if (answered && r > 0) ++out.failovers;
       }
     };
-    if (!answered) probe_replicas(&answered);
+    if (!answered) probe_replicas(attempted);
 
     // Every replica of this bucket failed: our view may predate a
     // wave of churn. Refresh it from the ring's gossip (once per
@@ -375,15 +323,16 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
       refreshed = true;
       if (RefreshView().ok()) {
         ++out.view_refreshes;
-        probe_replicas(&answered);
+        probe_replicas(std::nullopt);
       }
     }
 
     if (!answered) ++out.probes_failed;
     // Wall clock this probe actually consumed, whatever path it took —
-    // the first-wave wait, retries with their backoff, failover,
-    // redirects, the view refresh. (Summing transport round-trip
-    // latencies instead misses every one of those but the first.)
+    // retries with their backoff, failover, redirects, the view
+    // refresh — on top of the first wave's, charged above. (Summing
+    // transport round-trip latencies instead misses every one of those
+    // but the first.)
     out.latency_ms += ElapsedMs(probe_started);
   }
 
@@ -391,6 +340,88 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   RankCandidates(&candidates);
   out.ranked = std::move(candidates);
   return out;
+}
+
+std::vector<Result<std::string>> RingClient::FirstWave(
+    const std::vector<WaveCall>& calls, int* batched) {
+  // The calls of each frame, in call order: one frame per member with
+  // batch_probes, else one per call.
+  std::vector<std::vector<size_t>> frames;
+  std::map<NetAddress, size_t> frame_of;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const auto [it, fresh] = frame_of.try_emplace(calls[i].to, frames.size());
+    if (options_.batch_probes && !fresh) {
+      frames[it->second].push_back(i);
+    } else {
+      frames.push_back({i});
+    }
+  }
+
+  std::vector<Result<uint64_t>> call_ids;
+  call_ids.reserve(frames.size());
+  for (const std::vector<size_t>& frame : frames) {
+    const WaveCall& call = calls[frame.front()];
+    if (frame.size() == 1) {
+      call_ids.push_back(transport_.StartCall(call.to, call.type, call.body));
+      continue;
+    }
+    MultiOpRequest req;
+    for (const size_t i : frame) {
+      req.ops.push_back(MultiOp{calls[i].type, calls[i].body});
+    }
+    call_ids.push_back(transport_.StartCall(call.to, MsgType::kMultiOp,
+                                            EncodeMultiOpRequest(req)));
+    if (call_ids.back().ok() && batched != nullptr) {
+      *batched += static_cast<int>(frame.size());
+    }
+  }
+
+  std::vector<Result<std::string>> results(
+      calls.size(), Status::Internal("not answered"));
+  for (size_t f = 0; f < frames.size(); ++f) {
+    const std::vector<size_t>& frame = frames[f];
+    Result<std::string> answer = [&]() -> Result<std::string> {
+      ASSIGN_OR_RETURN(const uint64_t call_id, call_ids[f]);
+      ASSIGN_OR_RETURN(TcpTransport::CallResult waited,
+                       transport_.WaitCall(calls[frame.front()].to, call_id,
+                                           options_.deadline_ms));
+      return std::move(waited.body);
+    }();
+    if (answer.ok() && frame.size() > 1) {
+      auto decoded = DecodeMultiOpResponse(*answer);
+      if (decoded.ok() && decoded->results.size() == frame.size()) {
+        for (size_t k = 0; k < frame.size(); ++k) {
+          MultiOpResult& slot = decoded->results[k];
+          results[frame[k]] =
+              slot.status == StatusCode::kOk
+                  ? Result<std::string>(std::move(slot.body))
+                  : Result<std::string>(
+                        Status(slot.status, std::move(slot.body)));
+        }
+        continue;
+      }
+      answer = decoded.ok() ? Status::InvalidArgument(
+                                  "multi-op answer has " +
+                                  std::to_string(decoded->results.size()) +
+                                  " slots for " +
+                                  std::to_string(frame.size()) + " ops")
+                            : decoded.status();
+    }
+    for (const size_t i : frame) results[i] = answer;
+  }
+  return results;
+}
+
+std::optional<NetAddress> RingClient::FollowRedirect(
+    MsgType type, const std::string& body, Result<std::string>* result,
+    int* redirects) {
+  if (result->ok()) return std::nullopt;
+  std::optional<NetAddress> owner = RedirectOf(result->status());
+  if (!owner.has_value()) return std::nullopt;
+  LearnMember(*owner);
+  ++*redirects;
+  *result = CallWithPolicy(*owner, type, body);
+  return owner;
 }
 
 Result<double> RingClient::Ping(const NetAddress& node) {

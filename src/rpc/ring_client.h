@@ -5,11 +5,12 @@
 // live answers are comparable to simulated ones: the same LSH scheme
 // maps a range to l identifiers, each identifier's bucket is probed at
 // its owner, per-probe best matches are deduplicated and ranked by
-// (similarity desc, exact tie-break). Probes are pipelined over the
-// call-id multiplexing of TcpTransport — all l requests go out before
-// the first response is awaited — and probes whose buckets share an
-// owner coalesce into a single kMultiOp round trip (small rings put
-// several of the l identifiers on the same peer).
+// (similarity desc, exact tie-break). A lookup's l probes and a
+// publish's l × replication stores each travel as one first wave,
+// pipelined over the call-id multiplexing of TcpTransport — every
+// request goes out before the first response is awaited — and calls
+// bound for the same member coalesce into a single kMultiOp round trip
+// (small rings put several of the l identifiers on the same peer).
 //
 // Fault handling wires the existing FaultPolicy into the real network:
 // an IOError (deadline missed, stream corrupted) is retried with
@@ -30,6 +31,7 @@
 #define P2PRANGE_RPC_RING_CLIENT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,11 +58,12 @@ struct RingClientOptions {
   double deadline_ms = 1000.0;
   /// Replicas per descriptor (owner + successors), as in the sim.
   int descriptor_replication = 1;
-  /// Coalesce first-wave probes that share an owner into one kMultiOp
-  /// round trip instead of one frame each. Off forces the one-frame-
-  /// per-probe wire behavior (ablation baselines, old-server rings);
-  /// on, a batch the server rejects wholesale degrades to the per-
-  /// replica fallback path, so correctness never depends on it.
+  /// Coalesce the first-wave calls bound for one member — a lookup's
+  /// probes, a publish's stores — into one kMultiOp round trip instead
+  /// of one frame each. Off, every call travels as its own frame, still
+  /// started before any is awaited (ablation baselines, old-server
+  /// rings); on, a batch the server rejects wholesale degrades to the
+  /// per-call fallback path, so correctness never depends on it.
   bool batch_probes = true;
   TcpTransport::Options transport;
 };
@@ -100,6 +103,15 @@ class RingClient {
   /// if some bucket could not be stored anywhere. A replica that
   /// redirects to an address already holding the bucket adds no copy:
   /// copies are counted per distinct address.
+  ///
+  /// Every (bucket, replica) store goes out in one first wave, so a
+  /// member receives its stores in (bucket, replica) order in one
+  /// frame. A store that fails is then asked again under the
+  /// FaultPolicy, and a wrong-owner redirect is followed. Two
+  /// consequences: every store is tried before a bucket stored nowhere
+  /// is reported (the first such bucket, in bucket order), and all
+  /// stores target the owners of the view the publish started with, so
+  /// during a join each stale store follows its own redirect.
   Status Publish(const PartitionKey& key, const NetAddress& holder,
                  PublishStats* stats = nullptr);
 
@@ -144,6 +156,31 @@ class RingClient {
   /// budget lasts, anything else returns at once.
   Result<std::string> CallWithPolicy(const NetAddress& to, MsgType type,
                                      const std::string& body);
+
+  /// One request of a first wave.
+  struct WaveCall {
+    NetAddress to;
+    MsgType type = MsgType::kPing;
+    std::string body;
+  };
+
+  /// \brief Sends `calls` as one wave: every frame starts before any
+  /// is awaited. With batch_probes, a member's calls share one kMultiOp
+  /// frame, in call order, and a lone call ships as a plain frame.
+  /// Returns one result per call, in call order: the call's own answer,
+  /// or the error of the whole frame it rode in. Calls that rode a
+  /// kMultiOp are added to `*batched` when it is non-null.
+  std::vector<Result<std::string>> FirstWave(
+      const std::vector<WaveCall>& calls, int* batched);
+
+  /// If `*result` is a wrong-owner redirect: learns the named member,
+  /// counts the redirect, re-sends the call there under the
+  /// FaultPolicy and returns that member. Anything else is left as it
+  /// is (nullopt).
+  std::optional<NetAddress> FollowRedirect(MsgType type,
+                                           const std::string& body,
+                                           Result<std::string>* result,
+                                           int* redirects);
 
   RingView view_;
   std::unique_ptr<LshScheme> lsh_;

@@ -55,6 +55,28 @@ class ThresholdGuard {
   LogLevel saved_;
 };
 
+// A sanitized tree is the one gate that runs optimized code with its
+// invariants asserted, so it must evaluate DCHECKs. Detected from the
+// compiler, not from the CMake switch under test: ASan and TSan are
+// the sanitized configurations tools/check.sh and CI build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define P2PRANGE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define P2PRANGE_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(LoggingTest, SanitizedTreesEvaluateDchecks) {
+  int evaluated = 0;
+  auto touch = [&evaluated] { return ++evaluated > 0; };
+  DCHECK(touch());
+  EXPECT_EQ(evaluated, P2PRANGE_DCHECK_IS_ON);
+#ifdef P2PRANGE_TEST_SANITIZED
+  EXPECT_EQ(evaluated, 1) << "this sanitized build compiles DCHECKs out";
+#endif
+}
+
 TEST(LoggingTest, ThresholdFiltersBelowAndPassesAtOrAbove) {
   ThresholdGuard guard;
   SetLogThreshold(LogLevel::kWarning);

@@ -1,20 +1,26 @@
 // The client-path fault behaviors of RingClient against hand-rolled
 // peers: view refreshes that must not corrupt the routing view,
 // wall-clock latency accounting on the slow paths, redirect dedupe in
-// Publish, kMultiOp batching equivalence, and admission-control sheds
-// failing over without a retry storm. Real NodeServices play the
-// honest peers; scripted handlers play the faulty ones.
+// Publish, the publish wave's frames and copies, kMultiOp batching
+// equivalence, first-wave redirects and sheds that are not asked
+// again, and admission-control sheds failing over without a retry
+// storm. Real NodeServices play the honest peers; scripted handlers
+// play the faulty ones.
 #include "rpc/ring_client.h"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "rpc/membership.h"
+#include "rpc/multi_op.h"
 #include "rpc/tcp.h"
 #include "rpc/tcp_transport.h"
 #include "tests/support/live_harness.h"
@@ -32,6 +38,36 @@ RingClientOptions SmallLshOptions() {
   options.lsh.k = 10;
   options.lsh.l = 5;
   return options;
+}
+
+/// A scripted peer's handler that answers a kMultiOp as NodeService
+/// does: `serve` answers each sub-op, and each outcome fills its own
+/// slot. A plain request goes to `serve` as it is.
+TcpServer::Handler SlotBySlot(TcpServer::Handler serve) {
+  return [serve](MsgType type, std::string_view body) -> Result<std::string> {
+    if (type != MsgType::kMultiOp) return serve(type, body);
+    ASSIGN_OR_RETURN(MultiOpRequest req, DecodeMultiOpRequest(body));
+    MultiOpResponse resp;
+    for (const MultiOp& op : req.ops) {
+      auto r = serve(op.type, op.body);
+      resp.results.push_back(
+          r.ok() ? MultiOpResult{StatusCode::kOk, *r}
+                 : MultiOpResult{r.status().code(), r.status().message()});
+    }
+    return EncodeMultiOpResponse(resp);
+  };
+}
+
+/// The distinct members that hold a replica of some bucket of `range`.
+std::set<NetAddress> DistinctReplicas(const RingClient& client,
+                                      const Range& range, int replication) {
+  std::set<NetAddress> members;
+  for (const uint32_t id : client.lsh().Identifiers(range)) {
+    for (const NetAddress& m : client.view().Replicas(id, replication)) {
+      members.insert(m);
+    }
+  }
+  return members;
 }
 
 TEST(TcpTransportTest, PumpForDrainsResponsesIntoTheParkingLot) {
@@ -153,11 +189,11 @@ TEST(RingClientTest, PublishCountsARedirectedStoreOncePerAddress) {
   ASSERT_TRUE(honest.ok()) << honest.status().ToString();
   const NetAddress holder = honest->members()[0];
   auto redirector = ServerThread::Start(
-      [holder](MsgType type, std::string_view) {
+      SlotBySlot([holder](MsgType type, std::string_view) {
         EXPECT_EQ(type, MsgType::kStoreDescriptor);
         return Result<std::string>(
             Status::OutOfRange(WrongOwnerMessage(holder)));
-      });
+      }));
   ASSERT_TRUE(redirector.ok()) << redirector.status().ToString();
 
   RingClientOptions options = SmallLshOptions();
@@ -174,6 +210,171 @@ TEST(RingClientTest, PublishCountsARedirectedStoreOncePerAddress) {
   EXPECT_GT(stats.buckets, 0);
   EXPECT_GT(stats.redirects, 0);
   EXPECT_EQ(stats.copies_stored, stats.buckets);
+}
+
+TEST(RingClientTest, PublishSendsOneFramePerReplicaAndStoresEveryCopy) {
+  // The paper's l = 5 over three members at replication 2: ten
+  // (bucket, replica) stores. Batched, a member's stores share one
+  // frame; unbatched, each store is its own frame. Either way every
+  // (bucket, replica) pair ends up holding the key.
+  const PartitionKey published{"T", "a", Range(100, 200)};
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched" : "unbatched");
+    auto ring = MiniRing::Start(3);
+    ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+    RingClientOptions options = SmallLshOptions();
+    options.descriptor_replication = 2;
+    options.batch_probes = batch;
+    auto client = RingClient::Make(ring->members(), options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    RingClient& c = **client;
+
+    const uint64_t sent_before = c.transport().rpc_stats().requests_sent;
+    RingClient::PublishStats stats;
+    ASSERT_TRUE(c.Publish(published, ring->members()[0], &stats).ok());
+    const uint64_t sent = c.transport().rpc_stats().requests_sent - sent_before;
+    if (batch) {
+      EXPECT_EQ(sent, DistinctReplicas(c, published.range, 2).size());
+    } else {
+      EXPECT_EQ(sent, 5u * 2u);
+    }
+    EXPECT_EQ(stats.buckets, 5);
+    EXPECT_EQ(stats.copies_stored, 5 * 2);
+    EXPECT_EQ(stats.redirects, 0);
+
+    TcpTransport prober;
+    for (const uint32_t id : c.lsh().Identifiers(published.range)) {
+      for (const NetAddress& replica : c.view().Replicas(id, 2)) {
+        ProbeBucketRequest req;
+        req.bucket = id;
+        req.query = published;
+        auto answer = prober.Call(replica, MsgType::kProbeBucket,
+                                  EncodeProbeBucketRequest(req));
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        auto best = DecodeProbeBucketResponse(answer->body);
+        ASSERT_TRUE(best.ok()) << best.status().ToString();
+        ASSERT_TRUE(best->has_value())
+            << "bucket " << id << " at " << replica.ToString();
+        EXPECT_EQ((*best)->descriptor.key, published);
+      }
+    }
+  }
+}
+
+TEST(RingClientTest, PublishFallsBackPerStoreWhenABatchIsRejectedWholesale) {
+  // A peer that predates kMultiOp rejects the whole batch but serves
+  // plain stores. Its stores must land through the per-store retry,
+  // so each bucket keeps both copies.
+  auto honest = MiniRing::Start(1);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  auto frames = std::make_shared<std::atomic<int>>(0);
+  auto plain_stores = std::make_shared<std::atomic<int>>(0);
+  auto old_peer = ServerThread::Start(
+      [frames, plain_stores](MsgType type, std::string_view) {
+        ++*frames;
+        if (type != MsgType::kStoreDescriptor) {
+          return Result<std::string>(
+              Status::InvalidArgument("unhandled message type"));
+        }
+        ++*plain_stores;
+        return Result<std::string>(std::string());
+      });
+  ASSERT_TRUE(old_peer.ok()) << old_peer.status().ToString();
+
+  RingClientOptions options = SmallLshOptions();
+  options.descriptor_replication = 2;
+  auto client = RingClient::Make(
+      {(*old_peer)->address(), honest->members()[0]}, options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  RingClient::PublishStats stats;
+  ASSERT_TRUE((*client)
+                  ->Publish(PartitionKey{"T", "a", Range(100, 200)},
+                            honest->members()[0], &stats)
+                  .ok());
+  EXPECT_EQ(stats.buckets, 5);
+  EXPECT_EQ(stats.copies_stored, 5 * 2);
+  // One rejected batch, then each of its five stores on its own.
+  EXPECT_EQ(frames->load(), 1 + 5);
+  EXPECT_EQ(plain_stores->load(), 5);
+}
+
+TEST(RingClientTest, PublishStoredNowhereWhenEveryReplicaSheds) {
+  auto shed = [](MsgType, std::string_view) {
+    return Result<std::string>(Status::ResourceExhausted("work queue full"));
+  };
+  auto first = ServerThread::Start(shed);
+  auto second = ServerThread::Start(shed);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  RingClientOptions options = SmallLshOptions();
+  options.descriptor_replication = 2;
+  auto client = RingClient::Make(
+      {(*first)->address(), (*second)->address()}, options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const Status published = (*client)->Publish(
+      PartitionKey{"T", "a", Range(100, 200)}, (*first)->address());
+  ASSERT_FALSE(published.ok());
+  EXPECT_TRUE(published.IsResourceExhausted()) << published.ToString();
+  EXPECT_NE(published.message().find("stored nowhere"), std::string::npos)
+      << published.ToString();
+}
+
+TEST(RingClientTest, FirstWaveRedirectIsFollowedWithoutAskingAgain) {
+  // A peer that redirects every store and probe to the one honest
+  // holder. Its first-wave answer is its attempt: the client follows
+  // the redirect at once and never sends it the probe again, so its
+  // handler runs once per first-wave frame it received.
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched" : "unbatched");
+    auto honest = MiniRing::Start(1);
+    ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+    const NetAddress holder = honest->members()[0];
+    auto frames = std::make_shared<std::atomic<int>>(0);
+    auto redirector = ServerThread::Start(
+        [frames, serve = SlotBySlot([holder](MsgType, std::string_view) {
+           return Result<std::string>(
+               Status::OutOfRange(WrongOwnerMessage(holder)));
+         })](MsgType type, std::string_view body) {
+          ++*frames;
+          return serve(type, body);
+        });
+    ASSERT_TRUE(redirector.ok()) << redirector.status().ToString();
+
+    RingClientOptions options = SmallLshOptions();
+    options.descriptor_replication = 2;
+    options.batch_probes = batch;
+    auto client =
+        RingClient::Make({(*redirector)->address(), holder}, options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    RingClient& c = **client;
+
+    // A range some of whose buckets the redirector owns, so the
+    // redirect lies on the lookup's path.
+    PartitionKey query{"T", "a", Range(100, 200)};
+    int owned = 0;
+    for (uint32_t lo = 100; owned == 0 && lo < 10000; lo += 250) {
+      query.range = Range(lo, lo + 100);
+      owned = 0;
+      for (const uint32_t id : c.lsh().Identifiers(query.range)) {
+        if (c.view().Owner(id) == (*redirector)->address()) ++owned;
+      }
+    }
+    ASSERT_GT(owned, 0);
+    ASSERT_TRUE(c.Publish(query, holder).ok());
+
+    frames->store(0);
+    auto outcome = c.Lookup(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->probes_failed, 0);
+    EXPECT_EQ(outcome->redirects, owned);
+    EXPECT_EQ(outcome->failovers, 0);
+    ASSERT_FALSE(outcome->ranked.empty());
+    EXPECT_EQ(outcome->ranked.front().descriptor.key, query);
+    EXPECT_EQ(frames->load(), batch ? 1 : owned);
+  }
 }
 
 TEST(RingClientTest, BatchedAndUnbatchedLookupsAgree) {
