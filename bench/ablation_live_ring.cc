@@ -351,7 +351,7 @@ OverloadResult RunOverload(const std::string& binary,
       std::vector<uint64_t> calls;
       for (size_t i = 0; i < burst_per_thread; ++i) {
         auto id = transport.StartCall(target, rpc::MsgType::kProbeBucket,
-                                      probe_body);
+                                      probe_body, {/*deadline_ms=*/15000.0});
         if (!id.ok()) {
           ++per_thread[t].errors;
           continue;
@@ -360,7 +360,7 @@ OverloadResult RunOverload(const std::string& binary,
       }
       per_thread[t].requests = burst_per_thread;
       for (const uint64_t id : calls) {
-        auto answer = transport.WaitCall(target, id, /*deadline_ms=*/15000.0);
+        auto answer = transport.WaitCall(id);
         if (answer.ok()) {
           ++per_thread[t].ok;
         } else if (answer.status().IsResourceExhausted()) {

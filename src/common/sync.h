@@ -315,11 +315,6 @@ class ThreadChecker {
 class ExclusiveUse {
  public:
   ExclusiveUse() = default;
-  /// Moving a guarded object transfers nothing: the new copy starts
-  /// unowned (moving while a Scope is open is already a contract
-  /// violation on the moved-from object).
-  ExclusiveUse(ExclusiveUse&&) noexcept : ExclusiveUse() {}
-  ExclusiveUse& operator=(ExclusiveUse&&) noexcept { return *this; }
 
   class Scope {
    public:

@@ -500,19 +500,16 @@ void LiveMembership::AnnounceLeave(double deadline_ms) {
 
 void LiveMembership::StartExchange(ExchangeKind kind, const NetAddress& to,
                                    MsgType type, const std::string& body) {
-  auto started = transport_->StartCall(to, type, body);
+  // probe_timeout_ms bounds the whole exchange (connect, send and the
+  // wait); the transport reports the expiry from PollCall.
+  TcpTransport::CallOptions call_options;
+  call_options.deadline_ms = config_.probe_timeout_ms;
+  auto started = transport_->StartCall(to, type, body, call_options);
   if (!started.ok()) {
     RecordMiss(to, started.status().IsUnavailable());
     return;
   }
-  PendingExchange ex;
-  ex.kind = kind;
-  ex.to = to;
-  ex.call_id = *started;
-  ex.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double, std::milli>(
-                                       config_.probe_timeout_ms));
-  pending_.push_back(ex);
+  pending_.push_back(PendingExchange{kind, to, *started});
 }
 
 void LiveMembership::HandleExchangeReply(
@@ -563,7 +560,6 @@ void LiveMembership::HandleExchangeReply(
 }
 
 void LiveMembership::PollPending() {
-  const auto now = Clock::now();
   // Reply handlers may start follow-up exchanges (stabilize answers
   // with a notify), which append to pending_ — so iterate a swapped-out
   // batch, never the member, or the push_back reallocates the buffer
@@ -573,19 +569,15 @@ void LiveMembership::PollPending() {
   std::vector<PendingExchange> batch;
   batch.swap(pending_);
   for (const PendingExchange& ex : batch) {
-    auto polled = transport_->PollCall(ex.to, ex.call_id);
+    auto polled = transport_->PollCall(ex.call_id);
     if (polled.ok() && !polled->has_value()) {
-      if (now < ex.deadline) {
-        pending_.push_back(ex);
-      } else {
-        // Unanswered past its budget: a soft miss. A late response
-        // gets parked by the transport and harmlessly dropped.
-        RecordMiss(ex.to, false);
-        if (ex.kind == ExchangeKind::kProbe) ++probe_miss_streak_;
-      }
+      pending_.push_back(ex);
       continue;
     }
     if (!polled.ok()) {
+      // A refused or reset connection is a hard miss. An exchange
+      // unanswered past its deadline (IOError) is a soft one; the
+      // transport drops its late reply.
       RecordMiss(ex.to, polled.status().IsUnavailable());
       if (ex.kind == ExchangeKind::kProbe) ++probe_miss_streak_;
       continue;

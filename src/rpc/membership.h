@@ -107,8 +107,8 @@ struct MembershipConfig {
   double gossip_period_ms = 1000.0;
   /// Period of the Chord stabilize/notify exchange with the successor.
   double stabilize_period_ms = 1000.0;
-  /// How long an asynchronous exchange may stay unanswered before it
-  /// counts as a miss.
+  /// Deadline of one asynchronous exchange, connect and send included;
+  /// an exchange unanswered by then counts as a miss.
   double probe_timeout_ms = 250.0;
   /// Strikes before a member is declared dead. A refused connection
   /// (Unavailable) costs 2 strikes, a timeout (IOError) costs 1.
@@ -268,7 +268,6 @@ class LiveMembership {
     ExchangeKind kind = ExchangeKind::kProbe;
     NetAddress to;
     uint64_t call_id = 0;
-    Clock::time_point deadline;
   };
 
   LiveMembership(const NetAddress& self, uint64_t incarnation,

@@ -56,6 +56,19 @@ std::string EncodeEnvelope(const RpcHeader& header, std::string_view body) {
   return out;
 }
 
+std::string EncodeResponse(const RpcHeader& request,
+                           const Result<std::string>& response) {
+  RpcHeader header;
+  header.call_id = request.call_id;
+  header.type = request.type;
+  header.is_response = true;
+  if (!response.ok()) {
+    header.status = response.status().code();
+    return EncodeEnvelope(header, response.status().message());
+  }
+  return EncodeEnvelope(header, *response);
+}
+
 Result<RpcEnvelope> DecodeEnvelope(std::string_view payload) {
   wire::Decoder dec(payload);
   ASSIGN_OR_RETURN(const uint8_t version, dec.U8());

@@ -67,6 +67,12 @@ inline constexpr uint8_t kEnvelopeVersion = 1;
 /// \brief Serializes header + body into one frame payload.
 std::string EncodeEnvelope(const RpcHeader& header, std::string_view body);
 
+/// \brief The reply envelope to `request`: same call id and type, the
+/// response flag set, and either the handler's body under kOk or its
+/// error's code with the message as the body.
+std::string EncodeResponse(const RpcHeader& request,
+                           const Result<std::string>& response);
+
 /// \brief Parses a frame payload. Rejects unknown versions, unknown
 /// message types, and unknown status codes with InvalidArgument — a
 /// hostile or corrupt envelope never reaches a handler.

@@ -347,34 +347,20 @@ void NodeService::PublishRedirectRing() {
       fresh = std::make_shared<const RingView>(std::move(*ring));
     }
   }
-  {
-    MutexLock lock(&ring_mu_);
-    redirect_ring_ = std::move(fresh);
-  }
-  redirect_uses_snapshot_.store(true, std::memory_order_release);
+  MutexLock lock(&ring_mu_);
+  redirect_ring_ = std::move(fresh);
 }
 
 std::optional<NetAddress> NodeService::RedirectFor(
     chord::ChordId bucket) const {
-  std::shared_ptr<const RingView> snapshot;
-  if (redirect_uses_snapshot_.load(std::memory_order_acquire)) {
-    // Worker-pool mode: the poll thread published an immutable ring;
-    // membership itself is off limits from here.
+  std::shared_ptr<const RingView> ring;
+  {
     MutexLock lock(&ring_mu_);
-    snapshot = redirect_ring_;
-    if (snapshot == nullptr) return std::nullopt;
+    ring = redirect_ring_;
   }
-  std::vector<NetAddress> replicas;
-  if (snapshot != nullptr) {
-    replicas = snapshot->Replicas(bucket, options_.descriptor_replication);
-  } else {
-    if (membership_ == nullptr || membership_->num_alive() < 2) {
-      return std::nullopt;
-    }
-    auto ring = membership_->AliveRing();
-    if (!ring.ok()) return std::nullopt;
-    replicas = ring->Replicas(bucket, options_.descriptor_replication);
-  }
+  if (ring == nullptr) return std::nullopt;
+  const std::vector<NetAddress> replicas =
+      ring->Replicas(bucket, options_.descriptor_replication);
   for (const NetAddress& r : replicas) {
     if (r == self_) return std::nullopt;
   }

@@ -149,21 +149,22 @@ class NodeService {
       EXCLUDES(data_mu_, ring_mu_);
 
   /// Attaches live membership: its handlers serve the membership
-  /// messages, and its alive ring drives wrong-owner redirects.
-  /// Without one (static deployments, tests) membership messages are
-  /// answered NotImplemented and no redirects are ever sent. The
-  /// object must outlive this service.
-  void set_membership(LiveMembership* membership) {
+  /// messages, and its alive ring drives wrong-owner redirects (this
+  /// publishes the first snapshot, see PublishRedirectRing). Without
+  /// one (static deployments, tests) membership messages are answered
+  /// NotImplemented and no redirects are ever sent. The object must
+  /// outlive this service.
+  void set_membership(LiveMembership* membership) EXCLUDES(ring_mu_) {
     membership_ = membership;
+    PublishRedirectRing();
   }
 
-  /// \brief Publishes an immutable snapshot of the alive ring for the
-  /// redirect decision. LiveMembership belongs to the poll thread, so
-  /// a worker-pool daemon must call this from that thread after every
-  /// membership tick; from the first call on, RedirectFor consults
-  /// only the snapshot and worker threads never touch membership.
-  /// Inline (no-executor) deployments never call it and keep the
-  /// direct, always-fresh path.
+  /// \brief Publishes an immutable snapshot of the alive ring, the only
+  /// input of the redirect decision. LiveMembership belongs to the poll
+  /// thread, so the daemon calls this from that thread on every loop
+  /// iteration; a handler, inline or on a worker, never touches
+  /// membership, and its redirects lag the view by at most one
+  /// iteration.
   void PublishRedirectRing() EXCLUDES(ring_mu_);
 
   /// \brief Stores one descriptor durably (insert + WAL/snapshot
@@ -213,7 +214,7 @@ class NodeService {
   Result<std::string> HandleHandoff(std::string_view body);
   Result<std::string> HandleMultiOp(std::string_view body);
 
-  /// The redirect decision: with membership attached and >1 alive
+  /// The redirect decision, from the published snapshot: with >1 alive
   /// member, returns the bucket's owner when this node is not among
   /// its replicas (nullopt = serve locally).
   std::optional<NetAddress> RedirectFor(chord::ChordId bucket) const
@@ -251,7 +252,6 @@ class NodeService {
   /// the pointer swap only — the pointee is immutable.
   mutable Mutex ring_mu_{lock_rank::kRedirectRing};
   std::shared_ptr<const RingView> redirect_ring_ GUARDED_BY(ring_mu_);
-  std::atomic<bool> redirect_uses_snapshot_{false};
 };
 
 }  // namespace rpc

@@ -79,7 +79,7 @@ Result<std::string> RingClient::CallWithPolicy(const NetAddress& to,
                           " attempts)");
       }
       // Pump, don't sleep: other pipelined calls' responses keep
-      // draining (parked for their own waits) while this one backs
+      // draining (filed for their own waits) while this one backs
       // off, so one flaky peer cannot freeze the rest of a lookup.
       transport_.PumpFor(sleep_ms);
       wait_ms = std::min(wait_ms * FaultPolicy::kBackoffMultiplier,
@@ -357,20 +357,25 @@ std::vector<Result<std::string>> RingClient::FirstWave(
     }
   }
 
+  // Every frame's deadline starts as it is sent, so the whole wave is
+  // bounded by about one deadline, not one per frame awaited in turn.
+  TcpTransport::CallOptions call_options;
+  call_options.deadline_ms = options_.deadline_ms;
   std::vector<Result<uint64_t>> call_ids;
   call_ids.reserve(frames.size());
   for (const std::vector<size_t>& frame : frames) {
     const WaveCall& call = calls[frame.front()];
     if (frame.size() == 1) {
-      call_ids.push_back(transport_.StartCall(call.to, call.type, call.body));
+      call_ids.push_back(
+          transport_.StartCall(call.to, call.type, call.body, call_options));
       continue;
     }
     MultiOpRequest req;
     for (const size_t i : frame) {
       req.ops.push_back(MultiOp{calls[i].type, calls[i].body});
     }
-    call_ids.push_back(transport_.StartCall(call.to, MsgType::kMultiOp,
-                                            EncodeMultiOpRequest(req)));
+    call_ids.push_back(transport_.StartCall(
+        call.to, MsgType::kMultiOp, EncodeMultiOpRequest(req), call_options));
     if (call_ids.back().ok() && batched != nullptr) {
       *batched += static_cast<int>(frame.size());
     }
@@ -383,8 +388,7 @@ std::vector<Result<std::string>> RingClient::FirstWave(
     Result<std::string> answer = [&]() -> Result<std::string> {
       ASSIGN_OR_RETURN(const uint64_t call_id, call_ids[f]);
       ASSIGN_OR_RETURN(TcpTransport::CallResult waited,
-                       transport_.WaitCall(calls[frame.front()].to, call_id,
-                                           options_.deadline_ms));
+                       transport_.WaitCall(call_id));
       return std::move(waited.body);
     }();
     if (answer.ok() && frame.size() > 1) {

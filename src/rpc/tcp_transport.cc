@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <thread>
 
+#include "common/memory.h"
 #include "rpc/tcp.h"
 
 namespace p2prange {
@@ -24,16 +26,49 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-/// Remaining budget as a poll() timeout, never negative, at least 1ms
-/// while any budget is left so a nearly-expired deadline still gets
+Clock::time_point After(double ms) {
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(ms));
+}
+
+/// Time left until `deadline` as a poll() timeout, never negative, at
+/// least 1ms while any is left so a nearly-expired deadline still gets
 /// one chance to find bytes already in the kernel buffer.
-int RemainingPollMs(Clock::time_point start, double deadline_ms) {
-  const double left = deadline_ms - MsSince(start);
+int RemainingPollMs(Clock::time_point deadline) {
+  const double left =
+      std::chrono::duration<double, std::milli>(deadline - Clock::now())
+          .count();
   if (left <= 0.0) return 0;
   return std::max(1, static_cast<int>(left));
 }
 
 constexpr size_t kReadChunk = 64 * 1024;
+
+/// What one ReadAvailable pass found.
+struct ReadOutcome {
+  uint64_t bytes = 0;   ///< fed to the parser
+  bool closed = false;  ///< the peer closed or reset the connection
+};
+
+/// Reads the non-blocking `fd` until the kernel holds nothing more
+/// (EAGAIN) or the peer is gone, feeding every byte to `parser`: the
+/// bytes that arrived before a close are fed all the same.
+ReadOutcome ReadAvailable(int fd, FrameParser* parser) {
+  char buf[kReadChunk];
+  ReadOutcome out;
+  for (;;) {
+    const ssize_t got = ::read(fd, buf, sizeof(buf));
+    if (got > 0) {
+      out.bytes += static_cast<uint64_t>(got);
+      parser->Feed(std::string_view(buf, static_cast<size_t>(got)));
+      continue;
+    }
+    if (got < 0 && errno == EINTR) continue;
+    // 0 = orderly shutdown; any error but EAGAIN = reset or worse.
+    out.closed = got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    return out;
+  }
+}
 
 }  // namespace
 
@@ -62,51 +97,11 @@ std::string RpcStats::ToJson() const {
 // TcpServer
 // --------------------------------------------------------------------------
 
-Result<TcpServer> TcpServer::Listen(const NetAddress& bind_addr,
-                                    Handler handler) {
-  return Listen(bind_addr, std::move(handler), Options{});
-}
-
-Result<TcpServer> TcpServer::Listen(const NetAddress& bind_addr,
-                                    Handler handler, Options options) {
+Result<std::unique_ptr<TcpServer>> TcpServer::Listen(
+    const NetAddress& bind_addr, Handler handler, Options options) {
   ASSIGN_OR_RETURN(ListenSocket ls, rpc::Listen(bind_addr));
-  return TcpServer(ls.fd, ls.bound, std::move(handler), options);
-}
-
-TcpServer::TcpServer(TcpServer&& other) noexcept
-    : listen_fd_(other.listen_fd_),
-      addr_(other.addr_),
-      handler_(std::move(other.handler_)),
-      options_(other.options_),
-      async_(std::move(other.async_)),
-      conns_(std::move(other.conns_)),
-      wake_fds_(std::move(other.wake_fds_)),
-      next_conn_id_(other.next_conn_id_),
-      stats_(other.stats_) {
-  other.listen_fd_ = -1;
-  other.conns_.clear();
-  other.wake_fds_.clear();
-}
-
-TcpServer& TcpServer::operator=(TcpServer&& other) noexcept {
-  if (this == &other) return *this;
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (auto& c : conns_) {
-    if (c->fd >= 0) ::close(c->fd);
-  }
-  listen_fd_ = other.listen_fd_;
-  addr_ = other.addr_;
-  handler_ = std::move(other.handler_);
-  options_ = other.options_;
-  async_ = std::move(other.async_);
-  conns_ = std::move(other.conns_);
-  wake_fds_ = std::move(other.wake_fds_);
-  next_conn_id_ = other.next_conn_id_;
-  stats_ = other.stats_;
-  other.listen_fd_ = -1;
-  other.conns_.clear();
-  other.wake_fds_.clear();
-  return *this;
+  return WrapUnique(
+      new TcpServer(ls.fd, ls.bound, std::move(handler), options));
 }
 
 TcpServer::~TcpServer() {
@@ -209,24 +204,10 @@ void TcpServer::AcceptReady() {
 }
 
 void TcpServer::ReadReady(Conn& c) {
-  char buf[kReadChunk];
-  for (;;) {
-    const ssize_t got = ::read(c.fd, buf, sizeof(buf));
-    if (got > 0) {
-      stats_.bytes_in += static_cast<uint64_t>(got);
-      c.last_activity = Clock::now();
-      c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
-      continue;
-    }
-    if (got == 0) {  // orderly shutdown from the peer
-      c.dead = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    c.dead = true;  // reset or worse
-    break;
-  }
+  const ReadOutcome got = ReadAvailable(c.fd, &c.parser);
+  stats_.bytes_in += got.bytes;
+  if (got.bytes > 0) c.last_activity = Clock::now();
+  if (got.closed) c.dead = true;
   DispatchFrames(c);
 }
 
@@ -253,21 +234,9 @@ void TcpServer::DispatchFrames(Conn& c) {
 
     ++stats_.requests_served;
     if (async_ && async_(c.id, *envelope)) continue;  // response deferred
-    auto response = handler_(envelope->header.type, envelope->body);
-
-    RpcHeader rh;
-    rh.call_id = envelope->header.call_id;
-    rh.type = envelope->header.type;
-    rh.is_response = true;
-    std::string body;
-    if (response.ok()) {
-      rh.status = StatusCode::kOk;
-      body = std::move(*response);
-    } else {
-      rh.status = response.status().code();
-      body = response.status().message();
-    }
-    AppendFrame(EncodeEnvelope(rh, body), &c.out);
+    AppendFrame(EncodeResponse(envelope->header,
+                               handler_(envelope->header.type, envelope->body)),
+                &c.out);
     EnforceWriteCap(c);
     if (c.dead) return;
   }
@@ -374,39 +343,22 @@ TcpTransport::~TcpTransport() {
   }
 }
 
-Result<TcpTransport::Conn*> TcpTransport::GetConn(const NetAddress& to) {
+Result<TcpTransport::Conn*> TcpTransport::GetConn(const NetAddress& to,
+                                                  Clock::time_point deadline) {
   auto it = conns_.find(to);
   if (it != conns_.end()) {
-    Conn& cached = it->second;
     // Between calls a server may have closed this cached connection
-    // (idle timeout, restart). Reusing it would send a request nobody
-    // reads and surface a bogus Unavailable — so with nothing in
-    // flight, one zero-timeout poll checks for a pending EOF/RST and
-    // reconnects transparently instead.
-    if (cached.sent_at.empty() && cached.parked.empty()) {
-      pollfd pfd;
-      pfd.fd = cached.fd;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      if (::poll(&pfd, 1, 0) > 0 &&
-          (pfd.revents & (POLLIN | POLLERR | POLLHUP))) {
-        char probe = 0;
-        const ssize_t got = ::recv(cached.fd, &probe, 1, MSG_PEEK);
-        const bool alive_with_data =
-            got > 0 ||
-            (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
-        if (!alive_with_data) {
-          CloseConn(to);
-          it = conns_.end();
-        }
-      }
-    }
+    // (idle timeout, restart). The drain reads the pending EOF or reset
+    // and drops the connection, so the request goes out on a fresh one
+    // instead of to nobody.
+    Drain(to, it->second);
+    it = conns_.find(to);
     if (it != conns_.end()) return &it->second;
   }
 
   auto fd = StartConnect(to, options_.bind_host);
   if (fd.ok()) {
-    const Status fin = FinishConnect(*fd, options_.connect_timeout_ms);
+    const Status fin = FinishConnect(*fd, RemainingPollMs(deadline));
     if (!fin.ok()) {
       ::close(*fd);
       fd = fin;
@@ -426,62 +378,117 @@ Result<TcpTransport::Conn*> TcpTransport::GetConn(const NetAddress& to) {
   return &pos->second;
 }
 
-void TcpTransport::CloseConn(const NetAddress& to) {
+void TcpTransport::CloseConn(const NetAddress& to, const Status& why) {
   auto it = conns_.find(to);
   if (it == conns_.end()) return;
   if (it->second.fd >= 0) ::close(it->second.fd);
   conns_.erase(it);
   ++rpc_.connections_closed;
   rpc_.open_connections = conns_.size();
+  for (auto& [id, call] : calls_) {
+    if (call.to == to && !call.outcome.has_value()) call.outcome = why;
+  }
 }
 
 void TcpTransport::Disconnect(const NetAddress& to) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::Disconnect");
-  CloseConn(to);
+  CloseConn(to, Status::IOError("call to " + to.ToString() + " abandoned"));
+}
+
+void TcpTransport::Drain(const NetAddress& to, Conn& c) {
+  const ReadOutcome got = ReadAvailable(c.fd, &c.parser);
+  rpc_.bytes_in += got.bytes;
+  Status broken = got.closed ? Status::Unavailable("connection to " +
+                                                   to.ToString() +
+                                                   " closed mid-call")
+                             : Status::OK();
+  for (;;) {
+    auto next = c.parser.Next();
+    if (!next.ok()) {
+      ++rpc_.frame_errors;
+      broken = Status::IOError("corrupt frame from " + to.ToString() + ": " +
+                               next.status().message());
+      break;
+    }
+    if (!next->has_value()) break;
+    auto envelope = DecodeEnvelope(**next);
+    if (!envelope.ok() || !envelope->header.is_response) {
+      ++rpc_.frame_errors;
+      broken = Status::IOError("bad envelope from " + to.ToString());
+      break;
+    }
+    ++rpc_.responses_received;
+    auto it = calls_.find(envelope->header.call_id);
+    // A reply whose call has left the table (timed out) answers nobody.
+    if (it == calls_.end() || it->second.to != to ||
+        it->second.outcome.has_value()) {
+      continue;
+    }
+    InFlight& call = it->second;
+    if (envelope->header.status != StatusCode::kOk) {
+      // The server's handler failed; surface its error as our own.
+      call.outcome = Status(envelope->header.status, std::move(envelope->body));
+    } else {
+      call.outcome =
+          CallResult{std::move(envelope->body), MsSince(call.sent_at)};
+    }
+  }
+  if (!broken.ok()) CloseConn(to, broken);
+}
+
+Result<std::optional<TcpTransport::CallResult>> TcpTransport::Collect(
+    uint64_t call_id) {
+  auto it = calls_.find(call_id);
+  if (it == calls_.end()) {
+    return Status::NotFound("call " + std::to_string(call_id) +
+                            " is not in flight");
+  }
+  InFlight& call = it->second;
+  // An unanswered call's connection is open: its close fails the call.
+  if (!call.outcome.has_value()) Drain(call.to, conns_.at(call.to));
+  if (!call.outcome.has_value() && Clock::now() < call.deadline) {
+    return std::optional<CallResult>();
+  }
+  InFlight done = std::move(call);
+  calls_.erase(it);
+  if (!done.outcome.has_value()) {
+    ++rpc_.timeouts;
+    return Status::IOError("call " + std::to_string(call_id) + " to " +
+                           done.to.ToString() + " missed its " +
+                           std::to_string(done.deadline_ms) + "ms deadline");
+  }
+  ASSIGN_OR_RETURN(CallResult result, std::move(*done.outcome));
+  return std::optional<CallResult>(std::move(result));
 }
 
 void TcpTransport::PumpFor(double ms) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::PumpFor");
-  const auto started = Clock::now();
-  // A connection that dies mid-pump is left alone — its parked
-  // responses must survive for their WaitCalls, which will rediscover
-  // the death — but excluded from further polling here, or its
-  // level-triggered HUP would turn the rest of the wait into a spin.
-  std::vector<NetAddress> dead;
-  for (;;) {
-    const double left = ms - MsSince(started);
-    if (left <= 0.0) return;
+  const Clock::time_point until = After(ms);
+  for (int wait = RemainingPollMs(until); wait > 0;
+       wait = RemainingPollMs(until)) {
     std::vector<pollfd> fds;
     std::vector<NetAddress> addrs;
     for (const auto& [addr, conn] : conns_) {
-      if (std::find(dead.begin(), dead.end(), addr) != dead.end()) continue;
-      pollfd p;
-      p.fd = conn.fd;
-      p.events = POLLIN;
-      p.revents = 0;
-      fds.push_back(p);
+      fds.push_back(pollfd{conn.fd, POLLIN, 0});
       addrs.push_back(addr);
     }
     if (fds.empty()) {
-      ::usleep(static_cast<useconds_t>(left * 1000.0));
+      std::this_thread::sleep_until(until);
       return;
     }
-    const int n =
-        ::poll(fds.data(), fds.size(), std::max(1, static_cast<int>(left)));
-    if (n < 0 && errno != EINTR) return;
-    if (n <= 0) continue;  // quiet wait; budget re-checked at loop top
+    if (::poll(fds.data(), fds.size(), wait) <= 0) continue;
     for (size_t i = 0; i < fds.size(); ++i) {
-      if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP))) continue;
+      if (fds[i].revents == 0) continue;
+      // A drain that finds a close drops the connection, so the next
+      // round polls only live ones.
       auto it = conns_.find(addrs[i]);
-      if (it == conns_.end()) continue;
-      if (!DrainReady(addrs[i], it->second).ok()) dead.push_back(addrs[i]);
+      if (it != conns_.end()) Drain(addrs[i], it->second);
     }
   }
 }
 
 Status TcpTransport::SendAll(Conn& c, std::string_view bytes,
-                             double deadline_ms) {
-  const auto start = Clock::now();
+                             Clock::time_point deadline) {
   size_t pos = 0;
   while (pos < bytes.size()) {
     // MSG_NOSIGNAL: see TcpServer::WriteReady.
@@ -494,17 +501,13 @@ Status TcpTransport::SendAll(Conn& c, std::string_view bytes,
     }
     if (sent < 0 && errno == EINTR) continue;
     if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int wait = RemainingPollMs(start, deadline_ms);
+      const int wait = RemainingPollMs(deadline);
       if (wait == 0) {
         ++rpc_.timeouts;
         return Status::IOError("send timed out");
       }
-      pollfd pfd;
-      pfd.fd = c.fd;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      const int n = ::poll(&pfd, 1, wait);
-      if (n < 0 && errno != EINTR) {
+      pollfd pfd{c.fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, wait) < 0 && errno != EINTR) {
         return Status::IOError(std::string("poll: ") + ::strerror(errno));
       }
       continue;
@@ -516,229 +519,61 @@ Status TcpTransport::SendAll(Conn& c, std::string_view bytes,
 }
 
 Result<uint64_t> TcpTransport::StartCall(const NetAddress& to, MsgType type,
-                                         std::string_view request) {
+                                         std::string_view request,
+                                         const CallOptions& options) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::StartCall");
-  ASSIGN_OR_RETURN(Conn * conn, GetConn(to));
-  const uint64_t call_id = conn->next_call_id++;
+  InFlight call;
+  call.to = to;
+  call.deadline_ms = options.deadline_ms > 0.0 ? options.deadline_ms
+                                               : options_.default_deadline_ms;
+  call.deadline = After(call.deadline_ms);
+  ASSIGN_OR_RETURN(Conn * conn, GetConn(to, call.deadline));
+  const uint64_t call_id = next_call_id_++;
 
   RpcHeader rh;
   rh.call_id = call_id;
   rh.type = type;
-  rh.is_response = false;
-  rh.status = StatusCode::kOk;
   std::string frame;
   AppendFrame(EncodeEnvelope(rh, request), &frame);
 
-  conn->sent_at[call_id] = Clock::now();
+  call.sent_at = Clock::now();
   ++rpc_.requests_sent;
-  const Status sent = SendAll(*conn, frame, options_.default_deadline_ms);
+  const Status sent = SendAll(*conn, frame, call.deadline);
   if (!sent.ok()) {
-    if (sent.IsUnavailable()) {
-      CloseConn(to);
-    } else {
-      conn->sent_at.erase(call_id);
-    }
+    // A half-written frame leaves the stream unparseable for the
+    // server, so the connection goes whatever the reason.
+    CloseConn(to, sent);
     return sent;
   }
+  calls_.emplace(call_id, std::move(call));
   return call_id;
 }
 
-Status TcpTransport::ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
-                               double deadline_ms, RpcEnvelope* out) {
-  const auto start = Clock::now();
-  char buf[kReadChunk];
-  for (;;) {
-    // Drain every complete frame already buffered.
-    for (;;) {
-      auto next = c.parser.Next();
-      if (!next.ok()) {
-        ++rpc_.frame_errors;
-        CloseConn(to);
-        return Status::IOError("corrupt frame from " + to.ToString() + ": " +
-                               next.status().message());
-      }
-      if (!next->has_value()) break;
-      auto envelope = DecodeEnvelope(**next);
-      if (!envelope.ok() || !envelope->header.is_response) {
-        ++rpc_.frame_errors;
-        CloseConn(to);
-        return Status::IOError("bad envelope from " + to.ToString());
-      }
-      const uint64_t id = envelope->header.call_id;
-      ++rpc_.responses_received;
-      if (id == call_id) {
-        *out = std::move(*envelope);
-        return Status::OK();
-      }
-      c.parked[id] = std::move(*envelope);
-    }
-
-    const int wait = RemainingPollMs(start, deadline_ms);
-    if (wait == 0) {
-      ++rpc_.timeouts;
-      c.sent_at.erase(call_id);
-      return Status::IOError("call " + std::to_string(call_id) + " to " +
-                             to.ToString() + " missed its " +
-                             std::to_string(deadline_ms) + "ms deadline");
-    }
-    pollfd pfd;
-    pfd.fd = c.fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int n = ::poll(&pfd, 1, wait);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("poll: ") + ::strerror(errno));
-    }
-    if (n == 0) continue;  // deadline check at loop top
-
-    const ssize_t got = ::read(c.fd, buf, sizeof(buf));
-    if (got > 0) {
-      rpc_.bytes_in += static_cast<uint64_t>(got);
-      c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-    if (got < 0 && errno == EINTR) continue;
-    // 0 = orderly close; <0 = reset. Either way the peer is gone with
-    // our call unanswered.
-    CloseConn(to);
-    return Status::Unavailable("connection to " + to.ToString() +
-                               " closed mid-call");
-  }
-}
-
-Result<TcpTransport::CallResult> TcpTransport::FinishCall(
-    Conn& c, uint64_t call_id, RpcEnvelope envelope) {
-  CallResult result;
-  auto sent = c.sent_at.find(call_id);
-  if (sent != c.sent_at.end()) {
-    result.latency_ms = MsSince(sent->second);
-    c.sent_at.erase(sent);
-  }
-
-  if (envelope.header.status != StatusCode::kOk) {
-    // The server's handler failed; surface its error as our own.
-    return Status(envelope.header.status, std::move(envelope.body));
-  }
-  result.body = std::move(envelope.body);
-  return result;
-}
-
-Result<TcpTransport::CallResult> TcpTransport::WaitCall(const NetAddress& to,
-                                                        uint64_t call_id,
-                                                        double deadline_ms) {
+Result<TcpTransport::CallResult> TcpTransport::WaitCall(uint64_t call_id) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::WaitCall");
-  auto it = conns_.find(to);
-  if (it == conns_.end()) {
-    return Status::IOError("no connection to " + to.ToString() +
-                           " (call abandoned)");
-  }
-  Conn& conn = it->second;
-
-  RpcEnvelope envelope;
-  auto parked = conn.parked.find(call_id);
-  if (parked != conn.parked.end()) {
-    envelope = std::move(parked->second);
-    conn.parked.erase(parked);
-  } else {
-    RETURN_NOT_OK(ReadUntil(to, conn, call_id, deadline_ms, &envelope));
-  }
-  return FinishCall(conn, call_id, std::move(envelope));
-}
-
-Status TcpTransport::DrainReady(const NetAddress& to, Conn& c) {
-  // One pass over whatever the kernel already buffered; never blocks
-  // (poll with a zero timeout). A detected close is reported to the
-  // caller *after* parking the frames that preceded it, so a response
-  // followed by a FIN still reaches its call.
-  char buf[kReadChunk];
-  Status death = Status::OK();
   for (;;) {
-    pollfd pfd;
-    pfd.fd = c.fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int n = ::poll(&pfd, 1, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      death = Status::IOError(std::string("poll: ") + ::strerror(errno));
-      break;
-    }
-    if (n == 0) break;  // nothing more buffered
-    const ssize_t got = ::read(c.fd, buf, sizeof(buf));
-    if (got > 0) {
-      rpc_.bytes_in += static_cast<uint64_t>(got);
-      c.parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (got < 0 && errno == EINTR) continue;
-    // 0 = orderly close; <0 = reset.
-    death = Status::Unavailable("connection to " + to.ToString() +
-                                " closed mid-call");
-    break;
+    ASSIGN_OR_RETURN(std::optional<CallResult> done, Collect(call_id));
+    if (done.has_value()) return std::move(*done);
+    // Still in flight: sleep until its connection has bytes or its
+    // deadline passes, then collect again.
+    const InFlight& call = calls_.at(call_id);
+    pollfd pfd{conns_.at(call.to).fd, POLLIN, 0};
+    (void)::poll(&pfd, 1, RemainingPollMs(call.deadline));
   }
-  for (;;) {
-    auto next = c.parser.Next();
-    if (!next.ok()) {
-      ++rpc_.frame_errors;
-      return Status::IOError("corrupt frame from " + to.ToString() + ": " +
-                             next.status().message());
-    }
-    if (!next->has_value()) break;
-    auto envelope = DecodeEnvelope(**next);
-    if (!envelope.ok() || !envelope->header.is_response) {
-      ++rpc_.frame_errors;
-      return Status::IOError("bad envelope from " + to.ToString());
-    }
-    ++rpc_.responses_received;
-    c.parked[envelope->header.call_id] = std::move(*envelope);
-  }
-  return death;
 }
 
 Result<std::optional<TcpTransport::CallResult>> TcpTransport::PollCall(
-    const NetAddress& to, uint64_t call_id) {
+    uint64_t call_id) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::PollCall");
-  auto it = conns_.find(to);
-  if (it == conns_.end()) {
-    return Status::IOError("no connection to " + to.ToString() +
-                           " (call abandoned)");
-  }
-  Conn& conn = it->second;
-
-  Status drained = Status::OK();
-  auto parked = conn.parked.find(call_id);
-  if (parked == conn.parked.end()) {
-    drained = DrainReady(to, conn);
-    parked = conn.parked.find(call_id);
-  }
-  if (parked != conn.parked.end()) {
-    RpcEnvelope envelope = std::move(parked->second);
-    conn.parked.erase(parked);
-    ASSIGN_OR_RETURN(CallResult result,
-                     FinishCall(conn, call_id, std::move(envelope)));
-    return std::optional<CallResult>(std::move(result));
-  }
-  if (!drained.ok()) {
-    CloseConn(to);
-    return drained;
-  }
-  // Still in flight: nothing charged, the deadline is the caller's to
-  // keep (membership turns "unanswered past its budget" into a miss).
-  return std::optional<CallResult>();
+  return Collect(call_id);
 }
 
 Result<TcpTransport::CallResult> TcpTransport::Call(
     const NetAddress& to, MsgType type, std::string_view request,
     const CallOptions& options) {
   ExclusiveUse::Scope use(&exclusive_, "TcpTransport::Call");
-  const double deadline = options.deadline_ms > 0.0
-                              ? options.deadline_ms
-                              : options_.default_deadline_ms;
-  ASSIGN_OR_RETURN(uint64_t call_id, StartCall(to, type, request));
-  return WaitCall(to, call_id, deadline);
+  ASSIGN_OR_RETURN(uint64_t call_id, StartCall(to, type, request, options));
+  return WaitCall(call_id);
 }
 
 }  // namespace rpc

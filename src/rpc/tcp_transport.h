@@ -95,6 +95,9 @@ class TcpServer {
   /// trips them, finite so a hostile or wedged one cannot pin memory
   /// or fds forever.
   struct Options {
+    /// User-provided, so `Listen`'s `Options options = {}` may name it
+    /// before TcpServer is complete.
+    Options() {}
     /// Most unsent response bytes one connection may buffer before it
     /// is evicted as a slow reader (0 = unbounded). Must comfortably
     /// exceed the largest single response frame.
@@ -117,12 +120,12 @@ class TcpServer {
 
   /// Binds and listens on `bind_addr` (port 0 picks an ephemeral
   /// port; see address()).
-  static Result<TcpServer> Listen(const NetAddress& bind_addr, Handler handler);
-  static Result<TcpServer> Listen(const NetAddress& bind_addr, Handler handler,
-                                  Options options);
+  static Result<std::unique_ptr<TcpServer>> Listen(const NetAddress& bind_addr,
+                                                   Handler handler,
+                                                   Options options = {});
 
-  TcpServer(TcpServer&& other) noexcept;
-  TcpServer& operator=(TcpServer&& other) noexcept;
+  TcpServer(const TcpServer&) = delete;
+  TcpServer& operator=(const TcpServer&) = delete;
   ~TcpServer();
 
   /// The bound address (with the real port).
@@ -201,19 +204,24 @@ class TcpServer {
   std::vector<int> wake_fds_;
   uint64_t next_conn_id_ = 1;
   RpcStats stats_;
-  /// One-thread-at-a-time sentinel (see the file comment). Moving the
-  /// server resets it: the new home thread takes over cleanly.
+  /// One-thread-at-a-time sentinel (see the file comment).
   ExclusiveUse exclusive_;
 };
 
 /// \brief The caller side: request/response calls over TCP.
+///
+/// Every call has one entry in an in-flight table from StartCall until
+/// its outcome is collected (WaitCall, PollCall) or reported expired.
+/// One drain reads the sockets and files each reply under its call id;
+/// ids never repeat within a transport, so a reply can only answer the
+/// call that asked. A reply whose call has left the table (timed out)
+/// is dropped, and a reply already filed survives its connection
+/// closing; a close fails only the calls still unanswered on it.
 class TcpTransport {
  public:
   struct Options {
     /// Default per-call deadline when CallOptions leaves it at <= 0.
     double default_deadline_ms = 1000.0;
-    /// Budget for establishing a connection.
-    int connect_timeout_ms = 1000;
     /// Source IP (host byte order) outbound connections bind to; 0 =
     /// kernel's choice. Daemons bind their listen host so proxies and
     /// packet captures can attribute traffic to the peer that sent it.
@@ -221,14 +229,15 @@ class TcpTransport {
   };
 
   struct CallOptions {
-    /// Wall-clock budget for one call, request through response. <= 0
-    /// falls back to Options::default_deadline_ms.
-    double deadline_ms = 1000.0;
+    /// Wall-clock budget for one call, fixed when it starts: connect,
+    /// send and the wait for the reply all spend it. <= 0 falls back to
+    /// Options::default_deadline_ms.
+    double deadline_ms = 0.0;
   };
 
   struct CallResult {
     std::string body;        ///< the handler's response payload
-    double latency_ms = 0.0; ///< request→response round trip
+    double latency_ms = 0.0; ///< send to reply arrival
   };
 
   TcpTransport() : TcpTransport(Options()) {}
@@ -239,9 +248,9 @@ class TcpTransport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   /// \brief One request/response exchange with `to`'s handler for
-  /// `type`. A missed deadline returns IOError (and counts in
-  /// rpc_stats().timeouts); an unreachable peer returns Unavailable; a
-  /// handler error is returned as that error.
+  /// `type`: StartCall, then WaitCall. A missed deadline returns IOError
+  /// (and counts in rpc_stats().timeouts); an unreachable peer returns
+  /// Unavailable; a handler error is returned as that error.
   Result<CallResult> Call(const NetAddress& to, MsgType type,
                           std::string_view request,
                           const CallOptions& options);
@@ -257,39 +266,42 @@ class TcpTransport {
 
   // --- Multiplexing ----------------------------------------------------
 
-  /// \brief Sends a request without waiting; the returned call id
-  /// matches the response in WaitCall. Several calls may be in flight
-  /// per connection.
+  /// \brief Connects if needed and sends a request without waiting for
+  /// the reply; the returned call id (unique within this transport)
+  /// collects it, and the call stays in the table until WaitCall or
+  /// PollCall does. The call's deadline starts here and bounds the
+  /// connect and the send too. Several calls may be in flight per
+  /// connection.
   Result<uint64_t> StartCall(const NetAddress& to, MsgType type,
-                             std::string_view request);
+                             std::string_view request,
+                             const CallOptions& options);
 
-  /// \brief Waits up to `deadline_ms` for the response to `call_id`
-  /// from `to`. Responses to other in-flight calls arriving first are
-  /// parked for their own WaitCall.
-  Result<CallResult> WaitCall(const NetAddress& to, uint64_t call_id,
-                              double deadline_ms);
+  /// \brief Blocks until `call_id`'s reply arrives or its deadline
+  /// passes (IOError, counted as a timeout), draining the connection
+  /// meanwhile. Replies to other calls that arrive first are filed for
+  /// their own collection. The call leaves the table either way; an id
+  /// that is not in flight answers NotFound.
+  Result<CallResult> WaitCall(uint64_t call_id);
 
-  /// \brief Non-blocking check for `call_id`'s response: drains
-  /// whatever the kernel already buffered, then either returns the
-  /// response, an empty optional ("not yet" — the call stays in
-  /// flight, nothing is charged as a timeout), or an error (the
-  /// connection died, or the server answered with a non-OK status).
-  /// The poll-loop-friendly half of the multiplexing API: a daemon's
-  /// membership exchanges ride on this so its event loop never blocks
-  /// on a peer.
-  Result<std::optional<CallResult>> PollCall(const NetAddress& to,
-                                             uint64_t call_id);
+  /// \brief Non-blocking check for `call_id`'s reply: drains whatever
+  /// the kernel already buffered, then returns the reply, an empty
+  /// optional ("not yet": the call stays in flight), or an error (the
+  /// connection closed before the reply, the server answered with a
+  /// non-OK status, or the deadline passed: IOError, counted as a
+  /// timeout). The poll-loop-friendly half of the multiplexing API: a
+  /// daemon's membership exchanges ride on it so its event loop never
+  /// blocks on a peer.
+  Result<std::optional<CallResult>> PollCall(uint64_t call_id);
 
-  /// \brief Waits out `ms` of wall clock without going deaf: polls
-  /// every open connection and parks whatever responses arrive, so a
-  /// retry backoff doubles as a drain for the caller's other in-flight
-  /// calls instead of freezing them (their WaitCall then completes
-  /// from the parked frame instantly). A connection that dies while
-  /// pumping is closed; its in-flight calls surface the failure on
-  /// their own wait. With no open connections this is a plain sleep.
+  /// \brief Waits out `ms` of wall clock without going deaf: drains
+  /// every open connection as replies arrive, so a retry backoff doubles
+  /// as a drain for the caller's other in-flight calls instead of
+  /// freezing them (their WaitCall then returns the filed reply
+  /// instantly). With no open connections this is a plain sleep.
   void PumpFor(double ms);
 
-  /// Drops the connection to `to`, if any (abandons in-flight calls).
+  /// Drops the connection to `to`, if any; its unanswered calls fail
+  /// with IOError.
   void Disconnect(const NetAddress& to);
 
   /// Counter hook for retry layers (e.g. RingClient's FaultPolicy
@@ -297,34 +309,45 @@ class TcpTransport {
   RpcStats& mutable_rpc_stats() { return rpc_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Conn {
     int fd = -1;
     FrameParser parser;
-    uint64_t next_call_id = 1;
-    /// Responses that arrived while waiting for a different call id.
-    std::unordered_map<uint64_t, RpcEnvelope> parked;
-    /// Send instant of each in-flight call, for round-trip latency.
-    std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> sent_at;
   };
 
-  /// Existing connection to `to`, or a fresh non-blocking connect.
-  Result<Conn*> GetConn(const NetAddress& to);
-  Status SendAll(Conn& c, std::string_view bytes, double deadline_ms);
-  /// Parks every complete response frame already buffered on `c`
-  /// (reading whatever the kernel holds, without blocking).
-  Status DrainReady(const NetAddress& to, Conn& c);
-  /// Builds a CallResult from a parked envelope (latency accounting,
-  /// error-status unwrapping).
-  Result<CallResult> FinishCall(Conn& c, uint64_t call_id,
-                                RpcEnvelope envelope);
-  /// Reads until `call_id`'s response is available or the deadline
-  /// passes; fills `*out` on success.
-  Status ReadUntil(const NetAddress& to, Conn& c, uint64_t call_id,
-                   double deadline_ms, RpcEnvelope* out);
-  void CloseConn(const NetAddress& to);
+  /// One call from StartCall until its outcome is collected.
+  struct InFlight {
+    NetAddress to;
+    Clock::time_point sent_at;
+    Clock::time_point deadline;
+    double deadline_ms = 0.0;
+    /// Empty while unanswered: the reply, the server's error, or the
+    /// failure of the connection it was sent on.
+    std::optional<Result<CallResult>> outcome;
+  };
+
+  /// Existing connection to `to`, or a fresh non-blocking connect that
+  /// must finish by `deadline`.
+  Result<Conn*> GetConn(const NetAddress& to, Clock::time_point deadline);
+  Status SendAll(Conn& c, std::string_view bytes, Clock::time_point deadline);
+  /// The one reader of client sockets: reads whatever the kernel holds
+  /// for `to`'s connection, without blocking, and files each reply
+  /// under its call. EOF, a reset or a corrupt stream closes the
+  /// connection after the replies before it are filed.
+  void Drain(const NetAddress& to, Conn& c);
+  /// Drains `call_id`'s connection if the call is unanswered, then
+  /// takes its outcome out of the table: the reply or error, an expiry
+  /// (IOError) past its deadline, or nullopt while still in flight.
+  Result<std::optional<CallResult>> Collect(uint64_t call_id);
+  /// Closes the connection to `to`, failing its unanswered calls with
+  /// `why`.
+  void CloseConn(const NetAddress& to, const Status& why);
 
   Options options_;
   std::unordered_map<NetAddress, Conn, NetAddressHash> conns_;
+  std::unordered_map<uint64_t, InFlight> calls_;
+  uint64_t next_call_id_ = 1;
   RpcStats rpc_;
   /// One-thread-at-a-time sentinel (see the file comment).
   ExclusiveUse exclusive_;

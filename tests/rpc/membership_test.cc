@@ -328,7 +328,7 @@ struct Peer {
         });
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     if (!server.ok()) return nullptr;
-    peer->server = std::make_unique<TcpServer>(std::move(*server));
+    peer->server = std::move(*server);
 
     NodeServiceOptions options;
     options.descriptor_replication = 1;

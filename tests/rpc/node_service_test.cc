@@ -1,7 +1,8 @@
 // The server half of a peer without sockets: the ring view, the
 // protocol codecs, and NodeService::Handle serving stores, probes,
-// batches and metrics — concurrently, and across a restart from its
-// on-disk WAL and snapshot files.
+// batches and metrics — concurrently, across a restart from its
+// on-disk WAL and snapshot files, and with wrong-owner redirects
+// decided from the published ring.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "rpc/membership.h"
 #include "rpc/multi_op.h"
 #include "rpc/node_service.h"
 #include "rpc/tcp_transport.h"
@@ -271,6 +273,117 @@ TEST(NodeServiceTest, HandleIsSafeUnderConcurrentWorkers) {
             static_cast<uint64_t>(kThreads * kOpsPerThread));
   EXPECT_EQ(raw->counters().probes_served,
             static_cast<uint64_t>(kThreads * kOpsPerThread));
+}
+
+// --- The wrong-owner redirect decision ----------------------------------
+
+/// A service whose membership has heard, by gossip, of one other alive
+/// member, and a bucket that member owns alone (replication 1).
+struct TwoMemberNode {
+  static std::unique_ptr<TwoMemberNode> Make() {
+    auto node = std::make_unique<TwoMemberNode>();
+    auto membership = LiveMembership::Make(node->self, /*incarnation=*/1,
+                                           MembershipConfig{},
+                                           &node->transport);
+    EXPECT_TRUE(membership.ok()) << membership.status().ToString();
+    if (!membership.ok()) return nullptr;
+    node->membership =
+        std::make_unique<LiveMembership>(std::move(*membership));
+    EXPECT_TRUE(node->membership
+                    ->HandleGossip(EncodeViewMessage(
+                        {MemberEntry{node->other, 1, MemberStatus::kAlive}}))
+                    .ok());
+    auto service = NodeService::Make(node->self, NodeServiceOptions{});
+    EXPECT_TRUE(service.ok()) << service.status().ToString();
+    if (!service.ok()) return nullptr;
+    node->service = std::move(*service);
+    node->service->set_membership(node->membership.get());
+    // The other member's own identifier is a bucket only it owns.
+    node->bucket = RingView::IdOf(node->other);
+    auto ring = node->membership->AliveRing();
+    EXPECT_TRUE(ring.ok() && ring->Owner(node->bucket) == node->other);
+    return node;
+  }
+
+  Result<std::string> Store(const PartitionKey& key) {
+    StoreDescriptorRequest store;
+    store.bucket = bucket;
+    store.descriptor = PartitionDescriptor{key, other};
+    return service->Handle(MsgType::kStoreDescriptor,
+                           EncodeStoreDescriptorRequest(store));
+  }
+
+  Result<std::string> Probe(const PartitionKey& query) {
+    ProbeBucketRequest probe;
+    probe.bucket = bucket;
+    probe.query = query;
+    return service->Handle(MsgType::kProbeBucket,
+                           EncodeProbeBucketRequest(probe));
+  }
+
+  const NetAddress self = Addr(0x7F000001, 7100);
+  const NetAddress other = Addr(0x7F000001, 7200);
+  chord::ChordId bucket = 0;
+  TcpTransport transport;  // membership's; nothing here dials it
+  std::unique_ptr<LiveMembership> membership;
+  std::unique_ptr<NodeService> service;
+};
+
+/// True iff `r` is a wrong-owner redirect naming `owner`.
+bool RedirectsTo(const Result<std::string>& r, const NetAddress& owner) {
+  return !r.ok() && r.status().IsOutOfRange() &&
+         ParseWrongOwner(r.status().message()) == owner;
+}
+
+TEST(NodeServiceTest, StoreForAnotherMembersBucketIsRedirectedToIt) {
+  auto node = TwoMemberNode::Make();
+  ASSERT_NE(node, nullptr);
+  const auto stored = node->Store(PartitionKey{"T", "a", Range(100, 200)});
+  EXPECT_TRUE(RedirectsTo(stored, node->other)) << stored.status().ToString();
+  EXPECT_EQ(node->service->counters().redirects_sent, 1u);
+  EXPECT_EQ(node->service->counters().descriptors_stored, 0u);
+}
+
+TEST(NodeServiceTest, EmptyProbeOfAnotherMembersBucketIsRedirected) {
+  auto node = TwoMemberNode::Make();
+  ASSERT_NE(node, nullptr);
+  const auto probed = node->Probe(PartitionKey{"T", "a", Range(100, 200)});
+  EXPECT_TRUE(RedirectsTo(probed, node->other)) << probed.status().ToString();
+  EXPECT_EQ(node->service->counters().redirects_sent, 1u);
+}
+
+TEST(NodeServiceTest, ProbeThatFindsAMatchIsAnsweredNotRedirected) {
+  // Descriptors are immutable, so a copy still held here answers the
+  // probe even though the bucket is no longer this node's.
+  auto node = TwoMemberNode::Make();
+  ASSERT_NE(node, nullptr);
+  const PartitionDescriptor held{PartitionKey{"T", "a", Range(100, 200)},
+                                 node->other};
+  ASSERT_TRUE(node->service->InsertDescriptor(node->bucket, held).ok());
+  const auto probed = node->Probe(PartitionKey{"T", "a", Range(110, 190)});
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  auto candidate = DecodeProbeBucketResponse(*probed);
+  ASSERT_TRUE(candidate.ok());
+  ASSERT_TRUE(candidate->has_value());
+  EXPECT_EQ((*candidate)->descriptor, held);
+  EXPECT_EQ(node->service->counters().redirects_sent, 0u);
+}
+
+TEST(NodeServiceTest, StoreIsKeptOnceTheOwnerLeavesAndTheRingIsRepublished) {
+  auto node = TwoMemberNode::Make();
+  ASSERT_NE(node, nullptr);
+  ASSERT_TRUE(node->membership
+                  ->HandleLeave(EncodeViewMessage(
+                      {MemberEntry{node->other, 2, MemberStatus::kLeft}}))
+                  .ok());
+  // The decision reads only the published ring: until the next
+  // publish, the departed owner is still named.
+  const PartitionKey key{"T", "a", Range(100, 200)};
+  EXPECT_TRUE(RedirectsTo(node->Store(key), node->other));
+  node->service->PublishRedirectRing();
+  const auto stored = node->Store(key);
+  EXPECT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(node->service->counters().descriptors_stored, 1u);
 }
 
 // Regression for the lock-discipline fix the annotation pass surfaced:

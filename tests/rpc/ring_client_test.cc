@@ -77,7 +77,8 @@ TEST(TcpTransportTest, PumpForDrainsResponsesIntoTheParkingLot) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   TcpTransport transport;
-  auto call = transport.StartCall((*server)->address(), MsgType::kPing, "hi");
+  auto call = transport.StartCall((*server)->address(), MsgType::kPing, "hi",
+                                  {/*deadline_ms=*/5.0});
   ASSERT_TRUE(call.ok());
 
   // The pump itself must receive (and park) the response: afterwards
@@ -86,8 +87,7 @@ TEST(TcpTransportTest, PumpForDrainsResponsesIntoTheParkingLot) {
   transport.PumpFor(200.0);
   EXPECT_EQ(transport.rpc_stats().responses_received, 1u);
 
-  auto result = transport.WaitCall((*server)->address(), *call,
-                                   /*deadline_ms=*/5.0);
+  auto result = transport.WaitCall(*call);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->body, "hi");
   EXPECT_EQ(transport.rpc_stats().timeouts, 0u);

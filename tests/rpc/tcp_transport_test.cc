@@ -1,5 +1,6 @@
 // The real transport over real sockets: loopback round trips, call-id
-// multiplexing, deadline timeouts, refused connections, corrupt
+// multiplexing, deadline timeouts (the send included), the replies a
+// close keeps and a timeout drops, refused connections, corrupt
 // streams — each observable in the RpcStats counters the daemon
 // exports. Servers run on a background thread; every port is an
 // ephemeral kernel pick so parallel test jobs never collide.
@@ -9,7 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "rpc/frame.h"
 #include "rpc/message.h"
@@ -77,18 +81,18 @@ TEST(TcpTransportTest, PipelinedCallsMatchResponsesByCallId) {
 
   TcpTransport transport;
   const NetAddress to = (*server)->address();
-  auto first = transport.StartCall(to, MsgType::kPing, "one");
-  auto second = transport.StartCall(to, MsgType::kPing, "two");
+  auto first = transport.StartCall(to, MsgType::kPing, "one", {2000.0});
+  auto second = transport.StartCall(to, MsgType::kPing, "two", {2000.0});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_NE(*first, *second);
 
   // Await them out of order: the second's response forces the first's
   // to be parked, then retrieved without touching the socket again.
-  auto r2 = transport.WaitCall(to, *second, 2000.0);
+  auto r2 = transport.WaitCall(*second);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r2->body, "re:two");
-  auto r1 = transport.WaitCall(to, *first, 2000.0);
+  auto r1 = transport.WaitCall(*first);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(r1->body, "re:one");
   // One connection carried both calls.
@@ -128,9 +132,7 @@ TEST(TcpTransportTest, SilentServerMissesDeadlineAsIOError) {
   auto silent = Listen(Loopback(0));
   ASSERT_TRUE(silent.ok());
 
-  TcpTransport::Options options;
-  options.connect_timeout_ms = 1000;
-  TcpTransport transport(options);
+  TcpTransport transport;
   TcpTransport::CallOptions call_options;
   call_options.deadline_ms = 120.0;
   auto result = transport.Call(silent->bound, MsgType::kPing, "anyone there?",
@@ -171,6 +173,133 @@ TEST(TcpTransportTest, CorruptResponseStreamIsFrameErrorAndIOError) {
   EXPECT_EQ(transport.rpc_stats().frame_errors, 1u);
   evil.join();
   ::close(listen_fd);
+}
+
+TEST(TcpTransportTest, ReplyThatArrivedBeforeACloseReachesItsCall) {
+  // A scripted peer reads two pipelined calls, answers only the second
+  // and hangs up. The first call can never be answered; the second's
+  // reply reached the client before the close and must outlive it.
+  auto listener = Listen(Loopback(0));
+  ASSERT_TRUE(listener.ok());
+  const int listen_fd = listener->fd;
+  std::jthread peer([listen_fd] {
+    pollfd pfd{listen_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) return;
+    const int conn = ::accept(listen_fd, nullptr, nullptr);
+    if (conn < 0) return;
+    FrameParser parser;
+    std::vector<RpcEnvelope> calls;
+    char buf[1024];
+    while (calls.size() < 2) {
+      const ssize_t got = ::recv(conn, buf, sizeof(buf), 0);
+      if (got <= 0) break;
+      parser.Feed(std::string_view(buf, static_cast<size_t>(got)));
+      for (auto next = parser.Next(); next.ok() && next->has_value();
+           next = parser.Next()) {
+        auto envelope = DecodeEnvelope(**next);
+        if (envelope.ok()) calls.push_back(std::move(*envelope));
+      }
+    }
+    if (calls.size() == 2) {
+      std::string reply;
+      AppendFrame(EncodeResponse(calls[1].header, std::string("second")),
+                  &reply);
+      (void)!::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+    }
+    ::close(conn);
+  });
+
+  TcpTransport transport;
+  auto first =
+      transport.StartCall(listener->bound, MsgType::kPing, "one", {2000.0});
+  auto second =
+      transport.StartCall(listener->bound, MsgType::kPing, "two", {2000.0});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto r1 = transport.WaitCall(*first);
+  EXPECT_TRUE(r1.status().IsUnavailable()) << r1.status().ToString();
+  auto r2 = transport.WaitCall(*second);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(r2->body, "second");
+  EXPECT_EQ(transport.rpc_stats().timeouts, 0u);
+  peer.join();
+  ::close(listen_fd);
+}
+
+TEST(TcpTransportTest, CallDeadlineCoversTheSend) {
+  // A listener that accepts into its backlog and never reads: a 12 MiB
+  // request fills the socket buffers and the send stalls. The call's
+  // own 100ms deadline must bound it, not the transport's 5s default.
+  auto silent = Listen(Loopback(0));
+  ASSERT_TRUE(silent.ok());
+  TcpTransport::Options options;
+  options.default_deadline_ms = 5000.0;
+  TcpTransport transport(options);
+  const auto started = std::chrono::steady_clock::now();
+  auto result = transport.Call(silent->bound, MsgType::kPing,
+                               std::string(12 << 20, 'x'), {100.0});
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - started)
+                                .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_LT(elapsed_ms, 2000.0);
+  EXPECT_EQ(transport.rpc_stats().timeouts, 1u);
+  ::close(silent->fd);
+}
+
+TEST(TcpTransportTest, LateReplyToATimedOutCallIsDropped) {
+  // The first request outlives its caller's deadline; its reply still
+  // comes back, ahead of the next call's on the same connection.
+  std::atomic<int> served{0};
+  auto server = ServerThread::Start([&served](MsgType, std::string_view body) {
+    if (served++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    return Result<std::string>(std::string(body));
+  });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  TcpTransport transport;
+  const NetAddress to = (*server)->address();
+  auto slow = transport.StartCall(to, MsgType::kPing, "slow", {50.0});
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  auto missed = transport.WaitCall(*slow);
+  ASSERT_FALSE(missed.ok());
+  EXPECT_TRUE(missed.status().IsIOError()) << missed.status().ToString();
+  EXPECT_EQ(transport.rpc_stats().timeouts, 1u);
+  // The call has left the table: waiting on it again is an unknown call.
+  EXPECT_TRUE(transport.WaitCall(*slow).status().IsNotFound());
+
+  // The late reply is read and dropped; the next call gets its own.
+  auto next = transport.Call(to, MsgType::kPing, "next", {2000.0});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->body, "next");
+  EXPECT_EQ(transport.rpc_stats().responses_received, 2u);
+  EXPECT_EQ(transport.rpc_stats().connections_opened, 1u);
+  EXPECT_TRUE(transport.WaitCall(*slow).status().IsNotFound());
+}
+
+TEST(TcpTransportTest, PollCallReportsAnExpiredCallAsATimeout) {
+  auto silent = Listen(Loopback(0));
+  ASSERT_TRUE(silent.ok());
+  TcpTransport transport;
+  auto call =
+      transport.StartCall(silent->bound, MsgType::kPing, "anyone?", {100.0});
+  ASSERT_TRUE(call.ok()) << call.status().ToString();
+
+  auto early = transport.PollCall(*call);
+  ASSERT_TRUE(early.ok()) << early.status().ToString();
+  EXPECT_FALSE(early->has_value());
+  EXPECT_EQ(transport.rpc_stats().timeouts, 0u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto expired = transport.PollCall(*call);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_TRUE(expired.status().IsIOError()) << expired.status().ToString();
+  EXPECT_EQ(transport.rpc_stats().timeouts, 1u);
+  EXPECT_TRUE(transport.PollCall(*call).status().IsNotFound());
+  ::close(silent->fd);
 }
 
 TEST(RpcStatsTest, JsonCoversEveryCounter) {

@@ -199,7 +199,7 @@ Status AwaitViewSize(rpc::RingClient& client, size_t expected,
 
 Result<std::unique_ptr<ServerThread>> ServerThread::Start(
     rpc::TcpServer::Handler handler, rpc::TcpServer::Options options) {
-  ASSIGN_OR_RETURN(rpc::TcpServer server,
+  ASSIGN_OR_RETURN(std::unique_ptr<rpc::TcpServer> server,
                    rpc::TcpServer::Listen(Loopback(0), std::move(handler),
                                           options));
   return WrapUnique(new ServerThread(std::move(server)));

@@ -134,14 +134,14 @@ class ServerThread {
   /// the loop thread mutates the counters until it has stopped.
   void Stop() { poller_.Stop(); }
 
-  const NetAddress& address() const { return server_.address(); }
-  const rpc::RpcStats& stats() const { return server_.stats(); }
+  const NetAddress& address() const { return server_->address(); }
+  const rpc::RpcStats& stats() const { return server_->stats(); }
 
  private:
-  explicit ServerThread(rpc::TcpServer server)
-      : server_(std::move(server)), poller_(&server_) {}
+  explicit ServerThread(std::unique_ptr<rpc::TcpServer> server)
+      : server_(std::move(server)), poller_(server_.get()) {}
 
-  rpc::TcpServer server_;
+  std::unique_ptr<rpc::TcpServer> server_;
   PollThread poller_;  // after server_, so it stops before server_ dies
 };
 

@@ -43,11 +43,19 @@ CONCURRENCY_ANCHORS = [
     ("src/rpc/bad_lock_io.cc", 16, "P2P008"),     # ::poll under MutexLock
     ("src/rpc/bad_lock_io.cc", 17, "P2P008"),     # ::usleep under MutexLock
     ("src/rpc/bad_lock_io.cc", 23, "P2P008"),     # ::poll under ReaderMutexLock
+    ("src/store/bad_lock_disk_io.cc", 20, "P2P008"),  # ::read
+    ("src/store/bad_lock_disk_io.cc", 25, "P2P008"),  # ::write
+    ("src/store/bad_lock_disk_io.cc", 30, "P2P008"),  # ::fsync
+    ("src/store/bad_lock_disk_io.cc", 35, "P2P008"),  # ::fdatasync
+    ("src/store/bad_lock_disk_io.cc", 40, "P2P008"),  # ::rename
+    ("src/store/bad_lock_disk_io.cc", 45, "P2P008"),  # std::rename
+    ("src/store/bad_lock_disk_io.cc", 50, "P2P008"),  # std::ofstream opened
 ]
 # Lines that must stay silent: the annotated-layer near-misses.
 CONCURRENCY_SILENT = [
     ("src/rpc/bad_raw_mutex.cc", 26),  # p2prange::MutexLock is sanctioned
     ("src/rpc/bad_lock_io.cc", 35),    # blocking after the lock scope closed
+    ("src/store/bad_lock_disk_io.cc", 61),  # file opened after the scope
 ]
 
 

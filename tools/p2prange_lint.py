@@ -56,13 +56,17 @@ Rules
                               acquisition in the tree. sync.h itself
                               wraps the std primitives behind per-line
                               suppressions — the only ones allowed.
-  P2P008 no-block-under-lock  In src/ and tools/: a blocking syscall
+  P2P008 no-block-under-lock  In src/ and tools/: a blocking call
                               (::poll, ::send, ::recv, ::connect,
-                              ::nanosleep, ::usleep) while a MutexLock /
-                              ReaderMutexLock / WriterMutexLock is in
-                              scope in the same block. A lock held
-                              across a syscall that can sleep turns one
-                              slow peer into a stalled worker pool:
+                              ::nanosleep, ::usleep, ::read, ::write,
+                              ::fsync, ::fdatasync, ::rename,
+                              std::rename, or constructing a
+                              std::ofstream, which opens its file)
+                              while a MutexLock / ReaderMutexLock /
+                              WriterMutexLock is in scope in the same
+                              block. A lock held across a call that can
+                              sleep on a peer or a disk turns one slow
+                              peer or flush into a stalled worker pool:
                               copy what you need under the lock, do the
                               I/O outside it.
   P2P009 sim-below-rpc        `#include "rpc/..."` in a file under src/
@@ -258,9 +262,21 @@ RE_STD_SYNC = re.compile(
 # A scoped-lock declaration: `MutexLock lock(&mu);` or brace-init.
 RE_SCOPED_LOCK = re.compile(r"\b(?:Reader|Writer)?MutexLock\s+\w+\s*[({]")
 RE_BLOCKING_CALL = re.compile(
-    r"::\s*(poll|send|recv|connect|nanosleep|usleep)\s*\(")
+    r"(?:\bstd\s*)?::\s*(?:poll|send|recv|connect|nanosleep|usleep|read|"
+    r"write|fsync|fdatasync|rename)\s*\("
+    # A std::ofstream opens its file when constructed with a path.
+    r"|\bstd\s*::\s*ofstream\b(?=\s*(?:\w+\s*)?[({])")
 RE_RPC_INCLUDE = re.compile(r'^\s*#\s*include\s*"rpc/')
 RE_INCLUDE = re.compile(r"^\s*#\s*include\b")
+
+
+def blocking_name(m):
+    """How a P2P008 finding names the blocking call matched by `m`:
+    `::poll()`, `std::rename()`, or `std::ofstream construction`."""
+    text = re.sub(r"\s+", "", m.group(0))
+    if text.endswith("("):
+        return text + ")"
+    return text + " construction"
 
 
 def scoped_lock_span(stripped, m):
@@ -400,10 +416,10 @@ def lint_file(root, rel):
         for m in RE_SCOPED_LOCK.finditer(stripped):
             start, end = scoped_lock_span(stripped, m)
             for b in RE_BLOCKING_CALL.finditer(stripped, start, end):
-                blocking_hits.add((b.start(), b.group(1)))
+                blocking_hits.add((b.start(), blocking_name(b)))
         for pos, call in sorted(blocking_hits):
             emit(pos, "P2P008",
-                 "::%s() while a scoped lock is held in this block; "
+                 "%s while a scoped lock is held in this block; "
                  "finish the I/O outside the lock (copy under it, "
                  "block outside)" % call)
 

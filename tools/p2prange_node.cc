@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   server_options.read_idle_timeout_ms = flags.idle_timeout_ms;
   server_options.first_frame_timeout_ms = flags.first_frame_timeout_ms;
   server_options.max_connections = flags.max_conns;
-  auto server = rpc::TcpServer::Listen(
+  auto listened = rpc::TcpServer::Listen(
       *listen_addr,
       [&service_ptr, &metrics_document](
           rpc::MsgType type, std::string_view body) -> Result<std::string> {
@@ -221,11 +221,12 @@ int main(int argc, char** argv) {
         return service_ptr->Handle(type, body);
       },
       server_options);
-  if (!server.ok()) {
+  if (!listened.ok()) {
     std::fprintf(stderr, "listen %s: %s\n", flags.listen.c_str(),
-                 server.status().ToString().c_str());
+                 listened.status().ToString().c_str());
     return 1;
   }
+  const std::unique_ptr<rpc::TcpServer> server = std::move(*listened);
 
   // The ring identity: the advertised address when one is given (peers
   // then reach this node through a proxy/NAT at that address), the
@@ -277,30 +278,19 @@ int main(int argc, char** argv) {
       if (!rpc::IsBatchableMsgType(type) && type != rpc::MsgType::kMultiOp) {
         return false;  // poll thread serves it inline
       }
-      rpc::RpcHeader rh;
-      rh.call_id = env.header.call_id;
-      rh.type = type;
-      rh.is_response = true;
       const bool admitted = executor->TrySubmit(
-          conn_id, [service_ptr, type, body = env.body, rh]() {
-            auto response = service_ptr->Handle(type, body);
-            rpc::RpcHeader h = rh;
-            std::string out_body;
-            if (response.ok()) {
-              out_body = std::move(*response);
-            } else {
-              h.status = response.status().code();
-              out_body = response.status().message();
-            }
-            return rpc::EncodeEnvelope(h, out_body);
+          conn_id, [service_ptr, header = env.header, body = env.body]() {
+            return rpc::EncodeResponse(header,
+                                       service_ptr->Handle(header.type, body));
           });
       if (!admitted) {
         // Admission control: the queue is full, so the caller hears
         // "shed, retry later" now instead of waiting behind a backlog
         // that is already past the latency target.
-        rpc::RpcHeader h = rh;
-        h.status = StatusCode::kResourceExhausted;
-        server->Respond(conn_id, rpc::EncodeEnvelope(h, "work queue full"));
+        server->Respond(conn_id,
+                        rpc::EncodeResponse(env.header,
+                                            Status::ResourceExhausted(
+                                                "work queue full")));
       }
       return true;
     });
@@ -329,11 +319,9 @@ int main(int argc, char** argv) {
                  membership.status().ToString().c_str());
     return 1;
   }
+  // Handlers decide redirects from an immutable snapshot of the alive
+  // ring, published here first and by the poll loop on every iteration.
   (*service)->set_membership(&*membership);
-  // From here on worker threads may consult the redirect decision, so
-  // they get an immutable snapshot of the alive ring; the poll thread
-  // re-publishes it after every membership tick.
-  if (executor != nullptr) (*service)->PublishRedirectRing();
 
   rpc::RereplicateConfig rereplicate_config;
   rereplicate_config.replication = flags.replication;
@@ -449,7 +437,7 @@ int main(int argc, char** argv) {
     }
     membership->Tick();
     rereplicator->Tick();
-    if (executor != nullptr) (*service)->PublishRedirectRing();
+    (*service)->PublishRedirectRing();
     if (++iterations_since_metrics >= 50) {
       write_metrics();
       iterations_since_metrics = 0;
