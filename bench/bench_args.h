@@ -8,8 +8,9 @@
 // before anyone pays for a full regeneration run.
 //
 // The scale parses strictly (tools/flags.h): a count is a whole number
-// >= 1 and a duration a finite number > 0. Any other argument exits 2
-// with the usage line instead of running some other scale.
+// >= 1, a peer count a whole number >= 2 and a duration a finite number
+// > 0. Any other argument exits 2 with the usage line instead of
+// running some other scale.
 #ifndef P2PRANGE_BENCH_BENCH_ARGS_H_
 #define P2PRANGE_BENCH_BENCH_ARGS_H_
 
@@ -61,6 +62,13 @@ T ScaleFromArgs(int argc, char** argv, T full, T smoke, const char* what,
 inline size_t CountFromArgs(int argc, char** argv, size_t full, size_t smoke) {
   return ScaleFromArgs(argc, argv, full, smoke, "COUNT",
                        [](size_t v) { return v >= 1; });
+}
+
+/// A peer count: a whole number >= 2, the fewest peers a scenario
+/// engine cell runs with.
+inline size_t PeersFromArgs(int argc, char** argv, size_t full, size_t smoke) {
+  return ScaleFromArgs(argc, argv, full, smoke, "PEERS",
+                       [](size_t v) { return v >= 2; });
 }
 
 /// A duration scale in seconds: a finite number > 0.

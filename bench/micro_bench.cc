@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the performance-critical
 // primitives: permutation evaluation, range hashing, LSH identifier
 // computation, SHA-1, Chord lookups (heavy ring and the engine's
-// compact model), whole scenario-engine cells, and bucket matching.
+// compact model), scenario-engine set-up and whole cells, and bucket
+// matching.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -156,7 +157,33 @@ void BM_CompactChordRoute(benchmark::State& state) {
   state.counters["hops_per_route"] = benchmark::Counter(
       static_cast<double>(hops), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_CompactChordRoute)->Arg(100000);
+BENCHMARK(BM_CompactChordRoute)->Arg(100000)->Arg(1000000);
+
+void BM_ScenarioEngineMake(benchmark::State& state) {
+  // Engine set-up alone, Make() only: the compact Chord overlay (id
+  // draw, sort, rank directory, alive index), the LSH scheme and the
+  // query stream of perfbench's engine_uniform cell, at range(0) peers.
+  sim::ScenarioConfig config;
+  config.kind = overlay::Kind::kChord;
+  config.num_peers = static_cast<size_t>(state.range(0));
+  config.domain = 1000000;
+  config.replication = 3;
+  config.num_queries = 20000;
+  std::optional<sim::ScenarioEngine> engine;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine.reset();
+    state.ResumeTiming();
+    auto made = sim::ScenarioEngine::Make(config);
+    benchmark::DoNotOptimize(made);
+    CHECK(made.ok()) << made.status();
+    engine.emplace(std::move(*made));
+  }
+}
+BENCHMARK(BM_ScenarioEngineMake)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioEngineRun(benchmark::State& state) {
   // One whole engine cell, Run() only: 10^5 Chord peers, replication 3.

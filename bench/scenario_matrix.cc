@@ -8,9 +8,11 @@
 // layout holds at 10^6 peers (bytes/peer is measured, not estimated).
 //
 // Output is a single JSON document on stdout (the checked-in
-// BENCH_scenario_matrix.json); progress goes to stderr. The
-// `nonzero_recall_overlays` field is the smoke-gate verdict: 3 means
-// every substrate produced cache hits under churn.
+// BENCH_scenario_matrix.json); progress goes to stderr, one line per
+// cell ending in its set-up and run wall time (`make_ms=… run_ms=…`).
+// The `nonzero_recall_overlays` field is the smoke-gate verdict: 3
+// means every substrate produced cache hits under churn.
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -30,11 +32,21 @@ struct Cell {
   sim::ScenarioReport report;
 };
 
+/// Runs one cell and ends its progress line on stderr with the wall
+/// time of set-up (`Make`) and of the run.
 sim::ScenarioReport RunCell(const sim::ScenarioConfig& config) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  const Clock::time_point start = Clock::now();
   auto engine = sim::ScenarioEngine::Make(config);
   CHECK(engine.ok()) << engine.status();
+  const Clock::time_point made = Clock::now();
   auto report = engine->Run();
   CHECK(report.ok()) << report.status();
+  std::fprintf(stderr, " make_ms=%.1f run_ms=%.1f\n", ms(made - start),
+               ms(Clock::now() - made));
   return *report;
 }
 
@@ -76,7 +88,7 @@ void Run(size_t grid_peers, size_t grid_queries, size_t million_peers,
         config.num_peers = grid_peers;
         config.num_queries = grid_queries;
         config.seed = 1;
-        std::fprintf(stderr, "scenario %s/%s/%s...\n",
+        std::fprintf(stderr, "scenario %s/%s/%s...",
                      overlay::KindName(kind), sim::WorkloadShapeName(shape),
                      sim::ChurnModeName(churn));
         Cell cell{kind, shape, churn, RunCell(config)};
@@ -91,7 +103,7 @@ void Run(size_t grid_peers, size_t grid_queries, size_t million_peers,
     }
   }
 
-  std::fprintf(stderr, "scenario chord/uniform/none @ %zu peers...\n",
+  std::fprintf(stderr, "scenario chord/uniform/none @ %zu peers...",
                million_peers);
   sim::ScenarioConfig big;
   big.kind = overlay::Kind::kChord;
@@ -128,7 +140,7 @@ int main(int argc, char** argv) {
   // Smoke: the satellite gate's 10^4-peer grid plus the 10^6-peer
   // headline cell; full mode widens the grid tenfold.
   const size_t grid_peers =
-      p2prange::bench::CountFromArgs(argc, argv, 100000, 10000);
+      p2prange::bench::PeersFromArgs(argc, argv, 100000, 10000);
   const size_t grid_queries = grid_peers == 100000 ? 20000 : 3000;
   p2prange::bench::Run(grid_peers, grid_queries, 1000000, 100000);
   return 0;

@@ -1,8 +1,12 @@
 #include "sim/engine/compact_overlay.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <numeric>
 
 #include "can/zone.h"
 #include "common/logging.h"
@@ -139,14 +143,17 @@ uint32_t AliveIndex::SelectAlive(size_t k) const {
 CompactOverlay::CompactOverlay(std::vector<uint32_t> ids)
     : ids_(std::move(ids)), alive_(ids_.size()) {
   DCHECK(!ids_.empty());
-  // One pass over the sorted ids fills every bucket's first rank.
+  // Each bucket's first rank: ranks written in reverse order leave the
+  // smallest in every occupied bucket, and an empty bucket takes the
+  // next occupied bucket's rank (or n) from one suffix-min pass.
   const int bits = static_cast<int>(std::bit_width(ids_.size())) - 1;
   dir_shift_ = 32 - bits;
-  rank_dir_.resize(size_t{1} << bits);
-  size_t r = 0;
-  for (size_t b = 0; b < rank_dir_.size(); ++b) {
-    while (r < ids_.size() && (uint64_t{ids_[r]} >> dir_shift_) < b) ++r;
-    rank_dir_[b] = static_cast<uint32_t>(r);
+  rank_dir_.assign(size_t{1} << bits, static_cast<uint32_t>(ids_.size()));
+  for (size_t r = ids_.size(); r-- > 0;) {
+    rank_dir_[uint64_t{ids_[r]} >> dir_shift_] = static_cast<uint32_t>(r);
+  }
+  for (size_t b = rank_dir_.size() - 1; b-- > 0;) {
+    rank_dir_[b] = std::min(rank_dir_[b], rank_dir_[b + 1]);
   }
 }
 
@@ -387,6 +394,38 @@ class CompactTapestry final : public CompactOverlay {
   }
 };
 
+/// Sorts `v` by LSD radix: three stable counting passes over 11-bit
+/// digits, low digit first, through one scratch buffer of v's size.
+/// Requires v.size() <= 2^32 - 1 (the counts are 32-bit).
+void RadixSort(std::vector<uint32_t>& v) {
+  constexpr int kDigitBits = 11;
+  constexpr uint32_t kDigitMask = (uint32_t{1} << kDigitBits) - 1;
+  // All three digit histograms from one read of v.
+  std::vector<std::array<uint32_t, kDigitMask + 1>> counts(3);
+  for (const uint32_t x : v) {
+    ++counts[0][x & kDigitMask];
+    ++counts[1][(x >> kDigitBits) & kDigitMask];
+    ++counts[2][x >> (2 * kDigitBits)];
+  }
+  std::vector<uint32_t> scratch(v.size());
+  int shift = 0;
+  for (auto& next : counts) {
+    // Each digit's first output position, advanced as it is filled.
+    std::exclusive_scan(next.begin(), next.end(), next.begin(), uint32_t{0});
+    for (const uint32_t x : v) scratch[next[(x >> shift) & kDigitMask]++] = x;
+    v.swap(scratch);
+    shift += kDigitBits;
+  }
+}
+
+/// `count` identifiers drawn from `rng`, sorted (duplicates kept).
+std::vector<uint32_t> SortedDraws(Rng& rng, size_t count) {
+  std::vector<uint32_t> draws(count);
+  for (uint32_t& id : draws) id = rng.Next32();
+  RadixSort(draws);
+  return draws;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<CompactOverlay>> MakeCompactOverlay(
@@ -397,15 +436,23 @@ Result<std::unique_ptr<CompactOverlay>> MakeCompactOverlay(
   if (can_dims < 1 || can_dims > can::kMaxDims) {
     return Status::InvalidArgument("can_dims out of range");
   }
+  if (num_peers > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "compact overlay holds at most 2^32 - 1 peers");
+  }
   // One identifier set per seed, shared by every substrate so the
-  // scenario matrix compares routing, not id luck.
+  // scenario matrix compares routing, not id luck. Collisions are rare
+  // (about n^2 / 2^33 pairs), so a redraw sorts only the missing ids
+  // and merges them in.
   Rng rng(seed ^ 0xC0FFEE123ULL);
-  std::vector<uint32_t> ids;
-  ids.reserve(num_peers);
+  std::vector<uint32_t> ids = SortedDraws(rng, num_peers);
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   while (ids.size() < num_peers) {
-    const size_t missing = num_peers - ids.size();
-    for (size_t i = 0; i < missing; ++i) ids.push_back(rng.Next32());
-    std::sort(ids.begin(), ids.end());
+    const std::vector<uint32_t> redraw =
+        SortedDraws(rng, num_peers - ids.size());
+    const auto distinct = static_cast<std::ptrdiff_t>(ids.size());
+    ids.insert(ids.end(), redraw.begin(), redraw.end());
+    std::inplace_merge(ids.begin(), ids.begin() + distinct, ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
   std::unique_ptr<CompactOverlay> out;

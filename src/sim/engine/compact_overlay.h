@@ -141,6 +141,14 @@ class CompactOverlay {
 
 /// \brief Factory: draws `num_peers` distinct identifiers from `seed`
 /// and builds the `kind` model (CAN uses `can_dims` torus dimensions).
+///
+/// The identifiers are the sorted distinct values of the shortest
+/// prefix of the seed's 32-bit draw stream that holds `num_peers`
+/// distinct values (n draws, then as many more as there were
+/// duplicates, repeated until n remain), so slot i owns the same id for
+/// every substrate and however the draws are sorted. `num_peers` must
+/// be in [1, 2^32 - 1], since slots and ranks are 32-bit; other counts
+/// are InvalidArgument, refused before anything is allocated.
 Result<std::unique_ptr<CompactOverlay>> MakeCompactOverlay(
     overlay::Kind kind, size_t num_peers, uint64_t seed, int can_dims);
 

@@ -1,6 +1,7 @@
 // The benches' scale argument: `--smoke` wins, a count is a whole
-// number >= 1, a duration a finite number > 0, and anything else
-// exits 2 with the usage line instead of running some other scale.
+// number >= 1, a peer count >= 2, a duration a finite number > 0, and
+// anything else exits 2 with the usage line instead of running some
+// other scale.
 // Whether a run is a smoke run comes from the flag alone.
 #include "bench/bench_args.h"
 
@@ -61,6 +62,24 @@ TEST(BenchArgsTest, MalformedCountExitsWithUsage) {
   EXPECT_EXIT(Count({"100", "200"}), ::testing::ExitedWithCode(2), "usage");
   EXPECT_EXIT(Count({"abc", "--smoke"}), ::testing::ExitedWithCode(2),
               "malformed argument: abc");
+}
+
+size_t Peers(std::initializer_list<const char*> args) {
+  Argv a(args);
+  return PeersFromArgs(a.argc(), a.argv(), 1000, 10);
+}
+
+TEST(BenchArgsTest, PeerCountTakesAtLeastTwoOrSmoke) {
+  EXPECT_EQ(Peers({}), 1000u);
+  EXPECT_EQ(Peers({"2"}), 2u);
+  EXPECT_EQ(Peers({"--smoke"}), 10u);
+  // One peer is a count, but no scenario cell runs on it: the bench
+  // must refuse it with the usage line, not abort inside the engine.
+  for (const char* bad : {"1", "0", "0.5", "-2", "abc"}) {
+    EXPECT_EXIT(Peers({bad}), ::testing::ExitedWithCode(2),
+                "usage: prog \\[--smoke\\] \\[PEERS\\]")
+        << '"' << bad << '"';
+  }
 }
 
 TEST(BenchArgsTest, DurationTakesAFinitePositiveNumberOrSmoke) {

@@ -218,7 +218,10 @@ TEST(CompactOverlayRankTest, RankOfIdMatchesLowerBound) {
     for (size_t s = 0; s < n; ++s) {
       ids[s] = (*net)->id_of(static_cast<uint32_t>(s));
     }
-    ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    // Strictly increasing: std::is_sorted would let a duplicate through.
+    ASSERT_EQ(std::adjacent_find(ids.begin(), ids.end(),
+                                 std::greater_equal<uint32_t>()),
+              ids.end());
     auto expect_rank = [&](uint32_t probe) {
       const auto want = static_cast<uint32_t>(
           std::lower_bound(ids.begin(), ids.end(), probe) - ids.begin());
@@ -232,6 +235,58 @@ TEST(CompactOverlayRankTest, RankOfIdMatchesLowerBound) {
       expect_rank(id + 1);
     }
   }
+}
+
+// The identifier draw as it was built with std::sort: draw the missing
+// ids, sort everything, drop duplicates, repeat until n remain.
+// *rounds counts the draws; more than one means a collision forced a
+// redraw.
+std::vector<uint32_t> SortAndRedrawIds(size_t n, uint64_t seed, int* rounds) {
+  Rng rng(seed ^ 0xC0FFEE123ULL);
+  std::vector<uint32_t> ids;
+  *rounds = 0;
+  while (ids.size() < n) {
+    const size_t missing = n - ids.size();
+    for (size_t i = 0; i < missing; ++i) ids.push_back(rng.Next32());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    ++*rounds;
+  }
+  return ids;
+}
+
+// MakeCompactOverlay's ids are the reference's, slot for slot: the
+// same set, not just the same order.
+TEST(CompactOverlayBuildTest, IdsMatchTheSortAndRedrawReference) {
+  std::vector<std::pair<size_t, uint64_t>> cases;
+  for (const size_t n : {1u, 2u, 3u, 64u, 65537u, 100000u}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) cases.emplace_back(n, seed);
+  }
+  cases.emplace_back(1000000, 1);
+  int redraws = 0;
+  for (const auto& [n, seed] : cases) {
+    int rounds = 0;
+    const std::vector<uint32_t> want = SortAndRedrawIds(n, seed, &rounds);
+    if (rounds > 1) ++redraws;
+    auto net = MakeCompactOverlay(overlay::Kind::kChord, n, seed, 2);
+    ASSERT_TRUE(net.ok()) << net.status();
+    ASSERT_EQ((*net)->num_peers(), n);
+    for (size_t s = 0; s < n; ++s) {
+      ASSERT_EQ((*net)->id_of(static_cast<uint32_t>(s)), want[s])
+          << "n=" << n << " seed " << seed << " slot " << s;
+    }
+  }
+  // Six of seeds 1-8 collide at 10^5 peers, and 10^6 peers always do.
+  EXPECT_GE(redraws, 1);
+}
+
+// Slots and ranks are 32-bit, and 2^32 peers cannot all have distinct
+// ids: the count is refused before anything is allocated.
+TEST(CompactOverlayBuildTest, RefusesMorePeersThanIdentifiers) {
+  const size_t too_many = size_t{std::numeric_limits<uint32_t>::max()} + 1;
+  EXPECT_TRUE(MakeCompactOverlay(overlay::Kind::kChord, too_many, 1, 2)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // The Chord descent as it was before Route took one successor lookup
