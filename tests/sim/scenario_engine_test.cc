@@ -592,17 +592,23 @@ TEST(ScenarioEngineTest, ReportJsonCarriesEveryField) {
   }
 }
 
-// Every counter of nine small cells, {chord, can, tapestry} x {none,
-// churn, crash-wave}, as the binary-search overlay and the scalar hash
-// kernel produced them. The word-packed alive index, the id directory
-// and the lane-batched hash kernel are pure speedups, so none of these
-// may move. bytes_per_peer is left out: it measures the engine's own
-// index structures, which those changes resize.
+// Every counter of nine small uniform cells, {chord, can, tapestry} x
+// {none, churn, crash-wave}, as the binary-search overlay and the
+// scalar hash kernel produced them, and of two wide-zipf Chord cells
+// (mean width a third of the domain) under churn and crash-wave, as
+// per-identifier copy vectors produced them. A wide-zipf bucket takes
+// many publishes, so those two cells run long buckets through growth,
+// refresh and stale eviction. The word-packed alive index, the id
+// directory, the lane-batched hash kernel and the copy layout are pure
+// speedups, so none of these may move. bytes_per_peer is left out: it
+// measures the engine's own structures, which those changes resize.
 TEST(ScenarioEngineTest, CountersMatchParentGoldens) {
+  constexpr uint32_t kDomain = 20000;
   struct Golden {
     overlay::Kind kind;
     ChurnMode churn;
     const char* json;
+    WorkloadShape shape = WorkloadShape::kUniform;
   };
   const Golden goldens[] = {
       {overlay::Kind::kChord, ChurnMode::kNone,
@@ -677,14 +683,34 @@ TEST(ScenarioEngineTest, CountersMatchParentGoldens) {
        "\"recoveries\":100,\"recall_before_wave\":0.252034,"
        "\"recall_during_wave\":0.508254,\"recall_after_wave\":0.550537,"
        "\"recovery_ms\":1,\"event_queue_depth\":1700,\"end_time_ms\":1500}"},
+      {overlay::Kind::kChord, ChurnMode::kChurn,
+       "{\"queries\":1500,\"exact_hits\":84,\"approx_hits\":921,\"misses\":495,"
+       "\"mean_recall\":0.654346,\"hops\":48084,\"mean_hops\":32.056,"
+       "\"messages\":76824,\"bytes\":5341536,\"publishes\":1416,"
+       "\"descriptors_stored\":21240,\"stale_evictions\":6,\"crashes\":29,"
+       "\"recoveries\":29,\"recall_before_wave\":-1,\"recall_during_wave\":-1,"
+       "\"recall_after_wave\":-1,\"recovery_ms\":-1,\"event_queue_depth\":1529,"
+       "\"end_time_ms\":1850}",
+       WorkloadShape::kZipf},
+      {overlay::Kind::kChord, ChurnMode::kCrashWave,
+       "{\"queries\":1500,\"exact_hits\":84,\"approx_hits\":920,\"misses\":496,"
+       "\"mean_recall\":0.653878,\"hops\":48490,\"mean_hops\":32.3267,"
+       "\"messages\":77230,\"bytes\":5367520,\"publishes\":1416,"
+       "\"descriptors_stored\":21240,\"stale_evictions\":16,\"crashes\":100,"
+       "\"recoveries\":100,\"recall_before_wave\":0.641755,"
+       "\"recall_during_wave\":0.650516,\"recall_after_wave\":0.752411,"
+       "\"recovery_ms\":1,\"event_queue_depth\":1700,\"end_time_ms\":1500}",
+       WorkloadShape::kZipf},
   };
   for (const Golden& g : goldens) {
     ScenarioConfig config;
     config.kind = g.kind;
     config.churn = g.churn;
+    config.shape = g.shape;
+    config.zipf_mean_width = kDomain / 3.0;
     config.num_peers = 2000;
     config.num_queries = 1500;
-    config.domain = 20000;
+    config.domain = kDomain;
     config.seed = 21;
     auto engine = ScenarioEngine::Make(config);
     ASSERT_TRUE(engine.ok()) << engine.status();
@@ -695,7 +721,8 @@ TEST(ScenarioEngineTest, CountersMatchParentGoldens) {
     ASSERT_NE(at, std::string::npos);
     json.erase(at, json.find(',', at) + 1 - at);
     EXPECT_EQ(json, g.json) << overlay::KindName(g.kind) << " / "
-                            << ChurnModeName(g.churn);
+                            << ChurnModeName(g.churn) << " / "
+                            << WorkloadShapeName(g.shape);
   }
 }
 
