@@ -206,6 +206,7 @@ void BM_ScenarioEngineRun(benchmark::State& state) {
   }
   std::optional<sim::ScenarioEngine> engine;
   uint64_t queries = 0;
+  uint64_t bytes_per_peer = 0;
   for (auto _ : state) {
     state.PauseTiming();
     engine.reset();
@@ -217,8 +218,12 @@ void BM_ScenarioEngineRun(benchmark::State& state) {
     benchmark::DoNotOptimize(report);
     CHECK(report.ok()) << report.status();
     queries += report->queries;
+    bytes_per_peer = report->bytes_per_peer;
   }
   state.SetItemsProcessed(static_cast<int64_t>(queries));
+  // The engine's resident bytes per peer at the end of the run; every
+  // iteration runs the same seeded cell, so each reads the same.
+  state.counters["bytes_per_peer"] = static_cast<double>(bytes_per_peer);
 }
 BENCHMARK(BM_ScenarioEngineRun)
     ->ArgName("zipf_width")

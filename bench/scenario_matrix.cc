@@ -9,9 +9,13 @@
 //
 // Output is a single JSON document on stdout (the checked-in
 // BENCH_scenario_matrix.json); progress goes to stderr, one line per
-// cell ending in its set-up and run wall time (`make_ms=… run_ms=…`).
+// cell ending in its set-up and run wall time and the process's peak
+// resident set so far (`make_ms=… run_ms=… peak_rss_mb=…`), the real
+// footprint beside the engine's own `bytes_per_peer` count.
 // The `nonzero_recall_overlays` field is the smoke-gate verdict: 3
 // means every substrate produced cache hits under churn.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -32,8 +36,16 @@ struct Cell {
   sim::ScenarioReport report;
 };
 
+/// Peak resident set of this process so far, MB (the kernel's VmHWM).
+double PeakRssMb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
 /// Runs one cell and ends its progress line on stderr with the wall
-/// time of set-up (`Make`) and of the run.
+/// time of set-up (`Make`) and of the run, and the process's peak
+/// resident set after it.
 sim::ScenarioReport RunCell(const sim::ScenarioConfig& config) {
   using Clock = std::chrono::steady_clock;
   const auto ms = [](Clock::duration d) {
@@ -45,8 +57,8 @@ sim::ScenarioReport RunCell(const sim::ScenarioConfig& config) {
   const Clock::time_point made = Clock::now();
   auto report = engine->Run();
   CHECK(report.ok()) << report.status();
-  std::fprintf(stderr, " make_ms=%.1f run_ms=%.1f\n", ms(made - start),
-               ms(Clock::now() - made));
+  std::fprintf(stderr, " make_ms=%.1f run_ms=%.1f peak_rss_mb=%.1f\n",
+               ms(made - start), ms(Clock::now() - made), PeakRssMb());
   return *report;
 }
 

@@ -9,8 +9,8 @@
 // slot holding (row + 1) << 32 | id, 0 meaning empty, so a lookup
 // touches one cache line and a caller can prefetch it before routing.
 // Rows are dense, numbered 0, 1, 2, ... in insertion order, and never
-// move when the slot array grows; the engine keeps its copies in a
-// plain vector indexed by row.
+// move when the slot array grows; the engine keeps its copies in the
+// CopyArena row of the same number.
 #ifndef P2PRANGE_SIM_ENGINE_IDENTIFIER_INDEX_H_
 #define P2PRANGE_SIM_ENGINE_IDENTIFIER_INDEX_H_
 

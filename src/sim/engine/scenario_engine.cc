@@ -169,7 +169,9 @@ std::string ScenarioReport::ToJson() const {
 }
 
 ScenarioEngine::ScenarioEngine(const ScenarioConfig& config)
-    : config_(config), rng_(config.seed ^ 0x5CE9A210ULL) {}
+    : config_(config),
+      rng_(config.seed ^ 0x5CE9A210ULL),
+      arena_(config.replication) {}
 
 Result<ScenarioEngine> ScenarioEngine::Make(const ScenarioConfig& config) {
   RETURN_NOT_OK(config.Validate());
@@ -231,11 +233,7 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
   for (size_t g = 0; g < identifier_scratch_.size(); ++g) {
     const uint32_t owner = owner_scratch_[g];
     const uint32_t row = index_.FindOrAdd(identifier_scratch_[g]);
-    if (row == rows_.size()) {
-      rows_.emplace_back().reserve(static_cast<size_t>(config_.replication));
-    }
-    // Taken after FindOrAdd: adding a row may move every other row.
-    std::vector<StoredDesc>& bucket = rows_[row];
+    if (row == arena_.num_rows()) arena_.AddRow();
     uint32_t target = owner;
     for (int copy = 0; copy < config_.replication; ++copy) {
       if (copy > 0) {
@@ -249,18 +247,9 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
       d.holder = holder;
       d.home = target;
       d.home_epoch = crash_epoch_[target];
-      // Refresh an existing copy of the same range instead of letting
-      // republishes grow the bucket without bound.
-      bool refreshed = false;
-      for (StoredDesc& existing : bucket) {
-        if (existing.home == target && existing.lo == d.lo &&
-            existing.hi == d.hi) {
-          existing = d;
-          refreshed = true;
-          break;
-        }
-      }
-      if (!refreshed) bucket.push_back(d);
+      // A copy of the same range at the same home is refreshed, so
+      // republishes do not grow the row without bound.
+      arena_.Store(row, d);
       ++report->descriptors_stored;
       report->messages += 1;
       report->bytes += kControlBytes + kDescriptorBytes;
@@ -289,41 +278,34 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
   row_scratch_.clear();
   for (const uint32_t id : identifier_scratch_) {
     const std::optional<uint32_t> row = index_.Find(id);
-    if (row) __builtin_prefetch(rows_[*row].data());
+    if (row) arena_.Prefetch(*row);
     row_scratch_.push_back(row);
   }
 
   // The best valid copy under the shared §4 rule; a miss scores 0.
+  // Copies resident elsewhere are invisible to an owner, so it scans
+  // only its own run of the row. Neither the best copy nor the
+  // evictions depend on the order the run is read in.
   double best_score = 0.0;
   bool best_exact = false;
   for (size_t g = 0; g < row_scratch_.size(); ++g) {
     if (!row_scratch_[g]) continue;
     const uint32_t owner = owner_scratch_[g];
-    std::vector<StoredDesc>& bucket = rows_[*row_scratch_[g]];
-    for (size_t i = 0; i < bucket.size();) {
-      const StoredDesc& d = bucket[i];
-      if (!CopyValid(d, owner)) {
-        // Copies resident elsewhere (or orphaned by a crash epoch
-        // bump) are invisible to this owner.
-        ++i;
-        continue;
-      }
-      if (!net_->IsAlive(d.holder)) {
-        // Stale: the holder died with its materialized data.
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        ++report->stale_evictions;
-        continue;
-      }
-      const Range stored(d.lo, d.hi);
-      const double score = ScoreMatch(q, stored, kRankBy);
-      const bool exact = stored == q;
-      if (Outranks(score, exact, best_score, best_exact)) {
-        best_score = score;
-        best_exact = exact;
-      }
-      ++i;
-    }
+    report->stale_evictions += arena_.ScanHome(
+        *row_scratch_[g], owner, [&](const StoredDesc& d) {
+          // Orphaned by a crash epoch bump: invisible, left in place.
+          if (!CopyValid(d, owner)) return false;
+          // Stale: the holder died with its materialized data.
+          if (!net_->IsAlive(d.holder)) return true;
+          const Range stored(d.lo, d.hi);
+          const double score = ScoreMatch(q, stored, kRankBy);
+          const bool exact = stored == q;
+          if (Outranks(score, exact, best_score, best_exact)) {
+            best_score = score;
+            best_exact = exact;
+          }
+          return false;
+        });
   }
 
   ++report->queries;
@@ -365,14 +347,9 @@ void ScenarioEngine::Recover(uint32_t slot, ScenarioReport* report) {
 }
 
 uint64_t ScenarioEngine::MemoryBytes() const {
-  uint64_t bytes = net_->MemoryBytes() + queue_.MemoryBytes() +
-                   crash_epoch_.capacity() * sizeof(uint16_t) +
-                   index_.MemoryBytes() +
-                   rows_.capacity() * sizeof(std::vector<StoredDesc>);
-  for (const std::vector<StoredDesc>& row : rows_) {
-    bytes += row.capacity() * sizeof(StoredDesc);
-  }
-  return bytes;
+  return net_->MemoryBytes() + queue_.MemoryBytes() +
+         crash_epoch_.capacity() * sizeof(uint16_t) + index_.MemoryBytes() +
+         arena_.MemoryBytes();
 }
 
 Result<ScenarioReport> ScenarioEngine::Run() {

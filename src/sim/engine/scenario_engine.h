@@ -4,9 +4,10 @@
 // WALs, finger tables) — faithful, but ~kilobytes per peer. The
 // scenario engine strips the §4 protocol to its struct-of-arrays
 // skeleton: peers are ranks in a sorted identifier array, descriptors
-// are 20-byte packed copies in one vector per bucket identifier (found
-// through a flat, prefetchable IdentifierIndex), and time advances
-// through an indexed event queue of query / crash / recover events.
+// are 20-byte packed copies in one pooled CopyArena row per bucket
+// identifier (found through a flat, prefetchable IdentifierIndex, and
+// grouped by the peer that stores them), and time advances through an
+// indexed event queue of query / crash / recover events.
 // What it keeps exact: the real LSH identifier scheme, the §4 match
 // rule of store/bucket_store.h (copies ranked by containment), the
 // cache-on-miss publish at the owners the probe found, descriptor
@@ -34,6 +35,7 @@
 #include "hash/range.h"
 #include "overlay/overlay.h"
 #include "sim/engine/compact_overlay.h"
+#include "sim/engine/copy_arena.h"
 #include "sim/engine/event_queue.h"
 #include "sim/engine/identifier_index.h"
 
@@ -156,22 +158,11 @@ class ScenarioEngine {
 
   const ScenarioConfig& config() const { return config_; }
 
-  /// Resident footprint: overlay + descriptor tables + event queue.
+  /// Resident footprint: overlay + identifier index + copy arena +
+  /// event queue.
   uint64_t MemoryBytes() const;
 
  private:
-  /// One replicated descriptor copy: the published range, who holds
-  /// the data, and where/when this copy was stored (epoch-stamped so a
-  /// crash invalidates resident copies without an eager sweep).
-  struct StoredDesc {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    uint32_t holder = 0;      ///< peer slot holding the materialized data
-    uint32_t home = 0;        ///< peer slot storing this copy
-    uint16_t home_epoch = 0;  ///< crash epoch of `home` at store time
-  };
-  static_assert(sizeof(StoredDesc) == 20, "descriptor rows must stay packed");
-
   explicit ScenarioEngine(const ScenarioConfig& config);
 
   void ScheduleWorkload();
@@ -190,10 +181,11 @@ class ScenarioEngine {
   Rng rng_;  ///< query origins and crash victims
   std::function<Range()> next_query_;
 
-  /// Bucket identifier -> row of rows_; a row holds the replicated
-  /// descriptor copies published under that identifier.
+  /// Bucket identifier -> row of arena_; a row holds the replicated
+  /// descriptor copies published under that identifier, grouped by the
+  /// peer that stores them.
   IdentifierIndex index_;
-  std::vector<std::vector<StoredDesc>> rows_;
+  CopyArena arena_;
   /// Per-peer crash epoch; bumping it orphans every resident copy.
   std::vector<uint16_t> crash_epoch_;
 
