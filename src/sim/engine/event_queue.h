@@ -40,6 +40,10 @@ class EventQueue {
   /// Pops the earliest event into *out; false when empty.
   bool Pop(Event* out);
 
+  /// The event Pop would return next, or nullptr when empty. Valid
+  /// until the next Push or Pop.
+  const Event* Peek() const { return heap_.empty() ? nullptr : &heap_.front(); }
+
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 

@@ -50,6 +50,26 @@ TEST(EventQueueTest, PopsInTimeThenInsertionOrder) {
   EXPECT_EQ(q.max_depth(), 4u);  // high-water mark survives draining
 }
 
+TEST(EventQueueTest, PeekShowsWhatPopReturnsNext) {
+  EventQueue q;
+  EXPECT_EQ(q.Peek(), nullptr);
+  q.Push(2.0, EventType::kQuery, 1);
+  q.Push(1.0, EventType::kCrash, 2);
+  q.Push(2.0, EventType::kRecover, 3);
+  std::vector<uint32_t> popped;
+  for (const Event* next = q.Peek(); next != nullptr; next = q.Peek()) {
+    const Event peeked = *next;
+    Event e;
+    ASSERT_TRUE(q.Pop(&e));
+    EXPECT_EQ(e.time_ms, peeked.time_ms);
+    EXPECT_EQ(e.seq, peeked.seq);
+    EXPECT_EQ(e.type, peeked.type);
+    popped.push_back(e.subject);
+  }
+  EXPECT_EQ(popped, (std::vector<uint32_t>{2, 1, 3}));
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueTest, EventsStayPacked) {
   EXPECT_EQ(sizeof(Event), 24u);
 }
@@ -58,21 +78,63 @@ TEST(EventQueueTest, EventsStayPacked) {
 
 class CompactOverlayTest : public ::testing::TestWithParam<overlay::Kind> {};
 
+// Routes `pairs` through RouteAll in shuffled batches of 1, 5, 80 and
+// all pairs, and checks each pair's owner and hops against `want`.
+void ExpectRouteAllMatches(const CompactOverlay& net,
+                           std::vector<std::pair<uint32_t, uint32_t>> pairs,
+                           std::vector<std::pair<uint32_t, int>> want,
+                           Rng& rng, const std::string& label) {
+  ASSERT_EQ(pairs.size(), want.size());
+  for (size_t i = pairs.size(); i > 1; --i) {
+    const size_t j = rng.NextBounded(i);
+    std::swap(pairs[i - 1], pairs[j]);
+    std::swap(want[i - 1], want[j]);
+  }
+  for (const size_t batch : {size_t{1}, size_t{5}, size_t{80}, pairs.size()}) {
+    for (size_t first = 0; first < pairs.size(); first += batch) {
+      const size_t count = std::min(batch, pairs.size() - first);
+      std::vector<uint32_t> origins;
+      std::vector<uint32_t> ids;
+      for (size_t i = first; i < first + count; ++i) {
+        origins.push_back(pairs[i].first);
+        ids.push_back(pairs[i].second);
+      }
+      std::vector<uint32_t> owners(count, ~0u);
+      std::vector<int> hops(count, -1);
+      net.RouteAll(origins, ids, owners, hops);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(owners[i], want[first + i].first)
+            << label << " batch " << batch << " origin " << origins[i]
+            << " id " << ids[i];
+        ASSERT_EQ(hops[i], want[first + i].second)
+            << label << " batch " << batch << " origin " << origins[i]
+            << " id " << ids[i];
+      }
+    }
+  }
+}
+
 TEST_P(CompactOverlayTest, RouteLandsOnOwner) {
   auto net = MakeCompactOverlay(GetParam(), 500, 3, 2);
   ASSERT_TRUE(net.ok()) << net.status();
   Rng rng(7);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<std::pair<uint32_t, int>> routed_pairs;
   for (int i = 0; i < 200; ++i) {
     const uint32_t id = rng.Next32();
     const uint32_t owner = (*net)->Owner(id);
     ASSERT_LT(owner, (*net)->num_peers());
     EXPECT_TRUE((*net)->IsAlive(owner));
     int hops = 0;
-    const uint32_t routed =
-        (*net)->Route((*net)->RandomAliveSlot(rng), id, &hops);
+    const uint32_t origin = (*net)->RandomAliveSlot(rng);
+    const uint32_t routed = (*net)->Route(origin, id, &hops);
     EXPECT_EQ(routed, owner);
     EXPECT_GE(hops, 0);
+    pairs.emplace_back(origin, id);
+    routed_pairs.emplace_back(routed, hops);
   }
+  ExpectRouteAllMatches(**net, pairs, routed_pairs, rng,
+                        overlay::KindName(GetParam()));
 }
 
 TEST_P(CompactOverlayTest, OwnerSkipsDeadSlots) {
@@ -339,7 +401,9 @@ class FingerScanChord {
 // same hop count from every alive origin (n <= 64) or seeded alive
 // origins plus the owner itself, to every peer id and its neighbours,
 // the ring's ends and seeded ids, under dense, sparse and near-empty
-// alive sets.
+// alive sets. Each alive set's pairs also go through RouteAll, shuffled,
+// in batches of 1, 5, 80 and all of them, so interleaved descents must
+// keep every pair's own state.
 TEST(CompactChordRouteTest, MatchesFingerScanDescent) {
   for (const uint32_t n : {2u, 3u, 64u, 1000u}) {
     auto made = MakeCompactOverlay(overlay::Kind::kChord, n, 17 + n, 2);
@@ -376,6 +440,8 @@ TEST(CompactChordRouteTest, MatchesFingerScanDescent) {
       for (uint32_t s = 0; s < n; ++s) {
         if (net.IsAlive(s)) alive.push_back(s);
       }
+      std::vector<std::pair<uint32_t, uint32_t>> pairs;
+      std::vector<std::pair<uint32_t, int>> routed;
       for (const uint32_t id : ids) {
         const uint32_t owner = reference.AliveSuccessor(id);
         std::vector<uint32_t> origins = {owner};
@@ -389,15 +455,19 @@ TEST(CompactChordRouteTest, MatchesFingerScanDescent) {
         for (const uint32_t origin : origins) {
           int want_hops = 0;
           int got_hops = 0;
-          ASSERT_EQ(net.Route(origin, id, &got_hops),
-                    reference.Route(origin, id, &want_hops))
+          const uint32_t want = reference.Route(origin, id, &want_hops);
+          ASSERT_EQ(net.Route(origin, id, &got_hops), want)
               << "n=" << n << " " << name << " origin " << origin << " id "
               << id;
           ASSERT_EQ(got_hops, want_hops) << "n=" << n << " " << name
                                          << " origin " << origin << " id "
                                          << id;
+          pairs.emplace_back(origin, id);
+          routed.emplace_back(want, want_hops);
         }
       }
+      ExpectRouteAllMatches(net, std::move(pairs), std::move(routed), rng,
+                            "n=" + std::to_string(n) + " " + name);
     }
   }
 }

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Tests for tools/ab.py on scripted numbers.
+
+Checks the quartiles, the win count with ties, each verdict (gain,
+regression, unresolved, identical, within bound) for a higher-is-better
+and a lower-is-better metric, that pairs alternate which side runs
+first and give both sides the same seed, and that the report fails on
+a regression or a failed operation. No build and no benchmark run: the
+runner is a fake that replays scripted results.
+
+Run directly or via ctest (registered in tests/CMakeLists.txt).
+"""
+
+import importlib.util
+import io
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TOOL = os.path.join(os.path.dirname(os.path.dirname(HERE)), "tools", "ab.py")
+
+sys.dont_write_bytecode = True  # no __pycache__ beside tools/ab.py
+spec = importlib.util.spec_from_file_location("ab", TOOL)
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+BENCH = {"end_to_end": [
+    {"name": "queries_per_s", "unit": "1/s", "better": "higher",
+     "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]}
+
+
+def result(qps, setup, failed=0, correct=True):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {"queries_per_s": {"value": qps, "unit": "1/s"},
+                        "setup_s": {"value": setup, "unit": "s"}}}
+
+
+def main():
+    failures = []
+
+    def check(cond, message):
+        if not cond:
+            failures.append(message)
+
+    # Quartiles interpolate between order statistics.
+    check(ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0),
+          "quartiles of 1..5: %s" % (ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]),))
+    check(ab.quartiles([7.0]) == (7.0, 7.0, 7.0), "quartiles of one value")
+
+    base = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
+    # 1.4x and better in every pair: a gain.
+    s = ab.summarize(base, [v * 1.4 for v in base], "higher", 0.25)
+    check(s["verdict"] == "gain" and s["wins"] == 10, "1.4x: %s" % s)
+    check(abs(s["base_iqr"] - (101.75 - 98.25)) < 1e-9,
+          "base IQR: %s" % s["base_iqr"])
+    # Better in 8 of 10 only (two ties): not a gain, within bound.
+    change = [v * 1.4 for v in base[:8]] + base[8:]
+    s = ab.summarize(base, change, "higher", 0.25)
+    check(s["verdict"] == "within bound" and s["wins"] == 8 and
+          s["ties"] == 2, "8 of 10: %s" % s)
+    # Better in every pair, but by less than the base's IQR.
+    s = ab.summarize(base, [v + 1.0 for v in base], "higher", 0.25)
+    check(s["verdict"] == "within bound" and s["wins"] == 10,
+          "inside the IQR: %s" % s)
+    # 30% worse: beyond the 0.25 bound.
+    s = ab.summarize(base, [v * 0.7 for v in base], "higher", 0.25)
+    check(s["verdict"] == "regression" and s["losses"] == 10,
+          "0.7x: %s" % s)
+    # The same value in every pair: identical, however wide the spread.
+    s = ab.summarize(base, list(base), "higher", 0.01)
+    check(s["verdict"] == "identical" and s["ties"] == 10,
+          "identical: %s" % s)
+    # A base spread wider than the bound leaves the metric unresolved...
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    s = ab.summarize(wide, [v * 0.95 for v in wide], "higher", 0.1)
+    check(s["verdict"] == "unresolved", "wide spread: %s" % s)
+    # ...unless every change run beats every base run.
+    s = ab.summarize(wide, [10.5] * 10, "higher", 0.1)
+    check(s["verdict"] == "gain", "separated: %s" % s)
+    s = ab.summarize(wide, [10.5 + i for i in range(10)], "lower", 0.1)
+    check(s["verdict"] == "regression", "lower is better, higher: %s" % s)
+    # Lower is better: a halved time is a gain.
+    s = ab.summarize(base, [v / 2 for v in base], "lower", 0.25)
+    check(s["verdict"] == "gain" and s["wins"] == 10, "halved time: %s" % s)
+
+    # Pairs alternate the first side and share a seed.
+    calls = []
+    script = {"base": iter(result(100.0 + i, 0.0020 + i * 1e-4)
+                           for i in range(4)),
+              "change": iter(result(140.0 + i, 0.0021 + i * 1e-4)
+                             for i in range(4))}
+
+    def runner(side, seed):
+        calls.append((side, seed))
+        return next(script[side])
+
+    results = ab.run_pairs(runner, 4, 11, out=io.StringIO())
+    check(calls == [("base", 11), ("change", 11), ("change", 12),
+                    ("base", 12), ("base", 13), ("change", 13),
+                    ("change", 14), ("base", 14)],
+          "run order: %s" % calls)
+    out = io.StringIO()
+    check(ab.report(results, BENCH, 11, out=out), "clean report failed")
+    text = out.getvalue()
+    check("queries_per_s" in text and "GAIN" in text,
+          "report lacks the gain:\n" + text)
+    check("setup_s" in text and "WITHIN BOUND" in text,
+          "report lacks setup_s:\n" + text)
+
+    # A regression or a failed operation fails the report.
+    slow = {"base": [result(100.0, 0.002)] * 3,
+            "change": [result(60.0, 0.002)] * 3}
+    out = io.StringIO()
+    check(not ab.report(slow, BENCH, 1, out=out),
+          "regression passed:\n" + out.getvalue())
+    lossy = {"base": [result(100.0, 0.002)] * 3,
+             "change": [result(100.0, 0.002, failed=1)] * 3}
+    out = io.StringIO()
+    check(not ab.report(lossy, BENCH, 1, out=out),
+          "failed operations passed:\n" + out.getvalue())
+    check("change: 3 of 300 operations failed" in out.getvalue(),
+          "failure count missing:\n" + out.getvalue())
+
+    for f in failures:
+        print("FAIL: " + f)
+    print("%d failures" % len(failures))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
