@@ -36,10 +36,12 @@
 // walk from bit 31 down keeps P(lo's bits above i) and P(hi's bits
 // above i) for every function and takes at most 2·d + 2 candidates.
 // It branches on lo's and hi's bit once per bit for all functions of
-// a chunk and not per lane, so the compiler vectorizes the lane loops
-// with no target flags. Neither form derives its answer from the
-// other's reasoning, so each is an independent reference for the
-// other.
+// a chunk and not per lane, so the compiler vectorizes the lane loops.
+// On x86-64 the chunk function is built twice from one source, an
+// `avx2` clone (one 8-lane row per ymm operation) and a baseline SSE2
+// clone, and the loader runs the AVX2 one on hosts that have it.
+// Neither form derives its answer from the other's reasoning, so each
+// is an independent reference for the other.
 //
 // Every kernel returns bit-identical results to the naive scan (the
 // differential suite in tests/hash/kernels_test.cc pins this over
@@ -78,8 +80,9 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
 /// the lane's bit-position permutation and r its pre-XOR (out_xor =
 /// P(r)): image holds P(1 << i), and high_xor holds P(r & ~(2^i − 1))
 /// XOR 2^31 — the bias lets the kernel's signed 32-bit min order the
-/// values as unsigned, which SSE2 has no instruction for. A lane never
-/// Set stays all-zero and yields a value to ignore.
+/// values as unsigned, which the baseline SSE2 clone has no instruction
+/// for (the AVX2 clone would not need it). A lane never Set stays
+/// all-zero and yields a value to ignore.
 struct PermutedLaneBlock {
   static constexpr int kLanes = 8;
   static constexpr int kWidth = 32;
