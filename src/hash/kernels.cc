@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -115,60 +116,76 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
 namespace {
 
 constexpr uint32_t kBias = 0x80000000u;  // see PermutedLaneBlock
+constexpr size_t kLanes = PermutedLaneBlock::kLanes;
 
-// Blocks one pass of the lane kernel walks together. Its running
-// prefixes and minima live in fixed-size local arrays (behind a
-// pointer the compiler no longer vectorizes the lane loops); 16 blocks
-// cover the paper's l·k = 100 in one pass.
-constexpr size_t kChunkBlocks = 16;
+// Blocks one chunk walks together. Seven blocks' running rows are 21 of
+// AVX-512's 32 zmm registers, which leaves room for the loaded image
+// and high_xor rows, and seven blocks of 16 lanes hold the paper's
+// l·k = 100 functions.
+constexpr size_t kChunkBlocks = 7;
 
-// Folds a biased candidate into a biased minimum: signed order on
-// biased values is unsigned order on the values themselves.
-void TakeMin(int32_t& best, uint32_t biased_candidate) {
-  best = std::min(best, static_cast<int32_t>(biased_candidate));
+// The vector types the entries run a block's 16 lanes in: one zmm value
+// (AVX-512), two ymm values (AVX2) or four xmm values (baseline SSE2).
+using Lanes16 = int32_t __attribute__((vector_size(64)));
+using Lanes8 = int32_t __attribute__((vector_size(32)));
+using Lanes4 = int32_t __attribute__((vector_size(16)));
+static_assert(sizeof(Lanes16) == kLanes * sizeof(int32_t));
+
+// Folds biased candidates into biased minima: signed order on biased
+// values is unsigned order on the values themselves.
+template <class V>
+[[gnu::always_inline]] inline void TakeMin(V& best, const V& biased_candidate) {
+  best = biased_candidate < best ? biased_candidate : best;
 }
 
-// MinPermutedOverRangeLanes over at most kChunkBlocks blocks; d is the
-// top bit where lo and hi differ, or -1 if lo == hi. On x86-64 the
-// loader picks an AVX2 clone on hosts that have it (one 8-lane row is
-// then one ymm operation) and the baseline SSE2 clone elsewhere; both
-// compile from this one source.
-#if defined(__x86_64__)
-__attribute__((target_clones("avx2", "default")))
-#endif
-void MinOverChunk(std::span<const PermutedLaneBlock> blocks, uint32_t lo,
-                  uint32_t hi, int d, std::span<uint32_t> out) {
-  constexpr size_t kLanes = PermutedLaneBlock::kLanes;
-  using LaneRow = std::array<uint32_t, kLanes>;
-  const size_t n = blocks.size();
-  std::array<LaneRow, kChunkBlocks> lo_prefix{};  // P(lo's bits above i)
-  std::array<LaneRow, kChunkBlocks> hi_prefix{};  // P(hi's bits above i)
-  std::array<std::array<int32_t, kLanes>, kChunkBlocks> best;  // biased
-  for (auto& row : best) row.fill(std::numeric_limits<int32_t>::max());
+// MinPermutedOverRangeLanes over exactly N blocks, in vectors of type V;
+// d is the top bit where lo and hi differ, or -1 if lo == hi. N is a
+// constant and every loop over a chunk's vectors is unrolled, so the
+// running rows are values that the register allocator keeps in
+// registers (all of them, where they fit), not array slots reloaded and
+// stored at every bit.
+template <class V, size_t N>
+[[gnu::always_inline]] inline void MinOverChunk(const PermutedLaneBlock* blocks,
+                                                uint32_t lo, uint32_t hi,
+                                                int d, uint32_t* out) {
+  constexpr size_t kPartLanes = sizeof(V) / sizeof(int32_t);
+  constexpr size_t kParts = kLanes / kPartLanes;  // vectors per block row
+  std::array<V, N * kParts> lo_prefix;  // P(lo's bits above i)
+  std::array<V, N * kParts> hi_prefix;  // P(hi's bits above i)
+  std::array<V, N * kParts> best;       // biased
+#pragma GCC unroll 64
+  for (size_t v = 0; v < N * kParts; ++v) {
+    lo_prefix[v] = V{};
+    hi_prefix[v] = V{};
+    best[v] = V{} + std::numeric_limits<int32_t>::max();
+  }
   // Runs step(image, high_xor, lo_prefix, hi_prefix, best) at input bit
-  // i on every lane of the chunk.
-  const auto each_lane = [&](int i, auto step) {
-    for (size_t b = 0; b < n; ++b) {
-      const LaneRow& image = blocks[b].image[i];
-      const LaneRow& high_xor = blocks[b].high_xor[i];
-      for (size_t j = 0; j < kLanes; ++j) {
-        step(image[j], high_xor[j], lo_prefix[b][j], hi_prefix[b][j],
-             best[b][j]);
-      }
+  // i on every vector of the chunk.
+  const auto each_part = [&](int i, auto step) __attribute__((always_inline)) {
+#pragma GCC unroll 64
+    for (size_t v = 0; v < N * kParts; ++v) {
+      const size_t lane = v % kParts * kPartLanes;
+      V image;
+      V high_xor;
+      std::memcpy(&image, blocks[v / kParts].image[i].data() + lane,
+                  sizeof image);
+      std::memcpy(&high_xor, blocks[v / kParts].high_xor[i].data() + lane,
+                  sizeof high_xor);
+      step(image, high_xor, lo_prefix[v], hi_prefix[v], best[v]);
     }
   };
   // Down to d the prefixes only take bits: lo and hi agree above d, and
   // at d only hi has a 1.
   for (int i = PermutedLaneBlock::kWidth - 1; i >= std::max(d, 0); --i) {
     if (((lo >> i) & 1u) != 0) {
-      each_lane(i, [](uint32_t image, uint32_t, uint32_t& lp, uint32_t& hp,
-                      int32_t&) {
+      each_part(i, [](const V& image, const V&, V& lp, V& hp, V&) {
         lp ^= image;
         hp ^= image;
       });
     } else if (((hi >> i) & 1u) != 0) {
-      each_lane(i, [](uint32_t image, uint32_t, uint32_t&, uint32_t& hp,
-                      int32_t&) { hp ^= image; });
+      each_part(i, [](const V& image, const V&, V&, V& hp, V&) {
+        hp ^= image;
+      });
     }
   }
   // Below d: the minimum over A_i where lo has a 0 and over B_i where hi
@@ -177,26 +194,26 @@ void MinOverChunk(std::span<const PermutedLaneBlock> blocks, uint32_t lo,
   for (int i = d - 1; i >= 0; --i) {
     switch ((((lo >> i) & 1u) << 1) | ((hi >> i) & 1u)) {
       case 0b00:
-        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
-                        uint32_t&, int32_t& m) {
+        each_part(i, [](const V& image, const V& high_xor, V& lp, V&, V& m) {
           TakeMin(m, lp ^ image ^ high_xor);
         });
         break;
       case 0b01:
-        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
-                        uint32_t& hp, int32_t& m) {
+        each_part(i, [](const V& image, const V& high_xor, V& lp, V& hp,
+                        V& m) {
           TakeMin(m, lp ^ image ^ high_xor);
           TakeMin(m, hp ^ high_xor);
           hp ^= image;
         });
         break;
       case 0b10:
-        each_lane(i, [](uint32_t image, uint32_t, uint32_t& lp, uint32_t&,
-                        int32_t&) { lp ^= image; });
+        each_part(i, [](const V& image, const V&, V& lp, V&, V&) {
+          lp ^= image;
+        });
         break;
       default:
-        each_lane(i, [](uint32_t image, uint32_t high_xor, uint32_t& lp,
-                        uint32_t& hp, int32_t& m) {
+        each_part(i, [](const V& image, const V& high_xor, V& lp, V& hp,
+                        V& m) {
           TakeMin(m, hp ^ high_xor);
           lp ^= image;
           hp ^= image;
@@ -205,16 +222,86 @@ void MinOverChunk(std::span<const PermutedLaneBlock> blocks, uint32_t lo,
   }
   // The prefixes are now P(lo) and P(hi), and high_xor[0] is P(r): add
   // π(lo) and π(hi) themselves.
-  each_lane(0, [](uint32_t, uint32_t out_xor, uint32_t& lp, uint32_t& hp,
-                  int32_t& m) {
+  each_part(0, [](const V&, const V& out_xor, V& lp, V& hp, V& m) {
     TakeMin(m, lp ^ out_xor);
     TakeMin(m, hp ^ out_xor);
   });
-  for (size_t b = 0; b < n; ++b) {
-    for (size_t j = 0; j < kLanes; ++j) {
-      out[b * kLanes + j] = static_cast<uint32_t>(best[b][j]) ^ kBias;
+#pragma GCC unroll 64
+  for (size_t v = 0; v < N * kParts; ++v) {
+    const V unbiased = best[v] ^ std::numeric_limits<int32_t>::min();
+    std::memcpy(out + v * kPartLanes, &unbiased, sizeof unbiased);
+  }
+}
+
+// The chunk of the last n < kChunkBlocks blocks, at its own size, so a
+// scheme with fewer blocks does not pay for a full chunk.
+template <class V, size_t N = kChunkBlocks - 1>
+[[gnu::always_inline]] inline void MinOverLastChunk(
+    size_t n, const PermutedLaneBlock* blocks, uint32_t lo, uint32_t hi,
+    int d, uint32_t* out) {
+  if constexpr (N > 0) {
+    if (n == N) {
+      MinOverChunk<V, N>(blocks, lo, hi, d, out);
+    } else {
+      MinOverLastChunk<V, N - 1>(n, blocks, lo, hi, d, out);
     }
   }
+}
+
+// The body of every entry: whole chunks, then the blocks left over.
+template <class V>
+[[gnu::always_inline]] inline void MinOverBlocks(
+    std::span<const PermutedLaneBlock> blocks, uint32_t lo, uint32_t hi,
+    int d, uint32_t* out) {
+  size_t first = 0;
+  for (; first + kChunkBlocks <= blocks.size(); first += kChunkBlocks) {
+    MinOverChunk<V, kChunkBlocks>(&blocks[first], lo, hi, d,
+                                  out + first * kLanes);
+  }
+  MinOverLastChunk<V>(blocks.size() - first, blocks.data() + first, lo, hi,
+                      d, out + first * kLanes);
+}
+
+using LanesEntry = void (*)(std::span<const PermutedLaneBlock>, uint32_t,
+                            uint32_t, int, uint32_t*);
+
+void MinOverBlocksBaseline(std::span<const PermutedLaneBlock> blocks,
+                           uint32_t lo, uint32_t hi, int d, uint32_t* out) {
+  MinOverBlocks<Lanes4>(blocks, lo, hi, d, out);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void MinOverBlocksAvx2(
+    std::span<const PermutedLaneBlock> blocks, uint32_t lo, uint32_t hi,
+    int d, uint32_t* out) {
+  MinOverBlocks<Lanes8>(blocks, lo, hi, d, out);
+}
+
+__attribute__((target("avx512f"))) void MinOverBlocksAvx512(
+    std::span<const PermutedLaneBlock> blocks, uint32_t lo, uint32_t hi,
+    int d, uint32_t* out) {
+  MinOverBlocks<Lanes16>(blocks, lo, hi, d, out);
+}
+#endif
+
+LanesEntry EntryFor(LaneKernelIsa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case LaneKernelIsa::kAvx512:
+      return MinOverBlocksAvx512;
+    case LaneKernelIsa::kAvx2:
+      return MinOverBlocksAvx2;
+#endif
+    default:
+      return MinOverBlocksBaseline;
+  }
+}
+
+void RunEntry(LanesEntry entry, std::span<const PermutedLaneBlock> blocks,
+              const Range& q, std::span<uint32_t> out) {
+  CHECK_EQ(out.size(), blocks.size() * kLanes);
+  entry(blocks, q.lo(), q.hi(), std::bit_width(q.lo() ^ q.hi()) - 1,
+        out.data());
 }
 
 }  // namespace
@@ -235,18 +322,39 @@ void PermutedLaneBlock::Set(int lane, const BitPermutation& perm,
   }
 }
 
+bool LaneKernelSupported(LaneKernelIsa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case LaneKernelIsa::kAvx512:
+      return __builtin_cpu_supports("avx512f");
+    case LaneKernelIsa::kAvx2:
+      return __builtin_cpu_supports("avx2");
+#endif
+    case LaneKernelIsa::kBaseline:
+      return true;
+    default:
+      return false;
+  }
+}
+
 void MinPermutedOverRangeLanes(std::span<const PermutedLaneBlock> blocks,
                                const Range& q, std::span<uint32_t> out) {
-  constexpr size_t kLanes = PermutedLaneBlock::kLanes;
-  CHECK_EQ(out.size(), blocks.size() * kLanes);
-  const uint32_t lo = q.lo();
-  const uint32_t hi = q.hi();
-  const int d = std::bit_width(lo ^ hi) - 1;
-  for (size_t first = 0; first < blocks.size(); first += kChunkBlocks) {
-    const size_t n = std::min(kChunkBlocks, blocks.size() - first);
-    MinOverChunk(blocks.subspan(first, n), lo, hi, d,
-                 out.subspan(first * kLanes, n * kLanes));
-  }
+  // The widest entry the CPU supports, picked at the first call.
+  static const LanesEntry entry = [] {
+    for (const LaneKernelIsa isa : {LaneKernelIsa::kAvx512,
+                                    LaneKernelIsa::kAvx2}) {
+      if (LaneKernelSupported(isa)) return EntryFor(isa);
+    }
+    return EntryFor(LaneKernelIsa::kBaseline);
+  }();
+  RunEntry(entry, blocks, q, out);
+}
+
+void MinPermutedOverRangeLanes(LaneKernelIsa isa,
+                               std::span<const PermutedLaneBlock> blocks,
+                               const Range& q, std::span<uint32_t> out) {
+  CHECK(LaneKernelSupported(isa));
+  RunEntry(EntryFor(isa), blocks, q, out);
 }
 
 }  // namespace p2prange

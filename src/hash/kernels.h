@@ -36,10 +36,19 @@
 // walk from bit 31 down keeps P(lo's bits above i) and P(hi's bits
 // above i) for every function and takes at most 2·d + 2 candidates.
 // It branches on lo's and hi's bit once per bit for all functions of
-// a chunk and not per lane, so the compiler vectorizes the lane loops.
-// On x86-64 the chunk function is built twice from one source, an
-// `avx2` clone (one 8-lane row per ymm operation) and a baseline SSE2
-// clone, and the loader runs the AVX2 one on hosts that have it.
+// a chunk, never per lane, so each step is a few vector operations per
+// block. A chunk is a compile-time number of blocks and every loop over
+// its vectors is unrolled, so each block's three running rows (P(lo),
+// P(hi) and the biased minimum, 16 lanes each) are values the register
+// allocator can keep in registers for the whole walk, not array slots
+// reloaded and stored at every bit; with a run-time count they would
+// be. A chunk holds seven blocks: their rows take 21 of AVX-512's 32
+// zmm registers, and seven blocks hold the paper's l·k = 100 functions.
+// A scheme with fewer blocks runs a chunk of its own size. On x86-64
+// one always-inline body builds three entries: AVX-512 (a row is one
+// zmm register), AVX2 (two ymm, some spilled) and baseline SSE2 (four
+// xmm, mostly spilled). The first call picks the widest the CPU
+// supports; other targets build the baseline entry alone.
 // Neither form derives its answer from the other's reasoning, so each
 // is an independent reference for the other.
 //
@@ -75,29 +84,45 @@ uint32_t MinLinearOverRange(uint64_t a, uint64_t b, uint64_t p, const Range& q);
 uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
                               const Range& q);
 
-/// \brief Eight width-32 shuffle-family functions laid out for
+/// \brief Sixteen width-32 shuffle-family functions laid out for
 /// MinPermutedOverRangeLanes. For each input bit i and lane, with P
 /// the lane's bit-position permutation and r its pre-XOR (out_xor =
 /// P(r)): image holds P(1 << i), and high_xor holds P(r & ~(2^i − 1))
 /// XOR 2^31 — the bias lets the kernel's signed 32-bit min order the
-/// values as unsigned, which the baseline SSE2 clone has no instruction
-/// for (the AVX2 clone would not need it). A lane never Set stays
-/// all-zero and yields a value to ignore.
+/// values as unsigned, which the baseline SSE2 entry has no instruction
+/// for. Each row of 16 lanes is one 64-byte cache line. A lane never
+/// Set stays all-zero and yields a value to ignore.
 struct PermutedLaneBlock {
-  static constexpr int kLanes = 8;
+  static constexpr int kLanes = 16;
   static constexpr int kWidth = 32;
 
   /// Compiles `perm` (width 32) with output XOR `out_xor` into `lane`.
   void Set(int lane, const BitPermutation& perm, uint32_t out_xor);
 
-  std::array<std::array<uint32_t, kLanes>, kWidth> image{};
-  std::array<std::array<uint32_t, kLanes>, kWidth> high_xor{};
+  alignas(64) std::array<std::array<uint32_t, kLanes>, kWidth> image{};
+  alignas(64) std::array<std::array<uint32_t, kLanes>, kWidth> high_xor{};
 };
 
 /// \brief MinPermutedOverRange for every lane of every block at once:
-/// out[8·b + i] is the exact min of block b's lane i over [q.lo(),
-/// q.hi()]. `out` must hold 8 values per block.
+/// out[16·b + i] is the exact min of block b's lane i over [q.lo(),
+/// q.hi()]. `out` must hold 16 values per block.
 void MinPermutedOverRangeLanes(std::span<const PermutedLaneBlock> blocks,
+                               const Range& q, std::span<uint32_t> out);
+
+/// \brief The instruction sets the lane kernel has an entry for. Every
+/// entry compiles from one body and returns the same values;
+/// MinPermutedOverRangeLanes runs the widest the host supports.
+enum class LaneKernelIsa { kAvx512, kAvx2, kBaseline };
+
+/// Whether this host can run `isa`'s entry; kBaseline always can, the
+/// others only on x86-64 CPUs with the instructions.
+bool LaneKernelSupported(LaneKernelIsa isa);
+
+/// \brief MinPermutedOverRangeLanes through `isa`'s entry, which the
+/// host must support: the kernel tests run every entry the host has,
+/// not only the one the CPU picks.
+void MinPermutedOverRangeLanes(LaneKernelIsa isa,
+                               std::span<const PermutedLaneBlock> blocks,
                                const Range& q, std::span<uint32_t> out);
 
 /// \brief Smallest x >= lo with (x & mask) == value, if any. The

@@ -5,8 +5,10 @@ Checks the quartiles, the win count with ties, each verdict (gain,
 regression, unresolved, identical, within bound) for a higher-is-better
 and a lower-is-better metric, that pairs alternate which side runs
 first and give both sides the same seed, and that the report fails on
-a regression or a failed operation. No build and no benchmark run: the
-runner is a fake that replays scripted results.
+a regression or a failed operation. The --micro path is checked on
+scripted google-benchmark JSON: time units, skipped aggregate rows,
+rows missing from a run, and a row's verdict. No build and no
+benchmark run: the runner is a fake that replays scripted results.
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -35,6 +37,15 @@ def result(qps, setup, failed=0, correct=True):
     return {"correct": correct, "attempted": 100, "failed": failed,
             "metrics": {"queries_per_s": {"value": qps, "unit": "1/s"},
                         "setup_s": {"value": setup, "unit": "s"}}}
+
+
+def micro_doc(rows):
+    """A google-benchmark JSON document with one run of each row, given
+    as (name, cpu_time, time_unit)."""
+    return {"context": {}, "benchmarks": [
+        {"name": n, "run_name": n, "run_type": "iteration",
+         "iterations": 1000, "real_time": t, "cpu_time": t, "time_unit": u}
+        for n, t, u in rows]}
 
 
 def main():
@@ -122,6 +133,42 @@ def main():
           "failed operations passed:\n" + out.getvalue())
     check("change: 3 of 300 operations failed" in out.getvalue(),
           "failure count missing:\n" + out.getvalue())
+
+    # --micro: CPU ns per row, aggregates skipped, units converted.
+    doc = micro_doc([("BM_A/1", 2.5, "us"), ("BM_B", 40.0, "ns")])
+    doc["benchmarks"].append(dict(doc["benchmarks"][0], name="BM_A/1_median",
+                                  run_type="aggregate"))
+    check(ab.micro_times(doc) == {"BM_A/1": 2500.0, "BM_B": 40.0},
+          "micro times: %s" % ab.micro_times(doc))
+
+    # Pairs without seeds: the runner gets None, sides still alternate.
+    calls = []
+    fast = iter([micro_doc([("BM_Route", 30.0 + i, "us"),
+                            ("BM_Hash", 340.0 + i, "ns"),
+                            ("BM_Once", 1.0, "ns")]) for i in range(10)])
+    slow = iter([micro_doc([("BM_Route", 22.0 + i, "us"),
+                            ("BM_Hash", 500.0 + i, "ns")]) for i in range(10)])
+
+    def micro_runner(side, seed):
+        calls.append((side, seed))
+        return next(fast if side == "base" else slow)
+
+    results = ab.run_pairs(micro_runner, 10, None, out=io.StringIO())
+    check(calls[:4] == [("base", None), ("change", None), ("change", None),
+                        ("base", None)], "micro run order: %s" % calls[:4])
+    out = io.StringIO()
+    check(not ab.micro_report(results, out=out),
+          "a 1.47x slower row passed:\n" + out.getvalue())
+    text = out.getvalue()
+    lines = {line.split(" ")[0]: line for line in text.splitlines()}
+    check("GAIN" in lines.get("BM_Route", "") and
+          "change better in 10 of 10" in lines.get("BM_Route", ""),
+          "micro gain row:\n" + text)
+    check("REGRESSION" in lines.get("BM_Hash", ""),
+          "micro regression row:\n" + text)
+    check("BM_Once" not in lines, "a row only one side ran:\n" + text)
+    check("base 34.5k (quartiles" in lines.get("BM_Route", ""),
+          "micro medians in ns:\n" + text)
 
     for f in failures:
         print("FAIL: " + f)

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Run a perfbench workload on two revisions, in alternating pairs.
+"""Run a perfbench workload, or micro_bench rows, on two revisions, in
+alternating pairs.
 
     python3 tools/ab.py --base REV --change REV --workload NAME --pairs N
                         [--seconds S] [--seed0 K]
+    python3 tools/ab.py --base REV --change REV --micro FILTER --pairs N
 
 Each revision is exported with `git archive` into its own directory
 under a fresh temporary work directory (under $TMPDIR, outside the
-repository), and `perfbench/run.py` runs there, so each tree is built
+repository).
+
+With --workload, `perfbench/run.py` runs there, so each tree is built
 once, by its first run. Pair i runs seed K + i on both sides (K defaults
 to 1, S to BENCHMARK.json's run_seconds); the base runs first in even
-pairs and the change in odd ones.
-
-It prints one row per pair, then for each of BENCHMARK.json's
-end-to-end metrics each side's median and quartiles, how many pairs the
-change won (ties count for neither), the base's interquartile range and
-a verdict by the benchmark's rules:
+pairs and the change in odd ones. It prints one row per pair, then for
+each of BENCHMARK.json's end-to-end metrics each side's median and
+quartiles, how many pairs the change won (ties count for neither), the
+base's interquartile range and a verdict by the benchmark's rules:
 
   gain         the change is better in at least 9 of 10 pairs, and its
                median beats the base's by more than the base's IQR;
@@ -25,7 +27,14 @@ a verdict by the benchmark's rules:
   identical    every pair read the same value on both sides;
   within bound otherwise.
 
-Exit status: 0 when no metric regressed and no run failed, 1 otherwise,
+With --micro, each tree's `micro_bench` is built first (a CMake build
+in the tree, on every CPU), then this process pins itself to one CPU
+and runs the benchmarks matching FILTER (google benchmark's
+--benchmark_filter) once per side per pair, alternating as above. Each
+benchmark row gets the same statistics and verdict on its CPU time per
+iteration, with MICRO_BOUND as its bound (bench_compare.py's flag).
+
+Exit status: 0 when nothing regressed and no run failed, 1 otherwise,
 2 on bad arguments. The work directory is removed at the end. Standard
 library only.
 """
@@ -41,6 +50,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
+# A micro row's bound: bench_compare.py flags a row more than 15% slower.
+MICRO_BOUND = 0.15
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_spec():
@@ -114,14 +126,16 @@ def ratio_text(base, change, better):
 
 def run_pairs(runner, pairs, seed0, out=sys.stdout):
     """Runs `pairs` alternating pairs through runner(side, seed), which
-    returns perfbench's result object; returns {side: [result, ...]}."""
+    returns one run's result; returns {side: [result, ...]}. Pair i
+    passes seed seed0 + i, or None when seed0 is None."""
     results = {"base": [], "change": []}
     for i in range(pairs):
-        seed = seed0 + i
+        seed = None if seed0 is None else seed0 + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             results[side].append(runner(side, seed))
-        print("pair %d seed %d done (%s first)" % (i + 1, seed, order[0]),
+        print("pair %d%s done (%s first)" % (
+            i + 1, "" if seed is None else " seed %d" % seed, order[0]),
               file=out, flush=True)
     return results
 
@@ -171,6 +185,72 @@ def report(results, spec, seed0, out=sys.stdout):
     return ok
 
 
+def micro_times(doc):
+    """Maps each benchmark row of one google-benchmark JSON document to
+    its CPU ns per iteration."""
+    return {b["name"]: float(b["cpu_time"]) * NS_PER_UNIT[b["time_unit"]]
+            for b in doc["benchmarks"] if b.get("run_type") != "aggregate"}
+
+
+def micro_report(results, out=sys.stdout):
+    """Prints, for every row both sides ran in every pair, the medians,
+    quartiles, win count and verdict; returns True when no row
+    regressed."""
+    times = {side: [micro_times(doc) for doc in results[side]]
+             for side in ("base", "change")}
+    runs = times["base"] + times["change"]
+    names = [n for n in times["base"][0] if all(n in r for r in runs)]
+    ok = True
+    for name in names:
+        base = [r[name] for r in times["base"]]
+        change = [r[name] for r in times["change"]]
+        s = summarize(base, change, "lower", MICRO_BOUND)
+        print("%s (ns, lower is better, bound %g): base %s (quartiles %s-%s) "
+              "-> change %s (%s-%s), %s; change better in %d of %d pairs "
+              "(%d ties); base IQR %s: %s" % (
+                  name, MICRO_BOUND, fmt(s["base"][1]), fmt(s["base"][0]),
+                  fmt(s["base"][2]), fmt(s["change"][1]),
+                  fmt(s["change"][0]), fmt(s["change"][2]),
+                  ratio_text(s["base"][1], s["change"][1], "lower"),
+                  s["wins"], len(base), s["ties"], fmt(s["base_iqr"]),
+                  s["verdict"].upper()), file=out)
+        ok = ok and s["verdict"] != "regression"
+    return ok
+
+
+def build_micro(tree):
+    """Builds micro_bench in `tree`; returns the binary's path."""
+    build = os.path.join(tree, "build")
+    for cmd in (["cmake", "-S", tree, "-B", build,
+                 "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
+                ["cmake", "--build", build, "--target", "micro_bench", "-j",
+                 str(os.cpu_count() or 1)]):
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout[-4000:])
+            raise RuntimeError("%s exited %d" % (" ".join(cmd),
+                                                 proc.returncode))
+    return os.path.join(build, "bench", "micro_bench")
+
+
+def micro_runner(binaries, pattern):
+    def run(side, _seed):
+        proc = subprocess.run(
+            [binaries[side], "--benchmark_filter=" + pattern,
+             "--benchmark_format=json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr[-4000:])
+            raise RuntimeError("%s micro_bench exited %d" %
+                               (side, proc.returncode))
+        doc = json.loads(proc.stdout)
+        if not doc["benchmarks"]:
+            raise RuntimeError("no micro_bench row matches %r" % pattern)
+        return doc
+    return run
+
+
 def export(rev, dest):
     os.makedirs(dest)
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
@@ -204,13 +284,17 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--micro", metavar="FILTER")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed0", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.micro is not None and args.seconds is not None:
+        parser.error("--seconds applies to --workload only")
     spec = load_spec()
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     if not seconds > 0:
@@ -222,6 +306,16 @@ def main(argv):
         for side, rev in (("base", args.base), ("change", args.change)):
             trees[side] = os.path.join(work, side)
             export(rev, trees[side])
+        if args.micro is not None:
+            binaries = {side: build_micro(tree) for side, tree in trees.items()}
+            cpu = max(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpu})
+            print("base %s, change %s, micro_bench rows %r, %d pairs on CPU "
+                  "%d" % (args.base, args.change, args.micro, args.pairs, cpu),
+                  flush=True)
+            results = run_pairs(micro_runner(binaries, args.micro),
+                                args.pairs, None)
+            return 0 if micro_report(results) else 1
         print("base %s, change %s, workload %s, %d pairs of %g s, seeds "
               "%d-%d" % (args.base, args.change, args.workload, args.pairs,
                          seconds, args.seed0, args.seed0 + args.pairs - 1),
