@@ -122,7 +122,7 @@ constexpr size_t kLanes = PermutedLaneBlock::kLanes;
 // AVX-512's 32 zmm registers, which leaves room for the loaded image
 // and high_xor rows, and seven blocks of 16 lanes hold the paper's
 // l·k = 100 functions.
-constexpr size_t kChunkBlocks = 7;
+constexpr size_t kChunkBlocks = PermutedLaneBlock::kChunkBlocks;
 
 // The vector types the entries run a block's 16 lanes in: one zmm value
 // (AVX-512), two ymm values (AVX2) or four xmm values (baseline SSE2).
@@ -233,33 +233,15 @@ template <class V, size_t N>
   }
 }
 
-// The chunk of the last n < kChunkBlocks blocks, at its own size, so a
-// scheme with fewer blocks does not pay for a full chunk.
-template <class V, size_t N = kChunkBlocks - 1>
-[[gnu::always_inline]] inline void MinOverLastChunk(
-    size_t n, const PermutedLaneBlock* blocks, uint32_t lo, uint32_t hi,
-    int d, uint32_t* out) {
-  if constexpr (N > 0) {
-    if (n == N) {
-      MinOverChunk<V, N>(blocks, lo, hi, d, out);
-    } else {
-      MinOverLastChunk<V, N - 1>(n, blocks, lo, hi, d, out);
-    }
-  }
-}
-
-// The body of every entry: whole chunks, then the blocks left over.
+// The body of every entry: the blocks, one whole chunk at a time.
 template <class V>
 [[gnu::always_inline]] inline void MinOverBlocks(
     std::span<const PermutedLaneBlock> blocks, uint32_t lo, uint32_t hi,
     int d, uint32_t* out) {
-  size_t first = 0;
-  for (; first + kChunkBlocks <= blocks.size(); first += kChunkBlocks) {
+  for (size_t first = 0; first < blocks.size(); first += kChunkBlocks) {
     MinOverChunk<V, kChunkBlocks>(&blocks[first], lo, hi, d,
                                   out + first * kLanes);
   }
-  MinOverLastChunk<V>(blocks.size() - first, blocks.data() + first, lo, hi,
-                      d, out + first * kLanes);
 }
 
 using LanesEntry = void (*)(std::span<const PermutedLaneBlock>, uint32_t,
@@ -299,6 +281,7 @@ LanesEntry EntryFor(LaneKernelIsa isa) {
 
 void RunEntry(LanesEntry entry, std::span<const PermutedLaneBlock> blocks,
               const Range& q, std::span<uint32_t> out) {
+  CHECK_EQ(blocks.size() % kChunkBlocks, 0u);
   CHECK_EQ(out.size(), blocks.size() * kLanes);
   entry(blocks, q.lo(), q.hi(), std::bit_width(q.lo() ^ q.hi()) - 1,
         out.data());

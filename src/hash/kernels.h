@@ -44,7 +44,9 @@
 // reloaded and stored at every bit; with a run-time count they would
 // be. A chunk holds seven blocks: their rows take 21 of AVX-512's 32
 // zmm registers, and seven blocks hold the paper's l·k = 100 functions.
-// A scheme with fewer blocks runs a chunk of its own size. On x86-64
+// The kernel takes whole chunks only, so each entry builds the one
+// chunk shape; LshScheme pads a scheme to whole chunks with empty
+// blocks, whose lanes it never reads. On x86-64
 // one always-inline body builds three entries: AVX-512 (a row is one
 // zmm register), AVX2 (two ymm, some spilled) and baseline SSE2 (four
 // xmm, mostly spilled). The first call picks the widest the CPU
@@ -95,6 +97,8 @@ uint32_t MinPermutedOverRange(const BitPermutation& perm, uint32_t out_xor,
 struct PermutedLaneBlock {
   static constexpr int kLanes = 16;
   static constexpr int kWidth = 32;
+  /// Blocks the lane kernel walks together (see the file comment).
+  static constexpr int kChunkBlocks = 7;
 
   /// Compiles `perm` (width 32) with output XOR `out_xor` into `lane`.
   void Set(int lane, const BitPermutation& perm, uint32_t out_xor);
@@ -105,7 +109,8 @@ struct PermutedLaneBlock {
 
 /// \brief MinPermutedOverRange for every lane of every block at once:
 /// out[16·b + i] is the exact min of block b's lane i over [q.lo(),
-/// q.hi()]. `out` must hold 16 values per block.
+/// q.hi()]. `blocks` must be a whole number of kChunkBlocks-block
+/// chunks, and `out` must hold 16 values per block.
 void MinPermutedOverRangeLanes(std::span<const PermutedLaneBlock> blocks,
                                const Range& q, std::span<uint32_t> out);
 

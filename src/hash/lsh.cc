@@ -46,8 +46,12 @@ Result<LshScheme> LshScheme::Make(const LshParams& params) {
   }
   std::vector<PermutedLaneBlock> lanes;
   if (params.family != HashFamilyType::kLinear) {
+    // Whole chunks for the lane kernel: the padding blocks' lanes stay
+    // unset, and IdentifiersInto folds only the first l·k minima.
     constexpr int kLanes = PermutedLaneBlock::kLanes;
-    lanes.resize((fns.size() + kLanes - 1) / kLanes);
+    constexpr size_t kChunkLanes = kLanes * PermutedLaneBlock::kChunkBlocks;
+    lanes.resize((fns.size() + kChunkLanes - 1) / kChunkLanes *
+                 PermutedLaneBlock::kChunkBlocks);
     for (size_t f = 0; f < fns.size(); ++f) {
       const BitPermutation& perm =
           params.family == HashFamilyType::kMinwise

@@ -106,7 +106,8 @@ class LshScheme {
   // fns_[g*k + i]: i-th function of group g (flat: one contiguous
   // table so a batched evaluation is a single pass).
   std::vector<std::unique_ptr<RangeHashFunction>> fns_;
-  // Shuffle families only: fns_[16b + i] compiled into lanes_[b] lane i.
+  // Shuffle families only: fns_[16b + i] compiled into lanes_[b] lane i,
+  // padded with empty blocks to whole lane-kernel chunks.
   std::vector<PermutedLaneBlock> lanes_;
 };
 

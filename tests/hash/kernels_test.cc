@@ -402,10 +402,10 @@ TEST_P(KernelSchemeTest, IdentifiersIntoMatchesPerFunctionXorOnSeededRanges) {
 // every entry this host supports (it names the ones it skips; on an
 // AVX-512 host the CPU's pick alone would leave the AVX2 and baseline
 // entries untested): both shuffle families, with and without an output
-// XOR, in 1, 7, 8, 9, 100 and 130 lanes (partly filled blocks must not
-// disturb the set lanes; 100 lanes fill one seven-block chunk, 130 take
-// a second chunk of two blocks) and in 20, 40, 60, 80 and 96 lanes, so
-// that every chunk size runs; over the dyadic edge ranges and random
+// XOR, in 1, 7, 8, 9, 100, 130, 20, 40, 60, 80 and 96 lanes, each on
+// whole seven-block chunks as LshScheme pads them (partly filled and
+// empty blocks must not disturb the set lanes; 100 lanes fill one
+// chunk, 130 take a second); over the dyadic edge ranges and random
 // ranges in the engine's [0, 10^6] domain and the whole 32-bit domain.
 TEST(LaneKernelTest, EveryLaneMatchesTheScalarKernel) {
   std::vector<std::pair<LaneKernelIsa, std::string>> entries;
@@ -434,10 +434,13 @@ TEST(LaneKernelTest, EveryLaneMatchesTheScalarKernel) {
     ranges.emplace_back(std::min(a, b), std::max(a, b));
   }
   constexpr int kLanes = PermutedLaneBlock::kLanes;
+  constexpr int kChunkLanes = kLanes * PermutedLaneBlock::kChunkBlocks;
   for (const int lanes : {1, 7, 8, 9, 100, 130, 20, 40, 60, 80, 96}) {
     std::vector<BitPermutation> perms;
     std::vector<uint32_t> out_xor;
-    std::vector<PermutedLaneBlock> blocks((lanes + kLanes - 1) / kLanes);
+    std::vector<PermutedLaneBlock> blocks(
+        static_cast<size_t>((lanes + kChunkLanes - 1) / kChunkLanes *
+                            PermutedLaneBlock::kChunkBlocks));
     for (int i = 0; i < lanes; ++i) {
       const BitShuffleKeys keys = BitShuffleKeys::Sample(32, rng);
       perms.emplace_back(keys, i % 2 == 0 ? keys.num_levels() : 1);
@@ -473,6 +476,27 @@ TEST(LaneKernelTest, EveryLaneMatchesTheScalarKernel) {
         }
       }
     }
+  }
+}
+
+// The kernel takes whole chunks only: a span of blocks that is not a
+// whole number of chunks dies, through the CPU's pick and every entry.
+TEST(LaneKernelTest, PartialChunkDies) {
+  constexpr size_t kChunk = PermutedLaneBlock::kChunkBlocks;
+  for (const size_t n : {size_t{1}, kChunk - 1, kChunk + 1}) {
+    const std::vector<PermutedLaneBlock> blocks(n);
+    std::vector<uint32_t> out(n * PermutedLaneBlock::kLanes);
+    EXPECT_DEATH(MinPermutedOverRangeLanes(blocks, Range(3, 90), out),
+                 "kChunkBlocks")
+        << n << " blocks";
+  }
+  const std::vector<PermutedLaneBlock> blocks(kChunk + 1);
+  std::vector<uint32_t> out(blocks.size() * PermutedLaneBlock::kLanes);
+  for (const LaneKernelIsa isa : {LaneKernelIsa::kAvx512, LaneKernelIsa::kAvx2,
+                                  LaneKernelIsa::kBaseline}) {
+    if (!LaneKernelSupported(isa)) continue;
+    EXPECT_DEATH(MinPermutedOverRangeLanes(isa, blocks, Range(3, 90), out),
+                 "kChunkBlocks");
   }
 }
 
