@@ -17,6 +17,30 @@ constexpr std::string_view kWrongOwnerPrefix = "wrong_owner ";
 /// one-byte port varint, one-byte incarnation varint, one status byte.
 constexpr size_t kMinEntryBytes = 4;
 
+/// Strikes before a member is declared dead. A refused connection
+/// (Unavailable) costs 2 strikes, a timeout (IOError) costs 1.
+constexpr int kDeadAfterStrikes = 3;
+/// Lossy-link forgiveness: a strike older than this is stale evidence
+/// and no longer counts toward kDeadAfterStrikes.
+constexpr double kStrikeDecayMs = 5000.0;
+/// Backoff applied to the probe period while probes are failing:
+/// period * multiplier^consecutive_misses, capped at backoff_max_ms.
+constexpr double kBackoffMultiplier = 2.0;
+/// Fraction of every period randomized (both directions), so a fleet
+/// of daemons started together does not probe in lockstep.
+constexpr double kJitter = 0.3;
+/// Flap damping: every alive<->dead transition of a member adds
+/// kFlapPenalty; the total decays exponentially with halflife
+/// flap_halflife_ms. At/above kFlapSuppress the member is quarantined —
+/// held out of the alive set and silent to view-change consumers (no
+/// re-replication churn) — until the decayed penalty falls below
+/// kFlapReuse. Decay runs even between back-to-back flaps, so N rapid
+/// flaps sum to just under N: thresholds sit between integers (2.5 =
+/// "the third flap").
+constexpr double kFlapPenalty = 1.0;
+constexpr double kFlapSuppress = 2.5;
+constexpr double kFlapReuse = 1.5;
+
 bool StatusTrumps(MemberStatus a, MemberStatus b) {
   // More terminal wins a same-incarnation merge.
   return static_cast<uint8_t>(a) > static_cast<uint8_t>(b);
@@ -112,30 +136,17 @@ Status MembershipConfig::Validate() const {
       stabilize_period_ms <= 0.0 || probe_timeout_ms <= 0.0) {
     return Status::InvalidArgument("membership periods must be > 0");
   }
-  if (dead_after_strikes < 1) {
-    return Status::InvalidArgument("dead_after_strikes must be >= 1");
-  }
-  if (backoff_multiplier < 1.0) {
-    return Status::InvalidArgument("backoff_multiplier must be >= 1");
-  }
   if (backoff_max_ms < probe_period_ms) {
     return Status::InvalidArgument("backoff_max_ms must cover one period");
-  }
-  if (jitter < 0.0 || jitter >= 1.0) {
-    return Status::InvalidArgument("jitter must be in [0, 1)");
   }
   if (tombstone_ttl_ms <= 0.0) {
     return Status::InvalidArgument("tombstone_ttl_ms must be > 0");
   }
-  if (flap_penalty <= 0.0 || flap_halflife_ms <= 0.0) {
-    return Status::InvalidArgument("flap penalty/halflife must be > 0");
+  if (flap_halflife_ms <= 0.0) {
+    return Status::InvalidArgument("flap_halflife_ms must be > 0");
   }
-  if (flap_reuse <= 0.0 || flap_reuse > flap_suppress) {
-    return Status::InvalidArgument("need 0 < flap_reuse <= flap_suppress");
-  }
-  if (strike_decay_ms < 0.0 || reconnect_period_ms < 0.0) {
-    return Status::InvalidArgument(
-        "strike_decay_ms/reconnect_period_ms must be >= 0");
+  if (reconnect_period_ms < 0.0) {
+    return Status::InvalidArgument("reconnect_period_ms must be >= 0");
   }
   return Status::OK();
 }
@@ -203,8 +214,7 @@ MemberEntry LiveMembership::SelfEntry() const {
 }
 
 LiveMembership::Clock::duration LiveMembership::Jittered(double period_ms) {
-  const double j = config_.jitter;
-  const double factor = 1.0 - j + 2.0 * j * rng_.NextDouble();
+  const double factor = 1.0 - kJitter + 2.0 * kJitter * rng_.NextDouble();
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(period_ms * factor));
 }
@@ -253,8 +263,8 @@ double LiveMembership::DecayPenalty(Member& m, Clock::time_point now) {
 
 void LiveMembership::NoteFlap(Member& m, Clock::time_point now) {
   DecayPenalty(m, now);
-  m.penalty += config_.flap_penalty;
-  if (!m.suppressed && m.penalty >= config_.flap_suppress) {
+  m.penalty += kFlapPenalty;
+  if (!m.suppressed && m.penalty >= kFlapSuppress) {
     m.suppressed = true;
     ++counters_.flap_suppressions;
   }
@@ -356,18 +366,18 @@ void LiveMembership::RecordMiss(const NetAddress& to, bool hard) {
   if (!IsAliveStatus(m.entry.status)) return;  // already written off
   ++counters_.probe_misses;
   const auto now = Clock::now();
-  // Lossy-link forgiveness: strikes older than strike_decay_ms are
+  // Lossy-link forgiveness: strikes older than kStrikeDecayMs are
   // stale evidence — a link dropping one probe in ten should suspect
   // the member occasionally, not walk it to its death over minutes.
-  if (config_.strike_decay_ms > 0.0 && m.strikes > 0 &&
+  if (m.strikes > 0 &&
       now - m.last_strike > std::chrono::duration_cast<Clock::duration>(
                                 std::chrono::duration<double, std::milli>(
-                                    config_.strike_decay_ms))) {
+                                    kStrikeDecayMs))) {
     m.strikes = 0;
   }
   m.last_strike = now;
   m.strikes += hard ? 2 : 1;
-  if (m.strikes < config_.dead_after_strikes) {
+  if (m.strikes < kDeadAfterStrikes) {
     m.entry.status = MemberStatus::kSuspect;
     return;
   }
@@ -594,7 +604,7 @@ void LiveMembership::MaybeProbe(Clock::time_point now) {
   double period = config_.probe_period_ms;
   for (int i = 0; i < probe_miss_streak_ && period < config_.backoff_max_ms;
        ++i) {
-    period *= config_.backoff_multiplier;
+    period *= kBackoffMultiplier;
   }
   period = std::min(period, config_.backoff_max_ms);
   next_probe_ = now + Jittered(period);
@@ -658,7 +668,7 @@ void LiveMembership::MaybeReconnect(Clock::time_point now) {
 void LiveMembership::MaybeReleaseSuppressed(Clock::time_point now) {
   for (auto& [addr, m] : others_) {
     if (!m.suppressed) continue;
-    if (DecayPenalty(m, now) >= config_.flap_reuse) continue;
+    if (DecayPenalty(m, now) >= kFlapReuse) continue;
     // Quarantine over: the member held one story long enough for the
     // penalty to decay. If its status is alive it re-enters the ring.
     m.suppressed = false;

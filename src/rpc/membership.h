@@ -110,16 +110,8 @@ struct MembershipConfig {
   /// Deadline of one asynchronous exchange, connect and send included;
   /// an exchange unanswered by then counts as a miss.
   double probe_timeout_ms = 250.0;
-  /// Strikes before a member is declared dead. A refused connection
-  /// (Unavailable) costs 2 strikes, a timeout (IOError) costs 1.
-  int dead_after_strikes = 3;
-  /// Backoff applied to the probe period while probes are failing:
-  /// period * multiplier^consecutive_misses, capped.
-  double backoff_multiplier = 2.0;
+  /// Cap of the probe period's backoff while probes are failing.
   double backoff_max_ms = 5000.0;
-  /// Fraction of every period randomized (both directions), so a fleet
-  /// of daemons started together does not probe in lockstep.
-  double jitter = 0.3;
   /// Dead/left tombstones are forgotten after this long.
   double tombstone_ttl_ms = 60000.0;
   /// Seed for the jitter/peer-choice Rng (P2P002: replayable).
@@ -127,22 +119,8 @@ struct MembershipConfig {
 
   // --- Partition tolerance (DESIGN.md §11) ---------------------------
 
-  /// Flap damping: every alive<->dead transition of a member adds
-  /// flap_penalty; the total decays exponentially with halflife
-  /// flap_halflife_ms. At/above flap_suppress the member is
-  /// quarantined — held out of the alive set and silent to
-  /// view-change consumers (no re-replication churn) — until the
-  /// decayed penalty falls below flap_reuse. Decay runs even between
-  /// back-to-back flaps, so N rapid flaps sum to just under N:
-  /// thresholds sit between integers (2.5 = "the third flap").
-  double flap_penalty = 1.0;
-  double flap_suppress = 2.5;
-  double flap_reuse = 1.5;
+  /// Halflife of the flap penalty (LiveMembership::NoteFlap).
   double flap_halflife_ms = 10000.0;
-  /// Lossy-link forgiveness: a strike older than this is stale
-  /// evidence and no longer counts toward dead_after_strikes
-  /// (0 = strikes never fade between contacts).
-  double strike_decay_ms = 5000.0;
   /// Period of the post-partition reconciliation sweep: probe one
   /// random dead (never left) member; a reply resurrects it and the
   /// resulting view change triggers the re-replication diff
@@ -307,7 +285,7 @@ class LiveMembership {
   double DecayPenalty(Member& m, Clock::time_point now);
 
   MemberEntry SelfEntry() const;
-  /// period * [1-jitter, 1+jitter), as a duration.
+  /// period * [1-kJitter, 1+kJitter), as a duration.
   Clock::duration Jittered(double period_ms);
   std::vector<NetAddress> AliveOthers() const;
 

@@ -10,6 +10,14 @@ namespace rpc {
 
 namespace {
 
+/// Descriptors per kHandoff message; bounds frame sizes under churn.
+constexpr size_t kBatchEntries = 512;
+/// Wire deadline of one push/pull call.
+constexpr double kCallDeadlineMs = 500.0;
+/// Attempts per job before it is dropped (a later view change will
+/// replan anything still missing).
+constexpr int kMaxAttempts = 3;
+
 bool Contains(const std::vector<NetAddress>& v, const NetAddress& a) {
   return std::find(v.begin(), v.end(), a) != v.end();
 }
@@ -72,12 +80,10 @@ void Rereplicator::PlanSweep(const ViewChange& change) {
   }
 
   for (auto& [dest, batch] : per_dest) {
-    for (size_t off = 0; off < batch.entries.size();
-         off += config_.batch_entries) {
+    for (size_t off = 0; off < batch.entries.size(); off += kBatchEntries) {
       Job job;
       job.to = dest;
-      const size_t end =
-          std::min(off + config_.batch_entries, batch.entries.size());
+      const size_t end = std::min(off + kBatchEntries, batch.entries.size());
       job.batch.entries.assign(batch.entries.begin() + static_cast<long>(off),
                                batch.entries.begin() + static_cast<long>(end));
       jobs_.push_back(std::move(job));
@@ -114,10 +120,10 @@ void Rereplicator::Tick() {
     ++counters_.jobs_dropped;
     return;
   }
-  const Status sent = SendJob(job, config_.call_deadline_ms);
+  const Status sent = SendJob(job, kCallDeadlineMs);
   if (sent.ok()) return;
   ++counters_.push_failures;
-  if (++job.attempts < config_.max_attempts) {
+  if (++job.attempts < kMaxAttempts) {
     jobs_.push_back(std::move(job));
   } else {
     ++counters_.jobs_dropped;
@@ -134,7 +140,7 @@ Status Rereplicator::PullPartition() {
   // preceding arcs arrive via the existing members' push sweeps.
   req.lo = pred.has_value() ? RingView::IdOf(*pred) : req.hi;
   TcpTransport::CallOptions call_options;
-  call_options.deadline_ms = config_.call_deadline_ms;
+  call_options.deadline_ms = kCallDeadlineMs;
   ASSIGN_OR_RETURN(TcpTransport::CallResult result,
                    transport_->Call(*succ, MsgType::kPullBuckets,
                                     EncodePullBucketsRequest(req),
@@ -151,12 +157,12 @@ Status Rereplicator::HandoffAll() {
   const auto entries = service_->SnapshotEntries();
   const auto started = std::chrono::steady_clock::now();
   Status last = Status::OK();
-  for (size_t off = 0; off < entries.size(); off += config_.batch_entries) {
+  for (size_t off = 0; off < entries.size(); off += kBatchEntries) {
     // Shrink each call's deadline to the remaining wall-clock budget;
     // once the budget is gone the drain stops. Everything unsent is
     // still in the WAL, and the survivors re-replicate the arcs once
     // the failure detector notices the departure.
-    double call_deadline = config_.call_deadline_ms;
+    double call_deadline = kCallDeadlineMs;
     if (config_.handoff_deadline_ms > 0.0) {
       const double elapsed =
           std::chrono::duration<double, std::milli>(
@@ -172,7 +178,7 @@ Status Rereplicator::HandoffAll() {
     }
     Job job;
     job.to = *succ;
-    const size_t end = std::min(off + config_.batch_entries, entries.size());
+    const size_t end = std::min(off + kBatchEntries, entries.size());
     job.batch.entries.assign(entries.begin() + static_cast<long>(off),
                              entries.begin() + static_cast<long>(end));
     const Status sent = SendJob(job, call_deadline);

@@ -38,13 +38,6 @@ namespace rpc {
 struct RereplicateConfig {
   /// Replicas per descriptor the ring runs with (owner + successors).
   int replication = 2;
-  /// Descriptors per kHandoff message; bounds frame sizes under churn.
-  size_t batch_entries = 512;
-  /// Wire deadline of one push/pull call.
-  double call_deadline_ms = 500.0;
-  /// Attempts per job before it is dropped (a later view change will
-  /// replan anything still missing).
-  int max_attempts = 3;
   /// Wall-clock budget of one HandoffAll() drain. The graceful-leave
   /// path runs while SIGTERM is being serviced: if the successor is
   /// unreachable, the drain must give up and let the exit proceed —
@@ -55,15 +48,6 @@ struct RereplicateConfig {
   Status Validate() const {
     if (replication < 1) {
       return Status::InvalidArgument("replication must be >= 1");
-    }
-    if (batch_entries < 1) {
-      return Status::InvalidArgument("batch_entries must be >= 1");
-    }
-    if (call_deadline_ms <= 0.0) {
-      return Status::InvalidArgument("call_deadline_ms must be > 0");
-    }
-    if (max_attempts < 1) {
-      return Status::InvalidArgument("max_attempts must be >= 1");
     }
     if (handoff_deadline_ms < 0.0) {
       return Status::InvalidArgument("handoff_deadline_ms must be >= 0");

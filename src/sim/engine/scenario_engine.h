@@ -89,16 +89,6 @@ struct ScenarioConfig {
   uint32_t domain = 1000000;
   double zipf_theta = 0.8;
   double zipf_mean_width = 2000.0;
-  /// Hotspot: this fraction of queries lands in the lowest 5% of the
-  /// domain.
-  double hot_fraction = 0.9;
-
-  double query_interval_ms = 1.0;
-  /// kChurn: one crash every interval, recovery after recover_delay.
-  double churn_interval_ms = 50.0;
-  double recover_delay_ms = 400.0;
-  /// kCrashWave: this fraction of peers fails at 40% of the run.
-  double crash_wave_fraction = 0.05;
 
   int can_dims = 2;
   /// Descriptor copies: owner + (replication - 1) alive successors.

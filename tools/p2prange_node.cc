@@ -103,7 +103,7 @@ struct Flags {
   /// Period of the post-partition reconnect sweep (0 disables).
   double reconnect_ms = 2000.0;
   /// Cap on the probe-backoff period while probes keep missing. A
-  /// partitioned node needs this bounded below strike_decay or its
+  /// partitioned node needs this bounded below the strike decay or its
   /// strikes go stale faster than they accumulate and the far side is
   /// never marked dead.
   double backoff_max_ms = 5000.0;
