@@ -6,36 +6,17 @@
 namespace p2prange {
 namespace store {
 
-void SnapshotStore::Write(const SnapshotData& snap) {
-  wire::Encoder enc;
-  enc.PutVarint(snap.wal_seq);
-  enc.PutVarint(snap.entries.size());
-  for (const auto& [bucket, descriptor] : snap.entries) {
-    enc.PutVarint(bucket);
-    wire::EncodePartitionDescriptor(descriptor, &enc);
-  }
-  std::string image;
-  AppendCrc32cFrame(enc.Take(), &image);
+namespace {
 
-  // Overwrite the slot that does NOT hold the newest valid snapshot.
-  // Chosen by inspecting the slots rather than a volatile cursor, so
-  // the decision survives crash/recovery cycles.
-  size_t target = 0;
-  uint64_t best_seq = 0;
-  bool any = false;
-  for (size_t i = 0; i < kNumSlots; ++i) {
-    auto parsed = ParseSlot(i);
-    if (parsed.ok() && (!any || parsed->wal_seq >= best_seq)) {
-      any = true;
-      best_seq = parsed->wal_seq;
-      target = 1 - i;
-    }
-  }
-  slots_[any ? target : 0] = std::move(image);
-}
+/// What Write needs of a slot, and where ParseSlot starts decoding.
+struct SlotHead {
+  uint64_t wal_seq = 0;
+  std::string_view rest;  ///< the payload after wal_seq
+};
 
-Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
-  const std::string& image = slots_[i];
+/// Checks a slot image's frame length and CRC and reads its leading
+/// wal_seq, without decoding the descriptors after it.
+Result<SlotHead> ReadSlotHead(const std::string& image) {
   if (image.empty()) return Status::NotFound("empty snapshot slot");
   if (image.size() < kCrc32cFrameHeaderBytes) {
     return Status::InvalidArgument("snapshot slot truncated in the header");
@@ -50,8 +31,49 @@ Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
     return Status::InvalidArgument("snapshot slot failed its CRC");
   }
   wire::Decoder dec(payload);
+  SlotHead head;
+  ASSIGN_OR_RETURN(head.wal_seq, dec.Varint());
+  head.rest = payload.substr(payload.size() - dec.remaining());
+  return head;
+}
+
+}  // namespace
+
+void SnapshotStore::Write(const SnapshotData& snap) {
+  wire::Encoder enc;
+  enc.PutVarint(snap.wal_seq);
+  enc.PutVarint(snap.entries.size());
+  for (const auto& [bucket, descriptor] : snap.entries) {
+    enc.PutVarint(bucket);
+    wire::EncodePartitionDescriptor(descriptor, &enc);
+  }
+  std::string image;
+  AppendCrc32cFrame(enc.Take(), &image);
+
+  // Overwrite the slot that does NOT hold the newest valid snapshot.
+  // Chosen by inspecting the slots rather than a volatile cursor, so
+  // the decision survives crash/recovery cycles. A slot whose frame
+  // and CRC check out was written whole by this function, so its
+  // wal_seq alone ranks it; the descriptors need no decoding.
+  size_t target = 0;
+  uint64_t best_seq = 0;
+  bool any = false;
+  for (size_t i = 0; i < kNumSlots; ++i) {
+    auto head = ReadSlotHead(slots_[i]);
+    if (head.ok() && (!any || head->wal_seq >= best_seq)) {
+      any = true;
+      best_seq = head->wal_seq;
+      target = 1 - i;
+    }
+  }
+  slots_[any ? target : 0] = std::move(image);
+}
+
+Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
+  ASSIGN_OR_RETURN(const SlotHead head, ReadSlotHead(slots_[i]));
+  wire::Decoder dec(head.rest);
   SnapshotData out;
-  ASSIGN_OR_RETURN(out.wal_seq, dec.Varint());
+  out.wal_seq = head.wal_seq;
   ASSIGN_OR_RETURN(const uint64_t n, dec.Varint());
   // Each entry costs >= 5 encoded bytes (bucket + key + holder).
   if (n > dec.remaining() / 5) {

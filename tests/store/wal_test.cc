@@ -205,15 +205,50 @@ TEST(SnapshotTest, RoundTripsNewestValidSlot) {
 TEST(SnapshotTest, AlternatingSlotsPreserveThePreviousCheckpoint) {
   SnapshotStore snaps;
   snaps.Write(MakeSnap(1, 1));
-  const std::string slot_of_first =
-      snaps.slot(0).empty() ? "slot1" : "slot0";
+  const size_t slot_of_first = snaps.slot(0).empty() ? 1 : 0;
+  const std::string first = snaps.slot(slot_of_first);
   snaps.Write(MakeSnap(2, 2));
   // Both slots populated now; the first checkpoint was not overwritten.
   EXPECT_FALSE(snaps.slot(0).empty());
   EXPECT_FALSE(snaps.slot(1).empty());
+  EXPECT_EQ(snaps.slot(slot_of_first), first);
+  const std::string second = snaps.slot(1 - slot_of_first);
+  // The third checkpoint lands on the first one's slot, the older.
   snaps.Write(MakeSnap(3, 3));
+  EXPECT_NE(snaps.slot(slot_of_first), first);
+  EXPECT_EQ(snaps.slot(1 - slot_of_first), second);
   EXPECT_EQ(snaps.LoadLatestValid().data.wal_seq, 3u);
-  (void)slot_of_first;
+}
+
+// A slot that fails its CRC is the one the next checkpoint replaces,
+// whichever slot it is, and the valid slot stays as it was and loads.
+TEST(SnapshotTest, WriteReplacesTheCorruptSlotAndKeepsTheValidOne) {
+  for (size_t bad = 0; bad < SnapshotStore::kNumSlots; ++bad) {
+    SnapshotStore snaps;
+    snaps.Write(MakeSnap(10, 2));  // slot 0
+    snaps.Write(MakeSnap(20, 4));  // slot 1
+    const size_t good = 1 - bad;
+    const uint64_t good_seq = good == 0 ? 10 : 20;
+    const std::string kept = snaps.slot(good);
+    std::string& damaged = snaps.mutable_slot(bad);
+    damaged[damaged.size() / 2] ^= 0x40;
+    ASSERT_TRUE(snaps.LoadLatestValid().slot_corrupt) << "bad slot " << bad;
+
+    snaps.Write(MakeSnap(30, 3));
+    EXPECT_EQ(snaps.slot(good), kept) << "bad slot " << bad;
+    auto load = snaps.LoadLatestValid();
+    ASSERT_TRUE(load.found) << "bad slot " << bad;
+    EXPECT_FALSE(load.slot_corrupt) << "bad slot " << bad;
+    EXPECT_EQ(load.data.wal_seq, 30u) << "bad slot " << bad;
+
+    // The valid slot loads on its own once the new checkpoint is lost.
+    snaps.mutable_slot(bad).clear();
+    load = snaps.LoadLatestValid();
+    ASSERT_TRUE(load.found) << "bad slot " << bad;
+    EXPECT_EQ(load.data.wal_seq, good_seq) << "bad slot " << bad;
+    EXPECT_EQ(load.data.entries.size(), good == 0 ? 2u : 4u)
+        << "bad slot " << bad;
+  }
 }
 
 TEST(SnapshotTest, CorruptNewestSlotFallsBackToOlder) {
