@@ -217,10 +217,8 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   // match among the groups that did answer.
   OpBudget budget;
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
   std::set<NetAddress> owners_seen;
-  std::vector<PartitionDescriptor> coverage_candidates;
-  std::set<std::string> coverage_seen;
+  std::vector<MatchCandidate> coverage_candidates;
 
   // Probes one replica's bucket; commits its candidate and coverage
   // contributions only once the reply reaches the origin.
@@ -266,19 +264,9 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
       ++out.peers_contacted;
       out.probed_owners.push_back(target);
     }
-    if (candidate) {
-      const std::string key = candidate->descriptor.key.ToString() + "@" +
-                              candidate->descriptor.holder.ToString();
-      if (candidates_seen.insert(key).second) {
-        candidates.push_back(std::move(*candidate));
-      }
-    }
+    if (candidate) AddCandidateOnce(std::move(*candidate), &candidates);
     for (MatchCandidate& c : overlapping) {
-      if (coverage_seen.insert(c.descriptor.key.ToString() + "@" +
-                               c.descriptor.holder.ToString())
-              .second) {
-        coverage_candidates.push_back(std::move(c.descriptor));
-      }
+      AddCandidateOnce(std::move(c), &coverage_candidates);
     }
     return true;
   };
@@ -360,8 +348,12 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   }
 
   if (config_.assemble_coverage && !coverage_candidates.empty()) {
-    CoverageResult cover = AssembleCoverage(query.range,
-                                            std::move(coverage_candidates),
+    std::vector<PartitionDescriptor> pieces;
+    pieces.reserve(coverage_candidates.size());
+    for (MatchCandidate& c : coverage_candidates) {
+      pieces.push_back(std::move(c.descriptor));
+    }
+    CoverageResult cover = AssembleCoverage(query.range, std::move(pieces),
                                             config_.max_coverage_pieces);
     out.coverage_pieces = std::move(cover.pieces);
     out.coverage_recall = cover.covered_fraction;

@@ -263,17 +263,13 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   out.latency_ms += ElapsedMs(wave_started);
 
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
   bool refreshed = false;  // at most one view refresh per lookup
 
   auto collect = [&](const std::string& body) -> Status {
     ASSIGN_OR_RETURN(std::optional<MatchCandidate> candidate,
                      DecodeProbeBucketResponse(body));
-    if (!candidate.has_value()) return Status::OK();
-    const std::string key = candidate->descriptor.key.ToString() + "@" +
-                            candidate->descriptor.holder.ToString();
-    if (candidates_seen.insert(key).second) {
-      candidates.push_back(std::move(*candidate));
+    if (candidate.has_value()) {
+      AddCandidateOnce(std::move(*candidate), &candidates);
     }
     return Status::OK();
   };

@@ -24,6 +24,14 @@ void RankCandidates(std::vector<MatchCandidate>* candidates) {
                    });
 }
 
+void AddCandidateOnce(MatchCandidate candidate,
+                      std::vector<MatchCandidate>* candidates) {
+  for (const MatchCandidate& seen : *candidates) {
+    if (seen.descriptor == candidate.descriptor) return;
+  }
+  candidates->push_back(std::move(candidate));
+}
+
 bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descriptor) {
   auto& bucket = buckets_[id];
   for (auto it : bucket) {

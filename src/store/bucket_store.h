@@ -67,6 +67,12 @@ inline bool Outranks(double score_a, bool exact_a, double score_b,
 /// \brief Stable sort of `candidates`, best first by Outranks.
 void RankCandidates(std::vector<MatchCandidate>* candidates);
 
+/// \brief Appends `candidate` unless `*candidates` already holds its
+/// descriptor (the same key and holder): a copy that several buckets
+/// return counts once, where it was first seen.
+void AddCandidateOnce(MatchCandidate candidate,
+                      std::vector<MatchCandidate>* candidates);
+
 /// \brief Capacity-bounded descriptor store of one peer.
 class BucketStore {
  public:
