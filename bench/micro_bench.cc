@@ -23,6 +23,7 @@
 #include "sim/engine/scenario_engine.h"
 #include "store/bucket_store.h"
 #include "tests/support/live_harness.h"
+#include "workload/range_workload.h"
 
 namespace p2prange {
 namespace {
@@ -326,6 +327,29 @@ void BM_LshIdentifiersInto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LshIdentifiersInto)->Arg(334)->Arg(333334);
+
+void BM_LshIdentifiersIntoVarying(benchmark::State& state) {
+  // The engine's case, which one repeated range hides from the branch
+  // predictor: each call hashes the next of 4,096 uniform ranges in
+  // [0, 10^6], in a scheme of l = 5 and the argument's k·l functions.
+  // The lane kernel runs whole seven-block chunks (112 lanes), so 20
+  // and 200 functions pay for padding and the paper's 100 do not.
+  LshParams params = LshParams::Paper(HashFamilyType::kApproxMinwise, 7);
+  params.k = static_cast<int>(state.range(0)) / params.l;
+  auto scheme = LshScheme::Make(params);
+  CHECK(scheme.ok());
+  UniformRangeGenerator gen(0, 1000000, 11);
+  std::vector<Range> ranges;
+  for (int i = 0; i < 4096; ++i) ranges.push_back(gen.Next());
+  std::vector<uint32_t> ids;
+  size_t next = 0;
+  for (auto _ : state) {
+    scheme->IdentifiersInto(ranges[next], &ids);
+    benchmark::DoNotOptimize(ids.data());
+    next = (next + 1) % ranges.size();
+  }
+}
+BENCHMARK(BM_LshIdentifiersIntoVarying)->Arg(20)->Arg(100)->Arg(200);
 
 // --- RPC layer: frame codec, envelope codec, live TCP round trip ------
 
