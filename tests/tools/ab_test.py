@@ -7,16 +7,22 @@ and a lower-is-better metric, that pairs alternate which side runs
 first and give both sides the same seed, and that the report fails on
 a regression or a failed operation. The --micro path is checked on
 scripted google-benchmark JSON: time units, skipped aggregate rows,
-rows missing from a run, and a row's verdict. No build and no
-benchmark run: the runner is a fake that replays scripted results.
+rows missing from a run, and a row's verdict. The --cmd path is checked
+on scripted wall times and stdout (the verdict, and a pair whose stdout
+differs failing the report), its runner on a shell script standing in
+for a built binary, and its arguments. No build and no benchmark run:
+the other runners are fakes that replay scripted results.
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
 
+import contextlib
 import importlib.util
 import io
 import os
+import stat
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TOOL = os.path.join(os.path.dirname(os.path.dirname(HERE)), "tools", "ab.py")
@@ -169,6 +175,69 @@ def main():
     check("BM_Once" not in lines, "a row only one side ran:\n" + text)
     check("base 34.5k (quartiles" in lines.get("BM_Route", ""),
           "micro medians in ns:\n" + text)
+
+    # --cmd: wall seconds per pair, and stdout compared in every pair.
+    def cmd_results(change_times, change_out):
+        return {"base": [{"wall_s": 8.0 + 0.1 * i, "stdout": b"table\n"}
+                         for i in range(10)],
+                "change": [{"wall_s": t, "stdout": o}
+                           for t, o in zip(change_times, change_out)]}
+
+    out = io.StringIO()
+    check(ab.cmd_report(cmd_results([5.0 + 0.1 * i for i in range(10)],
+                                     [b"table\n"] * 10), out=out),
+          "a faster command with the same stdout failed:\n" + out.getvalue())
+    text = out.getvalue()
+    check("wall_s (s, lower is better" in text and "GAIN" in text and
+          "change better in 10 of 10 pairs" in text,
+          "cmd gain line:\n" + text)
+    check("pair 1: base 8.000 s, change 5.000 s, stdout identical" in text,
+          "cmd pair line:\n" + text)
+    check("stdout byte-identical in 10 of 10 pairs" in text,
+          "cmd stdout count:\n" + text)
+    out = io.StringIO()
+    check(not ab.cmd_report(cmd_results([8.0 + 0.1 * i for i in range(10)],
+                                        [b"table\n"] * 9 + [b"tablE\n"]),
+                            out=out),
+          "a pair with a different stdout passed:\n" + out.getvalue())
+    text = out.getvalue()
+    check("pair 10: base 8.900 s, change 8.900 s, stdout DIFFERS" in text and
+          "stdout byte-identical in 9 of 10 pairs" in text,
+          "cmd stdout mismatch:\n" + text)
+    out = io.StringIO()
+    check(not ab.cmd_report(cmd_results([12.0] * 10, [b"table\n"] * 10),
+                            out=out),
+          "a 1.4x slower command passed:\n" + out.getvalue())
+    check("REGRESSION" in out.getvalue(), "cmd regression:\n" +
+          out.getvalue())
+
+    # The runner runs the command from each side's build directory.
+    with tempfile.TemporaryDirectory() as work:
+        builds = {}
+        for side in ("base", "change"):
+            builds[side] = os.path.join(work, side)
+            os.makedirs(os.path.join(builds[side], "bench"))
+            script = os.path.join(builds[side], "bench", "fig")
+            with open(script, "w") as f:
+                f.write("#!/bin/sh\necho \"$1 from $(basename \"$PWD\")\"\n")
+            os.chmod(script, os.stat(script).st_mode | stat.S_IXUSR)
+        run = ab.cmd_runner(builds, ["bench/fig", "--smoke"])
+        got = {side: run(side, None) for side in ("base", "change")}
+        check(got["base"]["stdout"] == b"--smoke from base\n" and
+              got["change"]["stdout"] == b"--smoke from change\n",
+              "cmd runner stdout: %s" % got)
+        check(all(r["wall_s"] > 0 for r in got.values()),
+              "cmd runner wall time: %s" % got)
+
+    # --seconds is for --workload only, and --cmd needs a command.
+    for argv in (["--cmd", "bench/fig", "--seconds", "3"], ["--cmd", " "]):
+        code = None
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                ab.main(["--base", "a", "--change", "b", "--pairs", "2"] + argv)
+            except SystemExit as e:
+                code = e.code
+        check(code == 2, "%s exited %s, not 2" % (argv, code))
 
     for f in failures:
         print("FAIL: " + f)

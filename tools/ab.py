@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Run a perfbench workload, or micro_bench rows, on two revisions, in
-alternating pairs.
+"""Run a perfbench workload, micro_bench rows or a built command on two
+revisions, in alternating pairs.
 
     python3 tools/ab.py --base REV --change REV --workload NAME --pairs N
                         [--seconds S] [--seed0 K]
     python3 tools/ab.py --base REV --change REV --micro FILTER --pairs N
+    python3 tools/ab.py --base REV --change REV --cmd COMMAND --pairs N
 
 Each revision is exported with `git archive` into its own directory
 under a fresh temporary work directory (under $TMPDIR, outside the
@@ -34,19 +35,29 @@ and runs the benchmarks matching FILTER (google benchmark's
 benchmark row gets the same statistics and verdict on its CPU time per
 iteration, with MICRO_BOUND as its bound (bench_compare.py's flag).
 
-Exit status: 0 when nothing regressed and no run failed, 1 otherwise,
-2 on bad arguments. The work directory is removed at the end. Standard
-library only.
+With --cmd, COMMAND is a path relative to a build directory and its
+arguments, e.g. 'bench/fig11_load_balance --smoke'. The file name is
+the CMake target: each tree builds it, then every pair runs the command
+from each tree's build directory, alternating as above, unpinned. It
+prints each pair's wall seconds, their statistics and verdict with
+MICRO_BOUND as the bound, and in how many pairs the two sides' stdout
+was byte-identical.
+
+Exit status: 0 when nothing regressed, no run failed and (--cmd) every
+pair's stdout matched, 1 otherwise, 2 on bad arguments. The work
+directory is removed at the end. Standard library only.
 """
 
 import argparse
 import json
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
@@ -124,6 +135,18 @@ def ratio_text(base, change, better):
                          "lower" if ratio < 1 else "higher")
 
 
+def verdict_line(name, unit, better, bound, s, pairs):
+    """One metric's statistics and verdict, as summarize returned them."""
+    return ("%s (%s, %s is better, bound %g): base %s (quartiles %s-%s) -> "
+            "change %s (%s-%s), %s; change better in %d of %d pairs "
+            "(%d ties); base IQR %s: %s" % (
+                name, unit, better, bound, fmt(s["base"][1]),
+                fmt(s["base"][0]), fmt(s["base"][2]), fmt(s["change"][1]),
+                fmt(s["change"][0]), fmt(s["change"][2]),
+                ratio_text(s["base"][1], s["change"][1], better), s["wins"],
+                pairs, s["ties"], fmt(s["base_iqr"]), s["verdict"].upper()))
+
+
 def run_pairs(runner, pairs, seed0, out=sys.stdout):
     """Runs `pairs` alternating pairs through runner(side, seed), which
     returns one run's result; returns {side: [result, ...]}. Pair i
@@ -165,16 +188,8 @@ def report(results, spec, seed0, out=sys.stdout):
         base = [r["metrics"][m["name"]]["value"] for r in results["base"]]
         change = [r["metrics"][m["name"]]["value"] for r in results["change"]]
         s = summarize(base, change, m["better"], m["bound"])
-        print("%s (%s, %s is better, bound %g): base %s (quartiles %s-%s) -> "
-              "change %s (%s-%s), %s; change better in %d of %d pairs "
-              "(%d ties); base IQR %s: %s" % (
-                  m["name"], m["unit"], m["better"], m["bound"],
-                  fmt(s["base"][1]), fmt(s["base"][0]), fmt(s["base"][2]),
-                  fmt(s["change"][1]), fmt(s["change"][0]),
-                  fmt(s["change"][2]),
-                  ratio_text(s["base"][1], s["change"][1], m["better"]),
-                  s["wins"], len(base), s["ties"], fmt(s["base_iqr"]),
-                  s["verdict"].upper()), file=out)
+        print(verdict_line(m["name"], m["unit"], m["better"], m["bound"], s,
+                           len(base)), file=out)
         ok = ok and s["verdict"] != "regression"
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in results[side])
@@ -205,25 +220,38 @@ def micro_report(results, out=sys.stdout):
         base = [r[name] for r in times["base"]]
         change = [r[name] for r in times["change"]]
         s = summarize(base, change, "lower", MICRO_BOUND)
-        print("%s (ns, lower is better, bound %g): base %s (quartiles %s-%s) "
-              "-> change %s (%s-%s), %s; change better in %d of %d pairs "
-              "(%d ties); base IQR %s: %s" % (
-                  name, MICRO_BOUND, fmt(s["base"][1]), fmt(s["base"][0]),
-                  fmt(s["base"][2]), fmt(s["change"][1]),
-                  fmt(s["change"][0]), fmt(s["change"][2]),
-                  ratio_text(s["base"][1], s["change"][1], "lower"),
-                  s["wins"], len(base), s["ties"], fmt(s["base_iqr"]),
-                  s["verdict"].upper()), file=out)
+        print(verdict_line(name, "ns", "lower", MICRO_BOUND, s, len(base)),
+              file=out)
         ok = ok and s["verdict"] != "regression"
     return ok
 
 
-def build_micro(tree):
-    """Builds micro_bench in `tree`; returns the binary's path."""
+def cmd_report(results, out=sys.stdout):
+    """Prints each pair's wall seconds, their statistics and verdict, and
+    in how many pairs stdout was byte-identical; returns True when the
+    time did not regress and stdout matched in every pair."""
+    base = [r["wall_s"] for r in results["base"]]
+    change = [r["wall_s"] for r in results["change"]]
+    same = [b["stdout"] == c["stdout"]
+            for b, c in zip(results["base"], results["change"])]
+    for i, (b, c, match) in enumerate(zip(base, change, same)):
+        print("pair %d: base %.3f s, change %.3f s, stdout %s" % (
+            i + 1, b, c, "identical" if match else "DIFFERS"), file=out)
+    s = summarize(base, change, "lower", MICRO_BOUND)
+    print(verdict_line("wall_s", "s", "lower", MICRO_BOUND, s, len(base)),
+          file=out)
+    print("stdout byte-identical in %d of %d pairs" % (sum(same), len(same)),
+          file=out)
+    return s["verdict"] != "regression" and all(same)
+
+
+def build_target(tree, target):
+    """Builds CMake target `target` in `tree`; returns the build
+    directory."""
     build = os.path.join(tree, "build")
     for cmd in (["cmake", "-S", tree, "-B", build,
                  "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
-                ["cmake", "--build", build, "--target", "micro_bench", "-j",
+                ["cmake", "--build", build, "--target", target, "-j",
                  str(os.cpu_count() or 1)]):
         proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
@@ -231,7 +259,25 @@ def build_micro(tree):
             sys.stderr.write(proc.stdout[-4000:])
             raise RuntimeError("%s exited %d" % (" ".join(cmd),
                                                  proc.returncode))
-    return os.path.join(build, "bench", "micro_bench")
+    return build
+
+
+def cmd_runner(builds, argv):
+    """Runs argv, whose first word is a path relative to the build
+    directory, from each side's build directory; returns its wall
+    seconds and stdout."""
+    def run(side, _seed):
+        started = time.monotonic()
+        proc = subprocess.run(
+            [os.path.join(builds[side], argv[0])] + argv[1:],
+            cwd=builds[side], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        wall_s = time.monotonic() - started
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr[-4000:].decode(errors="replace"))
+            raise RuntimeError("%s %s exited %d" % (side, argv[0],
+                                                    proc.returncode))
+        return {"wall_s": wall_s, "stdout": proc.stdout}
+    return run
 
 
 def micro_runner(binaries, pattern):
@@ -287,14 +333,18 @@ def main(argv):
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--micro", metavar="FILTER")
+    what.add_argument("--cmd", metavar="COMMAND")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed0", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.micro is not None and args.seconds is not None:
+    if args.workload is None and args.seconds is not None:
         parser.error("--seconds applies to --workload only")
+    argv_cmd = shlex.split(args.cmd) if args.cmd is not None else None
+    if argv_cmd is not None and not argv_cmd:
+        parser.error("--cmd needs a command")
     spec = load_spec()
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     if not seconds > 0:
@@ -306,8 +356,19 @@ def main(argv):
         for side, rev in (("base", args.base), ("change", args.change)):
             trees[side] = os.path.join(work, side)
             export(rev, trees[side])
+        if argv_cmd is not None:
+            target = os.path.basename(argv_cmd[0])
+            builds = {side: build_target(tree, target)
+                      for side, tree in trees.items()}
+            print("base %s, change %s, command %r, %d pairs" % (
+                args.base, args.change, args.cmd, args.pairs), flush=True)
+            results = run_pairs(cmd_runner(builds, argv_cmd), args.pairs,
+                                None)
+            return 0 if cmd_report(results) else 1
         if args.micro is not None:
-            binaries = {side: build_micro(tree) for side, tree in trees.items()}
+            binaries = {side: os.path.join(build_target(tree, "micro_bench"),
+                                           "bench", "micro_bench")
+                        for side, tree in trees.items()}
             cpu = max(os.sched_getaffinity(0))
             os.sched_setaffinity(0, {cpu})
             print("base %s, change %s, micro_bench rows %r, %d pairs on CPU "
