@@ -9,7 +9,6 @@
 #include "hash/lsh.h"
 #include "overlay/overlay.h"
 #include "store/bucket_store.h"
-#include "store/durable_store.h"
 
 namespace p2prange {
 
@@ -72,10 +71,6 @@ struct SystemConfig {
 
   /// Per-peer descriptor capacity; 0 = unbounded.
   size_t store_capacity = 0;
-
-  /// Per-peer descriptor durability: WAL + checkpoint snapshots, so a
-  /// crashed peer recovers its descriptors instead of forgetting them.
-  store::DurabilityConfig durability;
 
   /// Retry/backoff/timeout discipline for the system's own messages
   /// (descriptor stores, owner replies, data transfers). The Chord

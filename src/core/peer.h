@@ -27,9 +27,8 @@ struct EqDescriptor {
 /// \brief One peer of the data-sharing system.
 class Peer {
  public:
-  explicit Peer(overlay::PeerInfo info, size_t store_capacity,
-                store::DurabilityConfig durability = {})
-      : info_(info), durable_(store_capacity, durability) {}
+  explicit Peer(overlay::PeerInfo info, size_t store_capacity)
+      : info_(info), durable_(store_capacity) {}
 
   const overlay::PeerInfo& info() const { return info_; }
   const NetAddress& addr() const { return info_.addr; }

@@ -95,8 +95,7 @@ Result<RangeCacheSystem> RangeCacheSystem::Make(const SystemConfig& config,
   const auto nodes = sys.overlay_->AlivePeersOrdered();
   for (const overlay::PeerInfo& info : nodes) {
     sys.peers_.emplace(info.addr,
-                       std::make_unique<Peer>(info, config.store_capacity,
-                                              config.durability));
+                       std::make_unique<Peer>(info, config.store_capacity));
   }
   sys.source_ = nodes.front().addr;
   return sys;
@@ -780,8 +779,7 @@ Result<NetAddress> RangeCacheSystem::AddPeer() {
   ASSIGN_OR_RETURN(const overlay::PeerInfo info, overlay_->AddNode());
   overlay_->Stabilize(2);
   peers_.emplace(info.addr,
-                 std::make_unique<Peer>(info, config_.store_capacity,
-                                        config_.durability));
+                 std::make_unique<Peer>(info, config_.store_capacity));
   return info.addr;
 }
 
@@ -818,8 +816,7 @@ Status RangeCacheSystem::CrashPeer(const NetAddress& addr) {
   // lazy-repair path evicts them.
   RETURN_NOT_OK(overlay_->Fail(addr));
   // Honest crash semantics: everything in RAM is gone. The WAL and
-  // checkpoint images inside the peer survive (they model its disk);
-  // with durability disabled there is nothing to come back from.
+  // checkpoint images inside the peer survive (they model its disk).
   peer(addr)->CrashVolatileState();
   ++metrics_.peer_crashes;
   return Status::OK();
@@ -848,11 +845,11 @@ Status RangeCacheSystem::RecoverPeer(const NetAddress& addr) {
 
 void RangeCacheSystem::RepairRecoveredPeerFromReplicas(const NetAddress& addr) {
   // Post-recovery anti-entropy: descriptors the replay could not
-  // restore (lost to a torn tail, a rotted log, or disabled
-  // durability) still exist at the identifier owners' replicas. The
-  // recovered peer pulls from its first descriptor_replication - 1
-  // live successors — the peers that replicate exactly the buckets it
-  // owns — and re-inserts every descriptor it should hold but lost.
+  // restore (lost to a torn tail or a rotted log) still exist at the
+  // identifier owners' replicas. The recovered peer pulls from its
+  // first descriptor_replication - 1 live successors — the peers that
+  // replicate exactly the buckets it owns — and re-inserts every
+  // descriptor it should hold but lost.
   if (config_.descriptor_replication <= 1) return;
   Peer* recovered = peer(addr);
   if (recovered == nullptr) return;

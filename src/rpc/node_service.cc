@@ -190,32 +190,15 @@ Result<PullBucketsRequest> DecodePullBucketsRequest(std::string_view body) {
 
 std::string EncodeHandoffBatch(const HandoffBatch& batch) {
   wire::Encoder enc;
-  enc.PutVarint(batch.entries.size());
-  for (const auto& [bucket, descriptor] : batch.entries) {
-    enc.PutVarint(bucket);
-    wire::EncodePartitionDescriptor(descriptor, &enc);
-  }
+  wire::EncodeBucketEntries(batch.entries, &enc);
   return enc.Take();
 }
 
 Result<HandoffBatch> DecodeHandoffBatch(std::string_view body) {
   wire::Decoder dec(body);
-  // A bucket varint plus the smallest possible descriptor is well over
-  // two bytes; 2 is a safe floor for the pre-allocation guard.
-  ASSIGN_OR_RETURN(const size_t n, dec.GuardedCount(2, kMaxHandoffEntries));
   HandoffBatch batch;
-  batch.entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(uint64_t bucket, dec.Varint());
-    if (bucket > UINT32_MAX) {
-      return Status::InvalidArgument("bucket id out of range");
-    }
-    ASSIGN_OR_RETURN(PartitionDescriptor descriptor,
-                     wire::DecodePartitionDescriptor(&dec));
-    batch.entries.emplace_back(static_cast<chord::ChordId>(bucket),
-                               std::move(descriptor));
-  }
-  if (!dec.AtEnd()) return Status::InvalidArgument("trailing batch bytes");
+  ASSIGN_OR_RETURN(batch.entries,
+                   wire::DecodeBucketEntries(&dec, kMaxHandoffEntries));
   return batch;
 }
 
@@ -228,7 +211,7 @@ NodeService::NodeService(const NetAddress& self, NodeServiceOptions options)
       id_(RingView::IdOf(self)),
       options_(std::move(options)),
       store_(std::make_unique<store::DurableDescriptorStore>(
-          options_.store_capacity, options_.durability)) {}
+          options_.store_capacity)) {}
 
 Result<std::unique_ptr<NodeService>> NodeService::Make(
     const NetAddress& self, NodeServiceOptions options) {
@@ -269,15 +252,17 @@ Status NodeService::LoadDurable() {
   return Status::OK();
 }
 
-Status NodeService::SaveDurable() const {
+Status NodeService::SaveDurable() {
   if (options_.wal_dir.empty()) return Status::OK();
   const std::string& dir = options_.wal_dir;
-  RETURN_NOT_OK(WriteFileAtomic(dir + "/wal.bin", store_->wal().image()));
-  for (size_t i = 0; i < store::SnapshotStore::kNumSlots; ++i) {
-    RETURN_NOT_OK(WriteFileAtomic(dir + "/snap" + std::to_string(i) + ".bin",
-                                  store_->snapshots().slot(i)));
+  if (store_->checkpoints() != flushed_checkpoints_) {
+    for (size_t i = 0; i < store::SnapshotStore::kNumSlots; ++i) {
+      RETURN_NOT_OK(WriteFileAtomic(dir + "/snap" + std::to_string(i) + ".bin",
+                                    store_->snapshots().slot(i)));
+    }
+    flushed_checkpoints_ = store_->checkpoints();
   }
-  return Status::OK();
+  return WriteFileAtomic(dir + "/wal.bin", store_->wal().image());
 }
 
 Result<std::string> NodeService::Handle(MsgType type, std::string_view body) {

@@ -102,7 +102,6 @@ Result<HandoffBatch> DecodeHandoffBatch(std::string_view body);
 struct NodeServiceOptions {
   /// Descriptor-store capacity; 0 = unbounded.
   size_t store_capacity = 0;
-  store::DurabilityConfig durability;
   /// Directory for the WAL image and snapshot slots. Empty keeps
   /// durability in memory only (tests); non-empty persists every
   /// mutation so a restarted process recovers its descriptors.
@@ -226,16 +225,20 @@ class NodeService {
   /// operations always require — the annotation gate allows no
   /// "too early to race" exceptions.
   Status LoadDurable() EXCLUDES(data_mu_);
-  /// Writes WAL + snapshot images to wal_dir after a mutation. A
-  /// shared hold is enough (it only reads the images); mutating
-  /// callers already hold data_mu_ exclusively, which satisfies this.
-  Status SaveDurable() const REQUIRES_SHARED(data_mu_);
+  /// Writes the images to wal_dir after a mutation: the snapshot slots
+  /// first, only when a checkpoint ran since they were last written,
+  /// then the WAL. A checkpoint empties the log, so wal.bin first would,
+  /// on a crash or failed write before the slots, lose every insert
+  /// acknowledged since the previous checkpoint.
+  Status SaveDurable() REQUIRES(data_mu_);
 
   NetAddress self_;
   chord::ChordId id_;
   NodeServiceOptions options_;
   LiveMembership* membership_ = nullptr;
   std::unique_ptr<store::DurableDescriptorStore> store_ GUARDED_BY(data_mu_);
+  /// store_->checkpoints() when SaveDurable last wrote the slot files.
+  uint64_t flushed_checkpoints_ GUARDED_BY(data_mu_) = 0;
   std::unordered_map<PartitionKey, Relation, PartitionKeyHash> partitions_
       GUARDED_BY(data_mu_);
   NodeCounters counters_;

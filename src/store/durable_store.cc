@@ -3,9 +3,8 @@
 namespace p2prange {
 namespace store {
 
-DurableDescriptorStore::DurableDescriptorStore(size_t store_capacity,
-                                               DurabilityConfig config)
-    : capacity_(store_capacity), config_(config), store_(store_capacity) {
+DurableDescriptorStore::DurableDescriptorStore(size_t store_capacity)
+    : capacity_(store_capacity), store_(store_capacity) {
   AttachEvictionListener();
 }
 
@@ -27,7 +26,6 @@ void DurableDescriptorStore::LogRecord(WalRecord::Op op, chord::ChordId bucket,
   rec.bucket = bucket;
   rec.descriptor = descriptor;
   wal_.Append(rec);
-  ++records_since_checkpoint_;
 }
 
 bool DurableDescriptorStore::Insert(chord::ChordId id,
@@ -53,22 +51,20 @@ size_t DurableDescriptorStore::EraseStale(const PartitionKey& key,
 }
 
 void DurableDescriptorStore::MaybeCheckpoint() {
-  if (config_.checkpoint_every == 0) return;
-  if (records_since_checkpoint_ >= config_.checkpoint_every) ForceCheckpoint();
+  if (wal_.image().size() >= snapshot_bytes_) ForceCheckpoint();
 }
 
 void DurableDescriptorStore::ForceCheckpoint() {
   SnapshotData snap;
   snap.wal_seq = wal_seq_;
   snap.entries = store_.EntriesOldestFirst();
-  snaps_.Write(snap);
+  snapshot_bytes_ = snaps_.Write(snap);
   ++checkpoints_;
   // Crash window: the snapshot is durable but the log still holds the
   // records it covers. Recovery skips them by sequence number; the
   // hook lets crash harnesses capture exactly this state.
   if (checkpoint_hook_) checkpoint_hook_();
   wal_.Clear();
-  records_since_checkpoint_ = 0;
 }
 
 void DurableDescriptorStore::Crash() {
@@ -80,7 +76,6 @@ RecoveryReport DurableDescriptorStore::Recover() {
   RecoveryReport report;
   store_ = BucketStore(capacity_);
   AttachEvictionListener();
-  records_since_checkpoint_ = 0;
   replaying_ = true;
   const SnapshotStore::LoadResult snap = snaps_.LoadLatestValid();
   report.snapshot_fallback = snap.slot_corrupt;

@@ -1,9 +1,9 @@
 // The durable half of a peer's descriptor store.
 //
-// Wraps the volatile BucketStore with a write-ahead log and periodic
-// two-slot checkpoint snapshots so a crashed peer can rebuild its
-// descriptors instead of silently forgetting them (the paper assumes
-// peers hold their partitions durably across sessions, §2). Every
+// Wraps the volatile BucketStore with a write-ahead log and two-slot
+// checkpoint snapshots so a crashed peer can rebuild its descriptors
+// instead of silently forgetting them (the paper assumes peers hold
+// their partitions durably across sessions, §2). Every
 // mutation is logged *before* it is applied; LRU evictions triggered
 // by an insert are logged through the store's eviction listener, so
 // the log is a complete, deterministic replay script.
@@ -28,13 +28,6 @@
 namespace p2prange {
 namespace store {
 
-/// \brief Knobs for per-peer descriptor durability.
-struct DurabilityConfig {
-  /// Checkpoint after this many WAL records; 0 disables checkpoints
-  /// (the log grows without bound and replays from the beginning).
-  uint64_t checkpoint_every = 64;
-};
-
 /// \brief What one Recover() call reconstructed, for metrics/tests.
 struct RecoveryReport {
   size_t snapshot_entries = 0;      ///< entries loaded from the snapshot
@@ -53,7 +46,7 @@ struct RecoveryReport {
 /// would desynchronize it from the log.
 class DurableDescriptorStore {
  public:
-  DurableDescriptorStore(size_t store_capacity, DurabilityConfig config);
+  explicit DurableDescriptorStore(size_t store_capacity);
 
   DurableDescriptorStore(const DurableDescriptorStore&) = delete;
   DurableDescriptorStore& operator=(const DurableDescriptorStore&) = delete;
@@ -81,7 +74,6 @@ class DurableDescriptorStore {
   WriteAheadLog& wal() { return wal_; }
   const SnapshotStore& snapshots() const { return snaps_; }
   SnapshotStore& snapshots() { return snaps_; }
-  const DurabilityConfig& config() const { return config_; }
   uint64_t wal_seq() const { return wal_seq_; }
   uint64_t checkpoints() const { return checkpoints_; }
 
@@ -96,16 +88,20 @@ class DurableDescriptorStore {
   void AttachEvictionListener();
   void LogRecord(WalRecord::Op op, chord::ChordId bucket,
                  const PartitionDescriptor& descriptor);
+  /// Checkpoints once the log has grown to the size of the snapshot
+  /// last written, so checkpoint bytes stay proportional to log bytes
+  /// and a replay never reads more than one snapshot's worth of log.
   void MaybeCheckpoint();
 
   size_t capacity_;
-  DurabilityConfig config_;
   BucketStore store_;
   WriteAheadLog wal_;
   SnapshotStore snaps_;
   uint64_t wal_seq_ = 0;  ///< seq of the last record logged
-  uint64_t records_since_checkpoint_ = 0;
   uint64_t checkpoints_ = 0;
+  /// Byte size of the snapshot last written; 0 before the first, so a
+  /// fresh store checkpoints at its first record.
+  size_t snapshot_bytes_ = 0;
   bool replaying_ = false;  ///< suppress logging while Recover() applies
   std::function<void()> checkpoint_hook_;
 };

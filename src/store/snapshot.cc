@@ -1,5 +1,7 @@
 #include "store/snapshot.h"
 
+#include <limits>
+
 #include "common/crc32c.h"
 #include "wire/serde.h"
 
@@ -39,14 +41,10 @@ Result<SlotHead> ReadSlotHead(const std::string& image) {
 
 }  // namespace
 
-void SnapshotStore::Write(const SnapshotData& snap) {
+size_t SnapshotStore::Write(const SnapshotData& snap) {
   wire::Encoder enc;
   enc.PutVarint(snap.wal_seq);
-  enc.PutVarint(snap.entries.size());
-  for (const auto& [bucket, descriptor] : snap.entries) {
-    enc.PutVarint(bucket);
-    wire::EncodePartitionDescriptor(descriptor, &enc);
-  }
+  wire::EncodeBucketEntries(snap.entries, &enc);
   std::string image;
   AppendCrc32cFrame(enc.Take(), &image);
 
@@ -66,7 +64,9 @@ void SnapshotStore::Write(const SnapshotData& snap) {
       target = 1 - i;
     }
   }
-  slots_[any ? target : 0] = std::move(image);
+  std::string& slot = slots_[any ? target : 0];
+  slot = std::move(image);
+  return slot.size();
 }
 
 Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
@@ -74,23 +74,8 @@ Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {
   wire::Decoder dec(head.rest);
   SnapshotData out;
   out.wal_seq = head.wal_seq;
-  ASSIGN_OR_RETURN(const uint64_t n, dec.Varint());
-  // Each entry costs >= 5 encoded bytes (bucket + key + holder).
-  if (n > dec.remaining() / 5) {
-    return Status::InvalidArgument("snapshot entry count exceeds payload");
-  }
-  out.entries.reserve(n);
-  for (uint64_t e = 0; e < n; ++e) {
-    ASSIGN_OR_RETURN(const uint64_t bucket, dec.Varint());
-    if (bucket > 0xFFFFFFFFull) {
-      return Status::InvalidArgument("snapshot bucket id exceeds ring width");
-    }
-    ASSIGN_OR_RETURN(PartitionDescriptor d, wire::DecodePartitionDescriptor(&dec));
-    out.entries.emplace_back(static_cast<chord::ChordId>(bucket), std::move(d));
-  }
-  if (!dec.AtEnd()) {
-    return Status::InvalidArgument("snapshot payload has trailing bytes");
-  }
+  ASSIGN_OR_RETURN(out.entries, wire::DecodeBucketEntries(
+                                    &dec, std::numeric_limits<size_t>::max()));
   return out;
 }
 

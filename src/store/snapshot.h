@@ -1,4 +1,4 @@
-// Periodic checkpoint snapshots of a peer's descriptor store.
+// Checkpoint snapshots of a peer's descriptor store.
 //
 // A checkpoint bounds WAL replay time and the damage a corrupted log
 // can do: recovery loads the newest valid snapshot and replays only
@@ -45,7 +45,8 @@ class SnapshotStore {
 
   /// Writes `snap` to the slot NOT holding the newest valid snapshot,
   /// so the previous checkpoint survives until this one is complete.
-  void Write(const SnapshotData& snap);
+  /// Returns the byte size of the slot image written.
+  size_t Write(const SnapshotData& snap);
 
   /// \brief Outcome of scanning both slots at recovery.
   struct LoadResult {

@@ -44,7 +44,6 @@ Result<WalRecord> DecodeWalRecord(wire::Decoder* dec) {
 size_t WriteAheadLog::Append(const WalRecord& rec) {
   wire::Encoder enc;
   EncodeWalRecord(rec, &enc);
-  ++appended_;
   return AppendCrc32cFrame(enc.Take(), &image_);
 }
 

@@ -80,9 +80,6 @@ class WriteAheadLog {
   /// or flip bits exactly as a real crash or media fault would.
   std::string& mutable_image() { return image_; }
 
-  /// Records appended over this object's lifetime (not reset by Clear).
-  uint64_t appended() const { return appended_; }
-
   /// \brief What replaying a (possibly damaged) image yielded.
   struct ReplayResult {
     std::vector<WalRecord> records;  ///< the validated prefix, in order
@@ -97,7 +94,6 @@ class WriteAheadLog {
 
  private:
   std::string image_;
-  uint64_t appended_ = 0;
 };
 
 }  // namespace store

@@ -273,6 +273,36 @@ Result<PartitionDescriptor> DecodePartitionDescriptor(Decoder* dec) {
   return d;
 }
 
+void EncodeBucketEntries(const BucketEntries& entries, Encoder* enc) {
+  enc->PutVarint(entries.size());
+  for (const auto& [bucket, descriptor] : entries) {
+    enc->PutVarint(bucket);
+    EncodePartitionDescriptor(descriptor, enc);
+  }
+}
+
+Result<BucketEntries> DecodeBucketEntries(Decoder* dec, size_t max_entries) {
+  // An entry is a bucket varint, a key (two strings and a range) and a
+  // holder: never under 5 bytes.
+  ASSIGN_OR_RETURN(const size_t n, dec->GuardedCount(5, max_entries));
+  BucketEntries entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(const uint64_t bucket, dec->Varint());
+    if (bucket > UINT32_MAX) {
+      return Status::InvalidArgument("bucket id exceeds the ring width");
+    }
+    ASSIGN_OR_RETURN(PartitionDescriptor descriptor,
+                     DecodePartitionDescriptor(dec));
+    entries.emplace_back(static_cast<chord::ChordId>(bucket),
+                         std::move(descriptor));
+  }
+  if (!dec->AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after bucket entries");
+  }
+  return entries;
+}
+
 size_t RelationWireSize(const Relation& r) {
   Encoder enc;
   EncodeRelation(r, &enc);

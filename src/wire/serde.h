@@ -12,7 +12,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "chord/id.h"
 #include "common/result.h"
 #include "rel/relation.h"
 #include "rel/schema.h"
@@ -93,6 +96,19 @@ Result<NetAddress> DecodeNetAddress(Decoder* dec);
 /// recovery pulls from replicas (key + holder).
 void EncodePartitionDescriptor(const PartitionDescriptor& d, Encoder* enc);
 Result<PartitionDescriptor> DecodePartitionDescriptor(Decoder* dec);
+
+/// \brief A descriptor store's (bucket, descriptor) entries, oldest
+/// first: a checkpoint snapshot's payload and a handoff batch.
+using BucketEntries =
+    std::vector<std::pair<chord::ChordId, PartitionDescriptor>>;
+
+/// Appends `varint count, count x (varint bucket, PartitionDescriptor)`.
+void EncodeBucketEntries(const BucketEntries& entries, Encoder* enc);
+/// Reads an entry list that ends its payload. The count is checked
+/// before allocation (at most `max_entries`, and at least 5 bytes left
+/// per entry), each bucket id must fit the 32-bit ring, and trailing
+/// bytes are rejected.
+Result<BucketEntries> DecodeBucketEntries(Decoder* dec, size_t max_entries);
 
 /// \brief The wire size of a relation payload (encode-and-measure).
 size_t RelationWireSize(const Relation& r);

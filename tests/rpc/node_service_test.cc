@@ -18,6 +18,7 @@
 #include "rpc/multi_op.h"
 #include "rpc/node_service.h"
 #include "rpc/tcp_transport.h"
+#include "store/snapshot.h"
 #include "tests/support/live_harness.h"
 
 namespace p2prange {
@@ -427,13 +428,14 @@ TEST(NodeServiceTest, DurableRecoveryRestoresDescriptors) {
 //
 // wal_test and the crash fuzzer damage in-memory images; these damage
 // the files a stopped daemon leaves in its wal_dir, then start the next
-// incarnation over them. Ten inserts with checkpoint_every = 4 leave
-// snap0.bin at seq 4, snap1.bin at seq 8, and records 9-10 in wal.bin.
+// incarnation over them. Each insert below logs a 19-byte frame and an
+// n-entry snapshot takes 10 + 9n bytes, so the log reaches the last
+// snapshot's size after inserts 1, 2, 4 and 7: ten inserts leave
+// snap0.bin at seq 4, snap1.bin at seq 7, and records 8-10 in wal.bin.
 
 NodeServiceOptions TenInsertOptions(const std::string& wal_dir) {
   NodeServiceOptions options;
   options.wal_dir = wal_dir;
-  options.durability.checkpoint_every = 4;
   return options;
 }
 
@@ -471,8 +473,8 @@ TEST(NodeServiceTest, TornWalFileReplaysItsValidPrefix) {
   const store::RecoveryReport& report = (*revived)->recovery();
   EXPECT_TRUE(report.torn_tail);
   EXPECT_FALSE(report.snapshot_fallback);
-  EXPECT_EQ(report.snapshot_entries, 8u);
-  EXPECT_EQ(report.wal_records_replayed, 1u);
+  EXPECT_EQ(report.snapshot_entries, 7u);
+  EXPECT_EQ(report.wal_records_replayed, 2u);
   EXPECT_EQ(report.descriptors_restored, 9u);
   EXPECT_EQ(RestoredBuckets(**revived),
             (std::vector<chord::ChordId>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
@@ -498,8 +500,8 @@ TEST(NodeServiceTest, CorruptSnapshotFileFallsBackToTheOlderSlot) {
     ASSERT_TRUE(snap.good());
   }
 
-  // The seq-4 slot survives, but the log (records 9-10) no longer
-  // connects to it: records 5-8 were truncated at the seq-8 checkpoint.
+  // The seq-4 slot survives, but the log (records 8-10) no longer
+  // connects to it: records 5-7 were truncated at the seq-7 checkpoint.
   auto revived = NodeService::Make(Addr(9, 90), options);
   ASSERT_TRUE(revived.ok()) << revived.status().ToString();
   const store::RecoveryReport& report = (*revived)->recovery();
@@ -509,6 +511,51 @@ TEST(NodeServiceTest, CorruptSnapshotFileFallsBackToTheOlderSlot) {
   EXPECT_EQ(RestoredBuckets(**revived),
             (std::vector<chord::ChordId>{1, 2, 3, 4}));
   std::filesystem::remove_all(*wal_dir);
+}
+
+// A checkpoint empties the in-memory log. Blocking both slot files'
+// temporary paths before insert k makes a checkpointing insert k fail
+// between the two kinds of file; whichever k checkpoints, a restart
+// must still restore every insert that was acknowledged.
+TEST(NodeServiceTest, FailedSlotWriteLosesNoAcknowledgedInsert) {
+  const NetAddress self = Addr(9, 90);
+  for (uint32_t k = 1; k <= 64; ++k) {
+    SCOPED_TRACE("insert " + std::to_string(k));
+    auto wal_dir = harness::MakeScratchDir("node_service_order_");
+    ASSERT_TRUE(wal_dir.ok()) << wal_dir.status().ToString();
+    NodeServiceOptions options;
+    options.wal_dir = *wal_dir;
+    std::vector<std::string> blocked;
+    for (size_t i = 0; i < store::SnapshotStore::kNumSlots; ++i) {
+      blocked.push_back(*wal_dir + "/snap" + std::to_string(i) + ".bin.tmp");
+    }
+    uint32_t acknowledged = 0;
+    {
+      auto service = NodeService::Make(self, options);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      for (uint32_t i = 1; i <= k; ++i) {
+        if (i == k) {
+          for (const std::string& path : blocked) {
+            ASSERT_TRUE(std::filesystem::create_directory(path)) << path;
+          }
+        }
+        const PartitionKey key{"T", "a", Range(10 * i, 10 * i + 5)};
+        const Status stored = (*service)->InsertDescriptor(i, {key, self});
+        ASSERT_TRUE(stored.ok() || i == k) << stored.ToString();
+        if (stored.ok()) acknowledged = i;
+      }
+    }
+    for (const std::string& path : blocked) std::filesystem::remove(path);
+
+    auto revived = NodeService::Make(self, options);
+    ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+    const std::vector<chord::ChordId> restored = RestoredBuckets(**revived);
+    ASSERT_GE(restored.size(), acknowledged);
+    for (uint32_t i = 1; i <= acknowledged; ++i) {
+      EXPECT_EQ(restored[i - 1], i);
+    }
+    std::filesystem::remove_all(*wal_dir);
+  }
 }
 
 }  // namespace

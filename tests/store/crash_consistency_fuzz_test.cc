@@ -71,7 +71,6 @@ struct CrashPoint {
 
 struct FuzzScenario {
   size_t capacity = 0;
-  uint64_t checkpoint_every = 0;
   uint64_t seed = 0;
 };
 
@@ -89,9 +88,7 @@ class CrashConsistencyFuzz : public ::testing::Test {
   /// one per mid-checkpoint window.
   void RunScenario(const FuzzScenario& scenario, size_t num_ops) {
     Rng rng(scenario.seed);
-    DurabilityConfig cfg;
-    cfg.checkpoint_every = scenario.checkpoint_every;
-    DurableDescriptorStore durable(scenario.capacity, cfg);
+    DurableDescriptorStore durable(scenario.capacity);
 
     // All states the store has passed through, canonical form -> the
     // index of its first occurrence (for prefix-membership checks).
@@ -132,19 +129,19 @@ class CrashConsistencyFuzz : public ::testing::Test {
 
     Rng mutate_rng(scenario.seed ^ 0x9e3779b97f4a7c15ULL);
     for (const CrashPoint& p : points) {
-      CheckRecovery(scenario, cfg, p, states, first_seen, "clean", mutate_rng);
-      CheckRecovery(scenario, cfg, p, states, first_seen, "torn", mutate_rng);
-      CheckRecovery(scenario, cfg, p, states, first_seen, "flip", mutate_rng);
+      CheckRecovery(scenario, p, states, first_seen, "clean", mutate_rng);
+      CheckRecovery(scenario, p, states, first_seen, "torn", mutate_rng);
+      CheckRecovery(scenario, p, states, first_seen, "flip", mutate_rng);
       if (HasFatalFailure()) return;
     }
     total_points_ += points.size();
   }
 
-  void CheckRecovery(const FuzzScenario& scenario, const DurabilityConfig& cfg,
-                     const CrashPoint& p, const std::vector<std::string>& states,
+  void CheckRecovery(const FuzzScenario& scenario, const CrashPoint& p,
+                     const std::vector<std::string>& states,
                      const std::unordered_map<std::string, size_t>& first_seen,
                      const std::string& mutation, Rng& rng) {
-    DurableDescriptorStore recovered(scenario.capacity, cfg);
+    DurableDescriptorStore recovered(scenario.capacity);
     std::string wal = p.wal;
     std::string slot0 = p.slot0;
     std::string slot1 = p.slot1;
@@ -175,7 +172,6 @@ class CrashConsistencyFuzz : public ::testing::Test {
 
     const std::string context = "seed=" + std::to_string(scenario.seed) +
                                 " cap=" + std::to_string(scenario.capacity) +
-                                " ckpt=" + std::to_string(cfg.checkpoint_every) +
                                 " mutation=" + mutation;
 
     // (1) Prefix consistency.
@@ -214,15 +210,10 @@ class CrashConsistencyFuzz : public ::testing::Test {
 
 TEST_F(CrashConsistencyFuzz, ThousandsOfRandomizedCrashPoints) {
   const size_t budget = PointBudget();
-  // Scenario matrix: unbounded and LRU-bounded stores, checkpoints
-  // off / aggressive / moderate. Seeds vary the workload inside each.
-  const FuzzScenario base[] = {
-      {0, 0, 0},   // pure WAL, unbounded
-      {0, 7, 0},   // checkpoints, unbounded
-      {5, 0, 0},   // pure WAL, tight LRU (evict records exercised)
-      {5, 1, 0},   // checkpoint after every record, tight LRU
-      {12, 16, 0}, // moderate capacity + checkpoint interval
-  };
+  // Scenario matrix: an unbounded, a tight (evict records exercised)
+  // and a moderate LRU-bounded store. Seeds vary the workload inside
+  // each.
+  const FuzzScenario base[] = {{0, 0}, {5, 0}, {12, 0}};
   const size_t num_scenarios = std::size(base);
   // Ops per run are also crash points per run (plus checkpoint-window
   // extras), so rounds * scenarios * ops >= budget.
@@ -246,7 +237,6 @@ TEST_F(CrashConsistencyFuzz, ThousandsOfRandomizedCrashPoints) {
 TEST_F(CrashConsistencyFuzz, MidCheckpointWindowUnderLruPressure) {
   FuzzScenario scenario;
   scenario.capacity = 3;
-  scenario.checkpoint_every = 4;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     scenario.seed = seed;
     RunScenario(scenario, 40);

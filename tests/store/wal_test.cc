@@ -289,7 +289,7 @@ TEST(SnapshotTest, TornCheckpointWriteNeverDestroysTheOldSnapshot) {
 // --- Durable store ---------------------------------------------------
 
 TEST(DurableStoreTest, CrashLosesVolatileRecoverReplaysExactly) {
-  DurableDescriptorStore durable(/*store_capacity=*/0, DurabilityConfig{});
+  DurableDescriptorStore durable(/*store_capacity=*/0);
   for (uint32_t i = 0; i < 30; ++i) {
     durable.Insert(i * 17, Desc(i, i + 10, i % 5));
   }
@@ -304,28 +304,44 @@ TEST(DurableStoreTest, CrashLosesVolatileRecoverReplaysExactly) {
   EXPECT_EQ(report.descriptors_restored, before.size());
 }
 
+/// Byte size of the slot holding the newest valid snapshot.
+size_t NewestSlotBytes(const SnapshotStore& snaps) {
+  const uint64_t newest = snaps.LoadLatestValid().data.wal_seq;
+  for (size_t i = 0; i < SnapshotStore::kNumSlots; ++i) {
+    SnapshotStore one;
+    one.mutable_slot(0) = snaps.slot(i);
+    const auto load = one.LoadLatestValid();
+    if (load.found && load.data.wal_seq == newest) return snaps.slot(i).size();
+  }
+  return 0;
+}
+
 TEST(DurableStoreTest, CheckpointBoundsReplayAndPreservesState) {
-  DurabilityConfig cfg;
-  cfg.checkpoint_every = 8;
-  DurableDescriptorStore durable(/*store_capacity=*/10, cfg);
+  DurableDescriptorStore durable(/*store_capacity=*/10);
   for (uint32_t i = 0; i < 100; ++i) {
     durable.Insert(i % 7, Desc(i, i + 3, i % 4));
+    // The log never outgrows the snapshot it extends, so a replay
+    // reads at most one snapshot's worth of log.
+    ASSERT_LT(durable.wal().image().size(),
+              NewestSlotBytes(durable.snapshots()))
+        << "after insert " << i;
+    if (i % 3 == 2) {
+      const PartitionDescriptor old = Desc(i - 2, i + 1, (i - 2) % 4);
+      durable.EraseStale(old.key, old.holder);
+      ASSERT_LT(durable.wal().image().size(),
+                NewestSlotBytes(durable.snapshots()))
+          << "after erase " << i;
+    }
   }
-  EXPECT_GT(durable.checkpoints(), 0u);
-  // The WAL only holds what the last checkpoint has not absorbed.
-  EXPECT_LT(WriteAheadLog::Replay(durable.wal().image()).records.size(),
-            cfg.checkpoint_every + 2 * 10);
+  EXPECT_GT(durable.checkpoints(), 1u);
   const auto before = durable.store().EntriesOldestFirst();
   durable.Crash();
-  const RecoveryReport report = durable.Recover();
+  durable.Recover();
   EXPECT_EQ(durable.store().EntriesOldestFirst(), before);
-  EXPECT_LE(report.wal_records_replayed, 3 * cfg.checkpoint_every);
 }
 
 TEST(DurableStoreTest, LruOrderSurvivesRecovery) {
-  DurabilityConfig cfg;
-  cfg.checkpoint_every = 0;  // pure WAL replay
-  DurableDescriptorStore durable(/*store_capacity=*/3, cfg);
+  DurableDescriptorStore durable(/*store_capacity=*/3);
   durable.Insert(1, Desc(0, 10, 1));
   durable.Insert(2, Desc(10, 20, 1));
   durable.Insert(3, Desc(20, 30, 1));
@@ -341,9 +357,10 @@ TEST(DurableStoreTest, LruOrderSurvivesRecovery) {
 }
 
 TEST(DurableStoreTest, TornTailRecoversThePrefix) {
-  DurabilityConfig cfg;
-  cfg.checkpoint_every = 0;
-  DurableDescriptorStore durable(/*store_capacity=*/0, cfg);
+  DurableDescriptorStore durable(/*store_capacity=*/0);
+  // Each insert logs a 28-byte frame and an n-entry snapshot takes
+  // 10 + 18n bytes, so checkpoints fall after the 1st, 2nd, 4th and 7th
+  // insert: the newest slot holds 7 entries and the log records 8-10.
   for (uint32_t i = 0; i < 10; ++i) durable.Insert(i, Desc(i, i + 1, 1));
   const size_t full = durable.wal().mutable_image().size();
   durable.wal().mutable_image().resize(full - 3);  // shear the last frame
@@ -351,15 +368,14 @@ TEST(DurableStoreTest, TornTailRecoversThePrefix) {
   const RecoveryReport report = durable.Recover();
   EXPECT_TRUE(report.torn_tail);
   EXPECT_FALSE(report.wal_corrupted);
-  EXPECT_EQ(report.wal_records_replayed, 9u);
+  EXPECT_EQ(report.snapshot_entries, 7u);
+  EXPECT_EQ(report.wal_records_replayed, 2u);
   EXPECT_EQ(durable.store().num_descriptors(), 9u);
   EXPECT_FALSE(durable.store().ContainsExact(9, Desc(9, 10, 1).key));
 }
 
 TEST(DurableStoreTest, MidLogCorruptionFallsBackToCheckpoint) {
-  DurabilityConfig cfg;
-  cfg.checkpoint_every = 5;
-  DurableDescriptorStore durable(/*store_capacity=*/0, cfg);
+  DurableDescriptorStore durable(/*store_capacity=*/0);
   for (uint32_t i = 0; i < 14; ++i) durable.Insert(i, Desc(i, i + 1, 1));
   ASSERT_GT(durable.checkpoints(), 0u);
   ASSERT_FALSE(durable.wal().image().empty());
@@ -375,9 +391,7 @@ TEST(DurableStoreTest, MidLogCorruptionFallsBackToCheckpoint) {
 }
 
 TEST(DurableStoreTest, MidCheckpointCrashDoesNotDoubleApply) {
-  DurabilityConfig cfg;
-  cfg.checkpoint_every = 4;
-  DurableDescriptorStore durable(/*store_capacity=*/3, cfg);
+  DurableDescriptorStore durable(/*store_capacity=*/3);
   // Capture the disk exactly between the snapshot write and the WAL
   // truncation; records covered by the snapshot are still in the log.
   std::string wal_at_hook;
@@ -389,6 +403,8 @@ TEST(DurableStoreTest, MidCheckpointCrashDoesNotDoubleApply) {
     slot1_at_hook = durable.snapshots().slot(1);
     captured = true;
   });
+  // Checkpoints fall after the 1st, 2nd and 4th insert (the 4th logs an
+  // eviction too), so the last capture holds the final state.
   for (uint32_t i = 0; i < 4; ++i) durable.Insert(i, Desc(i, i + 1, 1));
   ASSERT_TRUE(captured);
   ASSERT_FALSE(wal_at_hook.empty());

@@ -16,7 +16,7 @@
 //       [--advertise=HOST:PORT] [--join=HOST:PORT] [--replication=2]
 //       [--workers=0] [--queue_depth=128]
 //       [--wal_dir=/var/lib/p2prange/n1]
-//       [--store_capacity=0] [--checkpoint_every=64]
+//       [--store_capacity=0]
 //       [--probe_ms=500] [--gossip_ms=1000] [--stabilize_ms=1000]
 //       [--probe_timeout_ms=250] [--reconnect_ms=2000]
 //       [--backoff_max_ms=5000] [--handoff_deadline_ms=5000]
@@ -92,7 +92,6 @@ struct Flags {
   std::string wal_dir;
   std::string metrics_json;
   size_t store_capacity = 0;
-  uint64_t checkpoint_every = 64;
   int replication = 2;
   int workers = 0;
   size_t queue_depth = 128;
@@ -121,7 +120,7 @@ int Usage(const char* argv0) {
                "[--join=HOST:PORT] "
                "[--replication=N] [--workers=N] [--queue_depth=N] "
                "[--wal_dir=DIR] "
-               "[--store_capacity=N] [--checkpoint_every=N] "
+               "[--store_capacity=N] "
                "[--probe_ms=MS] [--gossip_ms=MS] [--stabilize_ms=MS] "
                "[--probe_timeout_ms=MS] [--reconnect_ms=MS] "
                "[--backoff_max_ms=MS] [--handoff_deadline_ms=MS] "
@@ -159,7 +158,6 @@ int main(int argc, char** argv) {
       return ParseNumberFlag(arg, name, out, &malformed);
     };
     if (number("store_capacity", &flags.store_capacity) ||
-        number("checkpoint_every", &flags.checkpoint_every) ||
         number("replication", &flags.replication) ||
         number("workers", &flags.workers) ||
         number("queue_depth", &flags.queue_depth) ||
@@ -196,7 +194,6 @@ int main(int argc, char** argv) {
 
   rpc::NodeServiceOptions service_options;
   service_options.store_capacity = flags.store_capacity;
-  service_options.durability.checkpoint_every = flags.checkpoint_every;
   service_options.wal_dir = flags.wal_dir;
   service_options.descriptor_replication = flags.replication;
 
