@@ -22,6 +22,7 @@
 #include "sim/engine/compact_overlay.h"
 #include "sim/engine/scenario_engine.h"
 #include "store/bucket_store.h"
+#include "store/durable_store.h"
 #include "tests/support/live_harness.h"
 #include "workload/range_workload.h"
 
@@ -308,6 +309,30 @@ void BM_PeerIndexBestMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PeerIndexBestMatch)->Arg(100)->Arg(10000)->Arg(100000);
+
+void BM_DurableInsert(benchmark::State& state) {
+  // Refresh inserts into a durable store held at N descriptors: each
+  // logs a WAL record, and the checkpoints they trigger re-serialize the
+  // whole store. The store is filled through a snapshot and Recover(),
+  // so set-up costs O(N) whatever the checkpoint rule.
+  const auto n = static_cast<uint32_t>(state.range(0));
+  store::SnapshotData snap;
+  for (uint32_t i = 0; i < n; ++i) {
+    snap.entries.emplace_back(
+        i, PartitionDescriptor{PartitionKey{"Numbers", "key", Range(i, i + 100)},
+                               NetAddress{1, 1}});
+  }
+  store::DurableDescriptorStore durable(/*store_capacity=*/0);
+  durable.snapshots().Write(snap);
+  durable.Recover();
+  uint32_t next = 0;
+  for (auto _ : state) {
+    const auto& [bucket, descriptor] = snap.entries[next];
+    benchmark::DoNotOptimize(durable.Insert(bucket, descriptor));
+    next = next + 1 == n ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_DurableInsert)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_LshIdentifiersInto(benchmark::State& state) {
   // The batched, allocation-free probe-path form, over a range of the
