@@ -6,8 +6,10 @@ regression, unresolved, identical, within bound) for a higher-is-better
 and a lower-is-better metric, that pairs alternate which side runs
 first and give both sides the same seed, and that the report fails on
 a regression or a failed operation. The --micro path is checked on
-scripted google-benchmark JSON: time units, skipped aggregate rows,
-rows missing from a run, and a row's verdict. The --cmd path is checked
+scripted google-benchmark JSON: time units, each row's median aggregate
+taken and its other rows skipped, rows missing from a run, a row's
+verdict, and its runner asking for the repetitions on a shell script
+standing in for micro_bench. The --cmd path is checked
 on scripted wall times and stdout (the verdict, and a pair whose stdout
 differs failing the report), its runner on a shell script standing in
 for a built binary, and its arguments. No build and no benchmark run:
@@ -46,12 +48,15 @@ def result(qps, setup, failed=0, correct=True):
 
 
 def micro_doc(rows):
-    """A google-benchmark JSON document with one run of each row, given
-    as (name, cpu_time, time_unit)."""
+    """A google-benchmark JSON document of repeated runs reported as
+    aggregates only, one row given as (name, median cpu_time, time_unit);
+    its mean and stddev rows carry other values."""
     return {"context": {}, "benchmarks": [
-        {"name": n, "run_name": n, "run_type": "iteration",
-         "iterations": 1000, "real_time": t, "cpu_time": t, "time_unit": u}
-        for n, t, u in rows]}
+        {"name": n + "_" + agg, "run_name": n, "run_type": "aggregate",
+         "aggregate_name": agg, "repetitions": 5, "iterations": 5,
+         "real_time": t * k, "cpu_time": t * k, "time_unit": u}
+        for n, t, u in rows
+        for agg, k in (("mean", 2.0), ("median", 1.0), ("stddev", 0.5))]}
 
 
 def main():
@@ -140,10 +145,13 @@ def main():
     check("change: 3 of 300 operations failed" in out.getvalue(),
           "failure count missing:\n" + out.getvalue())
 
-    # --micro: CPU ns per row, aggregates skipped, units converted.
+    # --micro: CPU ns of each row's median, other rows skipped, units
+    # converted.
     doc = micro_doc([("BM_A/1", 2.5, "us"), ("BM_B", 40.0, "ns")])
-    doc["benchmarks"].append(dict(doc["benchmarks"][0], name="BM_A/1_median",
-                                  run_type="aggregate"))
+    doc["benchmarks"].append({"name": "BM_A/1", "run_name": "BM_A/1",
+                              "run_type": "iteration", "iterations": 1000,
+                              "real_time": 9.0, "cpu_time": 9.0,
+                              "time_unit": "us"})
     check(ab.micro_times(doc) == {"BM_A/1": 2500.0, "BM_B": 40.0},
           "micro times: %s" % ab.micro_times(doc))
 
@@ -228,6 +236,20 @@ def main():
               "cmd runner stdout: %s" % got)
         check(all(r["wall_s"] > 0 for r in got.values()),
               "cmd runner wall time: %s" % got)
+
+    # The micro runner asks micro_bench for the repetitions' aggregates.
+    with tempfile.TemporaryDirectory() as work:
+        script = os.path.join(work, "micro_bench")
+        with open(script, "w") as f:
+            f.write("#!/bin/sh\nprintf '{\"benchmarks\": [{\"name\": "
+                    "\"%s\"}]}' \"$*\"\n")
+        os.chmod(script, os.stat(script).st_mode | stat.S_IXUSR)
+        run = ab.micro_runner({"base": script}, "BM_X")
+        args = run("base", None)["benchmarks"][0]["name"].split()
+        check(args == ["--benchmark_filter=BM_X", "--benchmark_format=json",
+                       "--benchmark_repetitions=5",
+                       "--benchmark_report_aggregates_only=true"],
+              "micro runner arguments: %s" % args)
 
     # --seconds is for --workload only, and --cmd needs a command.
     for argv in (["--cmd", "bench/fig", "--seconds", "3"], ["--cmd", " "]):

@@ -31,9 +31,11 @@ base's interquartile range and a verdict by the benchmark's rules:
 With --micro, each tree's `micro_bench` is built first (a CMake build
 in the tree, on every CPU), then this process pins itself to one CPU
 and runs the benchmarks matching FILTER (google benchmark's
---benchmark_filter) once per side per pair, alternating as above. Each
-benchmark row gets the same statistics and verdict on its CPU time per
-iteration, with MICRO_BOUND as its bound (bench_compare.py's flag).
+--benchmark_filter) once per side per pair, alternating as above, each
+run repeating every row MICRO_REPETITIONS times. Each benchmark row's
+median over those repetitions is that pair's sample; it gets the same
+statistics and verdict on CPU time per iteration, with MICRO_BOUND as
+its bound (bench_compare.py's flag).
 
 With --cmd, COMMAND is a path relative to a build directory and its
 arguments, e.g. 'bench/fig11_load_balance --smoke'. The file name is
@@ -63,6 +65,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
 # A micro row's bound: bench_compare.py flags a row more than 15% slower.
 MICRO_BOUND = 0.15
+# Repetitions per micro run; a row's median over them is the pair's
+# sample, as in CI's micro report.
+MICRO_REPETITIONS = 5
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
@@ -202,9 +207,11 @@ def report(results, spec, seed0, out=sys.stdout):
 
 def micro_times(doc):
     """Maps each benchmark row of one google-benchmark JSON document to
-    its CPU ns per iteration."""
-    return {b["name"]: float(b["cpu_time"]) * NS_PER_UNIT[b["time_unit"]]
-            for b in doc["benchmarks"] if b.get("run_type") != "aggregate"}
+    the CPU ns per iteration of its median aggregate."""
+    return {b["run_name"]: float(b["cpu_time"]) * NS_PER_UNIT[b["time_unit"]]
+            for b in doc["benchmarks"]
+            if b.get("run_type") == "aggregate" and
+            b.get("aggregate_name") == "median"}
 
 
 def micro_report(results, out=sys.stdout):
@@ -284,7 +291,9 @@ def micro_runner(binaries, pattern):
     def run(side, _seed):
         proc = subprocess.run(
             [binaries[side], "--benchmark_filter=" + pattern,
-             "--benchmark_format=json"],
+             "--benchmark_format=json",
+             "--benchmark_repetitions=%d" % MICRO_REPETITIONS,
+             "--benchmark_report_aggregates_only=true"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr[-4000:])
