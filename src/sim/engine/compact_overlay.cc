@@ -122,6 +122,8 @@ uint32_t AliveIndex::PrevAliveWrapping(uint32_t slot) const {
 
 uint32_t AliveIndex::SelectAlive(size_t k) const {
   DCHECK_LT(k, num_alive_);
+  // No slot down: the k-th alive slot is slot k, without the walk.
+  if (num_alive_ == size_) return static_cast<uint32_t>(k);
   // Fenwick binary lifting over words: the longest word prefix holding
   // at most k alive slots; the answer is inside the word after it.
   size_t pos = 0;

@@ -13,7 +13,6 @@ void EventQueue::Push(double time_ms, EventType type, uint32_t subject) {
   e.subject = subject;
   heap_.push_back(e);
   SiftUp(heap_.size() - 1);
-  if (heap_.size() > max_depth_) max_depth_ = heap_.size();
 }
 
 bool EventQueue::Pop(Event* out) {

@@ -1,9 +1,10 @@
-// Indexed event queue of the scenario engine.
+// Event queue of the scenario engine's crash and recover events.
 //
 // A flat binary min-heap over 24-byte POD events, ordered by
 // (time_ms, seq) so equal-time events pop in push order — the
-// determinism the whole engine rests on. The queue tracks its
-// high-water depth, exported as the `event_queue_depth` gauge.
+// determinism the whole engine rests on. Queries never enter it: they
+// fall due on a fixed schedule, so ScenarioEngine::Run fires them from
+// a cursor and merges that schedule with this queue.
 #ifndef P2PRANGE_SIM_ENGINE_EVENT_QUEUE_H_
 #define P2PRANGE_SIM_ENGINE_EVENT_QUEUE_H_
 
@@ -16,9 +17,8 @@ namespace sim {
 
 /// \brief What a scheduled event does when it fires.
 enum class EventType : uint8_t {
-  kQuery = 0,    ///< run one range query; subject = query index
-  kCrash = 1,    ///< abrupt failure; subject = peer slot
-  kRecover = 2,  ///< crashed peer rejoins; subject = peer slot
+  kCrash = 0,    ///< abrupt failure of a random alive peer
+  kRecover = 1,  ///< crashed peer rejoins; subject = peer slot
 };
 
 /// \brief One scheduled simulation event. Kept POD and small (24
@@ -27,7 +27,7 @@ enum class EventType : uint8_t {
 struct Event {
   double time_ms = 0.0;
   uint64_t seq = 0;  ///< FIFO tiebreak among equal timestamps
-  EventType type = EventType::kQuery;
+  EventType type = EventType::kCrash;
   uint32_t subject = 0;
 };
 
@@ -47,9 +47,6 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
-  /// Largest number of simultaneously pending events so far.
-  size_t max_depth() const { return max_depth_; }
-
   /// Heap storage footprint (the engine's bytes/peer accounting).
   uint64_t MemoryBytes() const { return heap_.capacity() * sizeof(Event); }
 
@@ -65,7 +62,6 @@ class EventQueue {
 
   std::vector<Event> heap_;
   uint64_t next_seq_ = 0;
-  size_t max_depth_ = 0;
 };
 
 }  // namespace sim

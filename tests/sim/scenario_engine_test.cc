@@ -28,32 +28,32 @@ namespace {
 TEST(EventQueueTest, PopsInTimeThenInsertionOrder) {
   EventQueue q;
   q.Push(5.0, EventType::kCrash, 1);
-  q.Push(1.0, EventType::kQuery, 2);
+  q.Push(1.0, EventType::kRecover, 2);
   q.Push(5.0, EventType::kRecover, 3);  // same time: after the crash
-  q.Push(3.0, EventType::kQuery, 4);
+  q.Push(3.0, EventType::kCrash, 4);
   EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.max_depth(), 4u);
 
   Event e;
   ASSERT_TRUE(q.Pop(&e));
-  EXPECT_EQ(e.type, EventType::kQuery);
+  EXPECT_EQ(e.type, EventType::kRecover);
   EXPECT_EQ(e.subject, 2u);
   ASSERT_TRUE(q.Pop(&e));
-  EXPECT_EQ(e.type, EventType::kQuery);
+  EXPECT_EQ(e.type, EventType::kCrash);
   EXPECT_EQ(e.subject, 4u);
   ASSERT_TRUE(q.Pop(&e));
   EXPECT_EQ(e.type, EventType::kCrash);
+  EXPECT_EQ(e.subject, 1u);
   ASSERT_TRUE(q.Pop(&e));
   EXPECT_EQ(e.type, EventType::kRecover);
   EXPECT_EQ(e.subject, 3u);
   EXPECT_FALSE(q.Pop(&e));
-  EXPECT_EQ(q.max_depth(), 4u);  // high-water mark survives draining
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, PeekShowsWhatPopReturnsNext) {
   EventQueue q;
   EXPECT_EQ(q.Peek(), nullptr);
-  q.Push(2.0, EventType::kQuery, 1);
+  q.Push(2.0, EventType::kCrash, 1);
   q.Push(1.0, EventType::kCrash, 2);
   q.Push(2.0, EventType::kRecover, 3);
   std::vector<uint32_t> popped;
@@ -268,6 +268,17 @@ TEST(AliveIndexTest, MatchesVectorBoolReferenceUnderSeededEdits) {
     }
     for (uint32_t s = 0; s < n; ++s) set(s, false);
     ExpectMatchesReference(idx, ref, tag + " all dead");
+    // A single casualty at each end and in the middle, then every slot
+    // revived: the tree has been edited, and SelectAlive answers the
+    // all-alive state without walking it.
+    for (const uint32_t casualty :
+         {0u, static_cast<uint32_t>(n / 2), static_cast<uint32_t>(n - 1)}) {
+      for (uint32_t s = 0; s < n; ++s) set(s, s != casualty);
+      ExpectMatchesReference(idx, ref,
+                             tag + " casualty " + std::to_string(casualty));
+    }
+    for (uint32_t s = 0; s < n; ++s) set(s, true);
+    ExpectMatchesReference(idx, ref, tag + " all revived");
   }
 }
 
