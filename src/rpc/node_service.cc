@@ -255,12 +255,12 @@ Status NodeService::LoadDurable() {
 Status NodeService::SaveDurable() {
   if (options_.wal_dir.empty()) return Status::OK();
   const std::string& dir = options_.wal_dir;
-  if (store_->checkpoints() != flushed_checkpoints_) {
-    for (size_t i = 0; i < store::SnapshotStore::kNumSlots; ++i) {
-      RETURN_NOT_OK(WriteFileAtomic(dir + "/snap" + std::to_string(i) + ".bin",
-                                    store_->snapshots().slot(i)));
-    }
-    flushed_checkpoints_ = store_->checkpoints();
+  const store::SnapshotStore& snapshots = store_->snapshots();
+  for (size_t i = 0; i < store::SnapshotStore::kNumSlots; ++i) {
+    if (snapshots.writes(i) == flushed_slot_writes_[i]) continue;
+    RETURN_NOT_OK(WriteFileAtomic(dir + "/snap" + std::to_string(i) + ".bin",
+                                  snapshots.slot(i)));
+    flushed_slot_writes_[i] = snapshots.writes(i);
   }
   return WriteFileAtomic(dir + "/wal.bin", store_->wal().image());
 }

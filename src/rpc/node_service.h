@@ -13,6 +13,7 @@
 #ifndef P2PRANGE_RPC_NODE_SERVICE_H_
 #define P2PRANGE_RPC_NODE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -225,11 +226,12 @@ class NodeService {
   /// operations always require — the annotation gate allows no
   /// "too early to race" exceptions.
   Status LoadDurable() EXCLUDES(data_mu_);
-  /// Writes the images to wal_dir after a mutation: the snapshot slots
-  /// first, only when a checkpoint ran since they were last written,
-  /// then the WAL. A checkpoint empties the log, so wal.bin first would,
-  /// on a crash or failed write before the slots, lose every insert
-  /// acknowledged since the previous checkpoint.
+  /// Writes the images to wal_dir after a mutation: first each snapshot
+  /// slot a checkpoint replaced since the slot's last successful write
+  /// (one slot after one checkpoint; both after two, or after a failed
+  /// write), then the WAL. A checkpoint empties the log, so wal.bin
+  /// first would, on a crash or failed write before the slots, lose
+  /// every insert acknowledged since the previous checkpoint.
   Status SaveDurable() REQUIRES(data_mu_);
 
   NetAddress self_;
@@ -237,8 +239,10 @@ class NodeService {
   NodeServiceOptions options_;
   LiveMembership* membership_ = nullptr;
   std::unique_ptr<store::DurableDescriptorStore> store_ GUARDED_BY(data_mu_);
-  /// store_->checkpoints() when SaveDurable last wrote the slot files.
-  uint64_t flushed_checkpoints_ GUARDED_BY(data_mu_) = 0;
+  /// Per slot, store_->snapshots().writes(i) when SaveDurable last
+  /// wrote its file; the files LoadDurable read count as written.
+  std::array<uint64_t, store::SnapshotStore::kNumSlots> flushed_slot_writes_
+      GUARDED_BY(data_mu_) = {};
   std::unordered_map<PartitionKey, Relation, PartitionKeyHash> partitions_
       GUARDED_BY(data_mu_);
   NodeCounters counters_;

@@ -64,9 +64,9 @@ size_t SnapshotStore::Write(const SnapshotData& snap) {
       target = 1 - i;
     }
   }
-  std::string& slot = slots_[any ? target : 0];
-  slot = std::move(image);
-  return slot.size();
+  ++writes_[target];
+  slots_[target] = std::move(image);
+  return slots_[target].size();
 }
 
 Result<SnapshotData> SnapshotStore::ParseSlot(size_t i) const {

@@ -58,6 +58,11 @@ class SnapshotStore {
 
   const std::string& slot(size_t i) const { return slots_[i]; }
 
+  /// Times Write has replaced slot i's image. A copy of the slot
+  /// written elsewhere is stale exactly when this has moved since;
+  /// edits through mutable_slot do not count.
+  uint64_t writes(size_t i) const { return writes_[i]; }
+
   /// Raw slot images for crash harnesses (tear / bit-flip injection).
   std::string& mutable_slot(size_t i) { return slots_[i]; }
 
@@ -68,6 +73,7 @@ class SnapshotStore {
   Result<SnapshotData> ParseSlot(size_t i) const;
 
   std::string slots_[kNumSlots];
+  uint64_t writes_[kNumSlots] = {};
 };
 
 }  // namespace store

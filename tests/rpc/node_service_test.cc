@@ -5,9 +5,11 @@
 // decided from the published ring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -556,6 +558,65 @@ TEST(NodeServiceTest, FailedSlotWriteLosesNoAcknowledgedInsert) {
     }
     std::filesystem::remove_all(*wal_dir);
   }
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// A checkpoint replaces one slot, so the flush after it writes that
+// slot's file alone: with the other slot's temporary path blocked, the
+// checkpointing insert still succeeds. After a failed slot write the
+// next flush writes the slot it missed, and a restart restores every
+// acknowledged insert.
+TEST(NodeServiceTest, CheckpointWritesOnlyTheSlotItReplaced) {
+  auto wal_dir = harness::MakeScratchDir("node_service_slot_");
+  ASSERT_TRUE(wal_dir.ok()) << wal_dir.status().ToString();
+  const NodeServiceOptions options = TenInsertOptions(*wal_dir);
+  const NetAddress self = Addr(9, 90);
+  const std::string snap0 = *wal_dir + "/snap0.bin";
+  const std::string blocked = *wal_dir + "/snap1.bin.tmp";
+  std::vector<chord::ChordId> acknowledged;
+  {
+    auto service = NodeService::Make(self, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    auto insert = [&](uint32_t i) {
+      const PartitionKey key{"T", "a", Range(10 * i, 10 * i + 5)};
+      const Status stored = (*service)->InsertDescriptor(i, {key, self});
+      if (stored.ok()) acknowledged.push_back(i);
+      return stored;
+    };
+    // snap1.bin holds the newest checkpoint (seq 7), so insert 11's
+    // checkpoint replaces slot 0 and leaves slot 1 as it is.
+    for (uint32_t i = 1; i <= 10; ++i) ASSERT_TRUE(insert(i).ok());
+    const std::string slot0_before = FileBytes(snap0);
+    ASSERT_TRUE(std::filesystem::create_directory(blocked));
+    const Status eleventh = insert(11);
+    EXPECT_TRUE(eleventh.ok()) << eleventh.ToString();
+    EXPECT_NE(FileBytes(snap0), slot0_before) << "insert 11 did not checkpoint";
+
+    // The next checkpoint replaces slot 1, whose write fails; the
+    // insert after it, with the path clear, writes the slot.
+    uint32_t i = 12;
+    while (insert(i).ok()) {
+      ASSERT_LT(i, 40u) << "no checkpoint replaced slot 1";
+      ++i;
+    }
+    std::filesystem::remove(blocked);
+    ASSERT_TRUE(insert(i + 1).ok());
+  }
+
+  auto revived = NodeService::Make(self, options);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  const std::vector<chord::ChordId> restored = RestoredBuckets(**revived);
+  for (const chord::ChordId bucket : acknowledged) {
+    EXPECT_NE(std::find(restored.begin(), restored.end(), bucket),
+              restored.end())
+        << "acknowledged insert " << bucket << " lost";
+  }
+  std::filesystem::remove_all(*wal_dir);
 }
 
 }  // namespace
