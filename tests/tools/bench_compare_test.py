@@ -4,8 +4,10 @@
 Checks that a benchmark more than 15% slower is flagged and makes the
 exit status 1, that one within the threshold (or faster) is not, that
 time units are normalized, that the median aggregate of a repeated run
-is the value compared, that names in only one file are listed, and that
-unreadable input exits 2.
+is the value compared, that each row prints its spread (the repetitions'
+interquartile range, or the stddev aggregate, over the median; "-" for
+a single run) beside its times, that names in only one file are listed,
+and that unreadable input exits 2.
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -63,7 +65,9 @@ def main():
                bench("BM_Rep_median", 12.0, run_name="BM_Rep",
                      run_type="aggregate", aggregate_name="median"),
                bench("BM_Rep_mean", 500.0, run_name="BM_Rep",
-                     run_type="aggregate", aggregate_name="mean")]
+                     run_type="aggregate", aggregate_name="mean"),
+               bench("BM_Rep_stddev", 0.6, run_name="BM_Rep",
+                     run_type="aggregate", aggregate_name="stddev")]
         r = run(old, new, tmp)
         check(r.returncode == 1, "a slowdown must exit 1, got %d:\n%s%s" %
               (r.returncode, r.stdout, r.stderr))
@@ -79,6 +83,14 @@ def main():
         # old: median of 10, 11, 99 = 11; new: the median aggregate 12.
         check(line_of(out, "BM_Rep").endswith("1.09"),
               "repetitions not reduced to medians:\n" + out)
+        # old: quartiles of 10, 11, 99 are 10.5 and 55, so the IQR over
+        # the median is 44.5 / 11; new: stddev 0.6 over the median 12.
+        check(line_of(out, "BM_Rep").split()[1:] ==
+              ["11.0", "404.5%", "12.0", "5.0%", "1.09"],
+              "spreads of repeated rows wrong:\n" + out)
+        check(line_of(out, "BM_Same").split()[1:] ==
+              ["100.0", "-", "114.0", "-", "1.14"],
+              "a single run must print no spread:\n" + out)
         check("only in OLD: BM_Gone" in out and "only in NEW: BM_New" in out,
               "one-sided names not listed:\n" + out)
         check("1 of 5 benchmarks more than 15% slower" in out,

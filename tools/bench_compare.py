@@ -5,11 +5,14 @@
 
 Both files come from `micro_bench --benchmark_format=json` (the
 checked-in baseline is BENCH_micro.json). For every benchmark name in
-either file it prints the CPU time per iteration in OLD and NEW and the
-ratio NEW/OLD; a ratio above 1.15 (more than 15% slower) is flagged
-SLOWER. Names present in only one file are listed, not compared. With
-repetitions the median aggregate is used when present, otherwise the
-median of the repetitions.
+either file it prints the CPU time per iteration in OLD and NEW, each
+with its spread, and the ratio NEW/OLD; a ratio above 1.15 (more than
+15% slower) is flagged SLOWER. Names present in only one file are
+listed, not compared. With repetitions the median aggregate is used
+when present, otherwise the median of the repetitions. A spread is the
+interquartile range of the repetitions over their median, or, when the
+file holds only aggregates, the stddev aggregate over the median; a
+single run has none ("-"). The spread is printed, not used in the flag.
 
 Exit status: 0 when nothing is flagged, 1 when some benchmark is
 flagged, 2 on unreadable input. Standard library only.
@@ -24,26 +27,44 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load(path):
-    """Maps benchmark name -> CPU ns per iteration."""
+    """Maps benchmark name -> (CPU ns per iteration, spread or None)."""
     with open(path) as f:
         data = json.load(f)
-    medians = {}
+    aggregates = {}
     runs = {}
     for b in data.get("benchmarks", []):
         ns = float(b["cpu_time"]) * NS_PER_UNIT[b.get("time_unit", "ns")]
         name = b.get("run_name", b["name"])
         if b.get("run_type") == "aggregate":
-            if b.get("aggregate_name") == "median":
-                medians[name] = ns
+            aggregates.setdefault(name, {})[b.get("aggregate_name")] = ns
         else:
             runs.setdefault(name, []).append(ns)
-    times = {name: statistics.median(v) for name, v in runs.items()}
-    times.update(medians)
-    return times
+    rows = {}
+    for name in set(runs) | set(aggregates):
+        agg = aggregates.get(name, {})
+        reps = runs.get(name, [])
+        if "median" in agg:
+            ns = agg["median"]
+        elif reps:
+            ns = statistics.median(reps)
+        else:
+            continue  # aggregates without a median
+        spread = None
+        if ns > 0 and len(reps) > 1:
+            q1, _, q3 = statistics.quantiles(reps, n=4, method="inclusive")
+            spread = (q3 - q1) / ns
+        elif ns > 0 and "stddev" in agg:
+            spread = agg["stddev"] / ns
+        rows[name] = (ns, spread)
+    return rows
 
 
 def fmt_ns(ns):
     return "%.1f" % ns if ns < 1e4 else "%.0f" % ns
+
+
+def fmt_spread(spread):
+    return "-" if spread is None else "%.1f%%" % (100 * spread)
 
 
 def main(argv):
@@ -58,17 +79,20 @@ def main(argv):
     rows = []
     flagged = 0
     for name in sorted(set(old) & set(new)):
-        ratio = new[name] / old[name] if old[name] > 0 else float("inf")
+        (old_ns, old_spread), (new_ns, new_spread) = old[name], new[name]
+        ratio = new_ns / old_ns if old_ns > 0 else float("inf")
         note = "SLOWER" if ratio > THRESHOLD else ""
         flagged += note != ""
-        rows.append((name, fmt_ns(old[name]), fmt_ns(new[name]),
+        rows.append((name, fmt_ns(old_ns), fmt_spread(old_spread),
+                     fmt_ns(new_ns), fmt_spread(new_spread),
                      "%.2f" % ratio, note))
     width = max([len("benchmark")] + [len(r[0]) for r in rows])
-    print("%-*s %12s %12s %7s" % (width, "benchmark", "old cpu ns",
-                                  "new cpu ns", "new/old"))
-    for name, o, n, ratio, note in rows:
-        print(("%-*s %12s %12s %7s %s" % (width, name, o, n, ratio,
-                                          note)).rstrip())
+    header = ("benchmark", "old cpu ns", "spread", "new cpu ns", "spread",
+              "new/old")
+    line = "%-*s %12s %7s %12s %7s %7s"
+    print(line % ((width,) + header))
+    for row in rows:
+        print((line % ((width,) + row[:-1]) + " " + row[-1]).rstrip())
     for label, only in (("OLD", set(old) - set(new)),
                         ("NEW", set(new) - set(old))):
         for name in sorted(only):
