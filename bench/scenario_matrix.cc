@@ -9,9 +9,11 @@
 //
 // Output is a single JSON document on stdout (the checked-in
 // BENCH_scenario_matrix.json); progress goes to stderr, one line per
-// cell ending in its set-up and run wall time and the process's peak
-// resident set so far (`make_ms=… run_ms=… peak_rss_mb=…`), the real
-// footprint beside the engine's own `bytes_per_peer` count.
+// cell ending in its set-up and run wall time, the run's stage split,
+// and the process's peak resident set so far (`make_ms=… run_ms=…
+// draw_ms=… route_ms=… prefetch_ms=… probe_ms=… publish_ms=…
+// peak_rss_mb=…`), the real footprint beside the engine's own
+// `bytes_per_peer` count.
 // The `nonzero_recall_overlays` field is the smoke-gate verdict: 3
 // means every substrate produced cache hits under churn.
 #include <sys/resource.h>
@@ -44,8 +46,8 @@ double PeakRssMb() {
 }
 
 /// Runs one cell and ends its progress line on stderr with the wall
-/// time of set-up (`Make`) and of the run, and the process's peak
-/// resident set after it.
+/// time of set-up (`Make`), of the run and of each of its stages, and
+/// the process's peak resident set after it.
 sim::ScenarioReport RunCell(const sim::ScenarioConfig& config) {
   using Clock = std::chrono::steady_clock;
   const auto ms = [](Clock::duration d) {
@@ -55,10 +57,21 @@ sim::ScenarioReport RunCell(const sim::ScenarioConfig& config) {
   auto engine = sim::ScenarioEngine::Make(config);
   CHECK(engine.ok()) << engine.status();
   const Clock::time_point made = Clock::now();
-  auto report = engine->Run();
+  sim::StageSplit split;
+  auto report = engine->Run(&split);
   CHECK(report.ok()) << report.status();
-  std::fprintf(stderr, " make_ms=%.1f run_ms=%.1f peak_rss_mb=%.1f\n",
-               ms(made - start), ms(Clock::now() - made), PeakRssMb());
+  const double run_ms = ms(Clock::now() - made);
+  const auto stage_ms = [](uint64_t ns) {
+    return static_cast<double>(ns) / 1e6;
+  };
+  std::fprintf(stderr,
+               " make_ms=%.1f run_ms=%.1f draw_ms=%.1f route_ms=%.1f "
+               "prefetch_ms=%.1f probe_ms=%.1f publish_ms=%.1f "
+               "peak_rss_mb=%.1f\n",
+               ms(made - start), run_ms, stage_ms(split.draw_ns),
+               stage_ms(split.route_ns), stage_ms(split.prefetch_ns),
+               stage_ms(split.probe_ns), stage_ms(split.publish_ns),
+               PeakRssMb());
   return *report;
 }
 
