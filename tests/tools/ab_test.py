@@ -8,8 +8,9 @@ first and give both sides the same seed, and that the report fails on
 a regression or a failed operation. The --micro path is checked on
 scripted google-benchmark JSON: time units, each row's median aggregate
 taken and its other rows skipped, rows missing from a run, a row's
-verdict, and its runner asking for the repetitions on a shell script
-standing in for micro_bench. The --cmd path is checked
+verdict, its user counters paired without a verdict, and its runner
+asking for the repetitions on a shell script standing in for
+micro_bench. The --cmd path is checked
 on scripted wall times and stdout (the verdict, and a pair whose stdout
 differs failing the report), its runner on a shell script standing in
 for a built binary, and its arguments. No build and no benchmark run:
@@ -47,16 +48,24 @@ def result(qps, setup, failed=0, correct=True):
                         "setup_s": {"value": setup, "unit": "s"}}}
 
 
-def micro_doc(rows):
+def micro_doc(rows, counters=None):
     """A google-benchmark JSON document of repeated runs reported as
     aggregates only, one row given as (name, median cpu_time, time_unit);
-    its mean and stddev rows carry other values."""
-    return {"context": {}, "benchmarks": [
-        {"name": n + "_" + agg, "run_name": n, "run_type": "aggregate",
-         "aggregate_name": agg, "repetitions": 5, "iterations": 5,
-         "real_time": t * k, "cpu_time": t * k, "time_unit": u}
-        for n, t, u in rows
-        for agg, k in (("mean", 2.0), ("median", 1.0), ("stddev", 0.5))]}
+    its mean and stddev rows carry other values. counters maps a row's
+    name to its user counters' medians."""
+    doc = {"context": {}, "benchmarks": []}
+    for n, t, u in rows:
+        for agg, k in (("mean", 2.0), ("median", 1.0), ("stddev", 0.5)):
+            row = {"name": n + "_" + agg, "family_index": 0,
+                   "per_family_instance_index": 0, "run_name": n,
+                   "run_type": "aggregate", "aggregate_name": agg,
+                   "aggregate_unit": "time", "repetitions": 5,
+                   "threads": 1, "iterations": 5, "real_time": t * k,
+                   "cpu_time": t * k, "time_unit": u}
+            for c, v in (counters or {}).get(n, {}).items():
+                row[c] = v * k
+            doc["benchmarks"].append(row)
+    return doc
 
 
 def main():
@@ -183,6 +192,48 @@ def main():
     check("BM_Once" not in lines, "a row only one side ran:\n" + text)
     check("base 34.5k (quartiles" in lines.get("BM_Route", ""),
           "micro medians in ns:\n" + text)
+
+    # --micro user counters: each row's median aggregate, every counter
+    # paired under its row with no verdict, and a counter only some runs
+    # report left out. Only time fails the report.
+    doc = micro_doc([("BM_A", 2.0, "ms")],
+                    {"BM_A": {"publish_ns": 600.0, "bytes_per_peer": 93}})
+    check(ab.micro_counters(doc) ==
+          {"BM_A": {"publish_ns": 600.0, "bytes_per_peer": 93.0}},
+          "micro counters: %s" % ab.micro_counters(doc))
+    base_docs = [micro_doc([("BM_Run", 40.0, "ms")],
+                           {"BM_Run": {"publish_ns": 700.0 + i,
+                                       "bytes_per_peer": 93,
+                                       "items_per_second": 5e5}})
+                 for i in range(10)]
+    change_docs = [micro_doc([("BM_Run", 40.0, "ms")],
+                             {"BM_Run": {"publish_ns": 350.0 + i,
+                                         "bytes_per_peer": 104}})
+                   for i in range(10)]
+    change_docs[3]["benchmarks"][1]["publish_ns"] = 703.0  # one tie
+    out = io.StringIO()
+    check(ab.micro_report({"base": base_docs, "change": change_docs},
+                          out=out),
+          "counters failed a report whose time held:\n" + out.getvalue())
+    text = out.getvalue()
+    counter_lines = {line.split(":")[0].strip(): line
+                     for line in text.splitlines() if line.startswith("  ")}
+    check("BM_Run (ns" in text and "IDENTICAL" in text,
+          "counter row's time line:\n" + text)
+    check("change lower in 9 of 10 pairs (1 ties)" in
+          counter_lines.get("publish_ns", "") and
+          "base 704.5 (quartiles" in counter_lines.get("publish_ns", ""),
+          "publish_ns counter line:\n" + text)
+    check("base 93.000 (quartiles 93.000-93.000) -> change 104.0 " in
+          counter_lines.get("bytes_per_peer", "") and
+          "change lower in 0 of 10 pairs (0 ties)" in
+          counter_lines.get("bytes_per_peer", ""),
+          "bytes_per_peer counter line:\n" + text)
+    check("items_per_second" not in counter_lines,
+          "a counter only the base reported:\n" + text)
+    check(all("GAIN" not in line and "REGRESSION" not in line
+              for line in counter_lines.values()),
+          "a counter got a verdict:\n" + text)
 
     # --cmd: wall seconds per pair, and stdout compared in every pair.
     def cmd_results(change_times, change_out):
